@@ -11,10 +11,10 @@ configuration (normal superradiant phase, NSP, two-fold degenerate) and a
 frustrated one with one site carrying opposite sign and twice the amplitude
 of the other two (FSP, six-fold degenerate).
 
-Note on the frustrated stationarity conditions: the two-variable reduction
-used here is the gradient of E restricted to the (x1, x2, x2) pattern.  See
-docs/frustrated_stationarity.md for the derivation and for why the naive
-per-site elimination produces a non-stationary root.
+The frustrated minima are found by enumerating the roots of one scalar
+function: on the (x1, x2, x2) pattern dE/dx1 = 0 gives x2 explicitly, and
+dE/dx2 = 0 becomes an equation in x1 alone, scanned on the windows where x2
+stays in the domain.  See docs/frustrated_stationarity.md.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Newton iteration failed to converge; carries the last residual."""
+    """No verified minimum was found; carries the last residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -148,11 +148,6 @@ def _orbit(x, tol=1e-9):
     return out
 
 
-def _canonical(configs):
-    """Lexicographically smallest (x1, x2, x3) among degenerate minima."""
-    return min(configs, key=tuple)
-
-
 def _phase_result(label, x, params, coexistent=False):
     configs = _orbit(x)
     configs.sort(key=tuple)
@@ -199,12 +194,18 @@ def solve_nsp(params: ModelParams) -> PhaseResult:
 # ---------------------------------------------------------------------------
 # frustrated (FSP) branch
 
+#: |B_tilde| below this is first-order coexistence: the sites decouple
+_B_COEXIST_TOL = 1e-12
+#: largest |grad E| of an accepted stationary state
+STATIONARITY_TOL = 1e-8
+
+
 def asymptotic_fsp(params: ModelParams, g: float | None = None) -> MeanFieldState:
     """Leading-order frustrated solution near the finite-momentum onset.
 
     x = (-2t, t, t) with t = sqrt((1-J2)*g_c_plus*(g - g_c_plus)/3); exact
-    zeros at g = g_c_plus.  Used as a Newton seed and as an acceptance
-    reference for the |g - g_c|^(1/2) scaling.
+    zeros at g = g_c_plus.  An acceptance reference for the |g - g_c|^(1/2)
+    scaling.
     """
     if g is None:
         g = params.g
@@ -212,47 +213,6 @@ def asymptotic_fsp(params: ModelParams, g: float | None = None) -> MeanFieldStat
     dg = max(g - gcp, 0.0)
     t = math.sqrt((1.0 - params.J2) * gcp * dg / 3.0)
     return state_from_x(np.array([-2.0 * t, t, t]), params.replace(g=g))
-
-
-def fsp_residual(x1: float, x2: float, params: ModelParams) -> np.ndarray:
-    """Stationarity residual of the (x1, x2, x2) pattern (dE/dx1, dE/dx2)."""
-    return gradient(np.array([x1, x2, x2]), params)[:2]
-
-
-def _fsp_newton(x1, x2, params, tol=1e-12, max_iter=200, max_halvings=50):
-    """Damped Newton on the two-variable frustrated stationarity system."""
-    g = params.g
-    u = np.array([x1, x2], dtype=float)
-    res = fsp_residual(u[0], u[1], params)
-    norm = np.max(np.abs(res))
-    for _ in range(max_iter):
-        if norm < tol:
-            return u
-        H = hessian(np.array([u[0], u[1], u[1]]), params)
-        J = np.array([
-            [H[0, 0], H[0, 1] + H[0, 2]],
-            [H[1, 0], H[1, 1] + H[1, 2]],
-        ])
-        try:
-            step = np.linalg.solve(J, res)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Jacobian in frustrated Newton solve",
-                                   residual=norm)
-        lam = 1.0
-        for _ in range(max_halvings):
-            trial = u - lam * step
-            if np.max(np.abs(trial)) < 0.5 * g:
-                trial_res = fsp_residual(trial[0], trial[1], params)
-                trial_norm = np.max(np.abs(trial_res))
-                if trial_norm < norm:
-                    u, res, norm = trial, trial_res, trial_norm
-                    break
-            lam *= 0.5
-        else:
-            raise ConvergenceError(
-                f"frustrated Newton stalled at residual {norm:.3e}", residual=norm)
-    raise ConvergenceError(
-        f"frustrated Newton did not converge, residual {norm:.3e}", residual=norm)
 
 
 def _is_fsp_minimum(x1, x2, params, tol=1e-9):
@@ -263,104 +223,158 @@ def _is_fsp_minimum(x1, x2, params, tol=1e-9):
     return bool(np.linalg.eigvalsh(H)[0] > -tol)
 
 
-def _fsp_multistart(params: ModelParams):
-    """Multistart search for the frustrated local minimum of the (x1, x2, x2)
-    restricted energy; returns (x1, x2) or None.
+def _h(x, C, g):
+    """Half the on-site part of dE/dx_n: C*x + x/(g^2*sqrt(1 - 4*x^2/g^2))."""
+    return C * x + x / (g * g * np.sqrt((1.0 - 2.0 * x / g) * (1.0 + 2.0 * x / g)))
 
-    Needed where the uniform phase condenses first (g_c_minus < g_c_plus): the
-    frustrated minimum is then born at finite amplitude via a fold between
-    g_c_plus and the first-order point, disconnected from the branch that
-    emerges continuously at g_c_plus (which stays a saddle).
+
+# scan points as fractions of a window: cosine spacing plus geometric
+# offsets toward both ends, where the roots crowd at large B, large g and
+# just above g_c_plus
+_SCAN_COS = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 66)[1:-1]))
+_SCAN_END = np.geomspace(1e-15, 1e-2, 27)
+_EDGE_OFFSETS = np.geomspace(1e-1, 1e-15, 15)
+_POLISH_STEPS = 6
+
+
+def _fsp_windows(C, B, g):
+    """Intervals of x1 in (-g/2, 0) where x2 = -h(x1)/(2B) lies in (0, g/2).
+
+    h is monotone on each piece between -g/2, its turning point (present
+    when h'(0) = C + 1/g^2 < 0) and 0, so each piece holds at most one
+    window, whose ends solve h = 0 or h = -B*g.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import brentq
 
-    g = params.g
+    lo, hi = sorted((0.0, -B * g))
+    # the piece starting at -g/2 needs a finite end with h(edge) <= lo
+    edges = -0.5 * g * (1.0 - _EDGE_OFFSETS)
+    below = np.flatnonzero(_h(edges, C, g) <= lo)
+    ends = [float(edges[below[0] if below.size else -1]), 0.0]
+    r3 = -1.0 / (C * g * g)  # h'(x) = 0 where sqrt(1 - 4x^2/g^2)^3 = r3
+    if r3 < 1.0:
+        r = r3 ** (1.0 / 3.0)
+        ends.insert(1, -0.5 * g * math.sqrt((1.0 - r) * (1.0 + r)))
+    windows = []
+    for a, b in zip(ends, ends[1:]):
+        ha, hb = _h(a, C, g), _h(b, C, g)
 
-    def e2(u):
-        return energy(np.array([u[0], u[1], u[1]]), params)
+        def inverse(v):
+            if (v - ha) * (v - hb) >= 0.0:
+                return a if abs(v - ha) < abs(v - hb) else b
+            return brentq(lambda x: _h(x, C, g) - v, a, b, xtol=1e-300)
 
-    bound = 0.4999 * g
-    candidates = []
-    for a in np.linspace(-0.45 * g, -0.05 * g, 5):
-        for b in np.linspace(0.05 * g, 0.45 * g, 5):
-            res = minimize(e2, np.array([a, b]), method="L-BFGS-B",
-                           bounds=[(-bound, bound)] * 2,
-                           options={"ftol": 1e-15, "gtol": 1e-10})
-            try:
-                u = _fsp_newton(res.x[0], res.x[1], params)
-            except ConvergenceError:
-                continue
-            x1, x2 = float(u[0]), float(u[1])
-            if x1 > 0.0 > x2:
-                x1, x2 = -x1, -x2
-            if not _is_fsp_minimum(x1, x2, params):
-                continue
-            if any(abs(x1 - c[0]) < 1e-8 and abs(x2 - c[1]) < 1e-8
-                   for c in candidates):
-                continue
-            candidates.append((x1, x2))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda c: energy(np.array([c[0], c[1], c[1]]), params))
+        left, right = sorted((inverse(lo), inverse(hi)))
+        if left < right:
+            windows.append((left, right))
+    return windows
 
 
-def _solve_fsp_branch(params: ModelParams, seed=None) -> PhaseResult:
+def _fsp_roots(C, B, g):
+    """Every x1 on the frustrated windows where G(x1) changes sign."""
+    from scipy.optimize import brentq
+
+    def G(x1):
+        x2 = -_h(x1, C, g) / (2.0 * B)
+        return (_h(x2, C, g) + B * (x1 + x2)) / x1
+
+    roots = []
+    for left, right in _fsp_windows(C, B, g):
+        w = right - left
+        x1 = np.unique(np.concatenate(
+            (left + w * _SCAN_COS, left + w * _SCAN_END, right - w * _SCAN_END)))
+        x1 = x1[(x1 > left) & (x1 < right)]
+        x2 = -_h(x1, C, g) / (2.0 * B)
+        inside = (1.0 - 2.0 * x2 / g) * (1.0 + 2.0 * x2 / g) > 0.0
+        x1 = x1[inside]
+        s = np.sign(G(x1))
+        roots.extend(x1[s == 0.0])
+        for i in np.flatnonzero(s[:-1] * s[1:] < 0.0):
+            roots.append(brentq(G, x1[i], x1[i + 1], xtol=1e-300))
+    return roots
+
+
+def _polish_fsp(x1, x2, params):
+    """A few 2x2 Newton steps on (dE/dx1, dE/dx2), each kept only if it helps.
+
+    Returns the polished (x1, x2) and its max |grad E|.
+    """
+    u = np.array([x1, x2])
+    res = gradient(np.array([x1, x2, x2]), params)[:2]
+    for _ in range(_POLISH_STEPS):
+        H = hessian(np.array([u[0], u[1], u[1]]), params)
+        J = np.array([[H[0, 0], H[0, 1] + H[0, 2]],
+                      [H[1, 0], H[1, 1] + H[1, 2]]])
+        try:
+            trial = u - np.linalg.solve(J, res)
+        except np.linalg.LinAlgError:
+            break
+        if np.max(np.abs(trial)) >= 0.5 * params.g:
+            break
+        trial_res = gradient(np.array([trial[0], trial[1], trial[1]]), params)[:2]
+        if np.max(np.abs(trial_res)) >= np.max(np.abs(res)):
+            break
+        u, res = trial, trial_res
+    return float(u[0]), float(u[1]), float(np.max(np.abs(res)))
+
+
+def _lowest_fsp_minimum(candidates, params):
+    """(energy, x1, x2) of the lowest candidate that polishes to a stationary
+    frustrated local minimum, or None."""
+    best = None
+    for x1, x2 in candidates:
+        x1, x2, resid = _polish_fsp(x1, x2, params)
+        if resid > STATIONARITY_TOL or not _is_fsp_minimum(x1, x2, params):
+            continue
+        e = energy(np.array([x1, x2, x2]), params)
+        if best is None or e < best[0]:
+            best = (e, x1, x2)
+    return best
+
+
+def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
     """Frustrated minimum branch for g > g_c_plus, ignoring the B sign.
 
     Needed internally to trace the branch through the first-order point,
-    where B changes sign while the branch persists.
+    where B changes sign while the branch persists.  Every stationary point
+    of the (x1, x2, x2) pattern with x1 < 0 < x2 is a root of one scalar
+    function of x1; all roots are enumerated and the lowest-energy local
+    minimum wins (docs/frustrated_stationarity.md).
     """
     g = params.g
     gcp = critical_couplings(params).g_c_plus
     if g <= gcp:
         raise ValueError(f"frustrated branch requires g > g_c_plus={gcp}, got g={g}")
-    if seed is not None:
-        x1, x2 = float(seed[0]), float(seed[1])
-        sol = _fsp_newton(x1, x2, params)
-    else:
-        dg = g - gcp
-        try:
-            if dg <= 5e-2:
-                st = asymptotic_fsp(params)
-                sol = _fsp_newton(st.x[0], st.x[1], params)
-            else:
-                # continuation in g from just above onset, asymptotic seed first
-                dgs = np.geomspace(1e-3, dg, 30)
-                st = asymptotic_fsp(params, g=gcp + dgs[0])
-                u = np.array([st.x[0], st.x[1]])
-                for step_dg in dgs:
-                    u = _fsp_newton(u[0], u[1], params.replace(g=gcp + step_dg))
-                sol = u
-        except ConvergenceError:
-            sol = None
-    x1, x2 = (None, None) if sol is None else sol
-    if sol is not None and x1 > 0.0 > x2:
-        # the orbit contains the canonical sign pattern; normalise to it
-        x1, x2 = -x1, -x2
-    if sol is None or not _is_fsp_minimum(x1, x2, params):
-        # continuation landed on a saddle (or failed): fold-born minimum
-        found = _fsp_multistart(params)
-        if found is None:
-            raise ConvergenceError(
-                f"no frustrated local minimum at g={g} (J1={params.J1}, "
-                f"J2={params.J2}); the branch may not exist yet",
-                residual=math.inf)
-        x1, x2 = found
-    return _phase_result(FSP, np.array([x1, x2, x2]), params)
+    C, B = c_tilde(params.J1), b_tilde(params)
+    best = None
+    if abs(B) >= _B_COEXIST_TOL:
+        roots = _fsp_roots(C, B, g)
+        best = _lowest_fsp_minimum([(x1, -_h(x1, C, g) / (2.0 * B)) for x1 in roots],
+                                   params)
+    q = 1.0 / (C * g * g)
+    if best is None and abs(q) < 1.0:
+        # decoupled sites at the single-site minima +-x*: exact for B = 0, and
+        # the Newton seed where B is so small that x2 = -h(x1)/(2B) cannot be
+        # resolved from the floats of x1 in the window
+        xs = 0.5 * g * math.sqrt((1.0 - q) * (1.0 + q))
+        best = _lowest_fsp_minimum([(-xs, xs)], params)
+    if best is None:
+        raise ConvergenceError(
+            f"no frustrated local minimum at g={g} (J1={params.J1}, "
+            f"J2={params.J2}); the branch may not exist yet",
+            residual=math.inf)
+    return _phase_result(FSP, np.array([best[1], best[2], best[2]]), params)
 
 
-def solve_fsp(params: ModelParams, seed=None) -> PhaseResult:
+def solve_fsp(params: ModelParams) -> PhaseResult:
     """Frustrated superradiant ground state for g > g_c_plus and B_tilde > 0."""
     if b_tilde(params) <= 0.0:
         raise ValueError("frustrated phase requires B_tilde > 0")
-    return _solve_fsp_branch(params, seed=seed)
+    return _solve_fsp_branch(params)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
-
-_B_COEXIST_TOL = 1e-12
-
 
 def solve_ground_state(params: ModelParams) -> PhaseResult:
     """Global mean-field ground state at one parameter point.

@@ -4,7 +4,7 @@ Global minimisation of the reduced energy on a dense grid with local
 refinement, degeneracy enumeration, and transition detection from numerical
 derivatives of the ground-state energy.  Deliberately ansatz-free: nothing
 here assumes the uniform or frustrated patterns, so it can arbitrate the
-closed-form and Newton solvers.
+closed-form and root-scan solvers.
 """
 
 from __future__ import annotations
@@ -215,7 +215,6 @@ def detect_transitions(
         config = OracleConfig()
     g_lo, g_hi = float(g_range[0]), float(g_range[1])
     gs = np.linspace(g_lo, g_hi, n_coarse)
-    h = gs[1] - gs[0]
 
     results = [brute_force_minimize(ModelParams(g=g, J1=J1, J2=J2, omega=omega, Omega=Omega),
                                     config) for g in gs]

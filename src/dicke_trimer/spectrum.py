@@ -17,9 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, critical_couplings, first_order_point
-from .meanfield import MeanFieldState, PhaseResult, gradient, solve_ground_state, state_from_x
+from .meanfield import (
+    STATIONARITY_TOL,
+    MeanFieldState,
+    PhaseResult,
+    gradient,
+    solve_ground_state,
+    state_from_x,
+)
 
-_STATIONARITY_TOL = 1e-8
 _CRITICAL_TOL = 1e-10
 _PAIRING_TOL = 1e-9
 
@@ -66,7 +72,7 @@ def build_quadratic(background: MeanFieldState, params: ModelParams) -> Quadrati
     weighted by cos(theta_n)*cos(theta_{n+1}).
     """
     resid = np.max(np.abs(gradient(background.x, params)))
-    if resid > _STATIONARITY_TOL:
+    if resid > STATIONARITY_TOL:
         raise ValueError(
             f"background is not stationary (|grad|={resid:.3e}); "
             "the linear fluctuation term would not vanish"

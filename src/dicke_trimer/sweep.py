@@ -28,7 +28,7 @@ from .model import (
     critical_couplings,
     first_order_point,
 )
-from .meanfield import solve_ground_state, _solve_fsp_branch
+from .meanfield import solve_ground_state
 from .spectrum import build_quadratic, symplectic_eigenvalues
 
 CSV_COLUMNS = (
@@ -44,17 +44,12 @@ def _timestamp() -> str:
     return os.environ.get("DICKE_TRIMER_TIMESTAMP", "")
 
 
-def _point_record(params: ModelParams, fsp_seed=None):
-    """Solve one parameter point; returns (record dict, fsp seed for continuation)."""
+def _point_record(params: ModelParams):
+    """Solve one parameter point and its spectrum into a record dict."""
     rec = {"g": params.g, "J1": params.J1, "J2": params.J2,
            "B_tilde": b_tilde(params), "error": ""}
-    next_seed = None
     try:
-        if fsp_seed is not None and b_tilde(params) > 0.0 \
-                and params.g > critical_couplings(params).g_c_plus:
-            result = _solve_fsp_branch(params, seed=fsp_seed)
-        else:
-            result = solve_ground_state(params)
+        result = solve_ground_state(params)
         state = result.representative
         spec = symplectic_eigenvalues(build_quadratic(state, params))
         rec.update(
@@ -64,26 +59,18 @@ def _point_record(params: ModelParams, fsp_seed=None):
             **{f"alpha{i+1}": float(state.alpha[i]) for i in range(3)},
             **{f"eps{i+1}": float(spec.energies[i]) for i in range(6)},
         )
-        if result.label == FSP:
-            xs = np.sort(state.x)
-            next_seed = (float(xs[0]), float(xs[-1]))
     except Exception as exc:  # recorded per point, not fatal
         rec.update(phase="", energy=math.nan, degeneracy=0,
                    **{f"alpha{i+1}": math.nan for i in range(3)},
                    **{f"eps{i+1}": math.nan for i in range(6)})
         rec["error"] = f"{type(exc).__name__}: {exc}"
-    return rec, next_seed
+    return rec
 
 
 def sweep_g_line(J1, J2, g_values, omega=1.0, Omega=1.0):
-    """Solve every g on a line with continuation seeding of the FSP branch."""
-    records = []
-    seed = None
-    for g in np.atleast_1d(np.asarray(g_values, dtype=float)):
-        params = ModelParams(g=float(g), J1=J1, J2=J2, omega=omega, Omega=Omega)
-        rec, seed = _point_record(params, fsp_seed=seed)
-        records.append(rec)
-    return records
+    """Solve every g on a line; each point is solved independently."""
+    return [_point_record(ModelParams(g=float(g), J1=J1, J2=J2, omega=omega, Omega=Omega))
+            for g in np.atleast_1d(np.asarray(g_values, dtype=float))]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +130,7 @@ def _cell_params(axis_x, axis_y, fixed, xv, yv):
 def _solve_cell(args):
     axis_x, axis_y, fixed, xv, yv = args
     params = _cell_params(axis_x, axis_y, fixed, xv, yv)
-    rec, _ = _point_record(params)
+    rec = _point_record(params)
     cell = {
         "x": float(xv), "y": float(yv),
         "phase": rec["phase"], "energy": rec["energy"],
@@ -160,8 +147,7 @@ def _solve_cell(args):
 
 def _phase_at(axis_x, axis_y, fixed, xv, yv):
     params = _cell_params(axis_x, axis_y, fixed, xv, yv)
-    rec, _ = _point_record(params)
-    return rec["phase"]
+    return _point_record(params)["phase"]
 
 
 def _refine_boundary(axis_x, axis_y, fixed, x_lo, x_hi, yv, phase_lo, tol=1e-6):

@@ -1,9 +1,10 @@
 """Programmatic acceptance checks.
 
-Each criterion function returns a ``CheckResult``; :func:`run_scope` bundles
-them into the scopes exposed by the command line (formulas, oracle, spectrum,
-all).  The same functions back the pytest acceptance suite, so `verify
---scope all` and the tests always agree.
+Each criterion function returns a ``CheckResult``.  :data:`CHECKS` lists
+them all with the scope exposed by the command line (formulas, oracle,
+spectrum) and :func:`run_scope` runs one scope, or all of them.  The same
+functions back the pytest acceptance suite, so `verify --scope all` and the
+tests always agree.
 """
 
 from __future__ import annotations
@@ -390,7 +391,7 @@ def check_oracle_agreement(seed=6, n_points=12):
 
 
 def check_asymptotic_seed_quality():
-    """Newton residual of the asymptotic seed solution is below 1e-12."""
+    """|grad E| of the frustrated solution near onset is below 1e-12."""
     params = ModelParams(g=1.0, J1=0.1, J2=0.1)
     gcp = critical_couplings(params).g_c_plus
     worst = 0.0
@@ -399,60 +400,35 @@ def check_asymptotic_seed_quality():
         res = _solve_fsp_branch(p)
         worst = max(worst, float(np.max(np.abs(gradient(res.representative.x, p)))))
     passed = worst < 1e-12
-    return CheckResult("frustrated Newton residuals", passed,
+    return CheckResult("frustrated stationarity residuals", passed,
                        f"max residual {worst:.2e} (tol 1e-12)")
 
 
-SCOPES = {
-    "formulas": [
-        check_formula_identities,
-        check_region_table_points,
-        criterion_1_critical_points,
-        criterion_6_asymptotic_ratios,
-        criterion_7_table_sequences,
-    ],
-    "oracle": [
-        check_oracle_agreement,
-        criterion_4_transition_line,
-        criterion_5_degeneracy,
-        criterion_8_cauchy_schwarz,
-        criterion_10_gradient_check,
-    ],
-    "spectrum": [
-        criterion_2_order_parameter_exponent,
-        criterion_3_gap_exponents,
-        criterion_9_spectrum_equivalence,
-        check_asymptotic_seed_quality,
-    ],
-}
-
-ALL_CRITERIA = [
-    criterion_1_critical_points,
-    criterion_2_order_parameter_exponent,
-    criterion_3_gap_exponents,
-    criterion_4_transition_line,
-    criterion_5_degeneracy,
-    criterion_6_asymptotic_ratios,
-    criterion_7_table_sequences,
-    criterion_8_cauchy_schwarz,
-    criterion_9_spectrum_equivalence,
-    criterion_10_gradient_check,
-    criterion_11_triple_point,
-    criterion_12_atom_only_consistency,
+# every check in the order `verify --scope all` runs it, with the narrower
+# scope it also belongs to (None: only in "all")
+CHECKS = [
+    (criterion_1_critical_points, "formulas"),
+    (criterion_2_order_parameter_exponent, "spectrum"),
+    (criterion_3_gap_exponents, "spectrum"),
+    (criterion_4_transition_line, "oracle"),
+    (criterion_5_degeneracy, "oracle"),
+    (criterion_6_asymptotic_ratios, "formulas"),
+    (criterion_7_table_sequences, "formulas"),
+    (criterion_8_cauchy_schwarz, "oracle"),
+    (criterion_9_spectrum_equivalence, "spectrum"),
+    (criterion_10_gradient_check, "oracle"),
+    (criterion_11_triple_point, None),
+    (criterion_12_atom_only_consistency, None),
+    (check_formula_identities, "formulas"),
+    (check_region_table_points, "formulas"),
+    (check_oracle_agreement, "oracle"),
+    (check_asymptotic_seed_quality, "spectrum"),
 ]
 
 
 def run_scope(scope: str):
     """Run all checks for a scope; returns the list of CheckResults."""
-    if scope == "all":
-        checks = ALL_CRITERIA + [
-            check_formula_identities, check_region_table_points,
-            check_oracle_agreement, check_asymptotic_seed_quality,
-        ]
-    else:
-        try:
-            checks = SCOPES[scope]
-        except KeyError:
-            raise ValueError(f"unknown scope {scope!r}; "
-                             f"choose from formulas, oracle, spectrum, all")
-    return [fn() for fn in checks]
+    scopes = sorted({s for _, s in CHECKS if s}) + ["all"]
+    if scope not in scopes:
+        raise ValueError(f"unknown scope {scope!r}; choose from {', '.join(scopes)}")
+    return [fn() for fn, s in CHECKS if scope in (s, "all")]
