@@ -6,6 +6,9 @@ transformed variables x_n on the open cube |x_n| < g/2, is
     E(x) = sum_n [ C*x_n^2 - 1/2*sqrt(1 - 4*x_n^2/g^2) + 2*B*x_n*x_{n+1} ]
 
 with periodic indices and the coefficients from :mod:`dicke_trimer.model`.
+:func:`energy`, :func:`gradient` and :func:`hessian` are its only
+implementation, and :func:`newton_polish` is the one damped-Newton loop that
+polishes its minima, for the frustrated solver here and for the oracle.
 Three kinds of minima occur: the trivial x = 0 (normal phase, NP), a uniform
 configuration (normal superradiant phase, NSP, two-fold degenerate) and a
 frustrated one with one site carrying opposite sign and twice the amplitude
@@ -14,7 +17,8 @@ of the other two (FSP, six-fold degenerate).
 The frustrated minima are found by enumerating the roots of one scalar
 function: on the (x1, x2, x2) pattern dE/dx1 = 0 gives x2 explicitly, and
 dE/dx2 = 0 becomes an equation in x1 alone, scanned on the windows where x2
-stays in the domain.  See docs/frustrated_stationarity.md.
+stays in the domain.  Each root is polished as the 3-vector (x1, x2, x2).
+See docs/frustrated_stationarity.md.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ from .model import (
     alpha_from_x,
     b_tilde,
     c_tilde,
-    coefficients,
     critical_couplings,
-    x_from_alpha,
 )
 
 
@@ -93,44 +95,83 @@ def state_from_x(x, params: ModelParams) -> MeanFieldState:
     return MeanFieldState(alpha=alpha, x=x, theta=theta, phi=np.zeros(3))
 
 
-def energy(x, params: ModelParams) -> float:
-    """Reduced ground-state energy E(x); hard error outside |x_n| < g/2."""
+def _terms(x, params: ModelParams):
+    """Checked x, u = 4x^2/g^2, sqrt(1 - u), C_tilde and B_tilde.
+
+    On the 3-cycle the neighbours of site n sum to sum(x) - x_n, and
+    sum_n x_n x_{n+1} = ((sum x)^2 - sum x^2)/2, so the kernels below need
+    no index shifts.
+    """
     x = np.asarray(x, dtype=float)
     g = params.g
     _check_domain(x, g)
-    c = coefficients(params)
-    root = np.sqrt(1.0 - 4.0 * x * x / (g * g))
-    return float(
-        np.sum(c.C_tilde * x * x - 0.5 * root + 2.0 * c.B_tilde * x * np.roll(x, -1))
-    )
+    u = 4.0 * x * x / (g * g)
+    return x, u, np.sqrt(1.0 - u), c_tilde(params.J1), b_tilde(params)
+
+
+def energy(x, params: ModelParams) -> float:
+    """Reduced ground-state energy E(x); hard error outside |x_n| < g/2."""
+    x, _, root, C, B = _terms(x, params)
+    s = np.sum(x)
+    return float(np.sum(C * x * x - 0.5 * root) + B * (s * s - np.dot(x, x)))
 
 
 def gradient(x, params: ModelParams) -> np.ndarray:
     """Analytic dE/dx_n."""
-    x = np.asarray(x, dtype=float)
+    x, _, root, C, B = _terms(x, params)
     g = params.g
-    _check_domain(x, g)
-    c = coefficients(params)
-    root = np.sqrt(1.0 - 4.0 * x * x / (g * g))
-    return (
-        2.0 * c.C_tilde * x
-        + 2.0 * x / (g * g * root)
-        + 2.0 * c.B_tilde * (np.roll(x, 1) + np.roll(x, -1))
-    )
+    return 2.0 * C * x + 2.0 * x / (g * g * root) + 2.0 * B * (np.sum(x) - x)
 
 
 def hessian(x, params: ModelParams) -> np.ndarray:
     """Analytic 3x3 Hessian of E."""
-    x = np.asarray(x, dtype=float)
+    x, u, root, C, B = _terms(x, params)
     g = params.g
-    _check_domain(x, g)
-    c = coefficients(params)
-    u = 4.0 * x * x / (g * g)
-    root = np.sqrt(1.0 - u)
-    diag = 2.0 * c.C_tilde + (2.0 / (g * g)) * (1.0 / root + u / root**3)
-    H = np.full((3, 3), 2.0 * c.B_tilde)
-    np.fill_diagonal(H, diag)
+    H = np.full((3, 3), 2.0 * B)
+    np.fill_diagonal(H, 2.0 * C + (2.0 / (g * g)) * (1.0 / root + u / root**3))
     return H
+
+
+#: newton_polish stops once max |grad E| is below this
+_NEWTON_TOL = 1e-13
+#: at most this many Newton steps, each halved at most _NEWTON_HALVINGS times
+_NEWTON_STEPS = 60
+_NEWTON_HALVINGS = 40
+
+
+def newton_polish(x, params: ModelParams):
+    """Damped Newton on grad E = 0 over all three x_n; no pattern assumed.
+
+    A step is halved until it stays inside the domain and lowers max |grad E|;
+    the loop ends when no halving helps, or once the halved step no longer
+    changes x in floating point.  Returns the polished x and its max |grad E|.
+    """
+    g = params.g
+    x = np.array(x, dtype=float)
+    grad = gradient(x, params)
+    norm = float(np.max(np.abs(grad)))
+    for _ in range(_NEWTON_STEPS):
+        if norm < _NEWTON_TOL:
+            break
+        try:
+            step = np.linalg.solve(hessian(x, params), grad)
+        except np.linalg.LinAlgError:
+            break
+        lam = 1.0
+        for _ in range(_NEWTON_HALVINGS):
+            trial = x - lam * step
+            if np.array_equal(trial, x):
+                return x, norm  # every smaller step rounds to x as well
+            if np.max(np.abs(trial)) < 0.5 * g:
+                tg = gradient(trial, params)
+                tnorm = float(np.max(np.abs(tg)))
+                if tnorm < norm:
+                    x, grad, norm = trial, tg, tnorm
+                    break
+            lam *= 0.5
+        else:
+            break
+    return x, norm
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +192,9 @@ def _orbit(x, tol=1e-9):
 def _phase_result(label, x, params, coexistent=False):
     configs = _orbit(x)
     configs.sort(key=tuple)
+    if label == FSP:
+        # representative: the member with the odd site first and negative
+        configs.sort(key=lambda c: not c[0] < 0.0 < min(c[1], c[2]))
     states = [state_from_x(c, params) for c in configs]
     return PhaseResult(
         label=label,
@@ -215,12 +259,12 @@ def asymptotic_fsp(params: ModelParams, g: float | None = None) -> MeanFieldStat
     return state_from_x(np.array([-2.0 * t, t, t]), params.replace(g=g))
 
 
-def _is_fsp_minimum(x1, x2, params, tol=1e-9):
-    """True if (x1, x2, x2) is a frustrated local minimum of the full energy."""
-    if x1 * x2 >= 0.0:
+def _is_fsp_minimum(x, params, tol=1e-9):
+    """True if x, with x[0] opposite in sign to x[1] and x[2], is a local
+    minimum of the full energy."""
+    if x[0] * x[1] >= 0.0 or x[0] * x[2] >= 0.0:
         return False
-    H = hessian(np.array([x1, x2, x2]), params)
-    return bool(np.linalg.eigvalsh(H)[0] > -tol)
+    return bool(np.linalg.eigvalsh(hessian(x, params))[0] > -tol)
 
 
 def _h(x, C, g):
@@ -234,7 +278,6 @@ def _h(x, C, g):
 _SCAN_COS = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 66)[1:-1]))
 _SCAN_END = np.geomspace(1e-15, 1e-2, 27)
 _EDGE_OFFSETS = np.geomspace(1e-1, 1e-15, 15)
-_POLISH_STEPS = 6
 
 
 def _fsp_windows(C, B, g):
@@ -294,41 +337,17 @@ def _fsp_roots(C, B, g):
     return roots
 
 
-def _polish_fsp(x1, x2, params):
-    """A few 2x2 Newton steps on (dE/dx1, dE/dx2), each kept only if it helps.
-
-    Returns the polished (x1, x2) and its max |grad E|.
-    """
-    u = np.array([x1, x2])
-    res = gradient(np.array([x1, x2, x2]), params)[:2]
-    for _ in range(_POLISH_STEPS):
-        H = hessian(np.array([u[0], u[1], u[1]]), params)
-        J = np.array([[H[0, 0], H[0, 1] + H[0, 2]],
-                      [H[1, 0], H[1, 1] + H[1, 2]]])
-        try:
-            trial = u - np.linalg.solve(J, res)
-        except np.linalg.LinAlgError:
-            break
-        if np.max(np.abs(trial)) >= 0.5 * params.g:
-            break
-        trial_res = gradient(np.array([trial[0], trial[1], trial[1]]), params)[:2]
-        if np.max(np.abs(trial_res)) >= np.max(np.abs(res)):
-            break
-        u, res = trial, trial_res
-    return float(u[0]), float(u[1]), float(np.max(np.abs(res)))
-
-
 def _lowest_fsp_minimum(candidates, params):
-    """(energy, x1, x2) of the lowest candidate that polishes to a stationary
-    frustrated local minimum, or None."""
+    """(energy, x) of the lowest candidate (x1, x2) that polishes, as the
+    3-vector (x1, x2, x2), to a stationary frustrated local minimum, or None."""
     best = None
     for x1, x2 in candidates:
-        x1, x2, resid = _polish_fsp(x1, x2, params)
-        if resid > STATIONARITY_TOL or not _is_fsp_minimum(x1, x2, params):
+        x, resid = newton_polish([x1, x2, x2], params)
+        if resid > STATIONARITY_TOL or not _is_fsp_minimum(x, params):
             continue
-        e = energy(np.array([x1, x2, x2]), params)
+        e = energy(x, params)
         if best is None or e < best[0]:
-            best = (e, x1, x2)
+            best = (e, x)
     return best
 
 
@@ -363,7 +382,7 @@ def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
             f"no frustrated local minimum at g={g} (J1={params.J1}, "
             f"J2={params.J2}); the branch may not exist yet",
             residual=math.inf)
-    return _phase_result(FSP, np.array([best[1], best[2], best[2]]), params)
+    return _phase_result(FSP, best[1], params)
 
 
 def solve_fsp(params: ModelParams) -> PhaseResult:

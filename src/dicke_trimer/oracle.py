@@ -4,12 +4,13 @@ Global minimisation of the reduced energy on a dense grid with local
 refinement, degeneracy enumeration, and transition detection from numerical
 derivatives of the ground-state energy.  Deliberately ansatz-free: nothing
 here assumes the uniform or frustrated patterns, so it can arbitrate the
-closed-form and root-scan solvers.
+closed-form and root-scan solvers.  The energy, its derivatives and the
+Newton polish are the pattern-free ones of :mod:`dicke_trimer.meanfield`;
+only the separable grid evaluation is the oracle's own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.ndimage import minimum_filter
 from scipy.optimize import minimize
 
 from .model import FSP, NP, NSP, ModelParams, coefficients
-from .meanfield import PhaseResult, gradient, hessian, state_from_x
+from .meanfield import PhaseResult, energy, gradient, newton_polish, state_from_x
 
 
 @dataclass(frozen=True)
@@ -50,57 +51,19 @@ def _energy_grid(params, n):
     return ax, E
 
 
-def _newton_polish(x, params, tol=1e-13, max_iter=60):
-    """Full 3-variable damped Newton on the gradient, for clean degeneracies."""
-    g = params.g
-    x = np.array(x, dtype=float)
-    grad = gradient(x, params)
-    norm = np.max(np.abs(grad))
-    for _ in range(max_iter):
-        if norm < tol:
-            break
-        H = hessian(x, params)
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        improved = False
-        for _ in range(40):
-            trial = x - lam * step
-            if np.max(np.abs(trial)) < 0.5 * g:
-                tg = gradient(trial, params)
-                tnorm = np.max(np.abs(tg))
-                if tnorm < norm:
-                    x, grad, norm = trial, tg, tnorm
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            break
-    return x
-
-
 def refine_minimum(seed, params: ModelParams, config: OracleConfig | None = None):
     """Descend from a seed to a local minimum: bounded L-BFGS then Newton polish."""
     if config is None:
         config = OracleConfig()
-    g = params.g
-    bound = 0.5 * g * (1.0 - 1e-10)
-
-    def objective(x):
-        c = coefficients(params)
-        root = np.sqrt(np.maximum(1.0 - 4.0 * x * x / (g * g), 0.0))
-        return float(np.sum(c.C_tilde * x * x - 0.5 * root
-                            + 2.0 * c.B_tilde * x * np.roll(x, -1)))
-
+    bound = 0.5 * params.g * (1.0 - 1e-10)
     res = minimize(
-        objective, np.clip(seed, -bound, bound),
+        lambda x: energy(np.clip(x, -bound, bound), params),
+        np.clip(seed, -bound, bound),
         jac=lambda x: gradient(np.clip(x, -bound, bound), params),
         method="L-BFGS-B", bounds=[(-bound, bound)] * 3,
         options={"ftol": 1e-16, "gtol": config.refine_tolerance},
     )
-    return _newton_polish(res.x, params)
+    return newton_polish(res.x, params)[0]
 
 
 def _cluster(points, radius):
@@ -129,8 +92,6 @@ def brute_force_minimize(params: ModelParams, config: OracleConfig | None = None
     """
     if config is None:
         config = OracleConfig()
-    from .meanfield import energy as exact_energy
-
     ax, E = _energy_grid(params, config.grid_points_per_axis)
     local = E <= minimum_filter(E, size=3, mode="nearest")
     idx = np.argwhere(local)
@@ -145,7 +106,7 @@ def brute_force_minimize(params: ModelParams, config: OracleConfig | None = None
         refined.append(refine_minimum(seed, params, config))
     refined = _cluster(refined, config.cluster_radius)
 
-    energies = np.array([exact_energy(x, params) for x in refined])
+    energies = np.array([energy(x, params) for x in refined])
     best = energies.min()
     keep = [x for x, e in zip(refined, energies) if e <= best + config.refine_tolerance]
     keep.sort(key=tuple)
@@ -178,13 +139,12 @@ def _best_energy(params, config, seed=None):
     Rescaling the seed over several amplitudes keeps arbitrarily shallow
     minima just above a superradiant onset from being overshot.
     """
-    from .meanfield import energy as exact_energy
     best = brute_force_minimize(params, config).energy
     if seed is not None and np.max(np.abs(seed)) > 0.0:
         seed = seed * min(1.0, 0.49 * params.g / np.max(np.abs(seed)))
         for scale in (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3):
             x = refine_minimum(scale * seed, params, config)
-            best = min(best, exact_energy(x, params))
+            best = min(best, energy(x, params))
     return best
 
 
@@ -292,15 +252,13 @@ def _bisect_onset(J1, J2, lo, hi, config, upper_result, omega, Omega):
 def _bisect_branch_crossing(J1, J2, lo, hi, config, left_result, right_result,
                             omega, Omega):
     """First-order point: bisection on the sign of the branch-energy gap."""
-    from .meanfield import energy as exact_energy
-
     seed_left = left_result.representative.x.copy()
     seed_right = right_result.representative.x.copy()
 
     def gap(g):
         p = ModelParams(g=g, J1=J1, J2=J2, omega=omega, Omega=Omega)
-        e_l = exact_energy(refine_minimum(seed_left, p, config), p)
-        e_r = exact_energy(refine_minimum(seed_right, p, config), p)
+        e_l = energy(refine_minimum(seed_left, p, config), p)
+        e_r = energy(refine_minimum(seed_right, p, config), p)
         return e_l - e_r
 
     g_left = gap(lo)

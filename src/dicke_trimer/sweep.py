@@ -28,7 +28,7 @@ from .model import (
     critical_couplings,
     first_order_point,
 )
-from .meanfield import solve_ground_state
+from .meanfield import ConvergenceError, solve_ground_state
 from .spectrum import build_quadratic, symplectic_eigenvalues
 
 CSV_COLUMNS = (
@@ -59,7 +59,7 @@ def _point_record(params: ModelParams):
             **{f"alpha{i+1}": float(state.alpha[i]) for i in range(3)},
             **{f"eps{i+1}": float(spec.energies[i]) for i in range(6)},
         )
-    except Exception as exc:  # recorded per point, not fatal
+    except (ConvergenceError, ValueError) as exc:  # recorded per point, not fatal
         rec.update(phase="", energy=math.nan, degeneracy=0,
                    **{f"alpha{i+1}": math.nan for i in range(3)},
                    **{f"eps{i+1}": math.nan for i in range(6)})
@@ -146,8 +146,11 @@ def _solve_cell(args):
 
 
 def _phase_at(axis_x, axis_y, fixed, xv, yv):
-    params = _cell_params(axis_x, axis_y, fixed, xv, yv)
-    return _point_record(params)["phase"]
+    """Ground-state label of one point, or "" where the solver raises."""
+    try:
+        return solve_ground_state(_cell_params(axis_x, axis_y, fixed, xv, yv)).label
+    except (ConvergenceError, ValueError):
+        return ""
 
 
 def _refine_boundary(axis_x, axis_y, fixed, x_lo, x_hi, yv, phase_lo, tol=1e-6):

@@ -16,7 +16,6 @@ import numpy as np
 
 from .model import (
     FSP,
-    NP,
     NSP,
     REGION_SEQUENCES,
     ModelParams,
@@ -28,14 +27,14 @@ from .model import (
     first_order_point,
 )
 from .meanfield import (
+    ConvergenceError,
     _solve_fsp_branch,
-    asymptotic_fsp,
     energy,
     gradient,
     solve_atom_only,
     solve_fsp,
     solve_ground_state,
-    solve_nsp,
+    state_from_x,
 )
 from .oracle import OracleConfig, brute_force_minimize, detect_transitions
 from .spectrum import (
@@ -45,7 +44,6 @@ from .spectrum import (
     fit_critical_exponent,
     symplectic_eigenvalues,
 )
-from .meanfield import state_from_x
 from .sweep import Axis, boundary_intersection, sweep_phase_diagram
 
 
@@ -163,7 +161,7 @@ def criterion_5_degeneracy(seed=1, points_each=20):
             cc = critical_couplings(params)
             try:
                 ana = solve_ground_state(params)
-            except Exception:
+            except (ConvergenceError, ValueError):
                 continue
             if ana.label != label or params.g < cc.g_c + 5e-3:
                 continue
@@ -381,7 +379,7 @@ def check_oracle_agreement(seed=6, n_points=12):
         params = ModelParams(g=g, J1=J1, J2=J2)
         try:
             ana = solve_ground_state(params)
-        except Exception:
+        except (ConvergenceError, ValueError):
             continue
         res = brute_force_minimize(params, config)
         worst = max(worst, abs(res.energy - ana.energy))
