@@ -24,7 +24,7 @@ See docs/frustrated_stationarity.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,11 +109,13 @@ def _terms(x, params: ModelParams):
     return x, u, np.sqrt(1.0 - u), c_tilde(params.J1), b_tilde(params)
 
 
-def energy(x, params: ModelParams) -> float:
-    """Reduced ground-state energy E(x); hard error outside |x_n| < g/2."""
+def energy(x, params: ModelParams):
+    """Reduced ground-state energy E(x) over the last axis of x (a float for
+    one configuration); hard error outside |x_n| < g/2."""
     x, _, root, C, B = _terms(x, params)
-    s = np.sum(x)
-    return float(np.sum(C * x * x - 0.5 * root) + B * (s * s - np.dot(x, x)))
+    s = np.sum(x, axis=-1)
+    e = np.sum(C * x * x - 0.5 * root, axis=-1) + B * (s * s - np.vecdot(x, x))
+    return float(e) if e.ndim == 0 else e
 
 
 def gradient(x, params: ModelParams) -> np.ndarray:
@@ -411,11 +413,7 @@ def solve_ground_state(params: ModelParams) -> PhaseResult:
         nsp = solve_nsp(params)
         fsp = _solve_fsp_branch(params)
         best = nsp if nsp.energy <= fsp.energy else fsp
-        return PhaseResult(
-            label=best.label, energy=best.energy, degeneracy=best.degeneracy,
-            representative=best.representative, all_minima=best.all_minima,
-            coexistent=True,
-        )
+        return replace(best, coexistent=True)
     if B < 0.0:
         return solve_nsp(params)
     return solve_fsp(params)

@@ -2,9 +2,9 @@
 
 Quadrature ordering is fixed as r = (q1..q3, p1..p3, Q1..Q3, P1..P3), with
 q, p the cavity and Q, P the atomic quadratures, so that H = 1/2 r^T M r.
-Excitation energies are the symplectic (Williamson) eigenvalues of M,
-extracted as the positive imaginary parts of eig(J @ M) with J the standard
-symplectic form for this ordering.  The analytic normal-phase spectrum (see
+Excitation energies are the symplectic (Williamson) eigenvalues d_k of M,
+with +-i d_k the eigenvalues of J @ M and J the standard symplectic form for
+this ordering.  The analytic normal-phase spectrum (see
 docs/normal_phase_spectrum.md for the derivation) provides an independent
 cross-check.
 """
@@ -27,7 +27,6 @@ from .meanfield import (
 )
 
 _CRITICAL_TOL = 1e-10
-_PAIRING_TOL = 1e-9
 
 
 class UnstableBackgroundError(ValueError):
@@ -49,7 +48,9 @@ class SpectrumResult:
 
     momentum_labels is set for the analytic normal-phase route only: a tuple
     of (k, branch) per energy with branch in {"-", "+"}.
-    soft_mode_gap is the smallest energy; ``critical`` flags a gap below 1e-10.
+    soft_mode_gap is the smallest energy.  ``critical`` flags a closed gap:
+    M singular to working precision on the numeric route, a gap below 1e-10
+    on the analytic one.
     """
 
     energies: np.ndarray
@@ -110,33 +111,29 @@ def symplectic_form() -> np.ndarray:
 
 
 def symplectic_eigenvalues(form: QuadraticForm) -> SpectrumResult:
-    """Six positive symplectic eigenvalues of M, sorted ascending.
+    """Six symplectic (Williamson) eigenvalues of M, sorted ascending.
 
-    M must be positive semidefinite; a negative eigenvalue beyond the
-    critical tolerance signals an unstable (mislabelled) background.
+    J M shares its eigenvalues +-i d_k with R J R, R the symmetric square
+    root of M; i R J R is Hermitian, so eigvalsh returns exact +-d_k pairs,
+    also for M singular at criticality.  M must be positive semidefinite; a
+    negative eigenvalue beyond the critical tolerance signals an unstable
+    (mislabelled) background.
     """
     M = form.M
-    scale = np.max(np.abs(M))
-    min_eig = np.linalg.eigvalsh(M)[0]
-    if min_eig < -_CRITICAL_TOL * max(scale, 1.0):
+    scale = max(np.max(np.abs(M)), 1.0)
+    w, V = np.linalg.eigh(M)
+    if w[0] < -_CRITICAL_TOL * scale:
         raise UnstableBackgroundError(
-            f"quadratic form has negative eigenvalue {min_eig:.3e}: unstable background"
+            f"quadratic form has negative eigenvalue {w[0]:.3e}: unstable background"
         )
-    w = np.linalg.eigvals(symplectic_form() @ M)
-    if np.max(np.abs(w.real)) > _PAIRING_TOL * max(scale, 1.0):
-        raise UnstableBackgroundError(
-            "eigenvalues of J@M are not purely imaginary: unstable background"
-        )
-    pos = np.sort(w.imag[w.imag > 0.0])
-    if len(pos) < 6:
-        # zero modes at criticality: pad the missing pairs with exact zeros
-        pos = np.concatenate([np.zeros(6 - len(pos)), pos])
-    energies = pos[:6] if len(pos) > 6 else pos
-    gap = float(energies[0])
+    R = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+    d = np.linalg.eigvalsh(1j * (R @ symplectic_form() @ R))
+    energies = 0.5 * (d[6:] - d[5::-1])
+    # eigh fixes the eigenvalues of the 12x12 M only to about 12 eps |M|
     return SpectrumResult(
         energies=energies,
-        soft_mode_gap=gap,
-        critical=gap < _CRITICAL_TOL * max(scale, 1.0),
+        soft_mode_gap=float(energies[0]),
+        critical=bool(w[0] <= 12.0 * np.finfo(float).eps * scale),
     )
 
 

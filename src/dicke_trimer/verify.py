@@ -20,8 +20,8 @@ from .model import (
     REGION_SEQUENCES,
     ModelParams,
     b_tilde,
+    c_tilde,
     classify_region,
-    coefficients,
     critical_couplings,
     dividing_curve,
     first_order_point,
@@ -232,16 +232,14 @@ def criterion_8_cauchy_schwarz(seed=2, n_draws=100_000, n_params=10):
         J1, J2 = rng.uniform(-0.45, 0.45, 2)
         g = rng.uniform(0.3, 2.0)
         params = ModelParams(g=g, J1=J1, J2=J2)
-        c = coefficients(params)
-        if c.B_tilde >= 0.0:
+        B = b_tilde(params)
+        if B >= 0.0:
             continue
         checked += 1
         x = rng.uniform(-0.5 * g, 0.5 * g, size=(n_draws, 3)) * (1 - 1e-9)
-        root = np.sqrt(1.0 - 4.0 * x * x / (g * g))
-        E = np.sum(c.C_tilde * x * x - 0.5 * root
-                   + 2.0 * c.B_tilde * x * np.roll(x, -1, axis=1), axis=1)
+        E = energy(x, params)
         s2 = np.sum(x * x, axis=1)
-        bound = (c.C_tilde + 2.0 * c.B_tilde) * s2 \
+        bound = (c_tilde(J1) + 2.0 * B) * s2 \
             - 1.5 * np.sqrt(1.0 - 4.0 * s2 / (3.0 * g * g))
         worst = max(worst, float(np.max(bound - E)))
     passed = worst < 1e-12

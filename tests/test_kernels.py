@@ -39,6 +39,21 @@ def test_kernels_match_rolled_functional():
         assert np.max(np.abs(hessian(x, params) - H)) <= 1e-12 * np.max(np.abs(H))
 
 
+def test_energy_on_a_stack_matches_rowwise_calls():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        J1, J2 = rng.uniform(-0.49, 0.49, 2)
+        params = ModelParams(g=rng.uniform(0.1, 20.0), J1=J1, J2=J2)
+        half = 0.5 * params.g
+        X = rng.uniform(-half, half, (40, 3))
+        # a quarter of the rows with every site within 1e-6 of the edge
+        X[::4] = np.sign(X[::4]) * (half - rng.uniform(1e-9, 1e-6, (10, 3)))
+        E = energy(X, params)
+        assert E.shape == (40,)
+        assert np.array_equal(E, [energy(x, params) for x in X])
+        assert type(energy(X[0], params)) is float
+
+
 def _nsp_minimum():
     params = ModelParams(g=1.3, J1=-0.1, J2=-0.2)
     res = solve_nsp(params)
