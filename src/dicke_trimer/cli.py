@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
 
     try:
         results = run_scope(args.scope)
-    except Exception as exc:
+    except (ConvergenceError, ValueError) as exc:
         _err(str(exc), kind=type(exc).__name__)
         return EXIT_FAILURE
     print(f"dicke-trimer {__version__}: verify --scope {args.scope}")

@@ -6,12 +6,14 @@ derivatives of the ground-state energy.  Deliberately ansatz-free: nothing
 here assumes the uniform or frustrated patterns, so it can arbitrate the
 closed-form and root-scan solvers.  The energy, its derivatives and the
 Newton polish are the pattern-free ones of :mod:`dicke_trimer.meanfield`;
-only the separable grid evaluation is the oracle's own.
+only the separable grid evaluation is the oracle's own.  Transition
+detection takes one brute-force minimum per g, plus seeded refinements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 from scipy.ndimage import minimum_filter
@@ -133,24 +135,19 @@ class Transition:
     noise_floor: float
 
 
-def _best_energy(params, config, seed=None):
-    """Lowest energy from the grid scan plus multi-scale seeded refinement.
+def _best_energy(params, config, seeds=()):
+    """Lowest energy at one g: one brute-force minimum plus seeded refinement.
 
-    Rescaling the seed over several amplitudes keeps arbitrarily shallow
+    Rescaling each seed over several amplitudes keeps arbitrarily shallow
     minima just above a superradiant onset from being overshot.
     """
     best = brute_force_minimize(params, config).energy
-    if seed is not None and np.max(np.abs(seed)) > 0.0:
-        seed = seed * min(1.0, 0.49 * params.g / np.max(np.abs(seed)))
-        for scale in (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3):
-            x = refine_minimum(scale * seed, params, config)
-            best = min(best, energy(x, params))
+    for seed in seeds:
+        if np.max(np.abs(seed)) > 0.0:
+            seed = seed * min(1.0, 0.49 * params.g / np.max(np.abs(seed)))
+            for scale in (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3):
+                best = min(best, energy(refine_minimum(scale * seed, params, config), params))
     return best
-
-
-def _superradiant(params, config, seed):
-    """Predicate: some local minimum lies strictly below the normal-phase energy."""
-    return _best_energy(params, config, seed) < -1.5 - 1e-12
 
 
 def detect_transitions(
@@ -164,131 +161,122 @@ def detect_transitions(
 ):
     """Locate phase transitions on a g line from the brute-force energy alone.
 
-    The coarse scan flags cells where the numerical derivatives of E(g) jump.
+    The coarse scan flags cells where the ground-state label changes.
     First-order candidates are refined by bisection on the crossing of the
     two branch energies (uniform versus frustrated local minima); second-order
     candidates by bisection on the onset of superradiance.  Order labels are
     confirmed from derivative jumps against a noise floor estimated from
     three step sizes; ambiguous jumps are flagged inconclusive, not guessed.
+    The onset bisection and the order test take one brute-force minimum
+    per g, through ``_best_energy``.
     """
     if config is None:
         config = OracleConfig()
-    g_lo, g_hi = float(g_range[0]), float(g_range[1])
-    gs = np.linspace(g_lo, g_hi, n_coarse)
-
-    results = [brute_force_minimize(ModelParams(g=g, J1=J1, J2=J2, omega=omega, Omega=Omega),
-                                    config) for g in gs]
-    es = np.array([r.energy for r in results])
-    labels = [r.label for r in results]
-
-    # candidate cells: any label change between neighbouring coarse points
-    cells = [i for i in range(len(gs) - 1) if labels[i] != labels[i + 1]]
+    at = partial(ModelParams, J1=J1, J2=J2, omega=omega, Omega=Omega)
+    gs = np.linspace(float(g_range[0]), float(g_range[1]), n_coarse)
+    results = [brute_force_minimize(at(g), config) for g in gs]
 
     transitions = []
-    for i in cells:
-        left, right = labels[i], labels[i + 1]
-        if NP in (left, right):
-            g_star = _bisect_onset(J1, J2, gs[i], gs[i + 1], config,
-                                   results[i + 1], omega, Omega)
+    for left, right, lo, hi in zip(results, results[1:], gs, gs[1:]):
+        if left.label == right.label:
+            continue
+        if NP in (left.label, right.label):
+            g_star = _bisect_onset(at, lo, hi, config, right.representative.x)
             expected = "second"
         else:
-            g_star = _bisect_branch_crossing(J1, J2, gs[i], gs[i + 1], config,
-                                             results[i], results[i + 1], omega, Omega)
+            g_star = _bisect_branch_crossing(at, lo, hi, config, left.representative.x,
+                                             right.representative.x)
             expected = "first"
-        seeds = [r.representative.x for r in (results[i], results[i + 1])
-                 if r.label != NP]
-        order, jump, noise = _classify_order(J1, J2, g_star, config, omega, Omega,
-                                             seeds=seeds)
-        if order != "inconclusive" and order != expected:
+        seeds = [r.representative.x for r in (left, right) if r.label != NP]
+        order, jump, noise = _classify_order(at, g_star, config, seeds)
+        if order != expected:
             order = "inconclusive"
         transitions.append(Transition(g_star=g_star, order=order,
                                       jump=jump, noise_floor=noise))
     return transitions
 
 
-def _bisect_onset(J1, J2, lo, hi, config, upper_result, omega, Omega):
-    """Second-order point: bisection on the superradiance predicate.
-
-    Warm-started from the superradiant side so that the shrinking order
-    parameter is tracked down to the 1e-12 energy-resolution floor.
-    """
-    seed = upper_result.representative.x.copy()
-    width = hi - lo
-
-    def probe(g):
-        p = ModelParams(g=g, J1=J1, J2=J2, omega=omega, Omega=Omega)
-        scaled = seed * min(1.0, 0.49 * g / max(np.max(np.abs(seed)), 1e-300))
-        return _superradiant(p, config, scaled)
-
-    # coarse labels can miss a shallow minimum just above onset: expand the
-    # bracket until it actually straddles the predicate change
-    for _ in range(8):
-        if probe(lo):
-            hi, lo = lo, lo - width
-        else:
-            break
-    for _ in range(8):
-        if not probe(hi):
-            lo, hi = hi, hi + width
-        else:
-            break
-
+def _bisect(above, lo, hi):
+    """Halve [lo, hi] on the predicate ``above`` down to a width of 1e-7."""
     for _ in range(60):
         if hi - lo < 1e-7:
             break
         mid = 0.5 * (lo + hi)
-        p = ModelParams(g=mid, J1=J1, J2=J2, omega=omega, Omega=Omega)
-        scaled_seed = seed * min(1.0, 0.49 * mid / max(np.max(np.abs(seed)), 1e-300))
-        if _superradiant(p, config, scaled_seed):
+        if above(mid):
             hi = mid
-            x = refine_minimum(scaled_seed, p, config)
-            if np.max(np.abs(x)) > 1e-10:
-                seed = x
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def _bisect_branch_crossing(J1, J2, lo, hi, config, left_result, right_result,
-                            omega, Omega):
-    """First-order point: bisection on the sign of the branch-energy gap."""
-    seed_left = left_result.representative.x.copy()
-    seed_right = right_result.representative.x.copy()
+def _bisect_onset(at, lo, hi, config, seed):
+    """Second-order point: bisection on the superradiance predicate.
 
-    def gap(g):
-        p = ModelParams(g=g, J1=J1, J2=J2, omega=omega, Omega=Omega)
+    Warm-started from a minimum ``seed`` on the superradiant side so that the
+    shrinking order parameter is tracked down to the 1e-12 energy-resolution
+    floor.
+    """
+    width = hi - lo
+
+    def scaled(g):
+        return seed * min(1.0, 0.49 * g / max(np.max(np.abs(seed)), 1e-300))
+
+    def superradiant(g):
+        # some local minimum lies strictly below the normal-phase energy
+        return _best_energy(at(g), config, (scaled(g),)) < -1.5 - 1e-12
+
+    # coarse labels can miss a shallow minimum just above onset: expand the
+    # bracket until it actually straddles the predicate change
+    for _ in range(8):
+        if superradiant(lo):
+            hi, lo = lo, lo - width
+        else:
+            break
+    for _ in range(8):
+        if not superradiant(hi):
+            lo, hi = hi, hi + width
+        else:
+            break
+
+    def above(g):
+        nonlocal seed
+        if not superradiant(g):
+            return False
+        x = refine_minimum(scaled(g), at(g), config)
+        if np.max(np.abs(x)) > 1e-10:
+            seed = x
+        return True
+
+    return _bisect(above, lo, hi)
+
+
+def _bisect_branch_crossing(at, lo, hi, config, seed_left, seed_right):
+    """First-order point: bisection on the sign of the branch-energy gap."""
+
+    def left_lower(g):
+        p = at(g)
         e_l = energy(refine_minimum(seed_left, p, config), p)
         e_r = energy(refine_minimum(seed_right, p, config), p)
-        return e_l - e_r
+        return e_l - e_r < 0.0
 
-    g_left = gap(lo)
-    for _ in range(60):
-        if hi - lo < 1e-7:
-            break
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if (g_left < 0.0) == (g_mid < 0.0):
-            lo, g_left = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    at_lo = left_lower(lo)
+    return _bisect(lambda g: left_lower(g) != at_lo, lo, hi)
 
 
-def _classify_order(J1, J2, g_star, config, omega, Omega, seeds=()):
+def _classify_order(at, g_star, config, seeds):
     """Derivative-jump order classification with a three-step noise estimate.
 
     The first-derivative jump of E(g) converges to a constant across step
     sizes at a first-order point and shrinks linearly with the step at a
     second-order one; the second-derivative jump does the converse.  The
-    noise floor is the spread of the estimate over three step sizes.
+    noise floor is the spread of the estimate over three step sizes.  The
+    three stencils share points: E takes one brute-force minimum at each of
+    the 14 distinct g, g_star +- {1, 2, 3, 4, 6, 8, 12} h.
     """
 
+    @cache
     def E(g):
-        p = ModelParams(g=g, J1=J1, J2=J2, omega=omega, Omega=Omega)
-        best = brute_force_minimize(p, config).energy
-        for seed in seeds:
-            best = min(best, _best_energy(p, config, seed))
-        return best
+        return _best_energy(at(g), config, seeds)
 
     h = config.derivative_step
     jumps1, jumps2 = [], []

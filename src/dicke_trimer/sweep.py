@@ -88,6 +88,9 @@ class Axis:
             raise ValueError("axis needs at least 2 steps")
         if self.name not in ("g", "J1", "J2"):
             raise ValueError(f"unknown axis name {self.name!r}")
+        if not (math.isfinite(self.min) and math.isfinite(self.max) and self.min < self.max):
+            raise ValueError(f"axis {self.name} needs finite min < max, "
+                             f"got {self.min} to {self.max}")
 
     def values(self):
         return np.linspace(self.min, self.max, self.steps)

@@ -4,14 +4,21 @@ import json
 
 import pytest
 
-from dicke_trimer import __version__
+from dicke_trimer import __version__, verify
 from dicke_trimer.cli import main
+from dicke_trimer.meanfield import ConvergenceError
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _raising(exc):
+    def run_scope(scope):
+        raise exc
+    return run_scope
 
 
 class TestSolve:
@@ -102,6 +109,23 @@ class TestSweep:
         assert code == 2
         assert "g_steps" in err
 
+    def test_reversed_axis_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "grid",
+            "axis_x": {"name": "g", "min": 1.1, "max": 0.9, "steps": 41},
+            "axis_y": {"name": "J2", "min": -0.2, "max": -0.05, "steps": 6},
+            "fixed": {"J1": 0.1},
+            "output": str(tmp_path / "grid.json"), "format": "json", "workers": 1,
+        }))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["kind"] == "ValueError"
+        assert "min < max" in payload["error"]
+        assert not (tmp_path / "grid.json").exists()
+
     def test_missing_mode_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")
@@ -115,6 +139,21 @@ class TestVerify:
         assert code == 0
         assert out.count("[PASS]") >= 5
         assert "[FAIL]" not in out
+
+    def test_programming_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(verify, "run_scope", _raising(TypeError("bug")))
+        with pytest.raises(TypeError):
+            main(["verify", "--scope", "formulas"])
+
+    def test_convergence_error_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "run_scope",
+                            _raising(ConvergenceError("no minimum", residual=1.0)))
+        code, out, err = run(capsys, "verify", "--scope", "formulas")
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["kind"] == "ConvergenceError"
+        assert payload["error"] == "no minimum"
 
     def test_unknown_scope_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

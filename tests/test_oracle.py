@@ -12,6 +12,7 @@ from dicke_trimer import (
     detect_transitions,
     energy,
     gradient,
+    oracle,
     solve_ground_state,
 )
 
@@ -90,3 +91,16 @@ class TestDetectTransitions:
         first = [t for t in transitions if t.order == "first"]
         assert len(first) == 1
         assert first[0].jump > 3.0 * first[0].noise_floor
+
+    def test_each_g_minimized_once(self, monkeypatch):
+        seen = []
+        original = oracle.brute_force_minimize
+
+        def recording(params, config=None):
+            seen.append(params)
+            return original(params, config)
+
+        monkeypatch.setattr(oracle, "brute_force_minimize", recording)
+        transitions = detect_transitions(0.1, -0.1, (1.0, 1.1), n_coarse=21)
+        assert [t.order for t in transitions] == ["first"]
+        assert len(seen) == len(set(seen))

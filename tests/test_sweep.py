@@ -92,6 +92,13 @@ class TestGridSweep:
         with pytest.raises(ValueError):
             Axis("volume", 0.0, 1.0, 5)
 
+    @pytest.mark.parametrize("lo,hi", [
+        (1.1, 0.9), (1.0, 1.0), (math.nan, 1.0), (0.9, math.inf), (-math.inf, 1.0),
+    ])
+    def test_axis_rejects_reversed_empty_or_nonfinite_range(self, lo, hi):
+        with pytest.raises(ValueError, match="finite min < max"):
+            Axis("g", lo, hi, 41)
+
     def test_workers_give_same_cells(self):
         kwargs = dict(axis_x=Axis("g", 0.9, 1.1, 5),
                       axis_y=Axis("J2", -0.2, -0.1, 4), fixed={"J1": 0.1})
