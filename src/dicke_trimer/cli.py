@@ -266,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--output", help="output file path")
     p_sweep.add_argument("--format", choices=("csv", "json"))
     p_sweep.add_argument("--workers", type=int,
-                         help="process count (default: DICKE_TRIMER_WORKERS "
-                              "or available parallelism)")
+                         help="grid sweeps: processes that share the grid "
+                              "rows, each running the batched pass over its "
+                              "block (default: DICKE_TRIMER_WORKERS or "
+                              "available parallelism)")
     p_sweep.add_argument("--j1", type=float, dest="j1")
     p_sweep.add_argument("--j2", type=float, dest="j2")
     p_sweep.add_argument("--omega", type=float)

@@ -19,12 +19,15 @@ function: on the (x1, x2, x2) pattern dE/dx1 = 0 gives x2 explicitly, and
 dE/dx2 = 0 becomes an equation in x1 alone, scanned on the windows where x2
 stays in the domain.  Each root is polished as the 3-vector (x1, x2, x2).
 See docs/frustrated_stationarity.md.
+
+:func:`solve_ground_states` is the one dispatch to these branches, over a
+batch of parameter points; :func:`solve_ground_state` is its one-point case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .model import (
     b_tilde,
     c_tilde,
     critical_couplings,
+    per_row,
 )
 
 
@@ -85,50 +89,61 @@ def _check_domain(x, g):
         raise DomainError(f"|x_n| >= g/2 is unphysical (g={g}, x={np.asarray(x)})")
 
 
+def bloch_theta(x, g):
+    """Bloch polar angles of the sites: sin(theta) = -2x/g, cos(theta) < 0."""
+    return math.pi + np.arcsin(2.0 * x / g)
+
+
 def state_from_x(x, params: ModelParams) -> MeanFieldState:
     """Build the full state (coherences and angles) from the x variables."""
     x = np.asarray(x, dtype=float)
     _check_domain(x, params.g)
     alpha = alpha_from_x(x, params)
-    # sin(theta) = -2x/g with cos(theta) on the negative branch
-    theta = math.pi + np.arcsin(2.0 * x / params.g)
-    return MeanFieldState(alpha=alpha, x=x, theta=theta, phi=np.zeros(3))
+    return MeanFieldState(alpha=alpha, x=x, theta=bloch_theta(x, params.g), phi=np.zeros(3))
 
 
-def _terms(x, params: ModelParams):
-    """Checked x, u = 4x^2/g^2, sqrt(1 - u), C_tilde and B_tilde.
+def _g_c_b(params):
+    return params.g, c_tilde(params.J1), b_tilde(params)
 
-    On the 3-cycle the neighbours of site n sum to sum(x) - x_n, and
+
+def _terms(x, params):
+    """Checked x, g, u = 4x^2/g^2, sqrt(1 - u), C_tilde and B_tilde.
+
+    params is one ModelParams, or a sequence of them, one per row of x; then
+    g, C_tilde and B_tilde are (N, 1) columns.  On the 3-cycle the
+    neighbours of site n sum to sum(x) - x_n, and
     sum_n x_n x_{n+1} = ((sum x)^2 - sum x^2)/2, so the kernels below need
     no index shifts.
     """
     x = np.asarray(x, dtype=float)
-    g = params.g
+    g, C, B = per_row(params, _g_c_b)
     _check_domain(x, g)
     u = 4.0 * x * x / (g * g)
-    return x, u, np.sqrt(1.0 - u), c_tilde(params.J1), b_tilde(params)
+    return x, g, u, np.sqrt(1.0 - u), C, B
 
 
-def energy(x, params: ModelParams):
+def energy(x, params):
     """Reduced ground-state energy E(x) over the last axis of x (a float for
-    one configuration); hard error outside |x_n| < g/2."""
-    x, _, root, C, B = _terms(x, params)
+    one configuration); hard error outside |x_n| < g/2.  params is one
+    ModelParams, or one per row of x."""
+    x, _, _, root, C, B = _terms(x, params)
+    if isinstance(B, np.ndarray):  # one B per row of x, as an (N, 1) column
+        B = B[:, 0]
     s = np.sum(x, axis=-1)
     e = np.sum(C * x * x - 0.5 * root, axis=-1) + B * (s * s - np.vecdot(x, x))
     return float(e) if e.ndim == 0 else e
 
 
-def gradient(x, params: ModelParams) -> np.ndarray:
-    """Analytic dE/dx_n."""
-    x, _, root, C, B = _terms(x, params)
-    g = params.g
-    return 2.0 * C * x + 2.0 * x / (g * g * root) + 2.0 * B * (np.sum(x) - x)
+def gradient(x, params) -> np.ndarray:
+    """Analytic dE/dx_n over the last axis of x; params as for energy."""
+    x, g, _, root, C, B = _terms(x, params)
+    return (2.0 * C * x + 2.0 * x / (g * g * root)
+            + 2.0 * B * (x.sum(axis=-1, keepdims=True) - x))
 
 
 def hessian(x, params: ModelParams) -> np.ndarray:
     """Analytic 3x3 Hessian of E."""
-    x, u, root, C, B = _terms(x, params)
-    g = params.g
+    x, g, u, root, C, B = _terms(x, params)
     H = np.full((3, 3), 2.0 * B)
     np.fill_diagonal(H, 2.0 * C + (2.0 / (g * g)) * (1.0 / root + u / root**3))
     return H
@@ -179,24 +194,41 @@ def newton_polish(x, params: ModelParams):
 # ---------------------------------------------------------------------------
 # degenerate orbits
 
-def _orbit(x, tol=1e-9):
-    """Distinct configurations under cyclic permutation and global sign flip."""
-    x = np.asarray(x, dtype=float)
-    out = []
-    for sign in (1.0, -1.0):
-        for shift in range(3):
-            cand = sign * np.roll(x, shift)
-            if not any(np.max(np.abs(cand - c)) < tol for c in out):
-                out.append(cand)
-    return out
+#: orbit members closer than this (max norm) are one configuration
+_ORBIT_TOL = 1e-9
+
+
+def _orbits(x, frustrated):
+    """Distinct configurations under cyclic permutation and global sign flip,
+    for every row of an (N, 3) stack.
+
+    The candidates sign * roll(x, shift) are taken for sign +1, -1 and shift
+    0, 1, 2, and each is kept unless a kept one lies within _ORBIT_TOL.
+    Returns the (N, 6, 3) candidates in order and the count kept per row:
+    row n's orbit is members[n, :count[n]], sorted as tuples, and where
+    ``frustrated[n]`` led by the member with the odd site first and negative
+    (the representative).
+    """
+    cand = np.stack([sign * np.roll(x, shift, axis=-1)
+                     for sign in (1.0, -1.0) for shift in range(3)], axis=1)
+    keep = np.ones(cand.shape[:2], dtype=bool)
+    for k in range(1, 6):
+        close = np.max(np.abs(cand[:, k:k + 1] - cand[:, :k]), axis=-1) < _ORBIT_TOL
+        keep[:, k] = ~np.any(keep[:, :k] & close, axis=1)
+    odd_first = (cand[..., 0] < 0.0) & (np.minimum(cand[..., 1], cand[..., 2]) > 0.0)
+    behind = ~odd_first & np.asarray(frustrated)[:, None]
+    order = np.lexsort((cand[..., 2], cand[..., 1], cand[..., 0], behind, ~keep), axis=-1)
+    return np.take_along_axis(cand, order[..., None], axis=1), keep.sum(axis=1)
+
+
+def _orbit(x, frustrated=False):
+    """The orbit of one configuration as a list, representative first."""
+    members, count = _orbits(np.asarray(x, dtype=float)[None], [frustrated])
+    return list(members[0, :count[0]])
 
 
 def _phase_result(label, x, params, coexistent=False):
-    configs = _orbit(x)
-    configs.sort(key=tuple)
-    if label == FSP:
-        # representative: the member with the odd site first and negative
-        configs.sort(key=lambda c: not c[0] < 0.0 < min(c[1], c[2]))
+    configs = _orbit(x, label == FSP)
     states = [state_from_x(c, params) for c in configs]
     return PhaseResult(
         label=label,
@@ -228,13 +260,18 @@ def nsp_alpha(params: ModelParams) -> float:
     return 0.5 * g * math.sqrt(radicand)
 
 
+def _uniform_branch(points):
+    """Label and x of the uniform branch at every point: NSP with
+    x_n = (1 + 2 J1) nsp_alpha, or NP (x = 0) where nsp_alpha vanishes."""
+    a = np.array([nsp_alpha(p) for p in points])
+    x = (1.0 + 2.0 * np.array([p.J1 for p in points])) * a
+    return [NP if v == 0.0 else NSP for v in a], np.repeat(x[:, None], 3, axis=1)
+
+
 def solve_nsp(params: ModelParams) -> PhaseResult:
     """Translational-symmetric superradiant solution, or NP below its onset."""
-    a = nsp_alpha(params)
-    if a == 0.0:
-        return solve_np(params)
-    x = (1.0 + 2.0 * params.J1) * a
-    return _phase_result(NSP, np.array([x, x, x]), params)
+    label, x = _uniform_branch([params])
+    return _phase_result(label[0], x[0], params)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +390,8 @@ def _lowest_fsp_minimum(candidates, params):
     return best
 
 
-def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
-    """Frustrated minimum branch for g > g_c_plus, ignoring the B sign.
+def _fsp_minimum(params: ModelParams) -> np.ndarray:
+    """x of the frustrated minimum branch for g > g_c_plus, ignoring the B sign.
 
     Needed internally to trace the branch through the first-order point,
     where B changes sign while the branch persists.  Every stationary point
@@ -384,7 +421,12 @@ def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
             f"no frustrated local minimum at g={g} (J1={params.J1}, "
             f"J2={params.J2}); the branch may not exist yet",
             residual=math.inf)
-    return _phase_result(FSP, best[1], params)
+    return best[1]
+
+
+def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
+    """The frustrated minimum branch of :func:`_fsp_minimum` as a PhaseResult."""
+    return _phase_result(FSP, _fsp_minimum(params), params)
 
 
 def solve_fsp(params: ModelParams) -> PhaseResult:
@@ -397,26 +439,96 @@ def solve_fsp(params: ModelParams) -> PhaseResult:
 # ---------------------------------------------------------------------------
 # dispatch
 
-def solve_ground_state(params: ModelParams) -> PhaseResult:
-    """Global mean-field ground state at one parameter point.
+@dataclass(frozen=True)
+class GroundStates:
+    """Ground states of a sequence of parameter points, one row per point.
+
+    x is the configuration the branch solver returned, representative the
+    member of its orbit that PhaseResult.representative holds.  A row whose
+    solve raised keeps the exception in ``error``, label "", NaN x,
+    representative and energy and degeneracy 0.
+    """
+
+    label: np.ndarray
+    x: np.ndarray
+    representative: np.ndarray
+    energy: np.ndarray
+    degeneracy: np.ndarray
+    coexistent: np.ndarray
+    error: list
+
+
+def solve_ground_states(points) -> GroundStates:
+    """Global mean-field ground states of a sequence of parameter points.
 
     Dispatch: g <= g_c gives the NP; above it the sign of B_tilde selects
-    the uniform (B < 0) or frustrated (B > 0) branch.  |B| below 1e-12 is
-    treated as first-order coexistence: both branches are solved and the
-    lower-energy one is returned with ``coexistent=True``.
+    the uniform (B < 0, closed form) or frustrated (B > 0, root scan)
+    branch.  |B| below 1e-12 is treated as first-order coexistence: both
+    branches are solved and the lower-energy one is kept, with
+    ``coexistent`` set.  The orbits, energies and domain checks run over
+    all rows at once.  A ConvergenceError or ValueError of a row is
+    recorded for that row; any other exception propagates.
     """
-    cc = critical_couplings(params)
-    if params.g <= cc.g_c:
-        return solve_np(params)
-    B = b_tilde(params)
-    if abs(B) < _B_COEXIST_TOL:
-        nsp = solve_nsp(params)
-        fsp = _solve_fsp_branch(params)
-        best = nsp if nsp.energy <= fsp.energy else fsp
-        return replace(best, coexistent=True)
-    if B < 0.0:
-        return solve_nsp(params)
-    return solve_fsp(params)
+    points = list(points)
+    n = len(points)
+    g = np.array([p.g for p in points])
+    above = g > np.array([critical_couplings(p).g_c for p in points])
+    B = np.array([b_tilde(p) if up else 0.0 for p, up in zip(points, above)])
+    coexist = above & (np.abs(B) < _B_COEXIST_TOL)
+    uniform = np.flatnonzero(above & (coexist | (B < 0.0)))
+    # one candidate per row on its branch, plus the frustrated branch of
+    # every coexistence row
+    rows = np.concatenate((np.arange(n), np.flatnonzero(coexist)))
+    frustrated = np.concatenate((np.flatnonzero(above & ~coexist & (B > 0.0)),
+                                 np.arange(n, len(rows))))
+    label = np.full(len(rows), NP, dtype=object)
+    x = np.zeros((len(rows), 3))
+    error = [None] * len(rows)
+    label[uniform], x[uniform] = _uniform_branch([points[i] for i in uniform])
+    label[frustrated] = FSP
+    for k in frustrated:
+        try:
+            x[k] = _fsp_minimum(points[rows[k]])
+        except (ConvergenceError, ValueError) as exc:
+            x[k], error[k] = np.nan, exc
+
+    members, count = _orbits(x, label == FSP)
+    rep = members[:, 0]
+    for k in np.flatnonzero(np.any(np.abs(rep) >= 0.5 * g[rows, None], axis=-1)):
+        try:
+            _check_domain(rep[k], points[rows[k]].g)
+        except DomainError as exc:
+            error[k] = exc
+    e = np.full(len(rows), np.nan)
+    ok = np.flatnonzero([err is None for err in error])
+    if ok.size:
+        e[ok] = energy(rep[ok], [points[rows[k]] for k in ok])
+
+    pick = np.arange(n)
+    for k in range(n, len(rows)):
+        i = rows[k]  # the uniform candidate of row i is candidate i
+        if error[i] is None and (error[k] is not None or e[k] < e[i]):
+            pick[i] = k
+    error = [error[k] for k in pick]
+    failed = np.array([err is not None for err in error], dtype=bool)
+    x, rep = x[pick], rep[pick]
+    x[failed] = rep[failed] = np.nan
+    label = label[pick]
+    label[failed] = ""
+    return GroundStates(label=label, x=x, representative=rep, energy=e[pick],
+                        degeneracy=np.where(failed, 0, count[pick]),
+                        coexistent=coexist & ~failed, error=error)
+
+
+def solve_ground_state(params: ModelParams) -> PhaseResult:
+    """Global mean-field ground state at one parameter point, with its full
+    degenerate orbit: the one-point case of :func:`solve_ground_states`,
+    raising the error a row would record."""
+    states = solve_ground_states([params])
+    if states.error[0] is not None:
+        raise states.error[0]
+    return _phase_result(states.label[0], states.x[0], params,
+                         coexistent=bool(states.coexistent[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +667,6 @@ def solve_atom_only(params: ModelParams) -> PhaseResult:
     uniform = np.max(np.abs(alpha - alpha.mean())) < 1e-8 * max(amp, 1.0)
     label = NSP if uniform else FSP
     configs = _orbit(alpha)
-    configs.sort(key=tuple)
     states = [state_from_x(c, params) for c in configs]  # x == alpha at J1=0
     return PhaseResult(
         label=label,

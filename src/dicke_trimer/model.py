@@ -113,6 +113,15 @@ def b_tilde(params: ModelParams) -> float:
     return J1 / (1.0 + J1 - 2.0 * J1 * J1) + params.J2 / params.g**2
 
 
+def per_row(params, fn):
+    """fn(params) for one ModelParams.  For a sequence of them, one per row of
+    a stacked x, the values of fn (a tuple) as (N, 1) columns, one per entry."""
+    if isinstance(params, ModelParams):
+        return fn(params)
+    values = np.array([fn(p) for p in params], dtype=float).reshape(len(params), -1)
+    return tuple(values.T[:, :, None])
+
+
 def coefficients(params: ModelParams) -> Coefficients:
     """All three reduced-energy coefficients; requires g > 0."""
     if params.g == 0.0:
@@ -134,12 +143,13 @@ def x_from_alpha(alpha, params: ModelParams) -> np.ndarray:
     return hopping_matrix(params.J1) @ np.asarray(alpha, dtype=float)
 
 
-def alpha_from_x(x, params: ModelParams) -> np.ndarray:
-    """Inverse of :func:`x_from_alpha`; S is invertible for |J1| < 1/2."""
+def alpha_from_x(x, params) -> np.ndarray:
+    """Inverse of :func:`x_from_alpha` over the last axis of x; S is
+    invertible for |J1| < 1/2.  params is one ModelParams, or one per row."""
     x = np.asarray(x, dtype=float)
     # S = (1-J1)*I + J1*ones, so S^-1 has the same circulant structure.
-    J1 = params.J1
-    s = x.sum()
+    (J1,) = per_row(params, lambda p: (p.J1,))
+    s = x.sum(axis=-1, keepdims=True)
     return (x - J1 * s / (1.0 + 2.0 * J1)) / (1.0 - J1)
 
 

@@ -12,12 +12,11 @@ detection takes one brute-force minimum per g, plus seeded refinements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy.ndimage import minimum_filter
-from scipy.optimize import minimize
 
 from .model import FSP, NP, NSP, ModelParams, coefficients
 from .meanfield import PhaseResult, energy, gradient, newton_polish, state_from_x
@@ -53,8 +52,22 @@ def _energy_grid(params, n):
     return ax, E
 
 
+def _local_minima(E):
+    """Mask of the points of a grid no higher than any neighbour, edges
+    padded by repetition: E <= scipy.ndimage.minimum_filter(E, size=3,
+    mode="nearest"), as one 1-D minimum of three per axis."""
+    m = E
+    for axis in range(E.ndim):
+        m = np.moveaxis(m, axis, 0)
+        p = np.concatenate((m[:1], m, m[-1:]))
+        m = np.moveaxis(np.minimum(np.minimum(p[:-2], p[1:-1]), p[2:]), 0, axis)
+    return E <= m
+
+
 def refine_minimum(seed, params: ModelParams, config: OracleConfig | None = None):
     """Descend from a seed to a local minimum: bounded L-BFGS then Newton polish."""
+    from scipy.optimize import minimize
+
     if config is None:
         config = OracleConfig()
     bound = 0.5 * params.g * (1.0 - 1e-10)
@@ -95,8 +108,7 @@ def brute_force_minimize(params: ModelParams, config: OracleConfig | None = None
     if config is None:
         config = OracleConfig()
     ax, E = _energy_grid(params, config.grid_points_per_axis)
-    local = E <= minimum_filter(E, size=3, mode="nearest")
-    idx = np.argwhere(local)
+    idx = np.argwhere(_local_minima(E))
     # cap pathological candidate counts by taking the lowest-energy ones
     if len(idx) > 64:
         order = np.argsort(E[tuple(idx.T)])
@@ -170,10 +182,13 @@ def detect_transitions(
     The onset bisection and the order test take one brute-force minimum
     per g, through ``_best_energy``.
     """
+    g_min, g_max = (float(v) for v in g_range)
+    if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
+        raise ValueError(f"g_range needs finite g_min < g_max, got {g_min} to {g_max}")
     if config is None:
         config = OracleConfig()
     at = partial(ModelParams, J1=J1, J2=J2, omega=omega, Omega=Omega)
-    gs = np.linspace(float(g_range[0]), float(g_range[1]), n_coarse)
+    gs = np.linspace(g_min, g_max, n_coarse)
     results = [brute_force_minimize(at(g), config) for g in gs]
 
     transitions = []

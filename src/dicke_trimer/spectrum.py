@@ -4,7 +4,11 @@ Quadrature ordering is fixed as r = (q1..q3, p1..p3, Q1..Q3, P1..P3), with
 q, p the cavity and Q, P the atomic quadratures, so that H = 1/2 r^T M r.
 Excitation energies are the symplectic (Williamson) eigenvalues d_k of M,
 with +-i d_k the eigenvalues of J @ M and J the standard symplectic form for
-this ordering.  The analytic normal-phase spectrum (see
+this ordering.  The kernels work on stacks of forms: :func:`spectra`
+assembles the (N, 12, 12) stack about N backgrounds and solves it with one
+stacked eigensolver call per chunk, and :func:`build_quadratic` and
+:func:`symplectic_eigenvalues` are their one-form case, equal to a stacked
+row bitwise.  The analytic normal-phase spectrum (see
 docs/normal_phase_spectrum.md for the derivation) provides an independent
 cross-check.
 """
@@ -16,17 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, critical_couplings, first_order_point
+from .model import ModelParams, critical_couplings, first_order_point, per_row
 from .meanfield import (
     STATIONARITY_TOL,
     MeanFieldState,
     PhaseResult,
+    bloch_theta,
     gradient,
     solve_ground_state,
     state_from_x,
 )
 
 _CRITICAL_TOL = 1e-10
+#: forms per stacked eigensolver call in :func:`spectra`, bounding the
+#: (rows, 12, 12) work arrays
+_CHUNK = 64
 
 
 class UnstableBackgroundError(ValueError):
@@ -64,39 +72,58 @@ def _adjacency():
     return A
 
 
-def build_quadratic(background: MeanFieldState, params: ModelParams) -> QuadraticForm:
-    """Assemble the fluctuation matrix M about a stationary background.
+def _diag(v):
+    """Stack of diagonal matrices, np.diag of every row of v (N, 3)."""
+    D = np.zeros(v.shape + (3,))
+    D[:, range(3), range(3)] = v
+    return D
 
+
+def _form_coefficients(params):
+    return params.omega, params.Omega, params.lam, params.Jbar1, params.Jbar2
+
+
+def _assemble(x, theta, params):
+    """The fluctuation matrices M (N, 12, 12) about a stack of backgrounds.
+
+    x and theta are (N, 3), params holds one ModelParams per row.  Also
+    returns, per row, the ValueError of a background that is not stationary
+    (the linear fluctuation term would not vanish), or None.
     Blocks: omega/2 photon diagonal, -Omega/(2 cos theta_n) atom diagonal,
     2*lambda*cos(theta_n) q-Q cross terms (phi absorbed into signed alpha),
     Jbar1 photon hopping on both q and p, Jbar2 atom hopping on P and on Q
     weighted by cos(theta_n)*cos(theta_{n+1}).
     """
-    resid = np.max(np.abs(gradient(background.x, params)))
-    if resid > STATIONARITY_TOL:
-        raise ValueError(
-            f"background is not stationary (|grad|={resid:.3e}); "
-            "the linear fluctuation term would not vanish"
-        )
-    omega, Omega = params.omega, params.Omega
-    lam = params.lam
-    cth = np.cos(background.theta)
+    resid = np.max(np.abs(gradient(x, params)), axis=-1)
+    errors = [ValueError(f"background is not stationary (|grad|={r:.3e}); "
+                         "the linear fluctuation term would not vanish")
+              if r > STATIONARITY_TOL else None for r in resid]
+    omega, Omega, lam, Jbar1, Jbar2 = per_row(params, _form_coefficients)
+    cth = np.cos(theta)
 
     A = _adjacency()
-    Mqq = omega * np.eye(3) + params.Jbar1 * A
-    Mpp = Mqq.copy()
-    MQQ = np.diag(-Omega / cth) + params.Jbar2 * A * np.outer(cth, cth)
-    MPP = np.diag(-Omega / cth) + params.Jbar2 * A
-    MqQ = np.diag(2.0 * lam * cth)
+    Mqq = omega[..., None] * np.eye(3) + Jbar1[..., None] * A
+    atom = _diag(-Omega / cth)
+    MQQ = atom + Jbar2[..., None] * A * (cth[:, :, None] * cth[:, None, :])
+    MPP = atom + Jbar2[..., None] * A
+    MqQ = _diag(2.0 * lam * cth)
 
-    Z = np.zeros((3, 3))
-    M = np.block([
-        [Mqq, Z, MqQ, Z],
-        [Z, Mpp, Z, Z],
-        [MqQ, Z, MQQ, Z],
-        [Z, Z, Z, MPP],
-    ])
-    return QuadraticForm(M=M, background=background, params=params)
+    M = np.zeros((len(x), 12, 12))
+    M[:, 0:3, 0:3] = M[:, 3:6, 3:6] = Mqq
+    M[:, 0:3, 6:9] = M[:, 6:9, 0:3] = MqQ
+    M[:, 6:9, 6:9] = MQQ
+    M[:, 9:12, 9:12] = MPP
+    return M, errors
+
+
+def build_quadratic(background: MeanFieldState, params: ModelParams) -> QuadraticForm:
+    """Assemble the fluctuation matrix M about a stationary background: the
+    one-form case of the stacked assembly, raising its error."""
+    M, errors = _assemble(np.asarray(background.x)[None], np.asarray(background.theta)[None],
+                          [params])
+    if errors[0] is not None:
+        raise errors[0]
+    return QuadraticForm(M=M[0], background=background, params=params)
 
 
 def symplectic_form() -> np.ndarray:
@@ -110,31 +137,63 @@ def symplectic_form() -> np.ndarray:
     return J
 
 
-def symplectic_eigenvalues(form: QuadraticForm) -> SpectrumResult:
-    """Six symplectic (Williamson) eigenvalues of M, sorted ascending.
+def _williamson(M):
+    """Symplectic (Williamson) eigenvalues of a stack of forms M (N, 12, 12).
 
     J M shares its eigenvalues +-i d_k with R J R, R the symmetric square
     root of M; i R J R is Hermitian, so eigvalsh returns exact +-d_k pairs,
-    also for M singular at criticality.  M must be positive semidefinite; a
-    negative eigenvalue beyond the critical tolerance signals an unstable
-    (mislabelled) background.
+    also for M singular at criticality.  Returns the (N, 6) energies sorted
+    ascending, the ``critical`` flags and, per row, the
+    UnstableBackgroundError of a form with a negative eigenvalue beyond the
+    critical tolerance (an unstable, mislabelled background), or None.
     """
-    M = form.M
-    scale = max(np.max(np.abs(M)), 1.0)
+    scale = np.maximum(np.max(np.abs(M), axis=(-2, -1)), 1.0)
     w, V = np.linalg.eigh(M)
-    if w[0] < -_CRITICAL_TOL * scale:
-        raise UnstableBackgroundError(
-            f"quadratic form has negative eigenvalue {w[0]:.3e}: unstable background"
-        )
-    R = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+    errors = [UnstableBackgroundError(
+                  f"quadratic form has negative eigenvalue {w0:.3e}: unstable background")
+              if w0 < -_CRITICAL_TOL * s else None for w0, s in zip(w[:, 0], scale)]
+    R = (V * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ np.swapaxes(V, -1, -2)
     d = np.linalg.eigvalsh(1j * (R @ symplectic_form() @ R))
-    energies = 0.5 * (d[6:] - d[5::-1])
+    energies = 0.5 * (d[:, 6:] - d[:, 5::-1])
     # eigh fixes the eigenvalues of the 12x12 M only to about 12 eps |M|
-    return SpectrumResult(
-        energies=energies,
-        soft_mode_gap=float(energies[0]),
-        critical=bool(w[0] <= 12.0 * np.finfo(float).eps * scale),
-    )
+    return energies, w[:, 0] <= 12.0 * np.finfo(float).eps * scale, errors
+
+
+def symplectic_eigenvalues(form: QuadraticForm) -> SpectrumResult:
+    """Six symplectic eigenvalues of M, sorted ascending: the one-form case of
+    the stacked eigensolver, raising its error.  M must be positive
+    semidefinite."""
+    energies, critical, errors = _williamson(form.M[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return SpectrumResult(energies=energies[0], soft_mode_gap=float(energies[0, 0]),
+                          critical=bool(critical[0]))
+
+
+def spectra(x, params):
+    """Excitation energies about a stack of backgrounds, in chunks of _CHUNK.
+
+    x is (N, 3) and params holds one ModelParams per row.  Returns the
+    (N, 6) energies, NaN where a row fails, and per row the error that
+    build_quadratic or symplectic_eigenvalues raises for it, or None.
+    Every row equals its one-form calls bitwise.
+    """
+    params = list(params)
+    energies = np.full((len(params), 6), np.nan)
+    errors = [None] * len(params)
+    for start in range(0, len(params), _CHUNK):
+        part, xs = params[start:start + _CHUNK], x[start:start + _CHUNK]
+        theta = bloch_theta(xs, np.array([p.g for p in part])[:, None])
+        M, errs = _assemble(xs, theta, part)
+        ok = np.flatnonzero([err is None for err in errs])
+        if ok.size:
+            e, _, unstable = _williamson(M[ok])
+            energies[start + ok] = e
+            for k, err in zip(ok, unstable):
+                errs[k] = err
+        errors[start:start + len(part)] = errs
+    energies[[err is not None for err in errors]] = np.nan
+    return energies, errors
 
 
 def analytic_np_spectrum(params: ModelParams) -> SpectrumResult:

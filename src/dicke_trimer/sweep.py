@@ -1,9 +1,13 @@
 """Parameter sweeps, boundary extraction and CSV/JSON serialization.
 
 Two sweep geometries are supported: a line in g at fixed hoppings, and a
-two-dimensional grid in either the (g, J2) or the (J1, J2) plane.  Floats are
-serialized with 17 significant digits so that write-then-read round-trips are
-bit exact.
+two-dimensional grid in either the (g, J2) or the (J1, J2) plane.  Both run
+their points through one batched pass: ``solve_ground_states`` over all
+points, then one stacked ``spectra`` call about the representatives; a
+point that fails records its error string.  Grid boundaries are bisected
+for all brackets in lockstep, one batched label call per halving.  Floats
+are serialized with 17 significant digits so that write-then-read
+round-trips are bit exact.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from .model import (
     NP,
     NSP,
     ModelParams,
+    alpha_from_x,
     b_tilde,
     classify_region,
     critical_couplings,
     first_order_point,
 )
-from .meanfield import ConvergenceError, solve_ground_state
-from .spectrum import build_quadratic, symplectic_eigenvalues
+from .meanfield import solve_ground_states
+from .spectrum import spectra
 
 CSV_COLUMNS = (
     "g", "J1", "J2", "phase", "energy",
@@ -44,33 +49,43 @@ def _timestamp() -> str:
     return os.environ.get("DICKE_TRIMER_TIMESTAMP", "")
 
 
-def _point_record(params: ModelParams):
-    """Solve one parameter point and its spectrum into a record dict."""
-    rec = {"g": params.g, "J1": params.J1, "J2": params.J2,
-           "B_tilde": b_tilde(params), "error": ""}
-    try:
-        result = solve_ground_state(params)
-        state = result.representative
-        spec = symplectic_eigenvalues(build_quadratic(state, params))
-        rec.update(
-            phase=result.label,
-            energy=result.energy,
-            degeneracy=result.degeneracy,
-            **{f"alpha{i+1}": float(state.alpha[i]) for i in range(3)},
-            **{f"eps{i+1}": float(spec.energies[i]) for i in range(6)},
-        )
-    except (ConvergenceError, ValueError) as exc:  # recorded per point, not fatal
-        rec.update(phase="", energy=math.nan, degeneracy=0,
-                   **{f"alpha{i+1}": math.nan for i in range(3)},
-                   **{f"eps{i+1}": math.nan for i in range(6)})
-        rec["error"] = f"{type(exc).__name__}: {exc}"
-    return rec
+def _records(points):
+    """Ground state and spectrum of every point, yielded as record dicts.
+
+    One batched pass; a point where the ground state or its spectrum fails
+    records the error string and NaN values.
+    """
+    B = [b_tilde(p) for p in points]
+    states = solve_ground_states(points)
+    errors = list(states.error)
+    ok = np.flatnonzero([err is None for err in errors])
+    alpha = np.full((len(points), 3), np.nan)
+    eps = np.full((len(points), 6), np.nan)
+    if ok.size:
+        solved = [points[i] for i in ok]
+        alpha[ok] = alpha_from_x(states.representative[ok], solved)
+        eps[ok], spec_errors = spectra(states.representative[ok], solved)
+        for i, err in zip(ok, spec_errors):
+            errors[i] = err
+    for p, b, label, e, deg, a, ep, err in zip(
+            points, B, states.label, states.energy.tolist(), states.degeneracy.tolist(),
+            alpha.tolist(), eps.tolist(), errors):
+        rec = {"g": p.g, "J1": p.J1, "J2": p.J2, "B_tilde": b, "error": ""}
+        if err is None:
+            rec.update(phase=label, energy=e, degeneracy=deg)
+        else:
+            rec.update(phase="", energy=math.nan, degeneracy=0)
+            a, ep = [math.nan] * 3, [math.nan] * 6
+            rec["error"] = f"{type(err).__name__}: {err}"
+        rec.update({f"alpha{i+1}": v for i, v in enumerate(a)})
+        rec.update({f"eps{i+1}": v for i, v in enumerate(ep)})
+        yield rec
 
 
 def sweep_g_line(J1, J2, g_values, omega=1.0, Omega=1.0):
-    """Solve every g on a line; each point is solved independently."""
-    return [_point_record(ModelParams(g=float(g), J1=J1, J2=J2, omega=omega, Omega=Omega))
-            for g in np.atleast_1d(np.asarray(g_values, dtype=float))]
+    """Solve every g on a line, all points in one batched pass."""
+    return list(_records([ModelParams(g=float(g), J1=J1, J2=J2, omega=omega, Omega=Omega)
+                          for g in np.atleast_1d(np.asarray(g_values, dtype=float))]))
 
 
 # ---------------------------------------------------------------------------
@@ -130,41 +145,44 @@ def _cell_params(axis_x, axis_y, fixed, xv, yv):
     return ModelParams(**kw)
 
 
-def _solve_cell(args):
-    axis_x, axis_y, fixed, xv, yv = args
-    params = _cell_params(axis_x, axis_y, fixed, xv, yv)
-    rec = _point_record(params)
-    cell = {
-        "x": float(xv), "y": float(yv),
-        "phase": rec["phase"], "energy": rec["energy"],
-        "degeneracy": rec["degeneracy"], "soft_mode_gap": rec["eps1"],
-        "B_tilde": rec["B_tilde"], "error": rec["error"],
-    }
-    if "g" not in (axis_x.name, axis_y.name):
-        J1 = cell["x"] if axis_x.name == "J1" else fixed.get("J1", 0.0)
-        J2 = cell["y"] if axis_y.name == "J2" else fixed.get("J2", 0.0)
-        label = classify_region(J1, J2)
-        cell["region"] = label.region if not label.boundary else None
-    return cell
+def _grid_rows(args):
+    """Cells of a block of grid rows (row-major), in one batched pass."""
+    axis_x, axis_y, fixed, ys = args
+    xy = [(float(xv), float(yv)) for yv in ys for xv in axis_x.values()]
+    records = _records([_cell_params(axis_x, axis_y, fixed, xv, yv) for xv, yv in xy])
+    cells = []
+    for (xv, yv), rec in zip(xy, records):
+        cell = {
+            "x": xv, "y": yv,
+            "phase": rec["phase"], "energy": rec["energy"],
+            "degeneracy": rec["degeneracy"], "soft_mode_gap": rec["eps1"],
+            "B_tilde": rec["B_tilde"], "error": rec["error"],
+        }
+        if "g" not in (axis_x.name, axis_y.name):
+            J1 = xv if axis_x.name == "J1" else fixed.get("J1", 0.0)
+            J2 = yv if axis_y.name == "J2" else fixed.get("J2", 0.0)
+            label = classify_region(J1, J2)
+            cell["region"] = label.region if not label.boundary else None
+        cells.append(cell)
+    return cells
 
 
-def _phase_at(axis_x, axis_y, fixed, xv, yv):
-    """Ground-state label of one point, or "" where the solver raises."""
-    try:
-        return solve_ground_state(_cell_params(axis_x, axis_y, fixed, xv, yv)).label
-    except (ConvergenceError, ValueError):
-        return ""
-
-
-def _refine_boundary(axis_x, axis_y, fixed, x_lo, x_hi, yv, phase_lo, tol=1e-6):
-    """Bisect the label change along the x direction at fixed y."""
-    lo, hi = float(x_lo), float(x_hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _phase_at(axis_x, axis_y, fixed, mid, yv) == phase_lo:
-            lo = mid
-        else:
-            hi = mid
+def _refine_boundaries(axis_x, axis_y, fixed, brackets, tol):
+    """Bisect label changes along x, every bracket (x_lo, x_hi, y, label at
+    x_lo) in lockstep: each halving labels the midpoints of all unfinished
+    brackets in one batched solve ("" where it fails)."""
+    lo = np.array([b[0] for b in brackets], dtype=float)
+    hi = np.array([b[1] for b in brackets], dtype=float)
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        labels = solve_ground_states([_cell_params(axis_x, axis_y, fixed, m, brackets[i][2])
+                                      for m, i in zip(mid, active)]).label
+        below = np.array([label == brackets[i][3] for label, i in zip(labels, active)],
+                         dtype=bool)
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[hi[active] - lo[active] > tol]
     return 0.5 * (lo + hi)
 
 
@@ -175,6 +193,8 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
     Boundary points are found by bisection (to refine_tol in the x coordinate)
     between horizontally adjacent cells of differing phase; for g-J2 grids the
     deviation from the closed-form g_c and g_L curves is reported per boundary.
+    The cells are one batched pass; with workers > 1 a process pool runs it
+    over blocks of rows.
     """
     fixed = dict(fixed or {})
     fixed.setdefault("omega", 1.0)
@@ -187,24 +207,27 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
         raise ValueError("fixed parameters must include g for a J1-J2 grid")
 
     xs, ys = axis_x.values(), axis_y.values()
-    tasks = [(axis_x, axis_y, fixed, xv, yv) for yv in ys for xv in xs]
     if workers > 1:
+        blocks = np.array_split(ys, min(workers, len(ys)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_solve_cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            parts = pool.map(_grid_rows, [(axis_x, axis_y, fixed, b) for b in blocks])
+            flat = [cell for part in parts for cell in part]
     else:
-        flat = [_solve_cell(t) for t in tasks]
+        flat = _grid_rows((axis_x, axis_y, fixed, ys))
     cells = [flat[iy * len(xs):(iy + 1) * len(xs)] for iy in range(len(ys))]
 
-    boundaries = {}
+    keys, brackets = [], []
     for iy, yv in enumerate(ys):
         row = cells[iy]
         for ix in range(len(xs) - 1):
             a, b = row[ix]["phase"], row[ix + 1]["phase"]
             if a and b and a != b:
-                key = _BOUNDARY_FOR_PAIR.get(frozenset((a, b)), f"{a}|{b}")
-                xb = _refine_boundary(axis_x, axis_y, fixed, xs[ix], xs[ix + 1],
-                                      yv, a, tol=refine_tol)
-                boundaries.setdefault(key, []).append((float(xb), float(yv)))
+                keys.append(_BOUNDARY_FOR_PAIR.get(frozenset((a, b)), f"{a}|{b}"))
+                brackets.append((xs[ix], xs[ix + 1], yv, a))
+    boundaries = {}
+    refined = _refine_boundaries(axis_x, axis_y, fixed, brackets, refine_tol)
+    for key, xb, bracket in zip(keys, refined, brackets):
+        boundaries.setdefault(key, []).append((float(xb), float(bracket[2])))
 
     deviation = {}
     if axis_x.name == "g" and axis_y.name == "J2":

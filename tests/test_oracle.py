@@ -104,3 +104,48 @@ class TestDetectTransitions:
         transitions = detect_transitions(0.1, -0.1, (1.0, 1.1), n_coarse=21)
         assert [t.order for t in transitions] == ["first"]
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("g_range", [
+        (1.2, 0.9), (1.0, 1.0), (math.nan, 1.2), (0.9, math.inf), (-math.inf, 1.2),
+    ])
+    def test_rejects_reversed_empty_or_nonfinite_range(self, g_range):
+        with pytest.raises(ValueError, match="finite g_min < g_max"):
+            detect_transitions(0.1, -0.1, g_range, n_coarse=5)
+
+
+class TestLocalMinima:
+    def test_matches_minimum_filter_on_oracle_grids(self):
+        from scipy.ndimage import minimum_filter
+
+        rng = np.random.default_rng(300)
+        for _ in range(60):
+            J1, J2 = rng.uniform(-0.45, 0.45, 2)
+            params = ModelParams(g=rng.uniform(0.3, 3.0), J1=J1, J2=J2)
+            _, E = oracle._energy_grid(params, int(rng.integers(3, 42)))
+            assert np.array_equal(oracle._local_minima(E),
+                                  E <= minimum_filter(E, size=3, mode="nearest"))
+
+    def test_matches_minimum_filter_with_ties_and_edges(self):
+        from scipy.ndimage import minimum_filter
+
+        rng = np.random.default_rng(301)
+        for _ in range(60):
+            # coarse values make plateaus and ties, odd shapes test each axis
+            E = np.round(rng.normal(size=tuple(rng.integers(1, 7, 3))), 1)
+            assert np.array_equal(oracle._local_minima(E),
+                                  E <= minimum_filter(E, size=3, mode="nearest"))
+
+
+def test_import_leaves_scipy_ndimage_and_optimize_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dicke_trimer
+
+    src = str(Path(dicke_trimer.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dicke_trimer; "
+            "print([m for m in ('scipy.ndimage', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

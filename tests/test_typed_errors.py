@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from dicke_trimer import sweep
-from dicke_trimer.meanfield import ConvergenceError
-from dicke_trimer.sweep import Axis, sweep_g_line
+from dicke_trimer import meanfield
+from dicke_trimer.meanfield import ConvergenceError, solve_ground_states
+from dicke_trimer.model import ModelParams
+from dicke_trimer.sweep import sweep_g_line
 
 
 def _raising(exc):
@@ -16,27 +17,29 @@ def _raising(exc):
     return solve
 
 
-def test_programming_error_propagates(monkeypatch):
-    monkeypatch.setattr(sweep, "solve_ground_state", _raising(TypeError("bug")))
+def test_programming_error_in_batched_pass_propagates(monkeypatch):
+    monkeypatch.setattr(meanfield, "_fsp_minimum", _raising(TypeError("bug")))
     with pytest.raises(TypeError):
-        sweep_g_line(0.1, -0.1, [1.0])
+        sweep_g_line(0.1, 0.1, [0.5, 1.1])
 
 
-def test_convergence_error_is_recorded(monkeypatch):
-    monkeypatch.setattr(sweep, "solve_ground_state",
+def test_convergence_error_is_recorded_per_row(monkeypatch):
+    monkeypatch.setattr(meanfield, "_fsp_minimum",
                         _raising(ConvergenceError("no minimum", residual=1.0)))
-    (rec,) = sweep_g_line(0.1, -0.1, [1.0])
-    assert rec["error"] == "ConvergenceError: no minimum"
-    assert rec["phase"] == ""
-    assert math.isnan(rec["energy"])
+    np_rec, fsp_rec = sweep_g_line(0.1, 0.1, [0.5, 1.1])
+    assert np_rec["phase"] == "NP" and np_rec["error"] == ""
+    assert fsp_rec["error"] == "ConvergenceError: no minimum"
+    assert fsp_rec["phase"] == ""
+    assert math.isnan(fsp_rec["energy"])
 
 
-def test_boundary_probe_labels(monkeypatch):
-    axis_g, axis_j2 = Axis("g", 0.9, 1.1, 3), Axis("J2", -0.2, -0.02, 3)
-    fixed = {"J1": 0.1, "omega": 1.0, "Omega": 1.0}
-    assert sweep._phase_at(axis_g, axis_j2, fixed, 1.1, -0.1) == "FSP"
-    monkeypatch.setattr(sweep, "solve_ground_state", _raising(ConvergenceError("x")))
-    assert sweep._phase_at(axis_g, axis_j2, fixed, 1.1, -0.1) == ""
-    monkeypatch.setattr(sweep, "solve_ground_state", _raising(TypeError("bug")))
+def test_batched_labels_record_typed_errors(monkeypatch):
+    points = [ModelParams(g=1.1, J1=0.1, J2=-0.1), ModelParams(g=1.0, J1=0.1, J2=-0.1)]
+    assert list(solve_ground_states(points).label) == ["FSP", "NSP"]
+    monkeypatch.setattr(meanfield, "_fsp_minimum", _raising(ConvergenceError("x")))
+    states = solve_ground_states(points)
+    assert list(states.label) == ["", "NSP"]
+    assert isinstance(states.error[0], ConvergenceError) and states.error[1] is None
+    monkeypatch.setattr(meanfield, "_fsp_minimum", _raising(TypeError("bug")))
     with pytest.raises(TypeError):
-        sweep._phase_at(axis_g, axis_j2, fixed, 1.1, -0.1)
+        solve_ground_states(points)
