@@ -23,7 +23,7 @@ from .model import (
     classify_region,
     critical_couplings,
 )
-from .meanfield import ConvergenceError, DomainError, solve_ground_state
+from .meanfield import ConvergenceError, solve_ground_state
 from .spectrum import build_quadratic, symplectic_eigenvalues
 from .sweep import (
     Axis,
@@ -47,10 +47,7 @@ def _err(message: str, **extra):
 
 
 def _default_workers() -> int:
-    env = os.environ.get("DICKE_TRIMER_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return max(1, int(os.environ.get("DICKE_TRIMER_WORKERS") or 1))
 
 
 def _add_param_flags(parser):
@@ -77,7 +74,7 @@ def cmd_solve(args) -> int:
         result = solve_ground_state(params)
         state = result.representative
         spec = symplectic_eigenvalues(build_quadratic(state, params))
-    except (ConvergenceError, DomainError, ValueError) as exc:
+    except (ConvergenceError, ValueError) as exc:
         _err(str(exc), kind=type(exc).__name__)
         return EXIT_FAILURE
 
@@ -268,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int,
                          help="grid sweeps: processes that share the grid "
                               "rows, each running the batched pass over its "
-                              "block (default: DICKE_TRIMER_WORKERS or "
-                              "available parallelism)")
+                              "block (default: DICKE_TRIMER_WORKERS or 1)")
     p_sweep.add_argument("--j1", type=float, dest="j1")
     p_sweep.add_argument("--j2", type=float, dest="j2")
     p_sweep.add_argument("--omega", type=float)

@@ -298,12 +298,12 @@ def asymptotic_fsp(params: ModelParams, g: float | None = None) -> MeanFieldStat
     return state_from_x(np.array([-2.0 * t, t, t]), params.replace(g=g))
 
 
-def _is_fsp_minimum(x, params, tol=1e-9):
+def _is_fsp_minimum(x, params):
     """True if x, with x[0] opposite in sign to x[1] and x[2], is a local
     minimum of the full energy."""
     if x[0] * x[1] >= 0.0 or x[0] * x[2] >= 0.0:
         return False
-    return bool(np.linalg.eigvalsh(hessian(x, params))[0] > -tol)
+    return bool(np.linalg.eigvalsh(hessian(x, params))[0] > -1e-9)
 
 
 def _h(x, C, g):
@@ -558,7 +558,7 @@ def _monotone_fn(params: ModelParams):
     return f, fprime
 
 
-def root_structure(params: ModelParams, k: float, scan_points: int = 4001) -> RootStructure:
+def root_structure(params: ModelParams, k: float) -> RootStructure:
     """Classify the roots of the per-site stationarity function f(x) = k.
 
     f(x) = (g^2 + J2 - J1*J2)*x/(1-J1) - x/sqrt(1 - 4*x^2/g^2) is monotonic
@@ -573,7 +573,7 @@ def root_structure(params: ModelParams, k: float, scan_points: int = 4001) -> Ro
     monotonic = params.g <= gcp
 
     lo, hi = -0.5 * g * (1 - 1e-12), 0.5 * g * (1 - 1e-12)
-    xs = np.linspace(lo, hi, scan_points)
+    xs = np.linspace(lo, hi, 4001)
     vals = f(xs) - k
     roots = []
     exact = np.flatnonzero(vals == 0.0)

@@ -8,6 +8,7 @@ ground-state energy is measured in units of ``N_a * Omega``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -80,24 +81,20 @@ class ModelParams:
         return self.J2 * self.Omega
 
     def replace(self, **kwargs) -> "ModelParams":
-        fields = dict(g=self.g, J1=self.J1, J2=self.J2, omega=self.omega, Omega=self.Omega)
-        fields.update(kwargs)
-        return ModelParams(**fields)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
 class Coefficients:
     """Coefficients of the reduced ground-state energy in the x variables.
 
-    C_tilde multiplies x_n^2, B_tilde multiplies the nearest-neighbour cross
-    term x_n x_{n+1}, and A_tilde multiplies (x_1+x_2+x_3) in the monotonic
-    root analysis.  C_tilde < 0 everywhere on the valid hopping domain; the
+    C_tilde multiplies x_n^2 and B_tilde the nearest-neighbour cross term
+    x_n x_{n+1}.  C_tilde < 0 everywhere on the valid hopping domain; the
     sign of B_tilde selects frustrated (B>0) versus uniform (B<0) order.
     """
 
     C_tilde: float
     B_tilde: float
-    A_tilde: float
 
 
 def c_tilde(J1: float) -> float:
@@ -123,12 +120,8 @@ def per_row(params, fn):
 
 
 def coefficients(params: ModelParams) -> Coefficients:
-    """All three reduced-energy coefficients; requires g > 0."""
-    if params.g == 0.0:
-        raise ParameterError("B_tilde and A_tilde are undefined at g=0")
-    J1, J2, g = params.J1, params.J2, params.g
-    A = (J2 + J1 * (g * g + J2 - 2.0 * J1 * J2)) / ((1.0 + 2.0 * J1) * (1.0 - J1))
-    return Coefficients(C_tilde=c_tilde(J1), B_tilde=b_tilde(params), A_tilde=A)
+    """Both reduced-energy coefficients; b_tilde raises ParameterError at g = 0."""
+    return Coefficients(C_tilde=c_tilde(params.J1), B_tilde=b_tilde(params))
 
 
 def hopping_matrix(J1: float) -> np.ndarray:

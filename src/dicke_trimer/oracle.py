@@ -89,11 +89,10 @@ def _cluster(points, radius):
     return out
 
 
-def _label_from_pattern(x, amp_tol=1e-7):
-    amp = np.max(np.abs(x))
-    if amp < amp_tol:
+def _label_from_pattern(x):
+    if np.max(np.abs(x)) < 1e-7:
         return NP
-    if np.max(np.abs(x - x.mean())) < amp_tol:
+    if np.max(np.abs(x - x.mean())) < 1e-7:
         return NSP
     return FSP
 
@@ -162,15 +161,7 @@ def _best_energy(params, config, seeds=()):
     return best
 
 
-def detect_transitions(
-    J1: float,
-    J2: float,
-    g_range,
-    config: OracleConfig | None = None,
-    n_coarse: int = 121,
-    omega: float = 1.0,
-    Omega: float = 1.0,
-):
+def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     """Locate phase transitions on a g line from the brute-force energy alone.
 
     The coarse scan flags cells where the ground-state label changes.
@@ -185,9 +176,8 @@ def detect_transitions(
     g_min, g_max = (float(v) for v in g_range)
     if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
         raise ValueError(f"g_range needs finite g_min < g_max, got {g_min} to {g_max}")
-    if config is None:
-        config = OracleConfig()
-    at = partial(ModelParams, J1=J1, J2=J2, omega=omega, Omega=Omega)
+    config = OracleConfig()
+    at = partial(ModelParams, J1=J1, J2=J2)
     gs = np.linspace(g_min, g_max, n_coarse)
     results = [brute_force_minimize(at(g), config) for g in gs]
 

@@ -24,7 +24,6 @@ from .model import ModelParams, critical_couplings, first_order_point, per_row
 from .meanfield import (
     STATIONARITY_TOL,
     MeanFieldState,
-    PhaseResult,
     bloch_theta,
     gradient,
     solve_ground_state,
@@ -46,8 +45,6 @@ class QuadraticForm:
     """12x12 symmetric quadratic form over (q, p, Q, P) about a background."""
 
     M: np.ndarray
-    background: MeanFieldState
-    params: ModelParams
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def build_quadratic(background: MeanFieldState, params: ModelParams) -> Quadrati
                           [params])
     if errors[0] is not None:
         raise errors[0]
-    return QuadraticForm(M=M[0], background=background, params=params)
+    return QuadraticForm(M=M[0])
 
 
 def symplectic_form() -> np.ndarray:
@@ -226,11 +223,9 @@ def analytic_np_spectrum(params: ModelParams) -> SpectrumResult:
     )
 
 
-def soft_mode_gap(params: ModelParams, result: PhaseResult | None = None) -> float:
+def soft_mode_gap(params: ModelParams) -> float:
     """Smallest excitation energy about the ground state at these parameters."""
-    if result is None:
-        result = solve_ground_state(params)
-    form = build_quadratic(result.representative, params)
+    form = build_quadratic(solve_ground_state(params).representative, params)
     return symplectic_eigenvalues(form).soft_mode_gap
 
 
@@ -263,7 +258,6 @@ def fit_critical_exponent(
     side: str,
     g_crit: float | None = None,
     window=(1e-6, 1e-3),
-    n_points: int = 13,
 ) -> ExponentFit:
     """Power-law exponent of the soft-mode gap approaching a critical point.
 
@@ -276,7 +270,7 @@ def fit_critical_exponent(
     if g_crit is None:
         g_crit = critical_couplings(params).g_c
     sgn = 1.0 if side == "above" else -1.0
-    dgs = np.geomspace(window[0], window[1], n_points)
+    dgs = np.geomspace(window[0], window[1], 13)
 
     gL = first_order_point(params)
     if gL is not None:

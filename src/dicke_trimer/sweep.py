@@ -167,13 +167,17 @@ def _grid_rows(args):
     return cells
 
 
-def _refine_boundaries(axis_x, axis_y, fixed, brackets, tol):
+#: boundary points are bisected to this width in the x coordinate
+_REFINE_TOL = 1e-6
+
+
+def _refine_boundaries(axis_x, axis_y, fixed, brackets):
     """Bisect label changes along x, every bracket (x_lo, x_hi, y, label at
     x_lo) in lockstep: each halving labels the midpoints of all unfinished
     brackets in one batched solve ("" where it fails)."""
     lo = np.array([b[0] for b in brackets], dtype=float)
     hi = np.array([b[1] for b in brackets], dtype=float)
-    active = np.flatnonzero(hi - lo > tol)
+    active = np.flatnonzero(hi - lo > _REFINE_TOL)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         labels = solve_ground_states([_cell_params(axis_x, axis_y, fixed, m, brackets[i][2])
@@ -182,15 +186,15 @@ def _refine_boundaries(axis_x, axis_y, fixed, brackets, tol):
                          dtype=bool)
         lo[active[below]] = mid[below]
         hi[active[~below]] = mid[~below]
-        active = active[hi[active] - lo[active] > tol]
+        active = active[hi[active] - lo[active] > _REFINE_TOL]
     return 0.5 * (lo + hi)
 
 
 def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
-                        workers: int = 1, refine_tol: float = 1e-6) -> PhaseDiagramGrid:
+                        workers: int = 1) -> PhaseDiagramGrid:
     """Fill a 2-D grid of ground states and extract refined phase boundaries.
 
-    Boundary points are found by bisection (to refine_tol in the x coordinate)
+    Boundary points are found by bisection (to 1e-6 in the x coordinate)
     between horizontally adjacent cells of differing phase; for g-J2 grids the
     deviation from the closed-form g_c and g_L curves is reported per boundary.
     The cells are one batched pass; with workers > 1 a process pool runs it
@@ -225,7 +229,7 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
                 keys.append(_BOUNDARY_FOR_PAIR.get(frozenset((a, b)), f"{a}|{b}"))
                 brackets.append((xs[ix], xs[ix + 1], yv, a))
     boundaries = {}
-    refined = _refine_boundaries(axis_x, axis_y, fixed, brackets, refine_tol)
+    refined = _refine_boundaries(axis_x, axis_y, fixed, brackets)
     for key, xb, bracket in zip(keys, refined, brackets):
         boundaries.setdefault(key, []).append((float(xb), float(bracket[2])))
 

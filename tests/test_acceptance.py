@@ -75,3 +75,16 @@ def test_criterion_11_triple_point():
 def test_criterion_12_atom_only_consistency():
     """J1=0 dedicated solver agrees with the general dispatch within 1e-8."""
     _run(verify.criterion_12_atom_only_consistency)
+
+
+# the two further checks of the spectrum and oracle scopes
+
+
+def test_frustrated_stationarity():
+    """|grad E| of the frustrated branch near onset below 1e-12."""
+    _run(verify.check_frustrated_stationarity)
+
+
+def test_oracle_agreement():
+    """Oracle global minimum equals the analytic-branch energy within 1e-9."""
+    _run(verify.check_oracle_agreement)

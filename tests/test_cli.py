@@ -5,7 +5,7 @@ import json
 import pytest
 
 from dicke_trimer import __version__, verify
-from dicke_trimer.cli import main
+from dicke_trimer.cli import _default_workers, main
 from dicke_trimer.meanfield import ConvergenceError
 
 
@@ -160,6 +160,10 @@ class TestVerify:
             main(["verify", "--scope", "everything"])
         assert exc.value.code == 2
 
+    def test_unknown_scope_raises_in_process(self):
+        with pytest.raises(ValueError, match="unknown scope 'everything'"):
+            verify.run_scope("everything")
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):
@@ -167,6 +171,12 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_default_workers(self, monkeypatch):
+        monkeypatch.delenv("DICKE_TRIMER_WORKERS", raising=False)
+        assert _default_workers() == 1
+        monkeypatch.setenv("DICKE_TRIMER_WORKERS", "3")
+        assert _default_workers() == 3
 
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -74,6 +74,12 @@ class TestHardPoints:
         assert np.allclose(np.sort(res.representative.x), [-xs, xs, xs], atol=1e-12)
         assert res.energy == pytest.approx(solve_nsp(p).energy, abs=1e-12)
 
+    def test_branch_needs_g_above_g_c_plus(self):
+        p = ModelParams(g=1.0, J1=0.1, J2=0.1)
+        p = p.replace(g=critical_couplings(p).g_c_plus)
+        with pytest.raises(ValueError, match="requires g > g_c_plus"):
+            _solve_fsp_branch(p)
+
 
 def test_seeded_fuzz_against_oracle():
     rng = np.random.default_rng(2025)

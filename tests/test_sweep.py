@@ -1,5 +1,6 @@
 """Line/grid sweeps, boundary extraction and file round-trips."""
 
+import csv
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from dicke_trimer.sweep import (
     Axis,
+    PhaseDiagramGrid,
     boundary_intersection,
     read_grid_json,
     read_line_csv,
@@ -82,6 +84,23 @@ class TestGridSweep:
         regions = {c["region"] for row in grid.cells for c in row}
         assert regions - {None}
 
+    def test_axes_must_differ(self):
+        with pytest.raises(ValueError, match="axes must differ"):
+            sweep_phase_diagram(Axis("g", 0.9, 1.1, 3), Axis("g", 0.9, 1.1, 3))
+
+    def test_refine_tolerance_is_not_an_option(self):
+        # a zero tolerance used to bisect forever; the width is fixed now
+        with pytest.raises(TypeError):
+            sweep_phase_diagram(Axis("g", 0.9, 1.1, 5), Axis("J2", -0.2, -0.1, 2),
+                                fixed={"J1": 0.1}, refine_tol=0.0)
+
+    def test_parallel_boundaries_do_not_intersect(self):
+        ax, ay = Axis("g", 0.9, 1.1, 3), Axis("J2", -0.2, -0.1, 3)
+        grid = PhaseDiagramGrid(ax, ay, {}, [], boundaries={
+            "a": [(1.0, -0.2), (1.0, -0.15), (1.0, -0.1)],
+            "b": [(1.05, -0.2), (1.05, -0.1)]})
+        assert boundary_intersection(grid, "a", "b") is None
+
     def test_grid_requires_g(self):
         with pytest.raises(ValueError, match="include g"):
             sweep_phase_diagram(Axis("J1", -0.3, 0.3, 3), Axis("J2", -0.3, 0.3, 3))
@@ -134,6 +153,19 @@ class TestSerialization:
         write_grid_csv(g_j2_grid, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 21 * 16
+
+    def test_grid_csv_region_column(self, tmp_path):
+        grid = sweep_phase_diagram(
+            Axis("J1", -0.3, 0.3, 4), Axis("J2", -0.3, 0.3, 3), fixed={"g": 1.1})
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[:2] == ["J1", "J2"] and list(rows[0])[-1] == "region"
+        cells = [c for row in grid.cells for c in row]
+        assert [r["region"] for r in rows] == \
+            ["" if c["region"] is None else str(c["region"]) for c in cells]
+        assert {r["region"] for r in rows} - {""}
 
     def test_deterministic_output(self, region6_line, tmp_path, monkeypatch):
         monkeypatch.setenv("DICKE_TRIMER_TIMESTAMP", "fixed")
