@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -44,10 +43,6 @@ EXIT_USAGE = 2
 def _err(message: str, **extra):
     payload = {"error": message, "version": __version__, **extra}
     print(json.dumps(payload), file=sys.stderr)
-
-
-def _default_workers() -> int:
-    return max(1, int(os.environ.get("DICKE_TRIMER_WORKERS") or 1))
 
 
 def _add_param_flags(parser):
@@ -128,7 +123,7 @@ def _load_sweep_config(args) -> dict:
     # flags override config-file values
     overrides = {
         "mode": args.mode, "output": args.output, "format": args.format,
-        "workers": args.workers, "J1": args.j1, "J2": args.j2,
+        "J1": args.j1, "J2": args.j2,
         "omega": args.omega, "Omega": args.big_omega,
         "g_min": args.g_min, "g_max": args.g_max, "g_steps": args.g_steps,
     }
@@ -136,7 +131,6 @@ def _load_sweep_config(args) -> dict:
         if value is not None:
             config[key] = value
     config.setdefault("format", "csv")
-    config.setdefault("workers", _default_workers())
     config.setdefault("omega", 1.0)
     config.setdefault("Omega", 1.0)
     return config
@@ -181,8 +175,7 @@ def _sweep_grid(config) -> int:
     fixed = dict(config.get("fixed", {}))
     fixed.setdefault("omega", config["omega"])
     fixed.setdefault("Omega", config["Omega"])
-    grid = sweep_phase_diagram(axis_x, axis_y, fixed=fixed,
-                               workers=int(config["workers"]))
+    grid = sweep_phase_diagram(axis_x, axis_y, fixed=fixed)
     output = config.get("output", "sweep_grid." + config["format"])
     if config["format"] == "csv":
         write_grid_csv(grid, output)
@@ -262,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mode", choices=("line", "grid"))
     p_sweep.add_argument("--output", help="output file path")
     p_sweep.add_argument("--format", choices=("csv", "json"))
-    p_sweep.add_argument("--workers", type=int,
-                         help="grid sweeps: processes that share the grid "
-                              "rows, each running the batched pass over its "
-                              "block (default: DICKE_TRIMER_WORKERS or 1)")
     p_sweep.add_argument("--j1", type=float, dest="j1")
     p_sweep.add_argument("--j2", type=float, dest="j2")
     p_sweep.add_argument("--omega", type=float)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from dicke_trimer import __version__, verify
-from dicke_trimer.cli import _default_workers, main
+from dicke_trimer.cli import main
 from dicke_trimer.meanfield import ConvergenceError
 
 
@@ -171,12 +171,6 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
-
-    def test_default_workers(self, monkeypatch):
-        monkeypatch.delenv("DICKE_TRIMER_WORKERS", raising=False)
-        assert _default_workers() == 1
-        monkeypatch.setenv("DICKE_TRIMER_WORKERS", "3")
-        assert _default_workers() == 3
 
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
