@@ -85,7 +85,7 @@ class PhaseResult:
 
 
 def _check_domain(x, g):
-    if np.any(np.abs(x) >= 0.5 * g):
+    if (np.abs(x) >= 0.5 * g).any():
         raise DomainError(f"|x_n| >= g/2 is unphysical (g={g}, x={np.asarray(x)})")
 
 
@@ -141,11 +141,17 @@ def gradient(x, params) -> np.ndarray:
             + 2.0 * B * (x.sum(axis=-1, keepdims=True) - x))
 
 
-def hessian(x, params: ModelParams) -> np.ndarray:
-    """Analytic 3x3 Hessian of E."""
+def hessian(x, params) -> np.ndarray:
+    """Analytic 3x3 Hessian of E, one per row of x (shape x.shape + (3,));
+    params as for energy."""
     x, g, u, root, C, B = _terms(x, params)
-    H = np.full((3, 3), 2.0 * B)
-    np.fill_diagonal(H, 2.0 * C + (2.0 / (g * g)) * (1.0 / root + u / root**3))
+    if isinstance(B, np.ndarray):  # (N, 1) column -> (N, 1, 1)
+        B = B[..., None]
+    diag = 2.0 * C + (2.0 / (g * g)) * (1.0 / root + u / root**3)
+    H = np.empty(x.shape + (3,))
+    H[...] = 2.0 * B
+    # the diagonal of each 3x3 block is every fourth entry of its 9
+    H.reshape(-1, 9)[:, ::4] = diag.reshape(-1, 3)
     return H
 
 

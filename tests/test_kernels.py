@@ -54,6 +54,23 @@ def test_energy_on_a_stack_matches_rowwise_calls():
         assert type(energy(X[0], params)) is float
 
 
+def test_hessian_on_a_stack_matches_rowwise_calls():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        J1, J2 = rng.uniform(-0.49, 0.49, 2)
+        params = ModelParams(g=rng.uniform(0.1, 20.0), J1=J1, J2=J2)
+        half = 0.5 * params.g
+        X = rng.uniform(-half, half, (40, 3))
+        X[::4] = np.sign(X[::4]) * (half - rng.uniform(1e-9, 1e-6, (10, 3)))
+        H = hessian(X, params)
+        assert H.shape == (40, 3, 3)
+        assert np.array_equal(H, [hessian(x, params) for x in X])
+        # one ModelParams per row
+        rows = [params.replace(g=g) for g in rng.uniform(params.g, 2.0 * params.g, 40)]
+        assert np.array_equal(hessian(X, rows), [hessian(x, p) for x, p in zip(X, rows)])
+    assert hessian(X[0], params).shape == (3, 3)
+
+
 def _nsp_minimum():
     params = ModelParams(g=1.3, J1=-0.1, J2=-0.2)
     res = solve_nsp(params)

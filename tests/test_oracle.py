@@ -9,9 +9,11 @@ from dicke_trimer import (
     ModelParams,
     OracleConfig,
     brute_force_minimize,
+    critical_couplings,
     detect_transitions,
     energy,
     gradient,
+    hessian,
     oracle,
     solve_ground_state,
 )
@@ -61,6 +63,21 @@ class TestBruteForceMinimize:
         res = brute_force_minimize(params)
         energies = [energy(s.x, params) for s in res.all_minima]
         assert max(energies) - min(energies) < 1e-12
+
+    def test_reports_no_saddle_just_above_onset(self):
+        # a descent that stops on the saddle x = 0, or on a symmetry plane
+        # through a saddle, reports a normal phase or a wrong orbit here
+        rng = np.random.default_rng(2718)
+        for _ in range(12):
+            J1, J2 = rng.uniform(-0.45, 0.45, 2)
+            params = ModelParams(g=1.0, J1=J1, J2=J2)
+            g = critical_couplings(params).g_c * (1.0 + 10.0 ** rng.uniform(-4.0, -1.0))
+            params = params.replace(g=g)
+            res = brute_force_minimize(params)
+            assert res.label != "NP"
+            assert res.energy < -1.5
+            for state in res.all_minima:
+                assert np.linalg.eigvalsh(hessian(state.x, params))[0] > -1e-9
 
 
 class TestDetectTransitions:
@@ -113,6 +130,16 @@ class TestDetectTransitions:
             detect_transitions(0.1, -0.1, g_range, n_coarse=5)
 
 
+    @pytest.mark.parametrize("n_coarse", [0, 1, -3, 2.0, 21.5, "21", None])
+    def test_rejects_fewer_than_two_or_non_integer_coarse_points(self, n_coarse):
+        with pytest.raises(ValueError, match="n_coarse"):
+            detect_transitions(0.1, -0.1, (0.9, 1.2), n_coarse=n_coarse)
+
+    def test_two_coarse_points_and_numpy_integers_are_accepted(self):
+        assert detect_transitions(0.1, 0.1, (0.3, 0.6), n_coarse=2) == []
+        assert detect_transitions(0.1, 0.1, (0.3, 0.6), n_coarse=np.int64(3)) == []
+
+
 class TestLocalMinima:
     def test_matches_minimum_filter_on_oracle_grids(self):
         from scipy.ndimage import minimum_filter
@@ -149,3 +176,20 @@ def test_import_leaves_scipy_ndimage_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_oracle_leaves_scipy_optimize_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dicke_trimer
+
+    src = str(Path(dicke_trimer.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dicke_trimer as d; "
+            "d.brute_force_minimize(d.ModelParams(g=1.1, J1=0.1, J2=0.1)); "
+            "t = d.detect_transitions(0.1, 0.1, (0.85, 0.95), n_coarse=3); "
+            "print(len(t), 'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "1 False"
