@@ -39,10 +39,8 @@ from .meanfield import (
     solve_atom_only,
 )
 from .spectrum import (
-    QuadraticForm,
     SpectrumResult,
-    build_quadratic,
-    symplectic_eigenvalues,
+    excitation_spectrum,
     analytic_np_spectrum,
     soft_mode_gap,
     fit_critical_exponent,

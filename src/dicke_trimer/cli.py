@@ -23,7 +23,7 @@ from .model import (
     critical_couplings,
 )
 from .meanfield import ConvergenceError, solve_ground_state
-from .spectrum import build_quadratic, symplectic_eigenvalues
+from .spectrum import excitation_spectrum
 from .sweep import (
     Axis,
     boundary_intersection,
@@ -68,7 +68,7 @@ def cmd_solve(args) -> int:
     try:
         result = solve_ground_state(params)
         state = result.representative
-        spec = symplectic_eigenvalues(build_quadratic(state, params))
+        spec = excitation_spectrum(state.x, params)
     except (ConvergenceError, ValueError) as exc:
         _err(str(exc), kind=type(exc).__name__)
         return EXIT_FAILURE

@@ -60,16 +60,15 @@ class ConvergenceError(RuntimeError):
 class MeanFieldState:
     """One candidate mean-field configuration.
 
-    alpha : signed rescaled cavity coherences (phi absorbed as the sign)
+    alpha : signed rescaled cavity coherences (the azimuth, 0 or pi,
+            absorbed as the sign)
     x     : transformed variables, x = S @ alpha
     theta : Bloch polar angles in (pi/2, 3*pi/2), cos(theta) < 0
-    phi   : azimuthal angles, fixed to 0 under the signed-alpha convention
     """
 
     alpha: np.ndarray
     x: np.ndarray
     theta: np.ndarray
-    phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,8 @@ class PhaseResult:
 
 
 def _check_domain(x, g):
-    if (np.abs(x) >= 0.5 * g).any():
+    # "not inside" rather than "outside", so that NaN fails it too
+    if not (np.abs(x) < 0.5 * g).all():
         raise DomainError(f"|x_n| >= g/2 is unphysical (g={g}, x={np.asarray(x)})")
 
 
@@ -99,7 +99,7 @@ def state_from_x(x, params: ModelParams) -> MeanFieldState:
     x = np.asarray(x, dtype=float)
     _check_domain(x, params.g)
     alpha = alpha_from_x(x, params)
-    return MeanFieldState(alpha=alpha, x=x, theta=bloch_theta(x, params.g), phi=np.zeros(3))
+    return MeanFieldState(alpha=alpha, x=x, theta=bloch_theta(x, params.g))
 
 
 def _g_c_b(params):

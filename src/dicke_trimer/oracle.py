@@ -41,7 +41,7 @@ class OracleConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-#: the configuration of brute_force_minimize by default and of transition detection
+#: the configuration of brute_force_minimize and of transition detection
 _CONFIG = OracleConfig()
 
 
@@ -164,11 +164,6 @@ def descend(seeds, params: ModelParams):
     return X, np.linalg.eigvalsh(hessian(X, params))[:, 0] > _PSD_TOL
 
 
-def refine_minimum(seed, params: ModelParams):
-    """Descend from one seed to a local minimum: :func:`descend` on one row."""
-    return descend(np.asarray(seed, dtype=float)[None], params)[0][0]
-
-
 def _cluster(points, radius):
     out = []
     for p in points:
@@ -203,7 +198,7 @@ def _label_from_pattern(x):
     return FSP
 
 
-def brute_force_minimize(params: ModelParams, config: OracleConfig | None = None) -> PhaseResult:
+def brute_force_minimize(params: ModelParams) -> PhaseResult:
     """Grid-scan global minimisation of the reduced energy without any ansatz.
 
     Every grid-local minimum is refined by :func:`descend`.  A row that ends
@@ -215,9 +210,7 @@ def brute_force_minimize(params: ModelParams, config: OracleConfig | None = None
     set.  Only when no minimum is found at all are the first saddles
     reported.
     """
-    if config is None:
-        config = _CONFIG
-    ax, E = _energy_grid(params, config.grid_points_per_axis)
+    ax, E = _energy_grid(params, _CONFIG.grid_points_per_axis)
     idx = np.argwhere(_local_minima(E))
     # cap pathological candidate counts by taking the lowest-energy ones
     if len(idx) > 64:
@@ -229,7 +222,7 @@ def brute_force_minimize(params: ModelParams, config: OracleConfig | None = None
     saddles = first_saddles
     # a split can end at a saddle of lower index, so split up to once per axis
     for _ in range(3):
-        saddles = np.array(_cluster(saddles, config.cluster_radius)).reshape(-1, 3)
+        saddles = np.array(_cluster(saddles, _CONFIG.cluster_radius)).reshape(-1, 3)
         if not len(saddles):
             break
         rows, is_min = descend(_split(saddles, params), params)
@@ -238,11 +231,11 @@ def brute_force_minimize(params: ModelParams, config: OracleConfig | None = None
     refined = np.concatenate(found)
     if not len(refined):
         refined = first_saddles
-    refined = np.array(_cluster(refined, config.cluster_radius))
+    refined = np.array(_cluster(refined, _CONFIG.cluster_radius))
 
     energies = energy(refined, params)
     best = energies.min()
-    keep = list(refined[energies <= best + config.refine_tolerance])
+    keep = list(refined[energies <= best + _CONFIG.refine_tolerance])
     keep.sort(key=tuple)
 
     rep = keep[0]
@@ -270,18 +263,22 @@ class Transition:
 def _best_energy(params, seeds=()):
     """Lowest energy at one g: one brute-force minimum plus seeded refinement.
 
-    Rescaling each seed over several amplitudes keeps arbitrarily shallow
-    minima just above a superradiant onset from being overshot.  All scaled
-    seeds descend as one stack.
+    Each nonzero seed is first scaled into |x_n| <= 0.49 g.  Rescaling it
+    further over several amplitudes keeps arbitrarily shallow minima just
+    above a superradiant onset from being overshot.  All scaled seeds descend
+    as one stack.  Returns the lowest energy and the descended stack, whose
+    row 0 is the descent of the first nonzero seed as scaled into the domain
+    (an empty stack when every seed is zero).
     """
     best = brute_force_minimize(params).energy
     scaled = [seed * min(1.0, 0.49 * params.g / np.max(np.abs(seed)))
               for seed in seeds if np.max(np.abs(seed)) > 0.0]
+    x = np.empty((0, 3))
     if scaled:
         scales = np.array([1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3])
         x, _ = descend(np.concatenate([scales[:, None] * s for s in scaled]), params)
         best = min(best, energy(x, params).min())
-    return best
+    return best, x
 
 
 def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
@@ -347,34 +344,31 @@ def _bisect_onset(at, lo, hi, seed):
     """
     width = hi - lo
 
-    def scaled(g):
-        return seed * min(1.0, 0.49 * g / max(np.max(np.abs(seed)), 1e-300))
-
     def superradiant(g):
-        # some local minimum lies strictly below the normal-phase energy
-        return _best_energy(at(g), (scaled(g),)) < -1.5 - 1e-12
+        # some local minimum lies strictly below the normal-phase energy; also
+        # the seed's own descent, row 0 of the stack (none for a zero seed)
+        best, x = _best_energy(at(g), (seed,))
+        return best < -1.5 - 1e-12, x[:1]
 
     # coarse labels can miss a shallow minimum just above onset: expand the
     # bracket until it actually straddles the predicate change
     for _ in range(8):
-        if superradiant(lo):
+        if superradiant(lo)[0]:
             hi, lo = lo, lo - width
         else:
             break
     for _ in range(8):
-        if not superradiant(hi):
+        if not superradiant(hi)[0]:
             lo, hi = hi, hi + width
         else:
             break
 
     def above(g):
         nonlocal seed
-        if not superradiant(g):
-            return False
-        x = refine_minimum(scaled(g), at(g))
-        if np.max(np.abs(x)) > 1e-10:
-            seed = x
-        return True
+        found, x = superradiant(g)
+        if found and np.max(np.abs(x), initial=0.0) > 1e-10:
+            seed = x[0]
+        return found
 
     return _bisect(above, lo, hi)
 
@@ -405,7 +399,7 @@ def _classify_order(at, g_star, seeds):
 
     @cache
     def E(g):
-        return _best_energy(at(g), seeds)
+        return _best_energy(at(g), seeds)[0]
 
     h = _CONFIG.derivative_step
     jumps1, jumps2 = [], []

@@ -6,11 +6,10 @@ Excitation energies are the symplectic (Williamson) eigenvalues d_k of M,
 with +-i d_k the eigenvalues of J @ M and J the standard symplectic form for
 this ordering.  The kernels work on stacks of forms: :func:`spectra`
 assembles the (N, 12, 12) stack about N backgrounds and solves it with one
-stacked eigensolver call per chunk, and :func:`build_quadratic` and
-:func:`symplectic_eigenvalues` are their one-form case, equal to a stacked
-row bitwise.  The analytic normal-phase spectrum (see
-docs/normal_phase_spectrum.md for the derivation) provides an independent
-cross-check.
+stacked eigensolver call per chunk, and :func:`excitation_spectrum` is its
+one-row case, equal to a stacked row bitwise.  The analytic normal-phase
+spectrum (see docs/normal_phase_spectrum.md for the derivation) provides an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ import numpy as np
 from .model import ModelParams, critical_couplings, first_order_point, per_row
 from .meanfield import (
     STATIONARITY_TOL,
-    MeanFieldState,
     bloch_theta,
     gradient,
     solve_ground_state,
-    state_from_x,
+    solve_ground_states,
 )
 
 _CRITICAL_TOL = 1e-10
@@ -38,13 +36,6 @@ _CHUNK = 64
 
 class UnstableBackgroundError(ValueError):
     """The quadratic form is not positive semidefinite (wrong phase assignment)."""
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """12x12 symmetric quadratic form over (q, p, Q, P) about a background."""
-
-    M: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,15 +68,16 @@ def _diag(v):
 
 
 def _form_coefficients(params):
-    return params.omega, params.Omega, params.lam, params.Jbar1, params.Jbar2
+    return params.g, params.omega, params.Omega, params.lam, params.Jbar1, params.Jbar2
 
 
-def _assemble(x, theta, params):
+def _assemble(x, params):
     """The fluctuation matrices M (N, 12, 12) about a stack of backgrounds.
 
-    x and theta are (N, 3), params holds one ModelParams per row.  Also
-    returns, per row, the ValueError of a background that is not stationary
-    (the linear fluctuation term would not vanish), or None.
+    x is (N, 3), params holds one ModelParams per row; the Bloch angles
+    theta_n follow from x.  Also returns, per row, the ValueError of a
+    background that is not stationary (the linear fluctuation term would not
+    vanish), or None.
     Blocks: omega/2 photon diagonal, -Omega/(2 cos theta_n) atom diagonal,
     2*lambda*cos(theta_n) q-Q cross terms (phi absorbed into signed alpha),
     Jbar1 photon hopping on both q and p, Jbar2 atom hopping on P and on Q
@@ -95,8 +87,8 @@ def _assemble(x, theta, params):
     errors = [ValueError(f"background is not stationary (|grad|={r:.3e}); "
                          "the linear fluctuation term would not vanish")
               if r > STATIONARITY_TOL else None for r in resid]
-    omega, Omega, lam, Jbar1, Jbar2 = per_row(params, _form_coefficients)
-    cth = np.cos(theta)
+    g, omega, Omega, lam, Jbar1, Jbar2 = per_row(params, _form_coefficients)
+    cth = np.cos(bloch_theta(x, g))
 
     A = _adjacency()
     Mqq = omega[..., None] * np.eye(3) + Jbar1[..., None] * A
@@ -111,16 +103,6 @@ def _assemble(x, theta, params):
     M[:, 6:9, 6:9] = MQQ
     M[:, 9:12, 9:12] = MPP
     return M, errors
-
-
-def build_quadratic(background: MeanFieldState, params: ModelParams) -> QuadraticForm:
-    """Assemble the fluctuation matrix M about a stationary background: the
-    one-form case of the stacked assembly, raising its error."""
-    M, errors = _assemble(np.asarray(background.x)[None], np.asarray(background.theta)[None],
-                          [params])
-    if errors[0] is not None:
-        raise errors[0]
-    return QuadraticForm(M=M[0])
 
 
 def symplectic_form() -> np.ndarray:
@@ -156,11 +138,13 @@ def _williamson(M):
     return energies, w[:, 0] <= 12.0 * np.finfo(float).eps * scale, errors
 
 
-def symplectic_eigenvalues(form: QuadraticForm) -> SpectrumResult:
-    """Six symplectic eigenvalues of M, sorted ascending: the one-form case of
-    the stacked eigensolver, raising its error.  M must be positive
-    semidefinite."""
-    energies, critical, errors = _williamson(form.M[None])
+def excitation_spectrum(x, params: ModelParams) -> SpectrumResult:
+    """Excitation energies about the stationary background x (3,): the
+    one-row case of :func:`spectra`, raising the row's error."""
+    M, errors = _assemble(np.asarray(x, dtype=float)[None], [params])
+    if errors[0] is not None:
+        raise errors[0]
+    energies, critical, errors = _williamson(M)
     if errors[0] is not None:
         raise errors[0]
     return SpectrumResult(energies=energies[0], soft_mode_gap=float(energies[0, 0]),
@@ -172,16 +156,15 @@ def spectra(x, params):
 
     x is (N, 3) and params holds one ModelParams per row.  Returns the
     (N, 6) energies, NaN where a row fails, and per row the error that
-    build_quadratic or symplectic_eigenvalues raises for it, or None.
-    Every row equals its one-form calls bitwise.
+    excitation_spectrum raises for it, or None.  Every row equals its
+    excitation_spectrum bitwise.
     """
     params = list(params)
     energies = np.full((len(params), 6), np.nan)
     errors = [None] * len(params)
     for start in range(0, len(params), _CHUNK):
         part, xs = params[start:start + _CHUNK], x[start:start + _CHUNK]
-        theta = bloch_theta(xs, np.array([p.g for p in part])[:, None])
-        M, errs = _assemble(xs, theta, part)
+        M, errs = _assemble(xs, part)
         ok = np.flatnonzero([err is None for err in errs])
         if ok.size:
             e, _, unstable = _williamson(M[ok])
@@ -223,10 +206,16 @@ def analytic_np_spectrum(params: ModelParams) -> SpectrumResult:
     )
 
 
+def _raise_first(errors):
+    for err in errors:
+        if err is not None:
+            raise err
+
+
 def soft_mode_gap(params: ModelParams) -> float:
     """Smallest excitation energy about the ground state at these parameters."""
-    form = build_quadratic(solve_ground_state(params).representative, params)
-    return symplectic_eigenvalues(form).soft_mode_gap
+    return excitation_spectrum(solve_ground_state(params).representative.x,
+                               params).soft_mode_gap
 
 
 @dataclass(frozen=True)
@@ -280,12 +269,13 @@ def fit_critical_exponent(
                 f"fit window [{lo}, {hi}] crosses the first-order point g_L={gL}"
             )
 
-    gaps = []
-    for dg in dgs:
-        p = params.replace(g=g_crit + sgn * dg)
-        if side == "below":
-            bg = state_from_x(np.zeros(3), p)
-            gaps.append(symplectic_eigenvalues(build_quadratic(bg, p)).soft_mode_gap)
-        else:
-            gaps.append(soft_mode_gap(p))
-    return fit_power_law(dgs, np.array(gaps))
+    points = [params.replace(g=g_crit + sgn * dg) for dg in dgs]
+    if side == "below":
+        x = np.zeros((len(points), 3))
+    else:
+        states = solve_ground_states(points)
+        _raise_first(states.error)
+        x = states.representative
+    energies, errors = spectra(x, points)
+    _raise_first(errors)
+    return fit_power_law(dgs, energies[:, 0])

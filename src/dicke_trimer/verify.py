@@ -34,16 +34,15 @@ from .meanfield import (
     solve_atom_only,
     solve_fsp,
     solve_ground_state,
-    state_from_x,
 )
 from .oracle import brute_force_minimize, detect_transitions
 from .spectrum import (
+    _raise_first,
     analytic_np_spectrum,
-    build_quadratic,
+    excitation_spectrum,
     fit_power_law,
     fit_critical_exponent,
     spectra,
-    symplectic_eigenvalues,
 )
 from .sweep import Axis, boundary_intersection, sweep_phase_diagram
 
@@ -88,9 +87,7 @@ def criterion_1_critical_points():
         mid = 0.5 * (lo[active] + hi[active])
         points = [ModelParams(g=g, J1=hops[i][0], J2=hops[i][1]) for g, i in zip(mid, active)]
         energies, errors = spectra(np.zeros((len(points), 3)), points)
-        for err in errors:
-            if err is not None:
-                raise err
+        _raise_first(errors)
         gapped = energies[:, 0] > 1e-9
         lo[active[gapped]] = mid[gapped]
         hi[active[~gapped]] = mid[~gapped]
@@ -257,8 +254,7 @@ def criterion_9_spectrum_equivalence():
         cc = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2))
         g = rng.uniform(0.05, 0.999 * cc.g_c)
         params = ModelParams(g=g, J1=J1, J2=J2)
-        bg = state_from_x(np.zeros(3), params)
-        numeric = symplectic_eigenvalues(build_quadratic(bg, params)).energies
+        numeric = excitation_spectrum(np.zeros(3), params).energies
         analytic = analytic_np_spectrum(params).energies
         worst = max(worst, float(np.max(np.abs(numeric - analytic))))
     passed = worst < 1e-10

@@ -18,7 +18,6 @@ from dicke_trimer.meanfield import (
     solve_ground_state,
     solve_ground_states,
     solve_nsp,
-    state_from_x,
 )
 from dicke_trimer.model import (
     ModelParams,
@@ -27,7 +26,14 @@ from dicke_trimer.model import (
     critical_couplings,
     first_order_point,
 )
-from dicke_trimer.spectrum import build_quadratic, spectra, symplectic_eigenvalues
+from dicke_trimer.spectrum import (
+    _assemble,
+    _williamson,
+    excitation_spectrum,
+    fit_critical_exponent,
+    fit_power_law,
+    spectra,
+)
 from dicke_trimer.sweep import Axis, sweep_g_line, sweep_phase_diagram
 
 
@@ -38,7 +44,7 @@ def _one_point_record(params):
     try:
         result = solve_ground_state(params)
         state = result.representative
-        spec = symplectic_eigenvalues(build_quadratic(state, params))
+        spec = excitation_spectrum(state.x, params)
         rec.update(phase=result.label, energy=result.energy, degeneracy=result.degeneracy,
                    **{f"alpha{i+1}": float(state.alpha[i]) for i in range(3)},
                    **{f"eps{i+1}": float(spec.energies[i]) for i in range(6)})
@@ -150,18 +156,39 @@ def test_stacked_spectrum_equals_single_forms_bitwise(points):
         xs.append(np.zeros(3))
         params.append(ModelParams(g=float(rng.uniform(0.05, 2.0 * g_c)), J1=J1, J2=J2))
     energies, errors = spectra(np.array(xs), params)
-    kinds = set()
-    for x, p, e, err in zip(xs, params, energies, errors, strict=True):
+    # the critical flags of the stacked eigensolver, which spectra drops
+    critical = _williamson(_assemble(np.array(xs), params)[0])[1]
+    kinds, flags = set(), set()
+    for x, p, e, crit, err in zip(xs, params, energies, critical, errors, strict=True):
         try:
-            want = symplectic_eigenvalues(build_quadratic(state_from_x(x, p), p)).energies
+            want = excitation_spectrum(x, p)
         except ValueError as exc:
             kinds.add(type(exc).__name__)
             assert type(err) is type(exc) and str(err) == str(exc)
             assert np.all(np.isnan(e))
             continue
         assert err is None
-        assert np.array_equal(e, want)
+        assert np.array_equal(e, want.energies)
+        assert want.soft_mode_gap == e[0]
+        assert want.critical == crit
+        flags.add(want.critical)
     assert {"ValueError", "UnstableBackgroundError"} <= kinds
+    assert flags == {False, True}
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("J1, J2", [(0.1, 0.1), (-0.1, -0.1), (0.3, -0.1), (-0.3, 0.3)])
+def test_exponent_fit_equals_per_point_spectra(J1, J2, side):
+    params = ModelParams(g=1.0, J1=J1, J2=J2)
+    g_c = critical_couplings(params).g_c
+    dgs = np.geomspace(1e-6, 1e-3, 13)
+    gaps = []
+    for dg in dgs:
+        p = params.replace(g=g_c + dg if side == "above" else g_c - dg)
+        x = solve_ground_state(p).representative.x if side == "above" else np.zeros(3)
+        gaps.append(excitation_spectrum(x, p).soft_mode_gap)
+    # ExponentFit compares its floats exactly
+    assert fit_critical_exponent(params, side) == fit_power_law(dgs, np.array(gaps))
 
 
 def test_lockstep_boundaries_equal_sequential_bisection():

@@ -10,11 +10,9 @@ import pytest
 from dicke_trimer import (
     ModelParams,
     analytic_np_spectrum,
-    build_quadratic,
     critical_couplings,
+    excitation_spectrum,
     solve_ground_state,
-    state_from_x,
-    symplectic_eigenvalues,
 )
 from dicke_trimer.cli import main
 
@@ -27,7 +25,7 @@ def _hoppings(seed, n):
 
 
 def _np_spectrum(params):
-    return symplectic_eigenvalues(build_quadratic(state_from_x(np.zeros(3), params), params))
+    return excitation_spectrum(np.zeros(3), params)
 
 
 def test_np_at_exact_critical_point():
@@ -50,7 +48,7 @@ def test_fsp_just_above_onset(J1, J2, dg):
                     J1=J1, J2=J2)
     res = solve_ground_state(p)
     assert res.label == "FSP"
-    spec = symplectic_eigenvalues(build_quadratic(res.representative, p))
+    spec = excitation_spectrum(res.representative.x, p)
     assert spec.energies.shape == (6,)
     assert np.all(spec.energies >= 0.0)
     assert spec.critical
@@ -66,7 +64,7 @@ def test_seeded_probe_at_critical_couplings():
                 p = ModelParams(g=gc + dg, J1=J1, J2=J2)
                 try:
                     res = solve_ground_state(p)
-                    spec = symplectic_eigenvalues(build_quadratic(res.representative, p))
+                    spec = excitation_spectrum(res.representative.x, p)
                 except (ValueError, RuntimeError) as exc:
                     failures.append((J1, J2, p.g, type(exc).__name__))
                     continue

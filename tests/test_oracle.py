@@ -113,9 +113,9 @@ class TestDetectTransitions:
         seen = []
         original = oracle.brute_force_minimize
 
-        def recording(params, config=None):
+        def recording(params):
             seen.append(params)
-            return original(params, config)
+            return original(params)
 
         monkeypatch.setattr(oracle, "brute_force_minimize", recording)
         transitions = detect_transitions(0.1, -0.1, (1.0, 1.1), n_coarse=21)

@@ -8,36 +8,34 @@ import pytest
 from dicke_trimer import (
     ModelParams,
     analytic_np_spectrum,
-    build_quadratic,
     critical_couplings,
+    excitation_spectrum,
     fit_critical_exponent,
     solve_ground_state,
     soft_mode_gap,
-    state_from_x,
-    symplectic_eigenvalues,
 )
 from dicke_trimer.spectrum import (
     UnstableBackgroundError,
+    _assemble,
     fit_power_law,
     symplectic_form,
 )
 
 
 def np_spectrum_numeric(params):
-    bg = state_from_x(np.zeros(3), params)
-    return symplectic_eigenvalues(build_quadratic(bg, params))
+    return excitation_spectrum(np.zeros(3), params)
 
 
 class TestQuadraticForm:
     def test_symmetric(self):
         p = ModelParams(g=0.8, J1=0.1, J2=-0.2)
-        M = build_quadratic(state_from_x(np.zeros(3), p), p).M
+        M = _assemble(np.zeros((1, 3)), [p])[0][0]
         assert np.allclose(M, M.T)
 
     def test_rejects_nonstationary_background(self):
         p = ModelParams(g=0.8, J1=0.1, J2=0.1)
         with pytest.raises(ValueError, match="stationary"):
-            build_quadratic(state_from_x(np.array([0.1, 0.0, 0.0]), p), p)
+            excitation_spectrum(np.array([0.1, 0.0, 0.0]), p)
 
     def test_symplectic_form_squares_to_minus_one(self):
         J = symplectic_form()
@@ -104,14 +102,14 @@ class TestOrderedPhaseSpectra:
         # fold-born frustrated minimum: spectrum must still be positive
         p = ModelParams(g=1.05, J1=0.1, J2=-0.1)
         res = solve_ground_state(p)
-        spec = symplectic_eigenvalues(build_quadratic(res.representative, p))
+        spec = excitation_spectrum(res.representative.x, p)
         assert spec.energies[0] > 0.0
 
     def test_wrong_phase_raises(self):
         # the normal phase is unstable above g_c
         p = ModelParams(g=1.3, J1=0.1, J2=0.1)
         with pytest.raises(UnstableBackgroundError):
-            symplectic_eigenvalues(build_quadratic(state_from_x(np.zeros(3), p), p))
+            excitation_spectrum(np.zeros(3), p)
 
 
 class TestPowerLawFits:
