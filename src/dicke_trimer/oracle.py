@@ -79,7 +79,8 @@ def _local_minima(E):
     return E <= m
 
 
-#: the descent maps each Hessian eigenvalue w to max(|w|, _EIG_FLOOR)
+#: the descent maps each eigenvalue w of the scaled Hessian to
+#: max(|w|, _EIG_FLOOR)
 _EIG_FLOOR = 1e-8
 #: Armijo sufficient-decrease constant
 _ARMIJO = 1e-4
@@ -102,11 +103,14 @@ def descend(seeds, params: ModelParams):
     """Refine a (k, 3) stack of seeds at one parameter point to local minima.
 
     Modified Newton (Nocedal & Wright, Numerical Optimization, sec. 3.4): the
-    step solves the Hessian with each eigenvalue w replaced by
-    max(|w|, _EIG_FLOOR), so it always points downhill.  Taking |w| rather
-    than flooring w itself keeps a row that lies on a plane of symmetry
-    through a saddle on that plane: it ends at the saddle instead of leaving
-    it to a side picked by rounding, and brute_force_minimize can split it.
+    step solves the Hessian, scaled to a diagonal of at most one in modulus
+    (S H S with S = diag(1/sqrt(max(|H_nn|, 1)))), with each eigenvalue w
+    replaced by max(|w|, _EIG_FLOOR), so it always points downhill.  Taking
+    |w| rather than flooring w itself keeps a row that lies on a plane of
+    symmetry through a saddle on that plane: it ends at the saddle instead
+    of leaving it to a side picked by rounding, and brute_force_minimize can
+    split it.  The scaling keeps the eigenvalues of the other sites resolved
+    when one site is near the edge, where its diagonal entry reaches 1e17.
     Each row backtracks on its own, halving its step until the trial lies
     inside |x_n| < g/2 and passes the Armijo test on E.  A row stops at
     max |grad E| < _GRAD_TOL, when its predicted decrease is below float
@@ -128,11 +132,13 @@ def descend(seeds, params: ModelParams):
         if rows.size == 0:
             break
         x, e, grad = X[rows], E[rows], G[rows]
-        w, V = np.linalg.eigh(hessian(x, params))
-        # step = -V diag(1/max(|w|, floor)) V^T grad, summed out by hand so
-        # that no stacked matmul mixes rows
-        coef = np.sum(V * grad[:, :, None], axis=1) / np.maximum(np.abs(w), _EIG_FLOOR)
-        step = -np.sum(V * coef[:, None, :], axis=2)
+        H = hessian(x, params)
+        s = 1.0 / np.sqrt(np.maximum(np.abs(np.diagonal(H, axis1=1, axis2=2)), 1.0))
+        w, V = np.linalg.eigh(H * s[:, :, None] * s[:, None, :])
+        # step = -S V diag(1/max(|w|, floor)) V^T S grad with S = diag(s),
+        # summed out by hand so that no stacked matmul mixes rows
+        coef = np.sum(V * (s * grad)[:, :, None], axis=1) / np.maximum(np.abs(w), _EIG_FLOOR)
+        step = -s * np.sum(V * coef[:, None, :], axis=2)
         slope = np.sum(grad * step, axis=1)
         pending = -slope > _FLOAT_FLOOR * np.abs(e)
         moved = np.zeros(rows.size, dtype=bool)
