@@ -8,7 +8,8 @@ transformed variables x_n on the open cube |x_n| < g/2, is
 with periodic indices and the coefficients from :mod:`dicke_trimer.model`.
 :func:`energy`, :func:`gradient` and :func:`hessian` are its only
 implementation, and :func:`newton_polish` is the one damped-Newton loop that
-polishes its minima, for the frustrated solver here and for the oracle.
+polishes its minima, a stack of them at once, for the frustrated solver here
+and for the oracle.
 Three kinds of minima occur: the trivial x = 0 (normal phase, NP), a uniform
 configuration (normal superradiant phase, NSP, two-fold degenerate) and a
 frustrated one with one site carrying opposite sign and twice the amplitude
@@ -18,7 +19,10 @@ The frustrated minima are found by enumerating the roots of one scalar
 function: on the (x1, x2, x2) pattern dE/dx1 = 0 gives x2 explicitly, and
 dE/dx2 = 0 becomes an equation in x1 alone, scanned on the windows where x2
 stays in the domain.  Each root is polished as the 3-vector (x1, x2, x2).
-See docs/frustrated_stationarity.md.
+The frustrated rows of a batch go through this as one array pass: the window
+ends, the scan and the root refinement (an elementwise bracketed solve) run
+over all rows at once, and the candidates are polished as one stack.  See
+docs/frustrated_stationarity.md.
 
 :func:`solve_ground_states` is the one dispatch to these branches, over a
 batch of parameter points; :func:`solve_ground_state` is its one-point case.
@@ -106,45 +110,36 @@ def _g_c_b(params):
     return params.g, c_tilde(params.J1), b_tilde(params)
 
 
-def _terms(x, params):
-    """Checked x, g, u = 4x^2/g^2, sqrt(1 - u), C_tilde and B_tilde.
+def _terms(x, g):
+    """Checked x, u = 4x^2/g^2 and sqrt(1 - u).
 
-    params is one ModelParams, or a sequence of them, one per row of x; then
-    g, C_tilde and B_tilde are (N, 1) columns.  On the 3-cycle the
-    neighbours of site n sum to sum(x) - x_n, and
-    sum_n x_n x_{n+1} = ((sum x)^2 - sum x^2)/2, so the kernels below need
-    no index shifts.
+    The kernels below take g, C_tilde and B_tilde as floats, or as (N, 1)
+    columns, one per row of x.  On the 3-cycle the neighbours of site n sum
+    to sum(x) - x_n, and sum_n x_n x_{n+1} = ((sum x)^2 - sum x^2)/2, so
+    they need no index shifts.
     """
     x = np.asarray(x, dtype=float)
-    g, C, B = per_row(params, _g_c_b)
     _check_domain(x, g)
     u = 4.0 * x * x / (g * g)
-    return x, g, u, np.sqrt(1.0 - u), C, B
+    return x, u, np.sqrt(1.0 - u)
 
 
-def energy(x, params):
-    """Reduced ground-state energy E(x) over the last axis of x (a float for
-    one configuration); hard error outside |x_n| < g/2.  params is one
-    ModelParams, or one per row of x."""
-    x, _, _, root, C, B = _terms(x, params)
+def _energy(x, g, C, B):
+    x, _, root = _terms(x, g)
     if isinstance(B, np.ndarray):  # one B per row of x, as an (N, 1) column
         B = B[:, 0]
     s = np.sum(x, axis=-1)
-    e = np.sum(C * x * x - 0.5 * root, axis=-1) + B * (s * s - np.vecdot(x, x))
-    return float(e) if e.ndim == 0 else e
+    return np.sum(C * x * x - 0.5 * root, axis=-1) + B * (s * s - np.vecdot(x, x))
 
 
-def gradient(x, params) -> np.ndarray:
-    """Analytic dE/dx_n over the last axis of x; params as for energy."""
-    x, g, _, root, C, B = _terms(x, params)
+def _gradient(x, g, C, B):
+    x, _, root = _terms(x, g)
     return (2.0 * C * x + 2.0 * x / (g * g * root)
             + 2.0 * B * (x.sum(axis=-1, keepdims=True) - x))
 
 
-def hessian(x, params) -> np.ndarray:
-    """Analytic 3x3 Hessian of E, one per row of x (shape x.shape + (3,));
-    params as for energy."""
-    x, g, u, root, C, B = _terms(x, params)
+def _hessian(x, g, C, B):
+    x, u, root = _terms(x, g)
     if isinstance(B, np.ndarray):  # (N, 1) column -> (N, 1, 1)
         B = B[..., None]
     diag = 2.0 * C + (2.0 / (g * g)) * (1.0 / root + u / root**3)
@@ -155,6 +150,25 @@ def hessian(x, params) -> np.ndarray:
     return H
 
 
+def energy(x, params):
+    """Reduced ground-state energy E(x) over the last axis of x (a float for
+    one configuration); hard error outside |x_n| < g/2.  params is one
+    ModelParams, or one per row of x."""
+    e = _energy(x, *per_row(params, _g_c_b))
+    return float(e) if e.ndim == 0 else e
+
+
+def gradient(x, params) -> np.ndarray:
+    """Analytic dE/dx_n over the last axis of x; params as for energy."""
+    return _gradient(x, *per_row(params, _g_c_b))
+
+
+def hessian(x, params) -> np.ndarray:
+    """Analytic 3x3 Hessian of E, one per row of x (shape x.shape + (3,));
+    params as for energy."""
+    return _hessian(x, *per_row(params, _g_c_b))
+
+
 #: newton_polish stops once max |grad E| is below this
 _NEWTON_TOL = 1e-13
 #: at most this many Newton steps, each halved at most _NEWTON_HALVINGS times
@@ -162,39 +176,78 @@ _NEWTON_STEPS = 60
 _NEWTON_HALVINGS = 40
 
 
-def newton_polish(x, params: ModelParams):
+def _newton_steps(H, grad):
+    """H^-1 grad per row, and which rows could be solved: a singular
+    Hessian ends its own row only."""
+    try:
+        return np.linalg.solve(H, grad[..., None])[..., 0], np.ones(len(H), dtype=bool)
+    except np.linalg.LinAlgError:
+        step, solved = np.zeros_like(grad), np.ones(len(H), dtype=bool)
+        for k in range(len(H)):
+            try:
+                step[k] = np.linalg.solve(H[k:k + 1], grad[k:k + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return step, solved
+
+
+def _polish(x, g, C, B):
+    """newton_polish over the rows of an (N, 3) stack, with g, C_tilde and
+    B_tilde as (N, 1) columns.  The rows step in lockstep, but each keeps
+    its own step length and stop rules, so no row depends on another."""
+    x = np.array(x, dtype=float)
+    grad = _gradient(x, g, C, B)
+    norm = np.max(np.abs(grad), axis=-1)
+    live = np.flatnonzero(norm >= _NEWTON_TOL)
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        step, solved = _newton_steps(
+            _hessian(x[live], g[live], C[live], B[live]), grad[live])
+        live, step = live[solved], step[solved]
+        moved = np.zeros(len(live), dtype=bool)
+        pending = np.arange(len(live))
+        lam = 1.0  # the pending rows have all been halved equally often
+        for _ in range(_NEWTON_HALVINGS):
+            if not pending.size:
+                break
+            rows = live[pending]
+            trial = x[rows] - lam * step[pending]
+            # a stuck row: every smaller step rounds to x as well
+            stuck = np.all(trial == x[rows], axis=-1)
+            test = np.flatnonzero(~stuck & (np.max(np.abs(trial), axis=-1) < 0.5 * g[rows, 0]))
+            r = rows[test]
+            tg = _gradient(trial[test], g[r], C[r], B[r])
+            tnorm = np.max(np.abs(tg), axis=-1)
+            better = tnorm < norm[r]
+            ok = test[better]
+            x[rows[ok]], grad[rows[ok]], norm[rows[ok]] = trial[ok], tg[better], tnorm[better]
+            moved[pending[ok]] = True
+            pending = pending[~stuck & ~moved[pending]]
+            lam *= 0.5
+        live = live[moved]  # a row no halving helped has stopped
+        live = live[norm[live] >= _NEWTON_TOL]
+    return x, norm
+
+
+def newton_polish(x, params):
     """Damped Newton on grad E = 0 over all three x_n; no pattern assumed.
 
-    A step is halved until it stays inside the domain and lowers max |grad E|;
-    the loop ends when no halving helps, or once the halved step no longer
-    changes x in floating point.  Returns the polished x and its max |grad E|.
+    x is one configuration (3,) or a (k, 3) stack of them, and params is one
+    ModelParams or one per row.  Per row, a step is halved until it stays
+    inside the domain and lowers max |grad E|; the row ends when no halving
+    helps, when its Hessian is singular, or once the halved step no longer
+    changes x in floating point.  A row's result does not depend on the
+    other rows.  Returns the polished x and its max |grad E| (a float for
+    one configuration).
     """
-    g = params.g
-    x = np.array(x, dtype=float)
-    grad = gradient(x, params)
-    norm = float(np.max(np.abs(grad)))
-    for _ in range(_NEWTON_STEPS):
-        if norm < _NEWTON_TOL:
-            break
-        try:
-            step = np.linalg.solve(hessian(x, params), grad)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        for _ in range(_NEWTON_HALVINGS):
-            trial = x - lam * step
-            if np.array_equal(trial, x):
-                return x, norm  # every smaller step rounds to x as well
-            if np.max(np.abs(trial)) < 0.5 * g:
-                tg = gradient(trial, params)
-                tnorm = float(np.max(np.abs(tg)))
-                if tnorm < norm:
-                    x, grad, norm = trial, tg, tnorm
-                    break
-            lam *= 0.5
-        else:
-            break
-    return x, norm
+    x = np.asarray(x, dtype=float)
+    stack = x.reshape(-1, 3)
+    coef = [np.broadcast_to(v, (len(stack), 1)) for v in per_row(params, _g_c_b)]
+    polished, norm = _polish(stack, *coef)
+    if x.ndim == 1:
+        return polished[0], float(norm[0])
+    return polished, norm
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +357,78 @@ def asymptotic_fsp(params: ModelParams, g: float | None = None) -> MeanFieldStat
     return state_from_x(np.array([-2.0 * t, t, t]), params.replace(g=g))
 
 
-def _is_fsp_minimum(x, params):
-    """True if x, with x[0] opposite in sign to x[1] and x[2], is a local
-    minimum of the full energy."""
-    if x[0] * x[1] >= 0.0 or x[0] * x[2] >= 0.0:
-        return False
-    return bool(np.linalg.eigvalsh(hessian(x, params))[0] > -1e-9)
+def _is_fsp_minimum(x, g, C, B):
+    """True for each row of x, with x[0] opposite in sign to x[1] and x[2],
+    that is a local minimum of the full energy."""
+    frustrated = (x[:, 0] * x[:, 1] < 0.0) & (x[:, 0] * x[:, 2] < 0.0)
+    return frustrated & (np.linalg.eigvalsh(_hessian(x, g, C, B))[:, 0] > -1e-9)
 
 
 def _h(x, C, g):
     """Half the on-site part of dE/dx_n: C*x + x/(g^2*sqrt(1 - 4*x^2/g^2))."""
     return C * x + x / (g * g * np.sqrt((1.0 - 2.0 * x / g) * (1.0 + 2.0 * x / g)))
+
+
+def _G(x1, C, B, g):
+    """dE/dx2 on the (x1, x2, x2) pattern with x2 = -h(x1)/(2B), over x1."""
+    x2 = -_h(x1, C, g) / (2.0 * B)
+    return (_h(x2, C, g) + B * (x1 + x2)) / x1
+
+
+#: the bracketed root solve stops once the bracket is narrower than
+#: 4 eps |x| + 1e-300, brentq's default rtol with xtol = 1e-300
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_XTOL = 1e-300
+#: at most this many steps per root
+_ROOT_STEPS = 100
+
+
+def _bracketed_roots(f, x1, x2, f1, f2, *args):
+    """Roots of f inside the brackets [x1, x2], elementwise, f1 = f(x1) and
+    f2 = f(x2) of opposite sign.  f(x, *args) evaluates f elementwise, args
+    being arrays with one entry per bracket.
+
+    Chandrupatla's method (AIChE J. 43, 2146 (1997)): inverse quadratic
+    interpolation through the last three points where they admit it,
+    bisection otherwise, and never a step closer than half the tolerance to
+    a bracket end.  Each element stops on its own, at the end with the
+    smaller |f|, so no root depends on the other elements.
+    """
+    root = np.empty(len(x1))
+    at = np.arange(len(x1))
+    x3 = f3 = None
+    for it in range(_ROOT_STEPS + 1):
+        lower = np.abs(f1) < np.abs(f2)
+        xm = np.where(lower, x1, x2)
+        dx = np.abs(x2 - x1)
+        tol = _ROOT_RTOL * np.abs(xm) + _ROOT_XTOL
+        done = (dx < tol) | (f1 == 0.0)
+        if it == _ROOT_STEPS:
+            done[:] = True
+        if done.any():
+            root[at[done]] = xm[done]
+            live = ~done
+            at, x1, x2, f1, f2, dx, tol = (v[live] for v in (at, x1, x2, f1, f2, dx, tol))
+            args = [v[live] for v in args]
+            if it:
+                x3, f3 = x3[live], f3[live]
+        if not at.size:
+            break
+        t = 0.5
+        if it:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+                t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                             + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+        tl = 0.5 * tol / dx
+        x = x1 + np.minimum(np.maximum(t, tl), 1.0 - tl) * (x2 - x1)
+        fx = f(x, *args)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+    return root
 
 
 # scan points as fractions of a window: cosine spacing plus geometric
@@ -323,111 +437,171 @@ def _h(x, C, g):
 _SCAN_COS = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 66)[1:-1]))
 _SCAN_END = np.geomspace(1e-15, 1e-2, 27)
 _EDGE_OFFSETS = np.geomspace(1e-1, 1e-15, 15)
+#: windows per scan chunk, bounding the (windows, scan points) work arrays
+_SCAN_CHUNK = 64
 
 
 def _fsp_windows(C, B, g):
-    """Intervals of x1 in (-g/2, 0) where x2 = -h(x1)/(2B) lies in (0, g/2).
+    """Intervals of x1 in (-g/2, 0) where x2 = -h(x1)/(2B) lies in (0, g/2),
+    for 1-D arrays C, B and g: (left, right), each of shape (N, 2), one
+    column per monotone piece of h, empty where left >= right.
 
     h is monotone on each piece between -g/2, its turning point (present
     when h'(0) = C + 1/g^2 < 0) and 0, so each piece holds at most one
-    window, whose ends solve h = 0 or h = -B*g.
+    window, whose ends solve h = 0 or h = -B*g.  h = 0 holds at the
+    decoupled point -x* on the piece from -g/2 when the turning point is
+    present, and at 0 otherwise; the ends h = -B*g of all pieces are one
+    bracketed root solve.
     """
-    from scipy.optimize import brentq
+    n = len(g)
+    v = -B * g
+    # the piece starting at -g/2 needs a finite end with h(edge) <= min(v, 0)
+    edges = -0.5 * g[:, None] * (1.0 - _EDGE_OFFSETS)
+    below = _h(edges, C[:, None], g[:, None]) <= np.minimum(v, 0.0)[:, None]
+    first = np.where(below.any(axis=1), below.argmax(axis=1), -1)
+    q = 1.0 / (C * g * g)
+    turn = np.flatnonzero(-q < 1.0)
+    t, xs = np.zeros(n), np.zeros(n)
+    # h'(x) = 0 where sqrt(1 - 4x^2/g^2)^3 = -q, and h(x) = 0 where it is -q
+    r = (-q[turn]) ** (1.0 / 3.0)
+    t[turn] = -0.5 * g[turn] * np.sqrt((1.0 - r) * (1.0 + r))
+    xs[turn] = 0.5 * g[turn] * np.sqrt((1.0 - q[turn]) * (1.0 + q[turn]))
+    # without the turning point t = 0 and the second piece is empty
+    a = np.stack((edges[np.arange(n), first], t), axis=1)
+    b = np.stack((t, np.zeros(n)), axis=1)
+    zero = np.stack((-xs, np.zeros(n)), axis=1)
+    Cp, gp, vp = (np.repeat(u[:, None], 2, axis=1) for u in (C, g, v))
+    fa, fb = _h(a, Cp, gp) - vp, _h(b, Cp, gp) - vp
+    end = np.where(np.abs(fa) < np.abs(fb), a, b)
+    solve = fa * fb < 0.0
+    if solve.any():
+        end[solve] = _bracketed_roots(lambda x, C, g, v: _h(x, C, g) - v,
+                                      a[solve], b[solve], fa[solve], fb[solve],
+                                      Cp[solve], gp[solve], vp[solve])
+    return np.minimum(zero, end), np.maximum(zero, end)
 
-    lo, hi = sorted((0.0, -B * g))
-    # the piece starting at -g/2 needs a finite end with h(edge) <= lo
-    edges = -0.5 * g * (1.0 - _EDGE_OFFSETS)
-    below = np.flatnonzero(_h(edges, C, g) <= lo)
-    ends = [float(edges[below[0] if below.size else -1]), 0.0]
-    r3 = -1.0 / (C * g * g)  # h'(x) = 0 where sqrt(1 - 4x^2/g^2)^3 = r3
-    if r3 < 1.0:
-        r = r3 ** (1.0 / 3.0)
-        ends.insert(1, -0.5 * g * math.sqrt((1.0 - r) * (1.0 + r)))
-    windows = []
-    for a, b in zip(ends, ends[1:]):
-        ha, hb = _h(a, C, g), _h(b, C, g)
 
-        def inverse(v):
-            if (v - ha) * (v - hb) >= 0.0:
-                return a if abs(v - ha) < abs(v - hb) else b
-            return brentq(lambda x: _h(x, C, g) - v, a, b, xtol=1e-300)
-
-        left, right = sorted((inverse(lo), inverse(hi)))
-        if left < right:
-            windows.append((left, right))
-    return windows
+def _scan(first, left, right, C, B, g):
+    """G at the scan points of the windows (left, right), for 1-D arrays
+    with one entry per window, numbered from first.  Returns the window and
+    x1 of every exact zero, and the window, both ends and G at both ends of
+    every sign change between consecutive points."""
+    w = (right - left)[:, None]
+    left, right = left[:, None], right[:, None]
+    x1 = np.sort(np.concatenate(
+        (left + w * _SCAN_COS, left + w * _SCAN_END, right - w * _SCAN_END), axis=1), axis=1)
+    keep = (x1 > left) & (x1 < right)
+    keep[:, 1:] &= x1[:, 1:] != x1[:, :-1]
+    # the kept points of all windows in one flat array, window by window
+    win, x1 = np.nonzero(keep)[0], x1[keep]
+    x2 = -_h(x1, C[win], g[win]) / (2.0 * B[win])
+    inside = (1.0 - 2.0 * x2 / g[win]) * (1.0 + 2.0 * x2 / g[win]) > 0.0
+    win, x1 = win[inside], x1[inside]
+    G = _G(x1, C[win], B[win], g[win])
+    s = np.sign(G)
+    zero = s == 0.0
+    i = np.flatnonzero((win[:-1] == win[1:]) & (s[:-1] * s[1:] < 0.0))
+    return first + win[zero], x1[zero], first + win[i], x1[i], x1[i + 1], G[i], G[i + 1]
 
 
 def _fsp_roots(C, B, g):
-    """Every x1 on the frustrated windows where G(x1) changes sign."""
-    from scipy.optimize import brentq
-
-    def G(x1):
-        x2 = -_h(x1, C, g) / (2.0 * B)
-        return (_h(x2, C, g) + B * (x1 + x2)) / x1
-
-    roots = []
-    for left, right in _fsp_windows(C, B, g):
-        w = right - left
-        x1 = np.unique(np.concatenate(
-            (left + w * _SCAN_COS, left + w * _SCAN_END, right - w * _SCAN_END)))
-        x1 = x1[(x1 > left) & (x1 < right)]
-        x2 = -_h(x1, C, g) / (2.0 * B)
-        inside = (1.0 - 2.0 * x2 / g) * (1.0 + 2.0 * x2 / g) > 0.0
-        x1 = x1[inside]
-        s = np.sign(G(x1))
-        roots.extend(x1[s == 0.0])
-        for i in np.flatnonzero(s[:-1] * s[1:] < 0.0):
-            roots.append(brentq(G, x1[i], x1[i + 1], xtol=1e-300))
-    return roots
+    """Every x1 on the frustrated windows where G(x1) is zero or changes
+    sign, for 1-D arrays C, B and g: the row of each root and the root,
+    ordered by row, window, exact zeros before refined sign changes, and
+    x1.  The scan runs over _SCAN_CHUNK windows at a time, the refinement
+    over all sign changes at once."""
+    left, right = _fsp_windows(C, B, g)
+    row, piece = np.nonzero(left < right)
+    left, right, C, B, g = left[row, piece], right[row, piece], C[row], B[row], g[row]
+    parts = [_scan(k, *(u[k:k + _SCAN_CHUNK] for u in (left, right, C, B, g)))
+             for k in range(0, max(len(row), 1), _SCAN_CHUNK)]
+    zero_win, zero, win, a, b, fa, fb = (np.concatenate(u) for u in zip(*parts))
+    roots = _bracketed_roots(_G, a, b, fa, fb, C[win], B[win], g[win])
+    win, x1 = np.concatenate((zero_win, win)), np.concatenate((zero, roots))
+    order = np.lexsort((x1, np.repeat([0, 1], (len(zero), len(roots))), win))
+    return row[win[order]], x1[order]
 
 
-def _lowest_fsp_minimum(candidates, params):
-    """(energy, x) of the lowest candidate (x1, x2) that polishes, as the
-    3-vector (x1, x2, x2), to a stationary frustrated local minimum, or None."""
-    best = None
-    for x1, x2 in candidates:
-        x, resid = newton_polish([x1, x2, x2], params)
-        if resid > STATIONARITY_TOL or not _is_fsp_minimum(x, params):
-            continue
-        e = energy(x, params)
-        if best is None or e < best[0]:
-            best = (e, x)
-    return best
+def _keep_lowest_minima(rows, X, coef, points, x, error):
+    """Polish the candidates X (k, 3) of the given rows as one stack and set
+    x[row] to the lowest one that ends as a stationary frustrated local
+    minimum.  coef holds g, C_tilde and B_tilde per row.  A candidate outside
+    the domain fails its row with the DomainError that polishing it would
+    raise."""
+    g, C, B = (u[rows, None] for u in coef)
+    for k in np.flatnonzero(~np.all(np.abs(X) < 0.5 * g, axis=1)):
+        if error[rows[k]] is None:
+            try:
+                _check_domain(X[k], points[rows[k]].g)
+            except DomainError as exc:
+                error[rows[k]] = exc
+    use = np.flatnonzero(np.array([error[i] is None for i in rows], dtype=bool))
+    if not use.size:
+        return
+    rows, g, C, B = rows[use], g[use], C[use], B[use]
+    P, resid = _polish(X[use], g, C, B)
+    ok = np.flatnonzero((resid <= STATIONARITY_TOL) & _is_fsp_minimum(P, g, C, B))
+    # lexsort is stable: the earliest candidate wins among equal energies
+    order = ok[np.lexsort((_energy(P[ok], g[ok], C[ok], B[ok]), rows[ok]))]
+    best = order[np.unique(rows[order], return_index=True)[1]]
+    x[rows[best]] = P[best]
 
 
-def _fsp_minimum(params: ModelParams) -> np.ndarray:
-    """x of the frustrated minimum branch for g > g_c_plus, ignoring the B sign.
+def _fsp_minima(points):
+    """x of the frustrated minimum branch at every point, g > g_c_plus,
+    ignoring the B sign, as one array pass over all rows.
 
     Needed internally to trace the branch through the first-order point,
     where B changes sign while the branch persists.  Every stationary point
     of the (x1, x2, x2) pattern with x1 < 0 < x2 is a root of one scalar
     function of x1; all roots are enumerated and the lowest-energy local
-    minimum wins (docs/frustrated_stationarity.md).
+    minimum wins (docs/frustrated_stationarity.md).  Returns the (N, 3) x,
+    NaN in a failed row, and per row its ValueError or ConvergenceError, or
+    None.  Each row equals its one-row call bitwise.
     """
-    g = params.g
-    gcp = critical_couplings(params).g_c_plus
-    if g <= gcp:
-        raise ValueError(f"frustrated branch requires g > g_c_plus={gcp}, got g={g}")
-    C, B = c_tilde(params.J1), b_tilde(params)
-    best = None
-    if abs(B) >= _B_COEXIST_TOL:
-        roots = _fsp_roots(C, B, g)
-        best = _lowest_fsp_minimum([(x1, -_h(x1, C, g) / (2.0 * B)) for x1 in roots],
-                                   params)
+    points = list(points)
+    n = len(points)
+    error = [None] * n
+    for i, p in enumerate(points):
+        gcp = critical_couplings(p).g_c_plus
+        if p.g <= gcp:
+            error[i] = ValueError(
+                f"frustrated branch requires g > g_c_plus={gcp}, got g={p.g}")
+    valid = np.flatnonzero(np.array([err is None for err in error], dtype=bool))
+    g, C, B = coef = np.full((3, n), np.nan)
+    for i in valid:
+        g[i], C[i], B[i] = _g_c_b(points[i])
+    x = np.full((n, 3), np.nan)
+    scan = valid[np.abs(B[valid]) >= _B_COEXIST_TOL]
+    rows, x1 = _fsp_roots(C[scan], B[scan], g[scan])
+    rows = scan[rows]
+    x2 = -_h(x1, C[rows], g[rows]) / (2.0 * B[rows])
+    _keep_lowest_minima(rows, np.stack((x1, x2, x2), axis=1), coef, points, x, error)
     q = 1.0 / (C * g * g)
-    if best is None and abs(q) < 1.0:
-        # decoupled sites at the single-site minima +-x*: exact for B = 0, and
-        # the Newton seed where B is so small that x2 = -h(x1)/(2B) cannot be
-        # resolved from the floats of x1 in the window
-        xs = 0.5 * g * math.sqrt((1.0 - q) * (1.0 + q))
-        best = _lowest_fsp_minimum([(-xs, xs)], params)
-    if best is None:
-        raise ConvergenceError(
-            f"no frustrated local minimum at g={g} (J1={params.J1}, "
-            f"J2={params.J2}); the branch may not exist yet",
-            residual=math.inf)
-    return best[1]
+    rows = np.flatnonzero(np.isnan(x[:, 0]) & (np.abs(q) < 1.0)
+                          & np.array([err is None for err in error], dtype=bool))
+    # decoupled sites at the single-site minima +-x*: exact for B = 0, and
+    # the Newton seed where B is so small that x2 = -h(x1)/(2B) cannot be
+    # resolved from the floats of x1 in the window
+    xs = 0.5 * g[rows] * np.sqrt((1.0 - q[rows]) * (1.0 + q[rows]))
+    _keep_lowest_minima(rows, np.stack((-xs, xs, xs), axis=1), coef, points, x, error)
+    for i in np.flatnonzero(np.isnan(x[:, 0])):
+        if error[i] is None:
+            p = points[i]
+            error[i] = ConvergenceError(
+                f"no frustrated local minimum at g={p.g} (J1={p.J1}, "
+                f"J2={p.J2}); the branch may not exist yet",
+                residual=math.inf)
+    return x, error
+
+
+def _fsp_minimum(params: ModelParams) -> np.ndarray:
+    """x of the frustrated minimum branch at one point: the one-row case of
+    :func:`_fsp_minima`, raising the row's error."""
+    x, error = _fsp_minima([params])
+    if error[0] is not None:
+        raise error[0]
+    return x[0]
 
 
 def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
@@ -492,11 +666,9 @@ def solve_ground_states(points) -> GroundStates:
     error = [None] * len(rows)
     label[uniform], x[uniform] = _uniform_branch([points[i] for i in uniform])
     label[frustrated] = FSP
-    for k in frustrated:
-        try:
-            x[k] = _fsp_minimum(points[rows[k]])
-        except (ConvergenceError, ValueError) as exc:
-            x[k], error[k] = np.nan, exc
+    x[frustrated], errors = _fsp_minima([points[rows[k]] for k in frustrated])
+    for k, err in zip(frustrated, errors):
+        error[k] = err
 
     members, count = _orbits(x, label == FSP)
     rep = members[:, 0]

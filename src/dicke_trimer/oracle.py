@@ -164,7 +164,7 @@ def descend(seeds, params: ModelParams):
     if rows.size:
         # newton_polish solves grad E = 0 and, far from a minimum, can reach
         # a saddle uphill; its result is kept where E stays at the float floor
-        P = np.array([newton_polish(x, params)[0] for x in X[rows]])
+        P, _ = newton_polish(X[rows], params)
         kept = energy(P, params) <= E[rows] + _FLOAT_FLOOR * np.abs(E[rows])
         X[rows[kept]] = P[kept]
     return X, np.linalg.eigvalsh(hessian(X, params))[:, 0] > _PSD_TOL

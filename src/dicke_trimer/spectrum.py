@@ -22,10 +22,12 @@ import numpy as np
 from .model import ModelParams, critical_couplings, first_order_point, per_row
 from .meanfield import (
     STATIONARITY_TOL,
+    DomainError,
     bloch_theta,
     gradient,
     solve_ground_state,
     solve_ground_states,
+    state_from_x,
 )
 
 _CRITICAL_TOL = 1e-10
@@ -75,19 +77,31 @@ def _assemble(x, params):
     """The fluctuation matrices M (N, 12, 12) about a stack of backgrounds.
 
     x is (N, 3), params holds one ModelParams per row; the Bloch angles
-    theta_n follow from x.  Also returns, per row, the ValueError of a
-    background that is not stationary (the linear fluctuation term would not
-    vanish), or None.
+    theta_n follow from x.  Also returns, per row, the DomainError of a
+    background outside |x_n| < g/2, the ValueError of one that is not
+    stationary (the linear fluctuation term would not vanish), or None.
+    The M of a row outside the domain is that of x = 0.
     Blocks: omega/2 photon diagonal, -Omega/(2 cos theta_n) atom diagonal,
     2*lambda*cos(theta_n) q-Q cross terms (phi absorbed into signed alpha),
     Jbar1 photon hopping on both q and p, Jbar2 atom hopping on P and on Q
     weighted by cos(theta_n)*cos(theta_{n+1}).
     """
-    resid = np.max(np.abs(gradient(x, params)), axis=-1)
-    errors = [ValueError(f"background is not stationary (|grad|={r:.3e}); "
-                         "the linear fluctuation term would not vanish")
-              if r > STATIONARITY_TOL else None for r in resid]
     g, omega, Omega, lam, Jbar1, Jbar2 = per_row(params, _form_coefficients)
+    errors = [None] * len(x)
+    outside = ~np.all(np.abs(x) < 0.5 * g, axis=-1)
+    for k in np.flatnonzero(outside):
+        try:
+            state_from_x(x[k], params[k])
+        except DomainError as exc:
+            errors[k] = exc
+    x = np.where(outside[:, None], 0.0, x)
+    inside = np.flatnonzero(~outside)
+    resid = (np.max(np.abs(gradient(x[inside], [params[k] for k in inside])), axis=-1)
+             if inside.size else [])
+    for k, r in zip(inside, resid):
+        if r > STATIONARITY_TOL:
+            errors[k] = ValueError(f"background is not stationary (|grad|={r:.3e}); "
+                                   "the linear fluctuation term would not vanish")
     cth = np.cos(bloch_theta(x, g))
 
     A = _adjacency()

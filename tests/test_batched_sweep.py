@@ -155,6 +155,11 @@ def test_stacked_spectrum_equals_single_forms_bitwise(points):
         g_c = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
         xs.append(np.zeros(3))
         params.append(ModelParams(g=float(rng.uniform(0.05, 2.0 * g_c)), J1=J1, J2=J2))
+    # backgrounds outside |x_n| < g/2 fail their own row and no other
+    for x in ([math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf],
+              [0.5, 0.0, 0.0]):
+        xs.insert(len(xs) // 2, np.array(x))
+        params.insert(len(params) // 2, ModelParams(g=1.0, J1=0.1, J2=-0.1))
     energies, errors = spectra(np.array(xs), params)
     # the critical flags of the stacked eigensolver, which spectra drops
     critical = _williamson(_assemble(np.array(xs), params)[0])[1]
@@ -172,7 +177,7 @@ def test_stacked_spectrum_equals_single_forms_bitwise(points):
         assert want.soft_mode_gap == e[0]
         assert want.critical == crit
         flags.add(want.critical)
-    assert {"ValueError", "UnstableBackgroundError"} <= kinds
+    assert {"ValueError", "UnstableBackgroundError", "DomainError"} <= kinds
     assert flags == {False, True}
 
 

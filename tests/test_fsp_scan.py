@@ -16,7 +16,8 @@ from dicke_trimer import (
     solve_ground_state,
     solve_nsp,
 )
-from dicke_trimer.meanfield import _solve_fsp_branch
+from dicke_trimer import meanfield
+from dicke_trimer.meanfield import ConvergenceError, _solve_fsp_branch
 from dicke_trimer.model import FSP, b_tilde, c_tilde
 
 
@@ -93,3 +94,71 @@ def test_seeded_fuzz_against_oracle():
         res = solve_ground_state(p)
         assert res.label == FSP
         assert res.energy - brute_force_minimize(p).energy <= 1e-9, p
+
+
+def _frustrated_draw():
+    """Seeded points for the batched frustrated pass: bulk points above
+    g_c_plus, most with the turning point of h (two pieces), points just
+    above g_c_plus, points with |B_tilde| between 1e-11 and 1e-9 next to
+    g_L, and fixed points at g_c_plus + 1e-12, at g_c_plus, where no
+    minimum is found and where the decoupled seed rounds to the edge."""
+    rng = np.random.default_rng(20261018)
+    points = []
+    while len(points) < 100:
+        J1, J2 = (float(v) for v in rng.uniform(-0.5, 0.5, 2))
+        p = ModelParams(g=float(rng.uniform(0.2, 30.0)), J1=J1, J2=J2)
+        if p.g > critical_couplings(p).g_c_plus:
+            points.append(p)
+    while len(points) < 120:
+        J1, J2 = (float(v) for v in rng.uniform(0.0, 0.5, 2))
+        gcp = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c_plus
+        points.append(ModelParams(g=gcp * (1.0 + 10.0 ** rng.uniform(-8, -1)), J1=J1, J2=J2))
+    while len(points) < 220:
+        J1, J2 = (float(v) for v in rng.uniform(-0.5, 0.5, 2))
+        gL = first_order_point(ModelParams(g=1.0, J1=J1, J2=J2))
+        if gL is None:
+            continue
+        # B_tilde(g) ~ b near g_L, with dB/dg = -2 J2/g^3
+        b = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11, -9))
+        p = ModelParams(g=gL - b * gL**3 / (2.0 * J2), J1=J1, J2=J2)
+        if p.g > critical_couplings(p).g_c_plus:
+            points.append(p)
+    onset = ModelParams(g=1.0, J1=0.1, J2=0.1)
+    gcp = critical_couplings(onset).g_c_plus
+    points += [onset.replace(g=gcp + 1e-12), onset.replace(g=gcp),
+               ModelParams(g=100.0, J1=0.3, J2=0.3), ModelParams(g=60.0, J1=0.1, J2=0.1),
+               ModelParams(g=1e5, J1=0.1, J2=0.1)]
+    return points
+
+
+def test_batched_rows_equal_one_row_calls(monkeypatch):
+    points = _frustrated_draw()
+    fallback = []
+    keep_lowest = meanfield._keep_lowest_minima
+
+    def spy(rows, X, *args):
+        if np.all(X[:, 0] == -X[:, 1]):  # the decoupled seeds (-x*, x*, x*)
+            fallback.extend(rows)
+        return keep_lowest(rows, X, *args)
+
+    monkeypatch.setattr(meanfield, "_keep_lowest_minima", spy)
+    x, errors = meanfield._fsp_minima(points)
+    monkeypatch.undo()
+    kinds = set()
+    for p, xi, err in zip(points, x, errors, strict=True):
+        try:
+            want = meanfield._fsp_minimum(p)
+        except (ConvergenceError, ValueError) as exc:
+            kinds.add(type(exc).__name__)
+            assert type(err) is type(exc) and str(err) == str(exc)
+            assert np.all(np.isnan(xi))
+            continue
+        assert err is None
+        assert np.array_equal(xi, want)
+    # the draw reaches both pieces of h, the decoupled fallback and every error
+    two_piece = [1.0 / (c_tilde(p.J1) * p.g**2) > -1.0 for p in points]
+    assert sum(two_piece) >= 50 and len(points) - sum(two_piece) >= 20
+    tiny = [1e-11 <= abs(b_tilde(p)) <= 1e-9 for p in points]
+    assert sum(tiny) == 100
+    assert sum(tiny[i] for i in fallback) >= 3
+    assert kinds == {"ConvergenceError", "ValueError", "DomainError"}

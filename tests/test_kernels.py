@@ -111,6 +111,45 @@ class TestNewtonPolish:
             assert np.max(np.abs(x)) < half
             assert norm == np.max(np.abs(gradient(x, params)))
 
+    def test_stack_equals_one_row_calls(self):
+        rng = np.random.default_rng(5)
+        seeds, params = [], []
+        for _ in range(40):
+            J1, J2 = (float(v) for v in rng.uniform(-0.45, 0.45, 2))
+            p = ModelParams(g=float(rng.uniform(0.3, 20.0)), J1=J1, J2=J2)
+            seeds.append(rng.uniform(-0.499, 0.499, 3) * p.g)
+            params.append(p)
+        # singular Hessian diag(0, d, d) at the first site, with B = 0
+        singular = ModelParams(g=1.0, J1=0.0, J2=0.0)
+        x = np.array([0.0, 0.3, 0.3])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(hessian(x, singular), gradient(x, singular))
+        seeds.insert(10, x)
+        params.insert(10, singular)
+        # near the edge at large g the Newton step rounds to x before
+        # |grad E| reaches the tolerance
+        stuck = ModelParams(g=60.0, J1=0.1, J2=0.1)
+        seeds.insert(20, np.full(3, 0.499 * stuck.g))
+        params.insert(20, stuck)
+        # a row already below the tolerance stays put
+        x0, p0 = _fsp_minimum()
+        seeds.insert(30, x0)
+        params.insert(30, p0)
+
+        X, norms = newton_polish(np.array(seeds), params)
+        for seed, p, x, norm in zip(seeds, params, X, norms, strict=True):
+            want, want_norm = newton_polish(seed, p)
+            assert np.array_equal(x, want) and norm == want_norm
+        assert np.array_equal(X[10], seeds[10])
+        step = np.linalg.solve(hessian(X[20], stuck), gradient(X[20], stuck))
+        assert norms[20] > 1e-13 and np.array_equal(X[20] - step, X[20])
+        assert np.array_equal(X[30], x0)
+        # one ModelParams for the whole stack, as the oracle passes it
+        same = rng.uniform(-0.499, 0.499, (10, 3)) * params[0].g
+        X, norms = newton_polish(same, params[0])
+        want, want_norms = newton_polish(same, params[:1] * 10)
+        assert np.array_equal(X, want) and np.array_equal(norms, want_norms)
+
 
 def test_fsp_representative_has_one_negative_site():
     # B < 0 here (the traced branch below g_L): the old tuple order picked a
