@@ -342,19 +342,17 @@ _B_COEXIST_TOL = 1e-12
 STATIONARITY_TOL = 1e-8
 
 
-def asymptotic_fsp(params: ModelParams, g: float | None = None) -> MeanFieldState:
+def asymptotic_fsp(params: ModelParams) -> MeanFieldState:
     """Leading-order frustrated solution near the finite-momentum onset.
 
     x = (-2t, t, t) with t = sqrt((1-J2)*g_c_plus*(g - g_c_plus)/3); exact
     zeros at g = g_c_plus.  An acceptance reference for the |g - g_c|^(1/2)
     scaling.
     """
-    if g is None:
-        g = params.g
     gcp = critical_couplings(params).g_c_plus
-    dg = max(g - gcp, 0.0)
+    dg = max(params.g - gcp, 0.0)
     t = math.sqrt((1.0 - params.J2) * gcp * dg / 3.0)
-    return state_from_x(np.array([-2.0 * t, t, t]), params.replace(g=g))
+    return state_from_x(np.array([-2.0 * t, t, t]), params)
 
 
 def _is_fsp_minimum(x, g, C, B):
@@ -431,6 +429,24 @@ def _bracketed_roots(f, x1, x2, f1, f2, *args):
     return root
 
 
+def _bisect(above, lo, hi, width):
+    """Bisection of the brackets [lo, hi] (1-D arrays) in lockstep: every
+    bracket at least width wide is halved, at most 60 times.  above(mid,
+    rows) gets the midpoints of those brackets and their indices, and
+    returns True where the change lies below mid.  Returns 0.5 (lo + hi)."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    active = np.flatnonzero(hi - lo >= width)
+    for _ in range(60):
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        up = np.asarray(above(mid, active), dtype=bool)
+        hi[active[up]] = mid[up]
+        lo[active[~up]] = mid[~up]
+        active = active[hi[active] - lo[active] >= width]
+    return 0.5 * (lo + hi)
+
+
 # scan points as fractions of a window: cosine spacing plus geometric
 # offsets toward both ends, where the roots crowd at large B, large g and
 # just above g_c_plus
@@ -439,6 +455,13 @@ _SCAN_END = np.geomspace(1e-15, 1e-2, 27)
 _EDGE_OFFSETS = np.geomspace(1e-1, 1e-15, 15)
 #: windows per scan chunk, bounding the (windows, scan points) work arrays
 _SCAN_CHUNK = 64
+
+
+def _turning_point(q, g):
+    """The x < 0 where h'(x) = C + 1/(g^2 sqrt(1 - 4x^2/g^2)^3) vanishes,
+    for q = 1/(C g^2) with -q in (0, 1): sqrt(1 - 4x^2/g^2)^3 = -q."""
+    r = (-q) ** (1.0 / 3.0)
+    return -0.5 * g * np.sqrt((1.0 - r) * (1.0 + r))
 
 
 def _fsp_windows(C, B, g):
@@ -462,9 +485,8 @@ def _fsp_windows(C, B, g):
     q = 1.0 / (C * g * g)
     turn = np.flatnonzero(-q < 1.0)
     t, xs = np.zeros(n), np.zeros(n)
-    # h'(x) = 0 where sqrt(1 - 4x^2/g^2)^3 = -q, and h(x) = 0 where it is -q
-    r = (-q[turn]) ** (1.0 / 3.0)
-    t[turn] = -0.5 * g[turn] * np.sqrt((1.0 - r) * (1.0 + r))
+    t[turn] = _turning_point(q[turn], g[turn])
+    # h(x) = 0 where sqrt(1 - 4x^2/g^2) = -q
     xs[turn] = 0.5 * g[turn] * np.sqrt((1.0 - q[turn]) * (1.0 + q[turn]))
     # without the turning point t = 0 and the second piece is empty
     a = np.stack((edges[np.arange(n), first], t), axis=1)
@@ -741,33 +763,28 @@ def root_structure(params: ModelParams, k: float) -> RootStructure:
 
     f(x) = (g^2 + J2 - J1*J2)*x/(1-J1) - x/sqrt(1 - 4*x^2/g^2) is monotonic
     for g < g_c_plus and develops two symmetric turning points above it.
-    Roots are located by a dense sign-change scan refined with brentq.
+    As f = -g^2 h(x) with C_tilde - B_tilde in place of C_tilde in h, the
+    turning points are the closed form of the frustrated windows.  The
+    roots are one bracketed solve over the monotone pieces of f between
+    them and the ends (g/2)(1 - 1e-15), where f is still finite; an exact
+    zero at a piece end is a root as well.
     """
-    from scipy.optimize import brentq
-
-    g = params.g
-    f, fprime = _monotone_fn(params)
-    gcp = critical_couplings(params).g_c_plus
-    monotonic = params.g <= gcp
-
-    lo, hi = -0.5 * g * (1 - 1e-12), 0.5 * g * (1 - 1e-12)
-    xs = np.linspace(lo, hi, 4001)
-    vals = f(xs) - k
-    roots = []
-    exact = np.flatnonzero(vals == 0.0)
-    for i in exact:
-        roots.append(float(xs[i]))
-    sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    for i in sign_change:
-        roots.append(float(brentq(lambda x: f(x) - k, xs[i], xs[i + 1], xtol=1e-14)))
-    roots = sorted(set(round(r, 13) for r in roots))
-
+    g, C, B = _g_c_b(params)
+    f, _ = _monotone_fn(params)
+    edge = 0.5 * g * (1.0 - 1e-15)
     turning = ()
-    if not monotonic:
-        # fprime(0) > 0 and fprime -> -inf at the edges: one zero on each side
-        xt = brentq(fprime, 1e-16, hi, xtol=1e-14)
-        turning = (-xt, xt)
-    return RootStructure(monotonic=monotonic, roots=tuple(roots), turning_points=turning)
+    ends = np.array([-edge, edge])
+    # the turning points exist where -q = 1/((B - C) g^2) lies in (0, 1)
+    if (B - C) * g * g > 1.0:
+        t = float(_turning_point(1.0 / ((C - B) * g * g), g))
+        turning = (t, -t)
+        ends = np.array([-edge, t, -t, edge])
+    vals = f(ends) - k
+    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    roots = _bracketed_roots(lambda x: f(x) - k, ends[i], ends[i + 1], vals[i], vals[i + 1])
+    roots = np.sort(np.concatenate((ends[vals == 0.0], roots)))
+    return RootStructure(monotonic=g <= critical_couplings(params).g_c_plus,
+                         roots=tuple(roots.tolist()), turning_points=turning)
 
 
 # ---------------------------------------------------------------------------

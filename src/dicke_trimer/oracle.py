@@ -23,7 +23,7 @@ from functools import cache, partial
 import numpy as np
 
 from .model import FSP, NP, NSP, ModelParams, coefficients
-from .meanfield import PhaseResult, energy, gradient, hessian, newton_polish, state_from_x
+from .meanfield import PhaseResult, _bisect, energy, gradient, hessian, newton_polish, state_from_x
 
 
 @dataclass(frozen=True)
@@ -328,17 +328,8 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     return transitions
 
 
-def _bisect(above, lo, hi):
-    """Halve [lo, hi] on the predicate ``above`` down to a width of 1e-7."""
-    for _ in range(60):
-        if hi - lo < 1e-7:
-            break
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+#: transition points are bisected to this width in g
+_BISECT_WIDTH = 1e-7
 
 
 def _bisect_onset(at, lo, hi, seed):
@@ -369,14 +360,14 @@ def _bisect_onset(at, lo, hi, seed):
         else:
             break
 
-    def above(g):
+    def above(mid, rows):
         nonlocal seed
-        found, x = superradiant(g)
+        found, x = superradiant(float(mid[0]))
         if found and np.max(np.abs(x), initial=0.0) > 1e-10:
             seed = x[0]
-        return found
+        return [found]
 
-    return _bisect(above, lo, hi)
+    return float(_bisect(above, [lo], [hi], _BISECT_WIDTH)[0])
 
 
 def _bisect_branch_crossing(at, lo, hi, seed_left, seed_right):
@@ -389,7 +380,8 @@ def _bisect_branch_crossing(at, lo, hi, seed_left, seed_right):
         return e_l - e_r < 0.0
 
     at_lo = left_lower(lo)
-    return _bisect(lambda g: left_lower(g) != at_lo, lo, hi)
+    return float(_bisect(lambda mid, rows: [left_lower(float(mid[0])) != at_lo],
+                         [lo], [hi], _BISECT_WIDTH)[0])
 
 
 def _classify_order(at, g_star, seeds):

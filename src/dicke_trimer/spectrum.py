@@ -256,28 +256,23 @@ def fit_power_law(dg: np.ndarray, values: np.ndarray) -> ExponentFit:
     return ExponentFit(exponent=float(slope), r_squared=r2, prefactor=math.exp(intercept))
 
 
-def fit_critical_exponent(
-    params: ModelParams,
-    side: str,
-    g_crit: float | None = None,
-    window=(1e-6, 1e-3),
-) -> ExponentFit:
+def fit_critical_exponent(params: ModelParams, side: str) -> ExponentFit:
     """Power-law exponent of the soft-mode gap approaching a critical point.
 
-    side is "below" (normal phase) or "above" (superradiant side); g_crit
-    defaults to the realised critical coupling for these hoppings.  Errors
-    out if the fit window would cross the first-order point g_L.
+    side is "below" (normal phase) or "above" (superradiant side) of the
+    realised critical coupling g_c for these hoppings; the fit takes 13
+    points at g_c +- dg, dg from 1e-6 to 1e-3.  Errors out if the fit
+    window would cross the first-order point g_L.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-    if g_crit is None:
-        g_crit = critical_couplings(params).g_c
+    g_crit = critical_couplings(params).g_c
     sgn = 1.0 if side == "above" else -1.0
-    dgs = np.geomspace(window[0], window[1], 13)
+    dgs = np.geomspace(1e-6, 1e-3, 13)
 
     gL = first_order_point(params)
     if gL is not None:
-        lo, hi = sorted((g_crit, g_crit + sgn * window[1]))
+        lo, hi = sorted((g_crit, g_crit + sgn * 1e-3))
         if lo - 1e-15 <= gL <= hi + 1e-15:
             raise ValueError(
                 f"fit window [{lo}, {hi}] crosses the first-order point g_L={gL}"

@@ -33,7 +33,7 @@ from .model import (
     critical_couplings,
     first_order_point,
 )
-from .meanfield import solve_ground_states
+from .meanfield import _bisect, solve_ground_states
 from .spectrum import spectra
 
 CSV_COLUMNS = (
@@ -175,19 +175,12 @@ def _refine_boundaries(axis_x, axis_y, fixed, brackets):
     """Bisect label changes along x, every bracket (x_lo, x_hi, y, label at
     x_lo) in lockstep: each halving labels the midpoints of all unfinished
     brackets in one batched solve ("" where it fails)."""
-    lo = np.array([b[0] for b in brackets], dtype=float)
-    hi = np.array([b[1] for b in brackets], dtype=float)
-    active = np.flatnonzero(hi - lo > _REFINE_TOL)
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
+    def changed(mid, rows):
         labels = solve_ground_states([_cell_params(axis_x, axis_y, fixed, m, brackets[i][2])
-                                      for m, i in zip(mid, active)]).label
-        below = np.array([label == brackets[i][3] for label, i in zip(labels, active)],
-                         dtype=bool)
-        lo[active[below]] = mid[below]
-        hi[active[~below]] = mid[~below]
-        active = active[hi[active] - lo[active] > _REFINE_TOL]
-    return 0.5 * (lo + hi)
+                                      for m, i in zip(mid, rows)]).label
+        return [label != brackets[i][3] for label, i in zip(labels, rows)]
+
+    return _bisect(changed, [b[0] for b in brackets], [b[1] for b in brackets], _REFINE_TOL)
 
 
 def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
@@ -267,53 +260,40 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
                             metadata=meta)
 
 
+def _polyline(y, ys, gs):
+    """g at y on the polyline (ys, gs), extended linearly past both ends:
+    the crossing usually sits right where one boundary terminates into the
+    other."""
+    g = np.interp(y, ys, gs)
+    g = np.where(y >= ys[-1], gs[-1] + (gs[-1] - gs[-2]) / (ys[-1] - ys[-2]) * (y - ys[-1]), g)
+    return np.where(y <= ys[0], gs[0] + (gs[1] - gs[0]) / (ys[1] - ys[0]) * (y - ys[0]), g)
+
+
 def boundary_intersection(grid: PhaseDiagramGrid, key_a: str, key_b: str):
     """Crossing point of two boundary polylines in a g-J2 grid, or None.
 
-    Both polylines are interpolated as g(J2); the crossing is located by
-    bisection on their difference.
+    Both polylines are taken as g(J2), searched over the union of their
+    ranges padded by one end-segment length.  Their difference is linear
+    between the merged breakpoints, so the first exact zero or sign change
+    there is the crossing, solved exactly on its segment.
     """
-    from scipy.optimize import brentq
-
     pa = sorted(grid.boundaries.get(key_a, []), key=lambda p: p[1])
     pb = sorted(grid.boundaries.get(key_b, []), key=lambda p: p[1])
     if len(pa) < 2 or len(pb) < 2:
         return None
     ya, ga = np.array([p[1] for p in pa]), np.array([p[0] for p in pa])
     yb, gb = np.array([p[1] for p in pb]), np.array([p[0] for p in pb])
-
-    def interp(y, ys, gs):
-        # linear extrapolation from the end segments: the crossing usually
-        # sits right where one boundary terminates into the other
-        if y <= ys[0]:
-            s = (gs[1] - gs[0]) / (ys[1] - ys[0])
-            return gs[0] + s * (y - ys[0])
-        if y >= ys[-1]:
-            s = (gs[-1] - gs[-2]) / (ys[-1] - ys[-2])
-            return gs[-1] + s * (y - ys[-1])
-        return float(np.interp(y, ys, gs))
-
-    # search the union of both ranges, padded by one end-segment length
-    pad_a = ya[1] - ya[0]
-    pad_b = yb[1] - yb[0]
-    lo = min(ya.min(), yb.min()) - max(pad_a, pad_b)
-    hi = max(ya.max(), yb.max()) + max(pad_a, pad_b)
-
-    def diff(y):
-        return interp(y, ya, ga) - interp(y, yb, gb)
-
-    samples = np.linspace(lo, hi, 256)
-    vals = [diff(y) for y in samples]
-    for i in range(len(samples) - 1):
-        if vals[i] == 0.0:
-            y_star = samples[i]
-            break
-        if vals[i] * vals[i + 1] < 0.0:
-            y_star = brentq(diff, samples[i], samples[i + 1], xtol=1e-12)
-            break
-    else:
+    pad = max(ya[1] - ya[0], yb[1] - yb[0])
+    y = np.unique(np.concatenate((ya, yb, [min(ya[0], yb[0]) - pad, max(ya[-1], yb[-1]) + pad])))
+    d = _polyline(y, ya, ga) - _polyline(y, yb, gb)
+    s = np.sign(d)
+    # the first node where d is zero or changes sign toward the next one
+    hit = np.flatnonzero((s == 0.0) | np.append(s[:-1] * s[1:] < 0.0, False))
+    if not hit.size:
         return None
-    return float(interp(y_star, ya, ga)), float(y_star)
+    i = hit[0]
+    y_star = y[i] if d[i] == 0.0 else y[i] + d[i] * (y[i + 1] - y[i]) / (d[i] - d[i + 1])
+    return float(_polyline(y_star, ya, ga)), float(y_star)
 
 
 # ---------------------------------------------------------------------------

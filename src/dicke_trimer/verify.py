@@ -28,6 +28,7 @@ from .model import (
 )
 from .meanfield import (
     ConvergenceError,
+    _bisect,
     _solve_fsp_branch,
     energy,
     gradient,
@@ -78,21 +79,16 @@ def criterion_1_critical_points():
     hops = [_sample_region(rng, region) for region in range(1, 7) for _ in range(50)]
     g_c = np.array([critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
                     for J1, J2 in hops])
-    lo, hi = np.full(len(hops), 1e-3), g_c.copy()  # gap is positive below g_c, zero at it
-    active = np.arange(len(hops))
-    # bracket on gap < tol from the NP side
-    for _ in range(60):
-        if not active.size:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        points = [ModelParams(g=g, J1=hops[i][0], J2=hops[i][1]) for g, i in zip(mid, active)]
+
+    def gapless(mid, rows):
+        points = [ModelParams(g=g, J1=hops[i][0], J2=hops[i][1]) for g, i in zip(mid, rows)]
         energies, errors = spectra(np.zeros((len(points), 3)), points)
         _raise_first(errors)
-        gapped = energies[:, 0] > 1e-9
-        lo[active[gapped]] = mid[gapped]
-        hi[active[~gapped]] = mid[~gapped]
-        active = active[hi[active] - lo[active] >= 1e-9]
-    worst = float(np.max(np.abs(0.5 * (lo + hi) - g_c)))
+        return ~(energies[:, 0] > 1e-9)
+
+    # the gap is positive below g_c and zero at it: bracket on gap <= 1e-9
+    g_bisect = _bisect(gapless, np.full(len(hops), 1e-3), g_c, 1e-9)
+    worst = float(np.max(np.abs(g_bisect - g_c)))
     passed = worst < 1e-6
     return CheckResult("critical-point formulas (gap bisection vs closed form)",
                        passed, f"max |g_bisect - g_c| = {worst:.2e} (tol 1e-6)")

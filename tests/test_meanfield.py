@@ -27,6 +27,7 @@ from dicke_trimer import (
 from dicke_trimer.meanfield import (
     ConvergenceError,
     _orbit,
+    _monotone_fn,
     _solve_fsp_branch,
     nsp_alpha,
     root_structure,
@@ -167,7 +168,7 @@ class TestFrustratedPhase:
 
     def test_asymptotic_seed_amplitude(self):
         gcp = critical_couplings(P2).g_c_plus
-        st_ = asymptotic_fsp(P2, g=gcp + 1e-6)
+        st_ = asymptotic_fsp(P2.replace(g=gcp + 1e-6))
         t = math.sqrt((1.0 - P2.J2) * gcp * 1e-6 / 3.0)
         assert st_.x[0] == pytest.approx(-2.0 * t)
         assert st_.x[1] == st_.x[2] == pytest.approx(t)
@@ -246,12 +247,36 @@ class TestRootStructure:
 
         def fprime0(g):
             q = p.replace(g=g)
-            from dicke_trimer.meanfield import _monotone_fn
             _, fp = _monotone_fn(q)
             return fp(1e-12)
 
         g_flip = brentq(fprime0, 0.5, 1.3, xtol=1e-10)
         assert g_flip == pytest.approx(gcp, abs=1e-8)
+
+
+    @pytest.mark.parametrize("g", [0.8, 1.2, 3.0])
+    @pytest.mark.parametrize("k", [0.0, 1.0, -1.0, 1e3, -1e3, 1e5, -1e5, 1e6, -1e6])
+    def test_roots_and_turning_points(self, g, k):
+        p = ModelParams(g=g, J1=0.1, J2=0.1)
+        rs = root_structure(p, k)
+        f, fprime = _monotone_fn(p)
+        eps = np.finfo(float).eps
+        for r in rs.roots:
+            h = 4.0 * eps * abs(r)
+            assert np.sign(f(r - h) - k) * np.sign(f(r + h) - k) <= 0.0
+        if rs.monotonic:
+            assert len(rs.roots) == 1
+            assert rs.turning_points == ()
+            return
+        a = (g * g + p.J2 - p.J1 * p.J2) / (1.0 - p.J1)
+        xt = 0.5 * g * math.sqrt(1.0 - a ** (-2.0 / 3.0))
+        assert rs.turning_points == pytest.approx((-xt, xt), rel=1e-14)
+        for t in rs.turning_points:
+            assert fprime(t * (1.0 - 1e-9)) * fprime(t * (1.0 + 1e-9)) < 0.0
+        # f falls from +inf to its minimum at -xt, rises to its maximum at xt
+        # and falls to -inf
+        low, high = (f(t) for t in rs.turning_points)
+        assert len(rs.roots) == (3 if low < k < high else 1)
 
 
 class TestAtomOnly:

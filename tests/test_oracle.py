@@ -193,3 +193,24 @@ def test_oracle_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "1 False"
+
+
+def test_sweep_roots_and_oracle_load_no_scipy():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dicke_trimer
+
+    src = str(Path(dicke_trimer.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dicke_trimer as d; "
+            "from dicke_trimer.sweep import Axis, boundary_intersection, sweep_phase_diagram; "
+            "grid = sweep_phase_diagram(Axis('g', 0.95, 1.05, 5), "
+            "Axis('J2', -0.12, -0.06, 4), fixed={'J1': 0.1}); "
+            "boundary_intersection(grid, 'g_c_minus', 'g_L'); "
+            "d.root_structure(d.ModelParams(g=1.2, J1=0.1, J2=0.1), 0.5); "
+            "d.detect_transitions(0.1, 0.1, (0.85, 0.95), n_coarse=3); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

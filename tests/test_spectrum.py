@@ -133,7 +133,7 @@ class TestPowerLawFits:
         assert fit.exponent == pytest.approx(1.0, abs=0.05)
 
     def test_window_crossing_first_order_point_rejected(self):
-        p = ModelParams(g=1.0, J1=0.1, J2=-0.1)
-        gL = 1.0392304845413265
+        # g_L - g_c = 6.7e-5 here, inside the 1e-3 window above g_c
+        p = ModelParams(g=1.0, J1=0.1, J2=-1.0 / 11.0 - 1e-5)
         with pytest.raises(ValueError, match="first-order"):
-            fit_critical_exponent(p, "below", g_crit=gL + 1e-4, window=(1e-6, 1e-3))
+            fit_critical_exponent(p, "above")

@@ -101,6 +101,19 @@ class TestGridSweep:
             "b": [(1.05, -0.2), (1.05, -0.1)]})
         assert boundary_intersection(grid, "a", "b") is None
 
+    @pytest.mark.parametrize("a,b,crossing", [
+        # inside a segment of both polylines
+        ([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], [(0.75, 0.0), (-0.25, 2.0)], (0.5, 0.5)),
+        # on the extrapolated end segments, past both polylines
+        ([(0.0, 0.0), (1.0, 1.0)], [(3.0, 0.0), (2.0, 1.0)], (1.5, 1.5)),
+        # at a breakpoint where the polylines touch without crossing
+        ([(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)], [(1.0, 0.0), (0.0, 1.0), (1.0, 2.0)], (0.0, 1.0)),
+    ])
+    def test_exact_crossings(self, a, b, crossing):
+        ax, ay = Axis("g", 0.9, 1.1, 3), Axis("J2", -0.2, -0.1, 3)
+        grid = PhaseDiagramGrid(ax, ay, {}, [], boundaries={"a": a, "b": b})
+        assert boundary_intersection(grid, "a", "b") == crossing
+
     def test_grid_requires_g(self):
         with pytest.raises(ValueError, match="include g"):
             sweep_phase_diagram(Axis("J1", -0.3, 0.3, 3), Axis("J2", -0.3, 0.3, 3))
