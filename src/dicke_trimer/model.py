@@ -103,11 +103,11 @@ def c_tilde(J1: float) -> float:
 
 
 def b_tilde(params: ModelParams) -> float:
-    """Cross coefficient J1/(1+J1-2*J1^2) + J2/g^2."""
+    """Cross coefficient J1/((1-J1)(1+2*J1)) + J2/g^2."""
     if params.g == 0.0:
         raise ParameterError("B_tilde is undefined at g=0 (contains J2/g^2)")
     J1 = params.J1
-    return J1 / (1.0 + J1 - 2.0 * J1 * J1) + params.J2 / params.g**2
+    return J1 / ((1.0 - J1) * (1.0 + 2.0 * J1)) + params.J2 / params.g**2
 
 
 def per_row(params, fn):
@@ -182,13 +182,13 @@ def dividing_curve(J2: float) -> float:
 def first_order_point(params: ModelParams):
     """Coupling g_L where B_tilde changes sign, or None when it never does.
 
-    g_L = sqrt((-1 - J1 + 2*J1^2) * J2 / J1); real only when J1 and J2 have
+    g_L = sqrt((J1-1)(1+2*J1) * J2 / J1); real only when J1 and J2 have
     opposite signs (the prefactor is negative on the whole hopping domain).
     """
     J1, J2 = params.J1, params.J2
     if J1 == 0.0:
         return None
-    radicand = (-1.0 - J1 + 2.0 * J1 * J1) * J2 / J1
+    radicand = (-1.0 + J1) * (1.0 + 2.0 * J1) * J2 / J1
     if radicand <= 0.0:
         return None
     return math.sqrt(radicand)

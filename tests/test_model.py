@@ -1,6 +1,8 @@
 """Closed-form layer: parameters, coefficients, critical points, regions."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +86,23 @@ class TestCoefficients:
             return
         assert b_tilde(p.replace(g=gL)) == pytest.approx(0.0, abs=1e-12)
         assert b_tilde(p.replace(g=gL * 0.9)) * b_tilde(p.replace(g=gL * 1.1)) < 0.0
+
+    @pytest.mark.parametrize("J1", [-0.4999999, -0.49999, 0.1, 0.4999999])
+    def test_against_exact_arithmetic(self, J1):
+        # the denominator (1 - J1)(1 + 2 J1) keeps its accuracy as J1 -> -1/2,
+        # where the expanded 1 + J1 - 2 J1^2 cancels
+        eps = np.finfo(float).eps
+        F = Fraction(J1)
+        exact_b = F / ((1 - F) * (1 + 2 * F))
+        b = b_tilde(ModelParams(g=1.0, J1=J1, J2=0.0))
+        assert abs(Fraction(b) - exact_b) <= 4 * eps * abs(exact_b)
+        J2 = -0.25 if J1 > 0.0 else 0.25
+        radicand = (F - 1) * (1 + 2 * F) * Fraction(J2) / F
+        gL = first_order_point(ModelParams(g=1.0, J1=J1, J2=J2))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact_gL = (Decimal(radicand.numerator) / Decimal(radicand.denominator)).sqrt()
+            assert abs(Decimal(gL) - exact_gL) <= Decimal(4 * eps) * exact_gL
 
 
 class TestVariableMap:
