@@ -26,8 +26,8 @@ from dicke_trimer import (
 )
 from dicke_trimer.meanfield import (
     ConvergenceError,
-    _orbit,
     _monotone_fn,
+    _orbit,
     _solve_fsp_branch,
     nsp_alpha,
     root_structure,
@@ -252,7 +252,6 @@ class TestRootStructure:
 
         g_flip = brentq(fprime0, 0.5, 1.3, xtol=1e-10)
         assert g_flip == pytest.approx(gcp, abs=1e-8)
-
 
     @pytest.mark.parametrize("g", [0.8, 1.2, 3.0])
     @pytest.mark.parametrize("k", [0.0, 1.0, -1.0, 1e3, -1e3, 1e5, -1e5, 1e6, -1e6])
