@@ -9,11 +9,9 @@ __version__ = "0.1.0"
 
 from .model import (
     ModelParams,
-    Coefficients,
     CriticalCouplings,
     RegionLabel,
     ParameterError,
-    coefficients,
     hopping_matrix,
     x_from_alpha,
     alpha_from_x,

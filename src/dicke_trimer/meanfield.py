@@ -87,10 +87,24 @@ class PhaseResult:
     coexistent: bool = False
 
 
-def _check_domain(x, g):
+def _inside(x, g):
+    """Mask of the rows of x (over its last axis) inside |x_n| < g/2; a NaN
+    row is never inside."""
+    return np.all(np.abs(x) < 0.5 * g, axis=-1)
+
+
+def _domain_error(x, g):
+    """The DomainError of a configuration not inside |x_n| < g/2, or None."""
     # "not inside" rather than "outside", so that NaN fails it too
     if not (np.abs(x) < 0.5 * g).all():
-        raise DomainError(f"|x_n| >= g/2 is unphysical (g={g}, x={np.asarray(x)})")
+        return DomainError(f"|x_n| >= g/2 is unphysical (g={g}, x={np.asarray(x)})")
+    return None
+
+
+def _check_domain(x, g):
+    err = _domain_error(x, g)
+    if err is not None:
+        raise err
 
 
 def bloch_theta(x, g):
@@ -215,7 +229,7 @@ def _polish(x, g, C, B):
             trial = x[rows] - lam * step[pending]
             # a stuck row: every smaller step rounds to x as well
             stuck = np.all(trial == x[rows], axis=-1)
-            test = np.flatnonzero(~stuck & (np.max(np.abs(trial), axis=-1) < 0.5 * g[rows, 0]))
+            test = np.flatnonzero(~stuck & _inside(trial, g[rows]))
             r = rows[test]
             tg = _gradient(trial[test], g[r], C[r], B[r])
             tnorm = np.max(np.abs(tg), axis=-1)
@@ -544,19 +558,15 @@ def _fsp_roots(C, B, g):
     return row[win[order]], x1[order]
 
 
-def _keep_lowest_minima(rows, X, coef, points, x, error):
+def _keep_lowest_minima(rows, X, coef, x, error):
     """Polish the candidates X (k, 3) of the given rows as one stack and set
     x[row] to the lowest one that ends as a stationary frustrated local
     minimum.  coef holds g, C_tilde and B_tilde per row.  A candidate outside
     the domain fails its row with the DomainError that polishing it would
     raise."""
     g, C, B = (u[rows, None] for u in coef)
-    for k in np.flatnonzero(~np.all(np.abs(X) < 0.5 * g, axis=1)):
-        if error[rows[k]] is None:
-            try:
-                _check_domain(X[k], points[rows[k]].g)
-            except DomainError as exc:
-                error[rows[k]] = exc
+    for k in np.flatnonzero(~_inside(X, g)):
+        error[rows[k]] = error[rows[k]] or _domain_error(X[k], g[k, 0])
     use = np.flatnonzero(np.array([error[i] is None for i in rows], dtype=bool))
     if not use.size:
         return
@@ -598,7 +608,7 @@ def _fsp_minima(points):
     rows, x1 = _fsp_roots(C[scan], B[scan], g[scan])
     rows = scan[rows]
     x2 = -_h(x1, C[rows], g[rows]) / (2.0 * B[rows])
-    _keep_lowest_minima(rows, np.stack((x1, x2, x2), axis=1), coef, points, x, error)
+    _keep_lowest_minima(rows, np.stack((x1, x2, x2), axis=1), coef, x, error)
     q = 1.0 / (C * g * g)
     rows = np.flatnonzero(np.isnan(x[:, 0]) & (np.abs(q) < 1.0)
                           & np.array([err is None for err in error], dtype=bool))
@@ -606,7 +616,7 @@ def _fsp_minima(points):
     # the Newton seed where B is so small that x2 = -h(x1)/(2B) cannot be
     # resolved from the floats of x1 in the window
     xs = 0.5 * g[rows] * np.sqrt((1.0 - q[rows]) * (1.0 + q[rows]))
-    _keep_lowest_minima(rows, np.stack((-xs, xs, xs), axis=1), coef, points, x, error)
+    _keep_lowest_minima(rows, np.stack((-xs, xs, xs), axis=1), coef, x, error)
     for i in np.flatnonzero(np.isnan(x[:, 0])):
         if error[i] is None:
             p = points[i]
@@ -617,18 +627,13 @@ def _fsp_minima(points):
     return x, error
 
 
-def _fsp_minimum(params: ModelParams) -> np.ndarray:
-    """x of the frustrated minimum branch at one point: the one-row case of
-    :func:`_fsp_minima`, raising the row's error."""
+def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
+    """The frustrated minimum branch at one point as a PhaseResult: the
+    one-row case of :func:`_fsp_minima`, raising the row's error."""
     x, error = _fsp_minima([params])
     if error[0] is not None:
         raise error[0]
-    return x[0]
-
-
-def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
-    """The frustrated minimum branch of :func:`_fsp_minimum` as a PhaseResult."""
-    return _phase_result(FSP, _fsp_minimum(params), params)
+    return _phase_result(FSP, x[0], params)
 
 
 def solve_fsp(params: ModelParams) -> PhaseResult:
@@ -645,14 +650,13 @@ def solve_fsp(params: ModelParams) -> PhaseResult:
 class GroundStates:
     """Ground states of a sequence of parameter points, one row per point.
 
-    x is the configuration the branch solver returned, representative the
-    member of its orbit that PhaseResult.representative holds.  A row whose
-    solve raised keeps the exception in ``error``, label "", NaN x,
-    representative and energy and degeneracy 0.
+    representative is the member of the orbit that
+    PhaseResult.representative holds.  A row whose solve raised keeps the
+    exception in ``error``, label "", NaN representative and energy and
+    degeneracy 0.
     """
 
     label: np.ndarray
-    x: np.ndarray
     representative: np.ndarray
     energy: np.ndarray
     degeneracy: np.ndarray
@@ -694,11 +698,8 @@ def solve_ground_states(points) -> GroundStates:
 
     members, count = _orbits(x, label == FSP)
     rep = members[:, 0]
-    for k in np.flatnonzero(np.any(np.abs(rep) >= 0.5 * g[rows, None], axis=-1)):
-        try:
-            _check_domain(rep[k], points[rows[k]].g)
-        except DomainError as exc:
-            error[k] = exc
+    for k in np.flatnonzero(~_inside(rep, g[rows, None])):
+        error[k] = error[k] or _domain_error(rep[k], points[rows[k]].g)
     e = np.full(len(rows), np.nan)
     ok = np.flatnonzero([err is None for err in error])
     if ok.size:
@@ -711,11 +712,11 @@ def solve_ground_states(points) -> GroundStates:
             pick[i] = k
     error = [error[k] for k in pick]
     failed = np.array([err is not None for err in error], dtype=bool)
-    x, rep = x[pick], rep[pick]
-    x[failed] = rep[failed] = np.nan
+    rep = rep[pick]
+    rep[failed] = np.nan
     label = label[pick]
     label[failed] = ""
-    return GroundStates(label=label, x=x, representative=rep, energy=e[pick],
+    return GroundStates(label=label, representative=rep, energy=e[pick],
                         degeneracy=np.where(failed, 0, count[pick]),
                         coexistent=coexist & ~failed, error=error)
 
@@ -727,7 +728,7 @@ def solve_ground_state(params: ModelParams) -> PhaseResult:
     states = solve_ground_states([params])
     if states.error[0] is not None:
         raise states.error[0]
-    return _phase_result(states.label[0], states.x[0], params,
+    return _phase_result(states.label[0], states.representative[0], params,
                          coexistent=bool(states.coexistent[0]))
 
 
@@ -743,21 +744,6 @@ class RootStructure:
     turning_points: tuple
 
 
-def _monotone_fn(params: ModelParams):
-    g, J1, J2 = params.g, params.J1, params.J2
-    a = (g * g + J2 - J1 * J2) / (1.0 - J1)
-
-    def f(x):
-        return a * x - x / np.sqrt(1.0 - 4.0 * x * x / (g * g))
-
-    def fprime(x):
-        u = 4.0 * x * x / (g * g)
-        root = np.sqrt(1.0 - u)
-        return a - (1.0 / root + u / root**3)
-
-    return f, fprime
-
-
 def root_structure(params: ModelParams, k: float) -> RootStructure:
     """Classify the roots of the per-site stationarity function f(x) = k.
 
@@ -770,7 +756,10 @@ def root_structure(params: ModelParams, k: float) -> RootStructure:
     zero at a piece end is a root as well.
     """
     g, C, B = _g_c_b(params)
-    f, _ = _monotone_fn(params)
+
+    def f(x):
+        return -g * g * _h(x, C - B, g) - k
+
     edge = 0.5 * g * (1.0 - 1e-15)
     turning = ()
     ends = np.array([-edge, edge])
@@ -779,9 +768,9 @@ def root_structure(params: ModelParams, k: float) -> RootStructure:
         t = float(_turning_point(1.0 / ((C - B) * g * g), g))
         turning = (t, -t)
         ends = np.array([-edge, t, -t, edge])
-    vals = f(ends) - k
+    vals = f(ends)
     i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
-    roots = _bracketed_roots(lambda x: f(x) - k, ends[i], ends[i + 1], vals[i], vals[i + 1])
+    roots = _bracketed_roots(f, ends[i], ends[i + 1], vals[i], vals[i + 1])
     roots = np.sort(np.concatenate((ends[vals == 0.0], roots)))
     return RootStructure(monotonic=g <= critical_couplings(params).g_c_plus,
                          roots=tuple(roots.tolist()), turning_points=turning)

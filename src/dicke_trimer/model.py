@@ -84,19 +84,6 @@ class ModelParams:
         return dataclasses.replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    """Coefficients of the reduced ground-state energy in the x variables.
-
-    C_tilde multiplies x_n^2 and B_tilde the nearest-neighbour cross term
-    x_n x_{n+1}.  C_tilde < 0 everywhere on the valid hopping domain; the
-    sign of B_tilde selects frustrated (B>0) versus uniform (B<0) order.
-    """
-
-    C_tilde: float
-    B_tilde: float
-
-
 def c_tilde(J1: float) -> float:
     """Quadratic coefficient (1+J1)/((-1+J1)(1+2*J1)); defined even at g=0."""
     return (1.0 + J1) / ((-1.0 + J1) * (1.0 + 2.0 * J1))
@@ -117,11 +104,6 @@ def per_row(params, fn):
         return fn(params)
     values = np.array([fn(p) for p in params], dtype=float).reshape(len(params), -1)
     return tuple(values.T[:, :, None])
-
-
-def coefficients(params: ModelParams) -> Coefficients:
-    """Both reduced-energy coefficients; b_tilde raises ParameterError at g = 0."""
-    return Coefficients(C_tilde=c_tilde(params.J1), B_tilde=b_tilde(params))
 
 
 def hopping_matrix(J1: float) -> np.ndarray:

@@ -22,8 +22,9 @@ from functools import cache, partial
 
 import numpy as np
 
-from .model import FSP, NP, NSP, ModelParams, coefficients
-from .meanfield import PhaseResult, _bisect, energy, gradient, hessian, newton_polish, state_from_x
+from .model import FSP, NP, NSP, ModelParams
+from .meanfield import (PhaseResult, _bisect, _g_c_b, _inside, energy, gradient, hessian,
+                        newton_polish, state_from_x)
 
 
 @dataclass(frozen=True)
@@ -47,20 +48,19 @@ _CONFIG = OracleConfig()
 
 def _energy_grid(params, n):
     """Vectorised energy evaluation on an n^3 interior grid of (-g/2, g/2)^3."""
-    g = params.g
-    c = coefficients(params)
+    g, C, B = _g_c_b(params)
     ax = np.linspace(-0.5 * g, 0.5 * g, n + 2)[1:-1]
     x1 = ax[:, None, None]
     x2 = ax[None, :, None]
     x3 = ax[None, None, :]
     root = np.sqrt(1.0 - 4.0 * ax * ax / (g * g))
-    quad = c.C_tilde * ax * ax - 0.5 * root
+    quad = C * ax * ax - 0.5 * root
     # quad_1 + quad_2 + quad_3 + 2 B (x1 x2 + x2 x3 + x3 x1), summed in that
     # order into two n^3 buffers
     E = quad[:, None, None] + quad[None, :, None] + quad[None, None, :]
     pairs = x1 * x2 + x2 * x3
     pairs += x3 * x1
-    pairs *= 2.0 * c.B_tilde
+    pairs *= 2.0 * B
     E += pairs
     return ax, E
 
@@ -122,7 +122,6 @@ def descend(seeds, params: ModelParams):
     Returns the refined (k, 3) stack and a mask of the rows whose Hessian is
     positive semidefinite (the minima).
     """
-    half = 0.5 * params.g
     X = np.array(seeds, dtype=float).reshape(-1, 3)
     E = energy(X, params)
     G = gradient(X, params)
@@ -148,7 +147,7 @@ def descend(seeds, params: ModelParams):
                 break
             trial = x + lam[:, None] * step
             pending &= ~np.all(trial == x, axis=1)
-            test = np.flatnonzero(pending & (np.max(np.abs(trial), axis=1) < half))
+            test = np.flatnonzero(pending & _inside(trial, params.g))
             e_trial = energy(trial[test], params)
             ok = e_trial <= e[test] + _ARMIJO * lam[test] * slope[test]
             done = test[ok]

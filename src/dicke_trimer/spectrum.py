@@ -22,12 +22,12 @@ import numpy as np
 from .model import ModelParams, critical_couplings, first_order_point, per_row
 from .meanfield import (
     STATIONARITY_TOL,
-    DomainError,
+    _domain_error,
+    _inside,
     bloch_theta,
     gradient,
     solve_ground_state,
     solve_ground_states,
-    state_from_x,
 )
 
 _CRITICAL_TOL = 1e-10
@@ -57,11 +57,6 @@ class SpectrumResult:
     critical: bool = False
 
 
-def _adjacency():
-    A = np.ones((3, 3)) - np.eye(3)
-    return A
-
-
 def _diag(v):
     """Stack of diagonal matrices, np.diag of every row of v (N, 3)."""
     D = np.zeros(v.shape + (3,))
@@ -87,13 +82,9 @@ def _assemble(x, params):
     weighted by cos(theta_n)*cos(theta_{n+1}).
     """
     g, omega, Omega, lam, Jbar1, Jbar2 = per_row(params, _form_coefficients)
-    errors = [None] * len(x)
-    outside = ~np.all(np.abs(x) < 0.5 * g, axis=-1)
-    for k in np.flatnonzero(outside):
-        try:
-            state_from_x(x[k], params[k])
-        except DomainError as exc:
-            errors[k] = exc
+    outside = ~_inside(x, g)
+    errors = [_domain_error(x[k], p.g) if out else None
+              for k, (out, p) in enumerate(zip(outside, params))]
     x = np.where(outside[:, None], 0.0, x)
     inside = np.flatnonzero(~outside)
     resid = (np.max(np.abs(gradient(x[inside], [params[k] for k in inside])), axis=-1)
@@ -104,7 +95,7 @@ def _assemble(x, params):
                                    "the linear fluctuation term would not vanish")
     cth = np.cos(bloch_theta(x, g))
 
-    A = _adjacency()
+    A = np.ones((3, 3)) - np.eye(3)
     Mqq = omega[..., None] * np.eye(3) + Jbar1[..., None] * A
     atom = _diag(-Omega / cth)
     MQQ = atom + Jbar2[..., None] * A * (cth[:, :, None] * cth[:, None, :])

@@ -136,6 +136,13 @@ _BOUNDARY_FOR_PAIR = {
     frozenset((NP, NSP)): "g_c_minus",
     frozenset((NSP, FSP)): "g_L",
 }
+#: boundary key -> its closed-form g at given hoppings (ModelParams with
+#: g = 1), None where the boundary does not exist
+_CLOSED_FORM = {
+    "g_c_plus": lambda p: critical_couplings(p).g_c_plus,
+    "g_c_minus": lambda p: critical_couplings(p).g_c_minus,
+    "g_L": first_order_point,
+}
 
 
 def _cell_params(axis_x, axis_y, fixed, xv, yv):
@@ -230,20 +237,10 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
     if axis_x.name == "g" and axis_y.name == "J2":
         J1 = fixed.get("J1", 0.0)
         for key, pts in boundaries.items():
-            devs = []
-            for gb, J2v in pts:
-                p = ModelParams(g=1.0, J1=J1, J2=J2v)
-                cc = critical_couplings(p)
-                if key == "g_c_plus":
-                    ref = cc.g_c_plus
-                elif key == "g_c_minus":
-                    ref = cc.g_c_minus
-                elif key == "g_L":
-                    ref = first_order_point(p)
-                else:
-                    continue
-                if ref is not None:
-                    devs.append(abs(gb - ref))
+            if key not in _CLOSED_FORM:
+                continue
+            refs = [_CLOSED_FORM[key](ModelParams(g=1.0, J1=J1, J2=J2v)) for _, J2v in pts]
+            devs = [abs(gb - ref) for (gb, _), ref in zip(pts, refs) if ref is not None]
             if devs:
                 deviation[key] = float(max(devs))
 
@@ -299,14 +296,20 @@ def boundary_intersection(grid: PhaseDiagramGrid, key_a: str, key_b: str):
 # ---------------------------------------------------------------------------
 # serialization
 
-def write_line_csv(records, path):
-    """CSV with one row per g point; floats at 17 significant digits."""
+def _write_csv(path, header, rows, cols):
+    """CSV of the dicts rows, the columns cols under the given header; floats
+    as their repr, which reads back bit exact."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([repr(rec[c]) if isinstance(rec[c], float) else rec[c]
-                             for c in CSV_COLUMNS])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
+                             for c in cols])
+
+
+def write_line_csv(records, path):
+    """CSV with one row per g point."""
+    _write_csv(path, CSV_COLUMNS, records, CSV_COLUMNS)
 
 
 def read_line_csv(path):
@@ -341,10 +344,8 @@ def grid_to_json(grid: PhaseDiagramGrid) -> dict:
     return {
         "metadata": grid.metadata,
         "fixed": grid.fixed,
-        "axis_x": {"name": grid.axis_x.name, "min": grid.axis_x.min,
-                   "max": grid.axis_x.max, "steps": grid.axis_x.steps},
-        "axis_y": {"name": grid.axis_y.name, "min": grid.axis_y.min,
-                   "max": grid.axis_y.max, "steps": grid.axis_y.steps},
+        "axis_x": vars(grid.axis_x) | {},
+        "axis_y": vars(grid.axis_y) | {},
         "cells": grid.cells,
         "boundaries": {k: [list(p) for p in v] for k, v in grid.boundaries.items()},
         "analytic_deviation": grid.analytic_deviation,
@@ -376,10 +377,5 @@ def write_grid_csv(grid: PhaseDiagramGrid, path):
             "B_tilde", "error"]
     if grid.cells and "region" in grid.cells[0][0]:
         cols.append("region")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([grid.axis_x.name, grid.axis_y.name] + cols[2:])
-        for row in grid.cells:
-            for cell in row:
-                writer.writerow([repr(cell[c]) if isinstance(cell[c], float)
-                                 else cell[c] for c in cols])
+    _write_csv(path, [grid.axis_x.name, grid.axis_y.name] + cols[2:],
+               (cell for row in grid.cells for cell in row), cols)

@@ -147,7 +147,7 @@ def test_batched_rows_equal_one_row_calls(monkeypatch):
     kinds = set()
     for p, xi, err in zip(points, x, errors, strict=True):
         try:
-            want = meanfield._fsp_minimum(p)
+            want = _solve_fsp_branch(p).representative.x
         except (ConvergenceError, ValueError) as exc:
             kinds.add(type(exc).__name__)
             assert type(err) is type(exc) and str(err) == str(exc)

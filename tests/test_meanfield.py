@@ -26,12 +26,27 @@ from dicke_trimer import (
 )
 from dicke_trimer.meanfield import (
     ConvergenceError,
-    _monotone_fn,
     _orbit,
     _solve_fsp_branch,
     nsp_alpha,
     root_structure,
 )
+
+def _monotone_fn(params):
+    """The per-site stationarity function f of the monotonic method and f'."""
+    g, J1, J2 = params.g, params.J1, params.J2
+    a = (g * g + J2 - J1 * J2) / (1.0 - J1)
+
+    def f(x):
+        return a * x - x / np.sqrt(1.0 - 4.0 * x * x / (g * g))
+
+    def fprime(x):
+        u = 4.0 * x * x / (g * g)
+        root = np.sqrt(1.0 - u)
+        return a - (1.0 / root + u / root**3)
+
+    return f, fprime
+
 
 P6 = ModelParams(g=1.1, J1=0.1, J2=-0.1)   # region 6 point above g_L
 P2 = ModelParams(g=1.1, J1=0.1, J2=0.1)    # region 2 point above g_c_plus

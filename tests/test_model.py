@@ -14,7 +14,6 @@ from dicke_trimer import (
     ParameterError,
     alpha_from_x,
     classify_region,
-    coefficients,
     critical_couplings,
     dividing_curve,
     first_order_point,
@@ -74,7 +73,7 @@ class TestCoefficients:
 
     def test_g_zero_rejected(self):
         with pytest.raises(ParameterError):
-            coefficients(ModelParams(g=0.0, J2=0.1))
+            b_tilde(ModelParams(g=0.0, J2=0.1))
 
     @given(finite_J, finite_J, finite_g)
     def test_b_sign_flips_at_first_order_point(self, J1, J2, g):
