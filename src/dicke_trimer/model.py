@@ -53,13 +53,14 @@ class ModelParams:
     Omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.omega > 0.0 and self.Omega > 0.0):
+        # written as "inside", so that NaN fails every test
+        if not (0.0 < self.omega < math.inf and 0.0 < self.Omega < math.inf):
             raise ParameterError(
-                "omega and Omega must be strictly positive, got "
+                "omega and Omega must be strictly positive and finite, got "
                 f"omega={self.omega}, Omega={self.Omega}"
             )
-        if self.g < 0.0:
-            raise ParameterError(f"g must be >= 0, got g={self.g}")
+        if not 0.0 <= self.g < math.inf:
+            raise ParameterError(f"g must be finite and >= 0, got g={self.g}")
         for name in ("J1", "J2"):
             val = getattr(self, name)
             if not -0.5 < val < 0.5:
@@ -90,11 +91,13 @@ def c_tilde(J1: float) -> float:
 
 
 def b_tilde(params: ModelParams) -> float:
-    """Cross coefficient J1/((1-J1)(1+2*J1)) + J2/g^2."""
-    if params.g == 0.0:
-        raise ParameterError("B_tilde is undefined at g=0 (contains J2/g^2)")
-    J1 = params.J1
-    return J1 / ((1.0 - J1) * (1.0 + 2.0 * J1)) + params.J2 / params.g**2
+    """Cross coefficient J1/((1-J1)(1+2*J1)) + J2/g^2; its sign selects
+    frustrated (B > 0) versus uniform (B < 0) order."""
+    g, J1 = params.g, params.J1
+    # g * g rather than g**2, which raises OverflowError where g * g is inf
+    if g * g == 0.0:
+        raise ParameterError(f"B_tilde is undefined at g=0 (contains J2/g^2), got g={g}")
+    return J1 / ((1.0 - J1) * (1.0 + 2.0 * J1)) + params.J2 / (g * g)
 
 
 def per_row(params, fn):

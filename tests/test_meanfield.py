@@ -147,6 +147,16 @@ class TestUniformPhase:
         res = solve_nsp(ModelParams(g=0.5, J1=-0.1, J2=-0.1))
         assert res.label == "NP"
 
+    @pytest.mark.parametrize("g", [1e-200, 1e200, 1e308])
+    @pytest.mark.parametrize("J1", [-0.1, 0.1])
+    def test_alpha_at_extreme_g(self, g, J1):
+        # the 1/denom^2 term underflows at huge g instead of overflowing
+        a = nsp_alpha(ModelParams(g=g, J1=J1, J2=-0.1))
+        if g < 1.0:
+            assert a == 0.0
+        else:
+            assert a == pytest.approx(0.5 * g / (1.0 + 2.0 * J1), rel=1e-15)
+
     def test_two_minima_are_sign_partners(self):
         res = solve_nsp(P5)
         a, b = res.all_minima

@@ -54,6 +54,12 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(g=1.0, Omega=-1.0)
 
+    @pytest.mark.parametrize("field", ["g", "omega", "Omega"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_rejected(self, field, bad):
+        with pytest.raises(ParameterError):
+            ModelParams(**{"g": 1.0, field: bad})
+
     def test_replace(self):
         p = ModelParams(g=1.0, J1=0.1)
         q = p.replace(g=2.0)
@@ -74,6 +80,18 @@ class TestCoefficients:
     def test_g_zero_rejected(self):
         with pytest.raises(ParameterError):
             b_tilde(ModelParams(g=0.0, J2=0.1))
+
+    @pytest.mark.parametrize("g", [1e-200, 1e200, 1e308])
+    @pytest.mark.parametrize("J1", [-0.1, 0.1])
+    def test_extreme_g(self, g, J1):
+        # g * g underflows to 0 at 1e-200, the g = 0 case, and overflows to
+        # inf at 1e200, where J2/g^2 vanishes
+        p = ModelParams(g=g, J1=J1, J2=0.1)
+        if g < 1.0:
+            with pytest.raises(ParameterError):
+                b_tilde(p)
+        else:
+            assert b_tilde(p) == J1 / ((1.0 - J1) * (1.0 + 2.0 * J1))
 
     @given(finite_J, finite_J, finite_g)
     def test_b_sign_flips_at_first_order_point(self, J1, J2, g):
