@@ -115,11 +115,40 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+_AXIS = {"name": str, "min": float, "max": float, "steps": int}
+#: the keys a sweep config may hold, each with the type of its value (an int
+#: is a float too, a bool is neither) or, for a nested object, its own keys
+_CONFIG = {
+    "mode": str, "output": str, "format": str,
+    "J1": float, "J2": float, "omega": float, "Omega": float,
+    "g_min": float, "g_max": float, "g_steps": int,
+    "axis_x": _AXIS, "axis_y": _AXIS,
+    "fixed": dict.fromkeys(("g", "J1", "J2", "omega", "Omega"), float),
+}
+
+
+def _check_config(obj, schema=_CONFIG, where="config"):
+    """Raise ValueError unless obj is a JSON object whose keys are all in
+    schema and whose values have their types."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    for key, value in obj.items():
+        kind = schema.get(key)
+        if kind is None:
+            raise ValueError(f"unknown key {key!r} in {where}")
+        if isinstance(kind, dict):
+            _check_config(value, kind, f"{where}.{key}")
+        elif isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else kind):
+            raise ValueError(f"{where}.{key} must be of type {kind.__name__}, got {value!r}")
+
+
 def _load_sweep_config(args) -> dict:
     config = {}
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
+        _check_config(config)
     # flags override config-file values
     overrides = {
         "mode": args.mode, "output": args.output, "format": args.format,
@@ -140,9 +169,9 @@ def _sweep_line(config) -> int:
     for key in ("J1", "J2", "g_min", "g_max", "g_steps"):
         if key not in config:
             raise KeyError(f"line sweep config is missing '{key}'")
-    if int(config["g_steps"]) < 2:
+    if config["g_steps"] < 2:
         raise ValueError("g_steps must be at least 2")
-    gs = np.linspace(config["g_min"], config["g_max"], int(config["g_steps"]))
+    gs = np.linspace(config["g_min"], config["g_max"], config["g_steps"])
     records = sweep_g_line(config["J1"], config["J2"], gs,
                            omega=config["omega"], Omega=config["Omega"])
     output = config.get("output", "sweep_line." + config["format"])
@@ -170,6 +199,9 @@ def _sweep_grid(config) -> int:
     for key in ("axis_x", "axis_y"):
         if key not in config:
             raise KeyError(f"grid sweep config is missing '{key}'")
+        for field in _AXIS:
+            if field not in config[key]:
+                raise KeyError(f"grid sweep config is missing '{key}.{field}'")
     axis_x = Axis(**config["axis_x"])
     axis_y = Axis(**config["axis_y"])
     fixed = dict(config.get("fixed", {}))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -99,8 +100,8 @@ class Axis:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError("axis needs at least 2 steps")
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 2):
+            raise ValueError(f"axis needs an integer number of steps >= 2, got {self.steps!r}")
         if self.name not in ("g", "J1", "J2"):
             raise ValueError(f"unknown axis name {self.name!r}")
         if not (math.isfinite(self.min) and math.isfinite(self.max) and self.min < self.max):

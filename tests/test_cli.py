@@ -58,6 +58,11 @@ class TestSolve:
         assert "hopping region:   6" in out
 
 
+GRID_X = {"name": "g", "min": 0.9, "max": 1.1, "steps": 5}
+GRID_Y = {"name": "J2", "min": -0.2, "max": -0.05, "steps": 3}
+LINE = {"mode": "line", "J1": 0.1, "J2": 0.1, "g_min": 0.9, "g_max": 1.1, "g_steps": 5}
+
+
 class TestSweep:
     def test_line_from_config(self, capsys, tmp_path):
         out_file = tmp_path / "line.csv"
@@ -94,7 +99,7 @@ class TestSweep:
             "axis_x": {"name": "g", "min": 0.9, "max": 1.1, "steps": 11},
             "axis_y": {"name": "J2", "min": -0.2, "max": -0.05, "steps": 6},
             "fixed": {"J1": 0.1},
-            "output": str(out_file), "format": "json", "workers": 1,
+            "output": str(out_file), "format": "json",
         }))
         code, out, _ = run(capsys, "sweep", "--config", str(cfg))
         assert code == 0
@@ -116,7 +121,7 @@ class TestSweep:
             "axis_x": {"name": "g", "min": 1.1, "max": 0.9, "steps": 41},
             "axis_y": {"name": "J2", "min": -0.2, "max": -0.05, "steps": 6},
             "fixed": {"J1": 0.1},
-            "output": str(tmp_path / "grid.json"), "format": "json", "workers": 1,
+            "output": str(tmp_path / "grid.json"), "format": "json",
         }))
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == 2
@@ -125,6 +130,28 @@ class TestSweep:
         assert payload["kind"] == "ValueError"
         assert "min < max" in payload["error"]
         assert not (tmp_path / "grid.json").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"mode": "grid", "axis_x": dict(GRID_X, steps=5.0), "axis_y": GRID_Y},
+        {"mode": "grid", "axis_x": dict(GRID_X, points=5), "axis_y": GRID_Y},
+        {"mode": "grid", "axis_x": {"name": "g", "min": 0.9, "max": 1.1}, "axis_y": GRID_Y},
+        {"mode": "grid", "axis_x": GRID_X, "axis_y": GRID_Y, "fixed": {"j1": 0.1}},
+        [{"mode": "line"}],
+        dict(LINE, J1="0.1"),
+        dict(LINE, ouptut="line.csv"),
+        dict(LINE, g_steps=5.7),
+        dict(LINE, output=5),
+    ], ids=["float-steps", "unknown-axis-key", "missing-axis-key", "unknown-fixed-key",
+            "array", "string-number", "misspelt-key", "fractional-g-steps", "int-output"])
+    def test_malformed_config_exits_2(self, capsys, tmp_path, monkeypatch, config):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        (line,) = err.strip().splitlines()
+        assert json.loads(line)["kind"] in ("ValueError", "KeyError")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_missing_mode_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -178,23 +178,6 @@ def test_import_leaves_scipy_ndimage_and_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_oracle_leaves_scipy_optimize_unloaded():
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import dicke_trimer
-
-    src = str(Path(dicke_trimer.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dicke_trimer as d; "
-            "d.brute_force_minimize(d.ModelParams(g=1.1, J1=0.1, J2=0.1)); "
-            "t = d.detect_transitions(0.1, 0.1, (0.85, 0.95), n_coarse=3); "
-            "print(len(t), 'scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "1 False"
-
-
 def test_sweep_roots_and_oracle_load_no_scipy():
     import subprocess
     import sys
@@ -209,8 +192,9 @@ def test_sweep_roots_and_oracle_load_no_scipy():
             "Axis('J2', -0.12, -0.06, 4), fixed={'J1': 0.1}); "
             "boundary_intersection(grid, 'g_c_minus', 'g_L'); "
             "d.root_structure(d.ModelParams(g=1.2, J1=0.1, J2=0.1), 0.5); "
-            "d.detect_transitions(0.1, 0.1, (0.85, 0.95), n_coarse=3); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "d.brute_force_minimize(d.ModelParams(g=1.1, J1=0.1, J2=0.1)); "
+            "t = d.detect_transitions(0.1, 0.1, (0.85, 0.95), n_coarse=3); "
+            "print(len(t), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "1 []"

@@ -124,6 +124,22 @@ class TestGridSweep:
         with pytest.raises(ValueError):
             Axis("volume", 0.0, 1.0, 5)
 
+    @pytest.mark.parametrize("steps", [5.0, 5.7, "5"])
+    def test_axis_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="integer number of steps"):
+            Axis("g", 0.9, 1.1, steps)
+
+    def test_analytic_deviation_matches_closed_forms(self, g_j2_grid):
+        J1 = 0.1
+        closed_form = {
+            "g_c_plus": lambda J2: math.sqrt((1.0 - J1) * (1.0 - J2)),
+            "g_c_minus": lambda J2: math.sqrt((1.0 + 2.0 * J1) * (1.0 + 2.0 * J2)),
+            "g_L": lambda J2: math.sqrt((-1.0 + J1) * (1.0 + 2.0 * J1) * J2 / J1),
+        }
+        want = {key: max(abs(g - closed_form[key](J2)) for g, J2 in pts)
+                for key, pts in g_j2_grid.boundaries.items()}
+        assert g_j2_grid.analytic_deviation == want
+
     @pytest.mark.parametrize("lo,hi", [
         (1.1, 0.9), (1.0, 1.0), (math.nan, 1.0), (0.9, math.inf), (-math.inf, 1.0),
     ])
@@ -166,6 +182,20 @@ class TestSerialization:
         write_grid_csv(g_j2_grid, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 21 * 16
+
+    def test_grid_csv_floats_round_trip(self, g_j2_grid, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_grid_csv(g_j2_grid, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = [c for row in g_j2_grid.cells for c in row]
+        assert len(rows) == len(cells)
+        for row, cell in zip(rows, cells):
+            row["x"], row["y"] = row.pop("g"), row.pop("J2")
+            for col in ("x", "y", "energy", "soft_mode_gap", "B_tilde"):
+                assert float(row[col]).hex() == cell[col].hex()
+            assert (row["phase"], int(row["degeneracy"]), row["error"]) == \
+                (cell["phase"], cell["degeneracy"], cell["error"])
 
     def test_grid_csv_region_column(self, tmp_path):
         grid = sweep_phase_diagram(
