@@ -147,10 +147,11 @@ class TestUniformPhase:
         res = solve_nsp(ModelParams(g=0.5, J1=-0.1, J2=-0.1))
         assert res.label == "NP"
 
-    @pytest.mark.parametrize("g", [1e-200, 1e200, 1e308])
+    @pytest.mark.parametrize("g", [1e-200, 1e100, 1e200, 1e308])
     @pytest.mark.parametrize("J1", [-0.1, 0.1])
     def test_alpha_at_extreme_g(self, g, J1):
-        # the 1/denom^2 term underflows at huge g instead of overflowing
+        # the 1/denom^2 term underflows at huge g instead of overflowing:
+        # denom = 1e200 at g = 1e100 has no finite square
         a = nsp_alpha(ModelParams(g=g, J1=J1, J2=-0.1))
         if g < 1.0:
             assert a == 0.0
