@@ -178,7 +178,11 @@ def test_import_leaves_scipy_ndimage_and_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_sweep_roots_and_oracle_load_no_scipy():
+@pytest.fixture(scope="module")
+def fresh_import_run():
+    """One fresh interpreter: sweep, roots and oracle calls, then the count of
+    transitions found and the sorted names of the loaded scipy modules."""
+    import json
     import subprocess
     import sys
     from pathlib import Path
@@ -186,7 +190,7 @@ def test_sweep_roots_and_oracle_load_no_scipy():
     import dicke_trimer
 
     src = str(Path(dicke_trimer.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dicke_trimer as d; "
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import dicke_trimer as d; "
             "from dicke_trimer.sweep import Axis, boundary_intersection, sweep_phase_diagram; "
             "grid = sweep_phase_diagram(Axis('g', 0.95, 1.05, 5), "
             "Axis('J2', -0.12, -0.06, 4), fixed={'J1': 0.1}); "
@@ -194,7 +198,19 @@ def test_sweep_roots_and_oracle_load_no_scipy():
             "d.root_structure(d.ModelParams(g=1.2, J1=0.1, J2=0.1), 0.5); "
             "d.brute_force_minimize(d.ModelParams(g=1.1, J1=0.1, J2=0.1)); "
             "t = d.detect_transitions(0.1, 0.1, (0.85, 0.95), n_coarse=3); "
-            "print(len(t), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(json.dumps([len(t), sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "1 []"
+    n_transitions, scipy_modules = json.loads(out.stdout)
+    return n_transitions, scipy_modules
+
+
+def test_oracle_leaves_scipy_optimize_unloaded(fresh_import_run):
+    n_transitions, scipy_modules = fresh_import_run
+    assert n_transitions == 1
+    assert "scipy.optimize" not in scipy_modules
+
+
+def test_sweep_roots_and_oracle_load_no_scipy(fresh_import_run):
+    assert fresh_import_run[1] == []
