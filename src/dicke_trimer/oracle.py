@@ -9,8 +9,7 @@ Newton polish are the pattern-free ones of :mod:`dicke_trimer.meanfield`.
 The oracle's own parts are the separable grid evaluation and
 :func:`descend`, one batched modified-Newton descent that refines every
 seed at one parameter point together; no scipy optimiser is involved.
-Transition detection takes one brute-force minimum per g, plus seeded
-refinements.
+Transition detection takes one brute-force minimum per probed g.
 """
 
 from __future__ import annotations
@@ -265,27 +264,6 @@ class Transition:
     noise_floor: float
 
 
-def _best_energy(params, seeds=()):
-    """Lowest energy at one g: one brute-force minimum plus seeded refinement.
-
-    Each nonzero seed is first scaled into |x_n| <= 0.49 g.  Rescaling it
-    further over several amplitudes keeps arbitrarily shallow minima just
-    above a superradiant onset from being overshot.  All scaled seeds descend
-    as one stack.  Returns the lowest energy and the descended stack, whose
-    row 0 is the descent of the first nonzero seed as scaled into the domain
-    (an empty stack when every seed is zero).
-    """
-    best = brute_force_minimize(params).energy
-    scaled = [seed * min(1.0, 0.49 * params.g / np.max(np.abs(seed)))
-              for seed in seeds if np.max(np.abs(seed)) > 0.0]
-    x = np.empty((0, 3))
-    if scaled:
-        scales = np.array([1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3])
-        x, _ = descend(np.concatenate([scales[:, None] * s for s in scaled]), params)
-        best = min(best, energy(x, params).min())
-    return best, x
-
-
 def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     """Locate phase transitions on a g line from the brute-force energy alone.
 
@@ -294,9 +272,9 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     two branch energies (uniform versus frustrated local minima); second-order
     candidates by bisection on the onset of superradiance.  Order labels are
     confirmed from derivative jumps against a noise floor estimated from
-    three step sizes; ambiguous jumps are flagged inconclusive, not guessed.
-    The onset bisection and the order test take one brute-force minimum
-    per g, through ``_best_energy``.
+    two step sizes; ambiguous jumps are flagged inconclusive, not guessed.
+    Every probe of the onset bisection and of the order test is one
+    brute-force minimum at one g.
     """
     g_min, g_max = (float(v) for v in g_range)
     if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
@@ -312,14 +290,13 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
         if left.label == right.label:
             continue
         if NP in (left.label, right.label):
-            g_star = _bisect_onset(at, lo, hi, right.representative.x)
+            g_star = _bisect_onset(at, lo, hi, left.energy, right.energy)
             expected = "second"
         else:
             g_star = _bisect_branch_crossing(at, lo, hi, left.representative.x,
                                              right.representative.x)
             expected = "first"
-        seeds = [r.representative.x for r in (left, right) if r.label != NP]
-        order, jump, noise = _classify_order(at, g_star, seeds)
+        order, jump, noise = _classify_order(at, g_star)
         if order != expected:
             order = "inconclusive"
         transitions.append(Transition(g_star=g_star, order=order,
@@ -331,42 +308,36 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
 _BISECT_WIDTH = 1e-7
 
 
-def _bisect_onset(at, lo, hi, seed):
+def _bisect_onset(at, lo, hi, e_lo, e_hi):
     """Second-order point: bisection on the superradiance predicate.
 
-    Warm-started from a minimum ``seed`` on the superradiant side so that the
-    shrinking order parameter is tracked down to the 1e-12 energy-resolution
-    floor.
+    e_lo and e_hi are the brute-force minimum energies at the coarse ends
+    lo and hi; every other probe is one brute-force minimum.
     """
     width = hi - lo
+    energies = {lo: e_lo, hi: e_hi}
 
     def superradiant(g):
-        # some local minimum lies strictly below the normal-phase energy; also
-        # the seed's own descent, row 0 of the stack (none for a zero seed)
-        best, x = _best_energy(at(g), (seed,))
-        return best < -1.5 - 1e-12, x[:1]
+        # the minimum lies strictly below the normal-phase energy, beyond the
+        # 1e-12 energy-resolution floor
+        if g not in energies:
+            energies[g] = brute_force_minimize(at(g)).energy
+        return energies[g] < -1.5 - 1e-12
 
     # coarse labels can miss a shallow minimum just above onset: expand the
     # bracket until it actually straddles the predicate change
     for _ in range(8):
-        if superradiant(lo)[0]:
+        if superradiant(lo):
             hi, lo = lo, lo - width
         else:
             break
     for _ in range(8):
-        if not superradiant(hi)[0]:
+        if not superradiant(hi):
             lo, hi = hi, hi + width
         else:
             break
-
-    def above(mid, rows):
-        nonlocal seed
-        found, x = superradiant(float(mid[0]))
-        if found and np.max(np.abs(x), initial=0.0) > 1e-10:
-            seed = x[0]
-        return [found]
-
-    return float(_bisect(above, [lo], [hi], _BISECT_WIDTH)[0])
+    return float(_bisect(lambda mid, rows: [superradiant(float(mid[0]))],
+                         [lo], [hi], _BISECT_WIDTH)[0])
 
 
 def _bisect_branch_crossing(at, lo, hi, seed_left, seed_right):
@@ -383,24 +354,24 @@ def _bisect_branch_crossing(at, lo, hi, seed_left, seed_right):
                          [lo], [hi], _BISECT_WIDTH)[0])
 
 
-def _classify_order(at, g_star, seeds):
-    """Derivative-jump order classification with a three-step noise estimate.
+def _classify_order(at, g_star):
+    """Derivative-jump order classification with a two-step noise estimate.
 
     The first-derivative jump of E(g) converges to a constant across step
     sizes at a first-order point and shrinks linearly with the step at a
     second-order one; the second-derivative jump does the converse.  The
-    noise floor is the spread of the estimate over three step sizes.  The
-    three stencils share points: E takes one brute-force minimum at each of
-    the 14 distinct g, g_star +- {1, 2, 3, 4, 6, 8, 12} h.
+    noise floor is the spread of the estimate over the two step sizes h and
+    2h.  The two stencils share points: E takes one brute-force minimum at
+    each of the 10 distinct g, g_star +- {1, 2, 3, 4, 6} h.
     """
 
     @cache
     def E(g):
-        return _best_energy(at(g), seeds)[0]
+        return brute_force_minimize(at(g)).energy
 
     h = _CONFIG.derivative_step
     jumps1, jumps2 = [], []
-    for step in (h, 2.0 * h, 4.0 * h):
+    for step in (h, 2.0 * h):
         el = [E(g_star - 3.0 * step), E(g_star - 2.0 * step), E(g_star - step)]
         er = [E(g_star + step), E(g_star + 2.0 * step), E(g_star + 3.0 * step)]
         dl = (3.0 * el[2] - 4.0 * el[1] + el[0]) / (2.0 * step)
