@@ -22,8 +22,8 @@ from functools import cache, partial
 import numpy as np
 
 from .model import FSP, NP, NSP, ModelParams
-from .meanfield import (PhaseResult, _bisect, _g_c_b, _inside, energy, gradient, hessian,
-                        newton_polish, state_from_x)
+from .meanfield import (ConvergenceError, PhaseResult, _bisect, _g_c_b, _inside, energy,
+                        gradient, hessian, newton_polish, state_from_x)
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,8 @@ def brute_force_minimize(params: ModelParams) -> PhaseResult:
     that reaches another saddle is split again, up to three times.  The
     minima are deduplicated at the cluster radius and all members within
     the refine tolerance of the best energy are reported as the degenerate
-    set.  Only when no minimum is found at all are the first saddles
-    reported.
+    set.  Raises ConvergenceError when no descent ends at a minimum: a
+    saddle is never reported as the ground state.
     """
     ax, E = _energy_grid(params, _CONFIG.grid_points_per_axis)
     idx = np.argwhere(_local_minima(E))
@@ -222,8 +222,7 @@ def brute_force_minimize(params: ModelParams) -> PhaseResult:
         idx = idx[order[:64]]
 
     rows, is_min = descend(ax[idx], params)
-    found, first_saddles = [rows[is_min]], rows[~is_min]
-    saddles = first_saddles
+    found, saddles = [rows[is_min]], rows[~is_min]
     # a split can end at a saddle of lower index, so split up to once per axis
     for _ in range(3):
         saddles = np.array(_cluster(saddles, _CONFIG.cluster_radius)).reshape(-1, 3)
@@ -234,7 +233,7 @@ def brute_force_minimize(params: ModelParams) -> PhaseResult:
         saddles = rows[~is_min]
     refined = np.concatenate(found)
     if not len(refined):
-        refined = first_saddles
+        raise ConvergenceError(f"no descent ended at a minimum at {params}")
     refined = np.array(_cluster(refined, _CONFIG.cluster_radius))
 
     energies = energy(refined, params)

@@ -1,6 +1,7 @@
 """Brute-force oracle: global minimization and transition detection."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dicke_trimer import (
     oracle,
     solve_ground_state,
 )
+from dicke_trimer.meanfield import ConvergenceError
 
 
 class TestOracleConfig:
@@ -79,6 +81,17 @@ class TestBruteForceMinimize:
             for state in res.all_minima:
                 assert np.linalg.eigvalsh(hessian(state.x, params))[0] > -1e-9
 
+    def test_raises_rather_than_report_a_saddle(self, monkeypatch):
+        descend = oracle.descend
+
+        def keeps_no_row(seeds, params):
+            X, is_min = descend(seeds, params)
+            return X, np.zeros_like(is_min)
+
+        monkeypatch.setattr(oracle, "descend", keeps_no_row)
+        with pytest.raises(ConvergenceError, match="no descent ended at a minimum"):
+            brute_force_minimize(ModelParams(g=1.1, J1=0.1, J2=0.1))
+
 
 class TestDetectTransitions:
     def test_two_transition_line(self):
@@ -110,17 +123,37 @@ class TestDetectTransitions:
         assert first[0].jump > 3.0 * first[0].noise_floor
 
     def test_each_g_minimized_once(self, monkeypatch):
-        seen = []
-        original = oracle.brute_force_minimize
+        seen, per_order_test = [], []
+        minimize, classify = oracle.brute_force_minimize, oracle._classify_order
 
         def recording(params):
             seen.append(params)
-            return original(params)
+            return minimize(params)
+
+        def counting(*args):
+            before = len(seen)
+            out = classify(*args)
+            per_order_test.append(len(set(seen[before:])))
+            return out
 
         monkeypatch.setattr(oracle, "brute_force_minimize", recording)
-        transitions = detect_transitions(0.1, -0.1, (1.0, 1.1), n_coarse=21)
-        assert [t.order for t in transitions] == ["first"]
-        assert len(seen) == len(set(seen))
+        monkeypatch.setattr(oracle, "_classify_order", counting)
+        for g_range, n_coarse, orders in [((1.0, 1.1), 21, ["first"]),
+                                          ((0.9, 1.2), 31, ["second", "first"])]:
+            seen.clear()
+            per_order_test.clear()
+            transitions = detect_transitions(0.1, -0.1, g_range, n_coarse=n_coarse)
+            assert [t.order for t in transitions] == orders
+            assert len(seen) == len(set(seen))
+            # the h and 2h stencils share g_star +- 2h
+            assert per_order_test == [10] * len(orders)
+
+    @pytest.mark.parametrize("lo,hi", [(0.92, 0.93), (0.87, 0.88)])
+    def test_onset_bracket_expands_to_the_onset(self, lo, hi):
+        # g_c = 0.9 at J1 = J2 = 0.1 lies outside both coarse brackets
+        at = partial(ModelParams, J1=0.1, J2=0.1)
+        e_lo, e_hi = (brute_force_minimize(at(g)).energy for g in (lo, hi))
+        assert oracle._bisect_onset(at, lo, hi, e_lo, e_hi) == pytest.approx(0.9, abs=1e-5)
 
     @pytest.mark.parametrize("g_range", [
         (1.2, 0.9), (1.0, 1.0), (math.nan, 1.2), (0.9, math.inf), (-math.inf, 1.2),
