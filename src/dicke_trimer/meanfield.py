@@ -40,6 +40,7 @@ from .model import (
     NP,
     NSP,
     ModelParams,
+    _b_tildes,
     alpha_from_x,
     b_tilde,
     c_tilde,
@@ -605,11 +606,15 @@ def _fsp_minima(points):
         g[i], C[i], B[i] = _g_c_b(points[i])
     x = np.full((n, 3), np.nan)
     scan = valid[np.abs(B[valid]) >= _B_COEXIST_TOL]
-    rows, x1 = _fsp_roots(C[scan], B[scan], g[scan])
-    rows = scan[rows]
-    x2 = -_h(x1, C[rows], g[rows]) / (2.0 * B[rows])
+    # from about g = 1e12 the turning point rounds onto -g/2, where h divides
+    # by zero, and from about g = 1.3e154 g * g overflows; such a row fails
+    # through the domain mask and the stationarity gate, not the warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rows, x1 = _fsp_roots(C[scan], B[scan], g[scan])
+        rows = scan[rows]
+        x2 = -_h(x1, C[rows], g[rows]) / (2.0 * B[rows])
+        q = 1.0 / (C * g * g)
     _keep_lowest_minima(rows, np.stack((x1, x2, x2), axis=1), coef, x, error)
-    q = 1.0 / (C * g * g)
     rows = np.flatnonzero(np.isnan(x[:, 0]) & (np.abs(q) < 1.0)
                           & np.array([err is None for err in error], dtype=bool))
     # decoupled sites at the single-site minima +-x*: exact for B = 0, and
@@ -679,7 +684,8 @@ def solve_ground_states(points) -> GroundStates:
     n = len(points)
     g = np.array([p.g for p in points])
     above = g > np.array([critical_couplings(p).g_c for p in points])
-    B = np.array([b_tilde(p) if up else 0.0 for p, up in zip(points, above)])
+    # a row where B_tilde is undefined (g * g == 0) records its error
+    B, error = _b_tildes(points)
     coexist = above & (np.abs(B) < _B_COEXIST_TOL)
     uniform = np.flatnonzero(above & (coexist | (B < 0.0)))
     # one candidate per row on its branch, plus the frustrated branch of
@@ -689,7 +695,7 @@ def solve_ground_states(points) -> GroundStates:
                                  np.arange(n, len(rows))))
     label = np.full(len(rows), NP, dtype=object)
     x = np.zeros((len(rows), 3))
-    error = [None] * len(rows)
+    error += [None] * (len(rows) - n)
     label[uniform], x[uniform] = _uniform_branch([points[i] for i in uniform])
     label[frustrated] = FSP
     x[frustrated], errors = _fsp_minima([points[rows[k]] for k in frustrated])

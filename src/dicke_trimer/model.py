@@ -100,6 +100,18 @@ def b_tilde(params: ModelParams) -> float:
     return J1 / ((1.0 - J1) * (1.0 + 2.0 * J1)) + params.J2 / (g * g)
 
 
+def _b_tildes(points):
+    """b_tilde of every point as an array, NaN where it raises, and per
+    point its ParameterError or None."""
+    B, errors = np.full(len(points), np.nan), [None] * len(points)
+    for i, p in enumerate(points):
+        try:
+            B[i] = b_tilde(p)
+        except ParameterError as err:
+            errors[i] = err
+    return B, errors
+
+
 def per_row(params, fn):
     """fn(params) for one ModelParams.  For a sequence of them, one per row of
     a stacked x, the values of fn (a tuple) as (N, 1) columns, one per entry."""

@@ -28,8 +28,8 @@ from .model import (
     NP,
     NSP,
     ModelParams,
+    _b_tildes,
     alpha_from_x,
-    b_tilde,
     classify_region,
     critical_couplings,
     first_order_point,
@@ -56,7 +56,7 @@ def _records(points):
     One batched pass; a point where the ground state or its spectrum fails
     records the error string and NaN values.
     """
-    B = [b_tilde(p) for p in points]
+    B = _b_tildes(points)[0].tolist()
     states = solve_ground_states(points)
     errors = list(states.error)
     ok = np.flatnonzero([err is None for err in errors])

@@ -21,6 +21,7 @@ from dicke_trimer.meanfield import (
 )
 from dicke_trimer.model import (
     ModelParams,
+    ParameterError,
     b_tilde,
     classify_region,
     critical_couplings,
@@ -111,6 +112,24 @@ def test_batched_records_equal_one_point_records(points):
     assert any(e.startswith("ConvergenceError: no frustrated") for e in errors)
     assert "ValueError: background is not stationary" in errors
     assert any(e.startswith("DomainError:") for e in errors)
+
+
+@pytest.mark.parametrize("g0", [0.0, 1e-200])
+def test_undefined_b_tilde_fails_only_its_row(g0):
+    # B_tilde contains J2/g^2, undefined where g * g == 0
+    states = solve_ground_states([ModelParams(g=g0, J1=0.1, J2=0.1),
+                                  ModelParams(g=0.5, J1=0.1, J2=0.1)])
+    alone = solve_ground_states([ModelParams(g=0.5, J1=0.1, J2=0.1)])
+    assert isinstance(states.error[0], ParameterError)
+    assert states.label[0] == "" and states.degeneracy[0] == 0
+    assert states.error[1] is None and alone.error[0] is None
+    for name in ("label", "energy", "degeneracy", "coexistent", "representative"):
+        assert np.array_equal(getattr(states, name)[1], getattr(alone, name)[0])
+    records = sweep_g_line(0.1, 0.1, [g0, 0.5])
+    assert records[0]["error"].startswith("ParameterError: B_tilde is undefined")
+    assert math.isnan(records[0]["B_tilde"])
+    want = sweep_g_line(0.1, 0.1, [0.5])[0]
+    assert all(_same(records[1][k], want[k]) for k in want)
 
 
 def test_ground_states_equal_one_point_results(points):

@@ -162,3 +162,16 @@ def test_batched_rows_equal_one_row_calls(monkeypatch):
     assert sum(tiny) == 100
     assert sum(tiny[i] for i in fallback) >= 3
     assert kinds == {"ConvergenceError", "ValueError", "DomainError"}
+
+
+@pytest.mark.parametrize("J2", [0.1, -0.1])
+def test_huge_g_records_a_typed_error_without_warnings(J2):
+    # from about g = 1e12 the turning point of h rounds onto -g/2, where h
+    # divides by zero, and from about g = 1.3e154 g * g overflows; the suite
+    # runs with warnings as errors, so a RuntimeWarning fails this test
+    gs = [1e12, 1e20, 1e100, 1e200, 1e308]
+    states = meanfield.solve_ground_states([ModelParams(g=g, J1=0.1, J2=J2) for g in gs])
+    assert all(isinstance(err, (meanfield.DomainError, ConvergenceError))
+               for err in states.error), states.error
+    with pytest.raises((meanfield.DomainError, ConvergenceError)):
+        solve_ground_state(ModelParams(g=1e20, J1=0.1, J2=J2))
