@@ -125,6 +125,12 @@ def _g_c_b(params):
     return params.g, c_tilde(params.J1), b_tilde(params)
 
 
+def _columns(params, k):
+    """g, C_tilde and B_tilde as (k, 1) columns for the kernels below, from
+    one ModelParams or one per row."""
+    return [np.broadcast_to(v, (k, 1)) for v in per_row(params, _g_c_b)]
+
+
 def _terms(x, g):
     """Checked x, u = 4x^2/g^2 and sqrt(1 - u).
 
@@ -258,8 +264,7 @@ def newton_polish(x, params):
     """
     x = np.asarray(x, dtype=float)
     stack = x.reshape(-1, 3)
-    coef = [np.broadcast_to(v, (len(stack), 1)) for v in per_row(params, _g_c_b)]
-    polished, norm = _polish(stack, *coef)
+    polished, norm = _polish(stack, *_columns(params, len(stack)))
     if x.ndim == 1:
         return polished[0], float(norm[0])
     return polished, norm

@@ -5,11 +5,15 @@ refinement, degeneracy enumeration, and transition detection from numerical
 derivatives of the ground-state energy.  Deliberately ansatz-free: nothing
 here assumes the uniform or frustrated patterns, so it can arbitrate the
 closed-form and root-scan solvers.  The energy, its derivatives and the
-Newton polish are the pattern-free ones of :mod:`dicke_trimer.meanfield`.
+Newton polish are the pattern-free kernels of :mod:`dicke_trimer.meanfield`.
 The oracle's own parts are the separable grid evaluation and
-:func:`descend`, one batched modified-Newton descent that refines every
-seed at one parameter point together; no scipy optimiser is involved.
-Transition detection takes one brute-force minimum per probed g.
+:func:`descend`, one batched modified-Newton descent over a stack of seeds
+with one parameter point per row; no scipy optimiser is involved.
+The minimisation runs over a sequence of parameter points at once: their
+grids share one set of scratch buffers, and the grid-local minima and saddle
+splits of all points go through each descent together.
+:func:`brute_force_minimize` is its one-point case.  Transition detection
+minimises its coarse scan and each order-test stencil as one such stack.
 """
 
 from __future__ import annotations
@@ -17,13 +21,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
 from .model import FSP, NP, NSP, ModelParams
-from .meanfield import (ConvergenceError, PhaseResult, _bisect, _g_c_b, _inside, energy,
-                        gradient, hessian, newton_polish, state_from_x)
+from .meanfield import (ConvergenceError, PhaseResult, _bisect, _columns, _energy, _g_c_b,
+                        _gradient, _hessian, _inside, _polish, energy, state_from_x)
 
 
 @dataclass(frozen=True)
@@ -45,37 +49,68 @@ class OracleConfig:
 _CONFIG = OracleConfig()
 
 
-def _energy_grid(params, n):
-    """Vectorised energy evaluation on an n^3 interior grid of (-g/2, g/2)^3."""
+class _Scratch:
+    """The buffers of the grid scan for one grid shape: made once per stacked
+    call and reused for every point, so no point allocates a grid."""
+
+    def __init__(self, shape):
+        padded = tuple(k + 2 for k in shape)
+        self.grid = np.empty(shape)
+        self.padded = np.zeros(padded)
+        self.swap = np.zeros(padded)
+        self.mask = np.empty(shape, dtype=bool)
+        # the second buffer of the energy grid, which _local_minima overwrites
+        self.pairs = self.swap.reshape(-1)[:self.grid.size].reshape(shape)
+
+
+def _energy_grid(params, n, scratch=None):
+    """Vectorised energy evaluation on an n^3 interior grid of (-g/2, g/2)^3,
+    into the buffers of scratch (of shape (n, n, n)) when it is given."""
+    if scratch is None:
+        scratch = _Scratch((n, n, n))
     g, C, B = _g_c_b(params)
     ax = np.linspace(-0.5 * g, 0.5 * g, n + 2)[1:-1]
-    x1 = ax[:, None, None]
-    x2 = ax[None, :, None]
-    x3 = ax[None, None, :]
     root = np.sqrt(1.0 - 4.0 * ax * ax / (g * g))
     quad = C * ax * ax - 0.5 * root
+    # x_i x_j; x_k x_i equals x_i x_k, as float products commute
+    outer = np.multiply.outer(ax, ax)
     # quad_1 + quad_2 + quad_3 + 2 B (x1 x2 + x2 x3 + x3 x1), summed in that
     # order into two n^3 buffers
-    E = quad[:, None, None] + quad[None, :, None] + quad[None, None, :]
-    pairs = x1 * x2 + x2 * x3
-    pairs += x3 * x1
+    E, pairs = scratch.grid, scratch.pairs
+    np.add(np.add.outer(quad, quad)[:, :, None], quad, out=E)
+    np.add(outer[:, :, None], outer, out=pairs)
+    pairs += outer[:, None, :]
     pairs *= 2.0 * B
     E += pairs
     return ax, E
 
 
-def _local_minima(E):
+def _local_minima(E, scratch=None):
     """Mask of the points of a grid no higher than any neighbour, edges
     padded by repetition: E <= scipy.ndimage.minimum_filter(E, size=3,
-    mode="nearest"), as one 1-D minimum of three per axis."""
-    m = E
+    mode="nearest").
+
+    E is copied into a buffer padded by one layer of its own edge values.
+    The minimum of three then runs along each axis in turn, as flat shifts
+    by that axis's stride over the whole buffer; a shift wraps only into
+    padding, and no interior point reads a value that a wrap produced.  The
+    mask lives in scratch (of E's shape) when it is given.
+    """
+    if scratch is None:
+        scratch = _Scratch(E.shape)
+    src, dst = scratch.padded, scratch.swap
+    inner = (slice(1, -1),) * E.ndim
+    src[inner] = E
     for axis in range(E.ndim):
-        v = np.moveaxis(m, axis, 0)
-        m = m.copy()
-        out = np.moveaxis(m, axis, 0)
-        np.minimum(out[1:], v[:-1], out=out[1:])
-        np.minimum(out[:-1], v[1:], out=out[:-1])
-    return E <= m
+        face = np.moveaxis(src, axis, 0)
+        face[0], face[-1] = face[1], face[-2]
+    for stride in src.strides:
+        s = stride // src.itemsize
+        a, b = src.reshape(-1), dst.reshape(-1)
+        np.minimum(a[:-2 * s], a[s:-s], out=b[s:-s])
+        np.minimum(b[s:-s], a[2 * s:], out=b[s:-s])
+        src, dst = dst, src
+    return np.less_equal(E, src[inner], out=scratch.mask)
 
 
 #: the descent maps each eigenvalue w of the scaled Hessian to
@@ -96,10 +131,16 @@ _HALVINGS = 60
 _PSD_TOL = -1e-9
 #: a saddle is split into seeds this share of its distance to the edge away
 _SPLIT = 1e-3
+#: at most this many grid-local minima of one point are descended
+_MAX_CANDIDATES = 64
 
 
-def descend(seeds, params: ModelParams):
-    """Refine a (k, 3) stack of seeds at one parameter point to local minima.
+def descend(seeds, params):
+    """Refine a (k, 3) stack of seeds to local minima.
+
+    params is one ModelParams, or one per row of seeds; the (g, C_tilde,
+    B_tilde) columns are computed once per call, and every step runs on the
+    kernels of :mod:`dicke_trimer.meanfield`.
 
     Modified Newton (Nocedal & Wright, Numerical Optimization, sec. 3.4): the
     step solves the Hessian, scaled to a diagonal of at most one in modulus
@@ -116,21 +157,23 @@ def descend(seeds, params: ModelParams):
     resolution, or when its halved step no longer moves it.  Then
     newton_polish finishes it, unless the polish would raise E.  Every
     operation acts row by row, so a row's result does not depend on the
-    other rows.
+    other rows or on their parameter points.
 
     Returns the refined (k, 3) stack and a mask of the rows whose Hessian is
     positive semidefinite (the minima).
     """
     X = np.array(seeds, dtype=float).reshape(-1, 3)
-    E = energy(X, params)
-    G = gradient(X, params)
+    g, C, B = _columns(params, len(X))
+    E = _energy(X, g, C, B)
+    G = _gradient(X, g, C, B)
     active = np.max(np.abs(G), axis=1) >= _GRAD_TOL
     for _ in range(_STEPS):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         x, e, grad = X[rows], E[rows], G[rows]
-        H = hessian(x, params)
+        gr, Cr, Br = g[rows], C[rows], B[rows]
+        H = _hessian(x, gr, Cr, Br)
         s = 1.0 / np.sqrt(np.maximum(np.abs(np.diagonal(H, axis1=1, axis2=2)), 1.0))
         w, V = np.linalg.eigh(H * s[:, :, None] * s[:, None, :])
         # step = -S V diag(1/max(|w|, floor)) V^T S grad with S = diag(s),
@@ -146,8 +189,8 @@ def descend(seeds, params: ModelParams):
                 break
             trial = x + lam[:, None] * step
             pending &= ~np.all(trial == x, axis=1)
-            test = np.flatnonzero(pending & _inside(trial, params.g))
-            e_trial = energy(trial[test], params)
+            test = np.flatnonzero(pending & _inside(trial, gr))
+            e_trial = _energy(trial[test], gr[test], Cr[test], Br[test])
             ok = e_trial <= e[test] + _ARMIJO * lam[test] * slope[test]
             done = test[ok]
             X[rows[done]], E[rows[done]] = trial[done], e_trial[ok]
@@ -156,42 +199,50 @@ def descend(seeds, params: ModelParams):
             lam[pending] *= 0.5
         active[rows[~moved]] = False
         moved = rows[moved]
-        G[moved] = gradient(X[moved], params)
+        G[moved] = _gradient(X[moved], g[moved], C[moved], B[moved])
         active[moved] = np.max(np.abs(G[moved]), axis=1) >= _GRAD_TOL
     rows = np.flatnonzero(np.max(np.abs(G), axis=1) >= _GRAD_TOL)
     if rows.size:
         # newton_polish solves grad E = 0 and, far from a minimum, can reach
         # a saddle uphill; its result is kept where E stays at the float floor
-        P, _ = newton_polish(X[rows], params)
-        kept = energy(P, params) <= E[rows] + _FLOAT_FLOOR * np.abs(E[rows])
+        gr, Cr, Br = g[rows], C[rows], B[rows]
+        P, _ = _polish(X[rows], gr, Cr, Br)
+        kept = _energy(P, gr, Cr, Br) <= E[rows] + _FLOAT_FLOOR * np.abs(E[rows])
         X[rows[kept]] = P[kept]
-    return X, np.linalg.eigvalsh(hessian(X, params))[:, 0] > _PSD_TOL
+    return X, np.linalg.eigvalsh(_hessian(X, g, C, B))[:, 0] > _PSD_TOL
 
 
-def _cluster(points, radius):
-    out = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) < radius for q in out):
-            out.append(p)
-    return out
+def _cluster(X, owner, radius):
+    """Indices of the rows of X kept, in order: a row within radius of an
+    earlier kept row of the same owner is dropped."""
+    kept, out = {}, []
+    for i, (x, o) in enumerate(zip(X, owner)):
+        mine = kept.setdefault(o, [])
+        if not any(np.linalg.norm(x - q) < radius for q in mine):
+            mine.append(x)
+            out.append(i)
+    return np.array(out, dtype=int)
 
 
 def _split(saddles, params):
     """Seeds just off each saddle, _SPLIT of its distance to the edge away,
     on both sides of every eigenvector of negative curvature and of the
-    bisector of every pair of them.  Around a saddle of index two the eight
+    bisector of every pair of them, and the saddle each seed comes from;
+    params is one per saddle.  Around a saddle of index two the eight
     directions are 45 degrees apart, so every basin that spans more than
     that around the saddle gets a seed; the six-fold orbits around x = 0
     span 60 degrees each."""
-    w, V = np.linalg.eigh(hessian(saddles, params))
-    seeds = []
-    for x, wx, Vx in zip(saddles, w, V):
+    g, C, B = _columns(params, len(saddles))
+    w, V = np.linalg.eigh(_hessian(saddles, g, C, B))
+    t = _SPLIT * (0.5 * g[:, 0] - np.max(np.abs(saddles), axis=1))
+    seeds, source = [], []
+    for k, (x, wx, Vx) in enumerate(zip(saddles, w, V)):
         U = Vx[:, wx < _PSD_TOL].T
         D = list(U) + [(a + sign * b) / math.sqrt(2.0) for i, a in enumerate(U)
                        for b in U[i + 1:] for sign in (1.0, -1.0)]
-        t = _SPLIT * (0.5 * params.g - np.max(np.abs(x)))
-        seeds += [x + t * d for d in D] + [x - t * d for d in D]
-    return np.array(seeds)
+        seeds += [x + t[k] * d for d in D] + [x - t[k] * d for d in D]
+        source += [k] * (2 * len(D))
+    return np.array(seeds).reshape(-1, 3), np.array(source, dtype=int)
 
 
 def _label_from_pattern(x):
@@ -202,54 +253,97 @@ def _label_from_pattern(x):
     return FSP
 
 
-def brute_force_minimize(params: ModelParams) -> PhaseResult:
-    """Grid-scan global minimisation of the reduced energy without any ansatz.
+def _candidates(params, n, scratch):
+    """The grid-local minima of one point as a (k, 3) stack of seeds, in C
+    order, or the _MAX_CANDIDATES lowest of them in order of energy."""
+    ax, E = _energy_grid(params, n, scratch)
+    flat = np.flatnonzero(_local_minima(E, scratch))
+    if len(flat) > _MAX_CANDIDATES:
+        flat = flat[np.argsort(E.reshape(-1)[flat])[:_MAX_CANDIDATES]]
+    return ax[np.stack(np.unravel_index(flat, E.shape), axis=-1)]
 
-    Every grid-local minimum is refined by :func:`descend`.  A row that ends
-    at a saddle is replaced by what seeds just off it reach, along and
-    between its directions of negative curvature (:func:`_split`); a row
-    that reaches another saddle is split again, up to three times.  The
-    minima are deduplicated at the cluster radius and all members within
-    the refine tolerance of the best energy are reported as the degenerate
-    set.  Raises ConvergenceError when no descent ends at a minimum: a
-    saddle is never reported as the ground state.
-    """
-    ax, E = _energy_grid(params, _CONFIG.grid_points_per_axis)
-    idx = np.argwhere(_local_minima(E))
-    # cap pathological candidate counts by taking the lowest-energy ones
-    if len(idx) > 64:
-        order = np.argsort(E[tuple(idx.T)])
-        idx = idx[order[:64]]
 
-    rows, is_min = descend(ax[idx], params)
-    found, saddles = [rows[is_min]], rows[~is_min]
-    # a split can end at a saddle of lower index, so split up to once per axis
-    for _ in range(3):
-        saddles = np.array(_cluster(saddles, _CONFIG.cluster_radius)).reshape(-1, 3)
-        if not len(saddles):
-            break
-        rows, is_min = descend(_split(saddles, params), params)
-        found.append(rows[is_min])
-        saddles = rows[~is_min]
-    refined = np.concatenate(found)
-    if not len(refined):
-        raise ConvergenceError(f"no descent ended at a minimum at {params}")
-    refined = np.array(_cluster(refined, _CONFIG.cluster_radius))
-
-    energies = energy(refined, params)
+def _ranked(minima, params):
+    """The PhaseResult of the distinct minima found at one point."""
+    energies = energy(minima, params)
     best = energies.min()
-    keep = list(refined[energies <= best + _CONFIG.refine_tolerance])
+    keep = list(minima[energies <= best + _CONFIG.refine_tolerance])
     keep.sort(key=tuple)
-
-    rep = keep[0]
     states = [state_from_x(x, params) for x in keep]
     return PhaseResult(
-        label=_label_from_pattern(rep),
+        label=_label_from_pattern(keep[0]),
         energy=float(best),
         degeneracy=len(keep),
         representative=states[0],
         all_minima=states,
     )
+
+
+def _brute_force_minima(points):
+    """:func:`brute_force_minimize` at each of a sequence of parameter
+    points, as a list of PhaseResults.
+
+    The grids of all points are scanned through one set of scratch buffers.
+    Every candidate of every point is descended in one :func:`descend`, and
+    the saddles of all points are split and descended together, up to three
+    rounds; only then are the minima clustered and ranked per point.  Each
+    row, and so each point's result, is the same as in a call on that point
+    alone.  Raises the ConvergenceError of the first point where no descent
+    ends at a minimum.
+    """
+    points = list(points)
+    n = _CONFIG.grid_points_per_axis
+    scratch = _Scratch((n, n, n))
+    seeds = [_candidates(p, n, scratch) for p in points]
+    owner = np.repeat(np.arange(len(points)), [len(s) for s in seeds])
+    rows, is_min = descend(np.concatenate(seeds), [points[i] for i in owner])
+    found, saddles = [(rows[is_min], owner[is_min])], (rows[~is_min], owner[~is_min])
+    # a split can end at a saddle of lower index, so split up to once per axis
+    for _ in range(3):
+        X, owner = saddles
+        keep = _cluster(X, owner, _CONFIG.cluster_radius)
+        if not keep.size:
+            break
+        X, owner = X[keep], owner[keep]
+        seeds, source = _split(X, [points[i] for i in owner])
+        if not len(seeds):  # eigh saw no negative curvature where eigvalsh did
+            break
+        owner = owner[source]
+        rows, is_min = descend(seeds, [points[i] for i in owner])
+        found.append((rows[is_min], owner[is_min]))
+        saddles = rows[~is_min], owner[~is_min]
+
+    # per point, the minima of every round in round order
+    X = np.concatenate([rows for rows, _ in found])
+    owner = np.concatenate([o for _, o in found])
+    order = np.argsort(owner, kind="stable")
+    X, owner = X[order], owner[order]
+    keep = _cluster(X, owner, _CONFIG.cluster_radius)
+    X, owner = X[keep], owner[keep]
+    bounds = np.searchsorted(owner, np.arange(len(points) + 1))
+    results = []
+    for p, start, stop in zip(points, bounds, bounds[1:]):
+        if start == stop:
+            raise ConvergenceError(f"no descent ended at a minimum at {p}")
+        results.append(_ranked(X[start:stop], p))
+    return results
+
+
+def brute_force_minimize(params: ModelParams) -> PhaseResult:
+    """Grid-scan global minimisation of the reduced energy without any ansatz.
+
+    Every grid-local minimum (at most the 64 lowest) is refined by
+    :func:`descend`.  A row that ends at a saddle is replaced by what seeds
+    just off it reach, along and between its directions of negative
+    curvature (:func:`_split`); a row that reaches another saddle is split
+    again, up to three times.  The minima are deduplicated at the cluster
+    radius and all members within the refine tolerance of the best energy
+    are reported as the degenerate set.  Raises ConvergenceError when no
+    descent ends at a minimum: a saddle is never reported as the ground
+    state.  This is the one-point case of the stacked minimisation that
+    transition detection runs over many points at once.
+    """
+    return _brute_force_minima([params])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +366,9 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     candidates by bisection on the onset of superradiance.  Order labels are
     confirmed from derivative jumps against a noise floor estimated from
     two step sizes; ambiguous jumps are flagged inconclusive, not guessed.
-    Every probe of the onset bisection and of the order test is one
-    brute-force minimum at one g.
+    The coarse scan and the stencils of each order test are one stacked
+    brute-force minimisation each; every probe of the onset bisection is
+    one brute-force minimum at one g.
     """
     g_min, g_max = (float(v) for v in g_range)
     if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
@@ -282,7 +377,7 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
         raise ValueError(f"n_coarse must be an integer >= 2, got {n_coarse!r}")
     at = partial(ModelParams, J1=J1, J2=J2)
     gs = np.linspace(g_min, g_max, n_coarse)
-    results = [brute_force_minimize(at(g)) for g in gs]
+    results = _brute_force_minima([at(g) for g in gs])
 
     transitions = []
     for left, right, lo, hi in zip(results, results[1:], gs, gs[1:]):
@@ -340,12 +435,19 @@ def _bisect_onset(at, lo, hi, e_lo, e_hi):
 
 
 def _bisect_branch_crossing(at, lo, hi, seed_left, seed_right):
-    """First-order point: bisection on the sign of the branch-energy gap."""
+    """First-order point: bisection on the sign of the branch-energy gap.
+
+    The seeds are the coarse minima at lo and hi.  A seed that lies outside
+    |x_n| < g/2 at a probed g, as one from hi can in a wide cell, is scaled
+    by g over the g it came from; a seed inside is descended as it is.
+    """
     seeds = np.array([seed_left, seed_right])
+    sources = np.array([[lo], [hi]])
 
     def left_lower(g):
         p = at(g)
-        e_l, e_r = energy(descend(seeds, p)[0], p)
+        start = np.where(_inside(seeds, g)[:, None], seeds, seeds * (g / sources))
+        e_l, e_r = energy(descend(start, p)[0], p)
         return e_l - e_r < 0.0
 
     at_lo = left_lower(lo)
@@ -360,19 +462,20 @@ def _classify_order(at, g_star):
     sizes at a first-order point and shrinks linearly with the step at a
     second-order one; the second-derivative jump does the converse.  The
     noise floor is the spread of the estimate over the two step sizes h and
-    2h.  The two stencils share points: E takes one brute-force minimum at
-    each of the 10 distinct g, g_star +- {1, 2, 3, 4, 6} h.
+    2h.  The two stencils share points: their 10 distinct g, g_star +- {1,
+    2, 3, 4, 6} h, are minimised as one stack.
     """
-
-    @cache
-    def E(g):
-        return brute_force_minimize(at(g)).energy
-
     h = _CONFIG.derivative_step
+    steps = (h, 2.0 * h)
+    stencils = [(g_star - 3.0 * step, g_star - 2.0 * step, g_star - step,
+                 g_star + step, g_star + 2.0 * step, g_star + 3.0 * step) for step in steps]
+    gs = list(dict.fromkeys(g for stencil in stencils for g in stencil))
+    E = {g: r.energy for g, r in zip(gs, _brute_force_minima([at(g) for g in gs]))}
+
     jumps1, jumps2 = [], []
-    for step in (h, 2.0 * h):
-        el = [E(g_star - 3.0 * step), E(g_star - 2.0 * step), E(g_star - step)]
-        er = [E(g_star + step), E(g_star + 2.0 * step), E(g_star + 3.0 * step)]
+    for step, stencil in zip(steps, stencils):
+        el = [E[g] for g in stencil[:3]]
+        er = [E[g] for g in stencil[3:]]
         dl = (3.0 * el[2] - 4.0 * el[1] + el[0]) / (2.0 * step)
         dr = (-3.0 * er[0] + 4.0 * er[1] - er[2]) / (2.0 * step)
         jumps1.append(abs(dr - dl))

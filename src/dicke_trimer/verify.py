@@ -36,7 +36,7 @@ from .meanfield import (
     solve_fsp,
     solve_ground_state,
 )
-from .oracle import brute_force_minimize, detect_transitions
+from .oracle import _brute_force_minima, detect_transitions
 from .spectrum import (
     _raise_first,
     analytic_np_spectrum,
@@ -147,7 +147,7 @@ def criterion_4_transition_line():
 def criterion_5_degeneracy():
     """Oracle enumeration: 6 equal-energy FSP minima, 2 NSP minima."""
     rng = np.random.default_rng(1)
-    failures = []
+    drawn = []  # (label, want, params): the draws never read the oracle
     for label, want in ((FSP, 6), (NSP, 2)):
         found = 0
         while found < 20:
@@ -161,11 +161,13 @@ def criterion_5_degeneracy():
             if ana.label != label or params.g < cc.g_c + 5e-3:
                 continue
             found += 1
-            res = brute_force_minimize(params)
-            energies = [energy(s.x, params) for s in res.all_minima]
-            spread = max(energies) - min(energies)
-            if res.degeneracy != want or spread > 1e-10:
-                failures.append((label, params.g, J1, J2, res.degeneracy, spread))
+            drawn.append((label, want, params))
+    failures = []
+    for (label, want, params), res in zip(drawn, _brute_force_minima(p for *_, p in drawn)):
+        energies = [energy(s.x, params) for s in res.all_minima]
+        spread = max(energies) - min(energies)
+        if res.degeneracy != want or spread > 1e-10:
+            failures.append((label, params.g, params.J1, params.J2, res.degeneracy, spread))
     passed = not failures
     detail = "all degeneracies and 1e-10 energy spreads OK" if passed else \
         f"failures: {failures[:3]}"
@@ -358,17 +360,19 @@ def check_region_table_points():
 def check_oracle_agreement():
     """Oracle global minimum equals the analytic-branch energy within 1e-9."""
     rng = np.random.default_rng(6)
-    worst = 0.0
+    points, analytic = [], []
     for _ in range(12):
         J1, J2 = rng.uniform(-0.45, 0.45, 2)
         g = rng.uniform(0.3, 2.0)
         params = ModelParams(g=g, J1=J1, J2=J2)
         try:
-            ana = solve_ground_state(params)
+            analytic.append(solve_ground_state(params).energy)
         except (ConvergenceError, ValueError):
             continue
-        res = brute_force_minimize(params)
-        worst = max(worst, abs(res.energy - ana.energy))
+        points.append(params)
+    worst = 0.0
+    for res, e in zip(_brute_force_minima(points), analytic):
+        worst = max(worst, abs(res.energy - e))
     passed = worst < 1e-9
     return CheckResult("oracle vs analytic branch energies", passed,
                        f"max |E_oracle - E_branch| = {worst:.2e} (tol 1e-9)")

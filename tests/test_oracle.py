@@ -1,10 +1,13 @@
 """Brute-force oracle: global minimization and transition detection."""
 
 import math
+import re
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicke_trimer import (
     ModelParams,
@@ -13,6 +16,7 @@ from dicke_trimer import (
     critical_couplings,
     detect_transitions,
     energy,
+    first_order_point,
     gradient,
     hessian,
     oracle,
@@ -93,6 +97,70 @@ class TestBruteForceMinimize:
             brute_force_minimize(ModelParams(g=1.1, J1=0.1, J2=0.1))
 
 
+def _check_stacked_equals_one_point(points):
+    """Row i of the stacked minimisation equals brute_force_minimize(points[i])
+    bitwise; where a point raises, the stack raises the first point's error."""
+    expected = []
+    for p in points:
+        try:
+            expected.append(brute_force_minimize(p))
+        except (ConvergenceError, ValueError) as err:
+            expected.append(err)
+    errors = [e for e in expected if isinstance(e, Exception)]
+    if errors:
+        with pytest.raises(type(errors[0])) as info:
+            oracle._brute_force_minima(points)
+        assert str(info.value) == str(errors[0])
+        return
+    stacked = oracle._brute_force_minima(points)
+    assert len(stacked) == len(points)
+    for got, want in zip(stacked, expected):
+        assert (got.label, got.degeneracy) == (want.label, want.degeneracy)
+        assert float.hex(got.energy) == float.hex(want.energy)
+        assert len(got.all_minima) == len(want.all_minima)
+        for a, b in zip(got.all_minima, want.all_minima):
+            assert np.array_equal(a.x, b.x)
+
+
+_EDGE = 0.4999999
+
+
+class TestStackedMinimization:
+    def test_seeded_mixed_stack(self):
+        rng = np.random.default_rng(1414)
+        points = []
+        for J1, J2 in [(0.1, 0.1), (-0.1, -0.1), (0.1, -0.1), (_EDGE, _EDGE),
+                       (-_EDGE, -_EDGE), (-_EDGE, 0.3), (_EDGE, -_EDGE),
+                       tuple(rng.uniform(-0.5, 0.5, 2))]:
+            g_c = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
+            points += [ModelParams(g=g, J1=J1, J2=J2)
+                       for g in (0.8 * g_c, g_c * (1.0 + 10.0 ** rng.uniform(-4.0, -1.0)),
+                                 rng.uniform(3.0, 100.0))]
+        points = [points[i] for i in rng.permutation(len(points))]
+        labels = {brute_force_minimize(p).label for p in points}
+        assert labels == {"NP", "NSP", "FSP"}
+        _check_stacked_equals_one_point(points)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.floats(-0.49, 0.49), st.sampled_from([-_EDGE, _EDGE])),
+                              st.one_of(st.floats(-0.49, 0.49), st.sampled_from([-_EDGE, _EDGE])),
+                              st.floats(0.05, 100.0)),
+                    min_size=1, max_size=4))
+    def test_generated_stacks(self, draws):
+        _check_stacked_equals_one_point([ModelParams(g=g, J1=J1, J2=J2) for J1, J2, g in draws])
+
+    def test_first_failing_point_raises(self, monkeypatch):
+        descend = oracle.descend
+
+        def keeps_no_row_above_one(seeds, params):
+            X, is_min = descend(seeds, params)
+            return X, is_min & np.array([p.g < 1.0 for p in params])
+
+        monkeypatch.setattr(oracle, "descend", keeps_no_row_above_one)
+        points = [ModelParams(g=g, J1=0.1, J2=0.1) for g in (0.5, 1.1, 1.2)]
+        with pytest.raises(ConvergenceError, match=re.escape(f"at {points[1]}")):
+            oracle._brute_force_minima(points)
+
 class TestDetectTransitions:
     def test_two_transition_line(self):
         # second order at sqrt(0.96), first order at sqrt(1.08)
@@ -123,30 +191,46 @@ class TestDetectTransitions:
         assert first[0].jump > 3.0 * first[0].noise_floor
 
     def test_each_g_minimized_once(self, monkeypatch):
-        seen, per_order_test = [], []
-        minimize, classify = oracle.brute_force_minimize, oracle._classify_order
+        calls, per_order_test = [], []
+        minima, classify = oracle._brute_force_minima, oracle._classify_order
 
-        def recording(params):
-            seen.append(params)
-            return minimize(params)
+        def recording(points):
+            calls.append(list(points))
+            return minima(calls[-1])
 
         def counting(*args):
-            before = len(seen)
+            before = len(calls)
             out = classify(*args)
-            per_order_test.append(len(set(seen[before:])))
+            per_order_test.append([len(points) for points in calls[before:]])
             return out
 
-        monkeypatch.setattr(oracle, "brute_force_minimize", recording)
+        monkeypatch.setattr(oracle, "_brute_force_minima", recording)
         monkeypatch.setattr(oracle, "_classify_order", counting)
         for g_range, n_coarse, orders in [((1.0, 1.1), 21, ["first"]),
                                           ((0.9, 1.2), 31, ["second", "first"])]:
-            seen.clear()
+            calls.clear()
             per_order_test.clear()
             transitions = detect_transitions(0.1, -0.1, g_range, n_coarse=n_coarse)
             assert [t.order for t in transitions] == orders
+            seen = [p for points in calls for p in points]
             assert len(seen) == len(set(seen))
-            # the h and 2h stencils share g_star +- 2h
-            assert per_order_test == [10] * len(orders)
+            # the coarse scan is one stacked call
+            assert len(calls[0]) == n_coarse
+            # each order test is one stacked call of 10 distinct g: the h and
+            # 2h stencils share g_star +- 2h
+            assert per_order_test == [[10]] * len(orders)
+
+    def test_branch_crossing_in_a_wide_coarse_cell(self):
+        # the coarse minimum of the cell's upper end lies outside |x_n| < g/2
+        # at its lower end
+        J1, J2 = -0.06123383242021124, 0.09671611718137241
+        transitions = detect_transitions(J1, J2, (0.5999448857161498, 1.611693721693544),
+                                         n_coarse=5)
+        params = ModelParams(g=1.0, J1=J1, J2=J2)
+        assert [t.order for t in transitions] == ["second", "first"]
+        assert transitions[0].g_star == pytest.approx(critical_couplings(params).g_c_plus,
+                                                      abs=1e-4)
+        assert transitions[1].g_star == pytest.approx(first_order_point(params), abs=1e-4)
 
     @pytest.mark.parametrize("lo,hi", [(0.92, 0.93), (0.87, 0.88)])
     def test_onset_bracket_expands_to_the_onset(self, lo, hi):

@@ -1,6 +1,7 @@
 """The oracle's batched modified-Newton descent: it stays in the domain, never
-raises the energy, keeps only minima and treats every row on its own, on
-seeded and generated draws with g up to 100."""
+raises the energy, keeps only minima and treats every row on its own, also in
+a stack of mixed parameter points, on seeded and generated draws with g up to
+100."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -61,15 +62,38 @@ def test_seeded_draws():
 _hopping = st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True)
 
 
+def _check_mixed_stack(points, rng):
+    """One descent over the seeds of several parameter points, interleaved
+    with one ModelParams per row: each row equals its one-point descent."""
+    pairs = [(x, p) for p in points for x in _seeds(rng, p, k=3)]
+    order = rng.permutation(len(pairs))
+    X = np.array([pairs[i][0] for i in order])
+    rows = [pairs[i][1] for i in order]
+    Y, is_min = descend(X, rows)
+    for x, y, m, p in zip(X, Y, is_min, rows):
+        one, one_min = descend(x[None], p)
+        assert np.array_equal(one[0], y)
+        assert one_min[0] == m
+
+
+_point = st.tuples(_hopping, _hopping, st.floats(0.05, 100.0))
+
+
 @settings(max_examples=15, deadline=None)
-@given(J1=_hopping, J2=_hopping, g=st.floats(0.05, 100.0), seed=st.integers(0, 2**32 - 1))
+@given(J1=_hopping, J2=_hopping, g=st.floats(0.05, 100.0), seed=st.integers(0, 2**32 - 1),
+       others=st.lists(_point, min_size=1, max_size=3))
 # a seed with two sites at the edge and the third inside: the unscaled
 # Hessian, with diagonal entries near 1e17, left the third site's curvature
 # to rounding, and the row stalled at |grad E| = 1.2 with a PSD Hessian
-@example(J1=-0.3139734715839863, J2=-0.1855079992289212, g=0.8678413087929991, seed=0)
-def test_generated_draws(J1, J2, g, seed):
+@example(J1=-0.3139734715839863, J2=-0.1855079992289212, g=0.8678413087929991, seed=0,
+         others=[(0.1, 0.1, 1.1)])
+def test_generated_draws(J1, J2, g, seed, others):
     params = ModelParams(g=g, J1=J1, J2=J2)
-    _check_descent(params, _seeds(np.random.default_rng(seed), params))
+    rng = np.random.default_rng(seed)
+    _check_descent(params, _seeds(rng, params))
+    # the same descent over a stack of mixed parameter points
+    points = [params] + [ModelParams(g=g2, J1=a, J2=b) for a, b, g2 in others]
+    _check_mixed_stack(points, rng)
 
 
 def test_exact_stationary_seed_stays():
