@@ -190,8 +190,12 @@ def hessian(x, params) -> np.ndarray:
     return _hessian(x, *per_row(params, _g_c_b))
 
 
-#: newton_polish stops once max |grad E| is below this
+#: newton_polish, and each row of the oracle's descent, stops once
+#: max |grad E| is below this
 _NEWTON_TOL = 1e-13
+#: a stationary point whose smallest Hessian eigenvalue is below this is a
+#: saddle, not a minimum
+_PSD_TOL = -1e-9
 #: at most this many Newton steps, each halved at most _NEWTON_HALVINGS times
 _NEWTON_STEPS = 60
 _NEWTON_HALVINGS = 40
@@ -321,9 +325,7 @@ def _phase_result(label, x, params, coexistent=False):
 
 def solve_np(params: ModelParams) -> PhaseResult:
     """The trivial x = 0 solution; energy -3/2 regardless of parameters."""
-    state = state_from_x(np.zeros(3), params)
-    return PhaseResult(label=NP, energy=-1.5, degeneracy=1,
-                       representative=state, all_minima=[state])
+    return _phase_result(NP, np.zeros(3), params)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +381,7 @@ def _is_fsp_minimum(x, g, C, B):
     """True for each row of x, with x[0] opposite in sign to x[1] and x[2],
     that is a local minimum of the full energy."""
     frustrated = (x[:, 0] * x[:, 1] < 0.0) & (x[:, 0] * x[:, 2] < 0.0)
-    return frustrated & (np.linalg.eigvalsh(_hessian(x, g, C, B))[:, 0] > -1e-9)
+    return frustrated & (np.linalg.eigvalsh(_hessian(x, g, C, B))[:, 0] > _PSD_TOL)
 
 
 def _h(x, C, g):

@@ -11,9 +11,10 @@ The oracle's own parts are the separable grid evaluation and
 with one parameter point per row; no scipy optimiser is involved.
 The minimisation runs over a sequence of parameter points at once: their
 grids share one set of scratch buffers, and the grid-local minima and saddle
-splits of all points go through each descent together.
-:func:`brute_force_minimize` is its one-point case.  Transition detection
-minimises its coarse scan and each order-test stencil as one such stack.
+splits of all points go through each descent together; each point clusters
+its own minima.  :func:`brute_force_minimize` is its one-point case.
+Transition detection minimises its coarse scan and each order-test stencil
+as one such stack, and tests superradiance by one energy test throughout.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from functools import partial
 import numpy as np
 
 from .model import FSP, NP, NSP, ModelParams
-from .meanfield import (ConvergenceError, PhaseResult, _bisect, _columns, _energy, _g_c_b,
-                        _gradient, _hessian, _inside, _polish, energy, state_from_x)
+from .meanfield import (_NEWTON_TOL, _PSD_TOL, ConvergenceError, PhaseResult, _bisect,
+                        _columns, _energy, _g_c_b, _gradient, _hessian, _inside, _polish,
+                        energy, state_from_x)
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class _Scratch:
         self.pairs = self.swap.reshape(-1)[:self.grid.size].reshape(shape)
 
 
+# beyond g ~ 1e154 the grid overflows; NaN is never a grid-local minimum
+@np.errstate(over="ignore", invalid="ignore")
 def _energy_grid(params, n, scratch=None):
     """Vectorised energy evaluation on an n^3 interior grid of (-g/2, g/2)^3,
     into the buffers of scratch (of shape (n, n, n)) when it is given."""
@@ -122,19 +126,25 @@ _ARMIJO = 1e-4
 #: |E|: the energy can no longer tell the step apart, and newton_polish,
 #: which works on the gradient, takes over
 _FLOAT_FLOOR = 1e-14
-#: a row stops once max |grad E| is below this
-_GRAD_TOL = 1e-13
 #: at most this many steps, each halved at most _HALVINGS times
 _STEPS = 100
 _HALVINGS = 60
-#: refined rows with a Hessian eigenvalue below this are saddles, not minima
-_PSD_TOL = -1e-9
 #: a saddle is split into seeds this share of its distance to the edge away
 _SPLIT = 1e-3
 #: at most this many grid-local minima of one point are descended
 _MAX_CANDIDATES = 64
 
 
+def _check_finite(e, rows, params):
+    """Raise the ConvergenceError of the point of the first of rows whose
+    energy e overflowed."""
+    finite = np.isfinite(e)
+    if not finite.all():
+        p = params if isinstance(params, ModelParams) else params[rows[np.argmin(finite)]]
+        raise ConvergenceError(f"the energy overflows at {p}")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def descend(seeds, params):
     """Refine a (k, 3) stack of seeds to local minima.
 
@@ -153,11 +163,12 @@ def descend(seeds, params):
     when one site is near the edge, where its diagonal entry reaches 1e17.
     Each row backtracks on its own, halving its step until the trial lies
     inside |x_n| < g/2 and passes the Armijo test on E.  A row stops at
-    max |grad E| < _GRAD_TOL, when its predicted decrease is below float
+    max |grad E| < _NEWTON_TOL, when its predicted decrease is below float
     resolution, or when its halved step no longer moves it.  Then
     newton_polish finishes it, unless the polish would raise E.  Every
     operation acts row by row, so a row's result does not depend on the
-    other rows or on their parameter points.
+    other rows or on their parameter points.  An energy that overflows (g
+    beyond about 1e154) raises the ConvergenceError of its row's point.
 
     Returns the refined (k, 3) stack and a mask of the rows whose Hessian is
     positive semidefinite (the minima).
@@ -165,8 +176,9 @@ def descend(seeds, params):
     X = np.array(seeds, dtype=float).reshape(-1, 3)
     g, C, B = _columns(params, len(X))
     E = _energy(X, g, C, B)
+    _check_finite(E, np.arange(len(X)), params)
     G = _gradient(X, g, C, B)
-    active = np.max(np.abs(G), axis=1) >= _GRAD_TOL
+    active = np.max(np.abs(G), axis=1) >= _NEWTON_TOL
     for _ in range(_STEPS):
         rows = np.flatnonzero(active)
         if rows.size == 0:
@@ -183,66 +195,66 @@ def descend(seeds, params):
         slope = np.sum(grad * step, axis=1)
         pending = -slope > _FLOAT_FLOOR * np.abs(e)
         moved = np.zeros(rows.size, dtype=bool)
-        lam = np.ones(rows.size)
+        lam = 1.0  # the pending rows have all been halved equally often
         for _ in range(_HALVINGS):
             if not pending.any():
                 break
-            trial = x + lam[:, None] * step
+            trial = x + lam * step
             pending &= ~np.all(trial == x, axis=1)
             test = np.flatnonzero(pending & _inside(trial, gr))
             e_trial = _energy(trial[test], gr[test], Cr[test], Br[test])
-            ok = e_trial <= e[test] + _ARMIJO * lam[test] * slope[test]
+            _check_finite(e_trial, rows[test], params)
+            ok = e_trial <= e[test] + (_ARMIJO * lam) * slope[test]
             done = test[ok]
             X[rows[done]], E[rows[done]] = trial[done], e_trial[ok]
             moved[done] = True
             pending[done] = False
-            lam[pending] *= 0.5
+            lam *= 0.5
         active[rows[~moved]] = False
         moved = rows[moved]
         G[moved] = _gradient(X[moved], g[moved], C[moved], B[moved])
-        active[moved] = np.max(np.abs(G[moved]), axis=1) >= _GRAD_TOL
-    rows = np.flatnonzero(np.max(np.abs(G), axis=1) >= _GRAD_TOL)
+        active[moved] = np.max(np.abs(G[moved]), axis=1) >= _NEWTON_TOL
+    rows = np.flatnonzero(np.max(np.abs(G), axis=1) >= _NEWTON_TOL)
     if rows.size:
         # newton_polish solves grad E = 0 and, far from a minimum, can reach
         # a saddle uphill; its result is kept where E stays at the float floor
         gr, Cr, Br = g[rows], C[rows], B[rows]
         P, _ = _polish(X[rows], gr, Cr, Br)
-        kept = _energy(P, gr, Cr, Br) <= E[rows] + _FLOAT_FLOOR * np.abs(E[rows])
+        e_polished = _energy(P, gr, Cr, Br)
+        _check_finite(e_polished, rows, params)
+        kept = e_polished <= E[rows] + _FLOAT_FLOOR * np.abs(E[rows])
         X[rows[kept]] = P[kept]
     return X, np.linalg.eigvalsh(_hessian(X, g, C, B))[:, 0] > _PSD_TOL
 
 
-def _cluster(X, owner, radius):
+def _cluster(X, radius):
     """Indices of the rows of X kept, in order: a row within radius of an
-    earlier kept row of the same owner is dropped."""
-    kept, out = {}, []
-    for i, (x, o) in enumerate(zip(X, owner)):
-        mine = kept.setdefault(o, [])
-        if not any(np.linalg.norm(x - q) < radius for q in mine):
-            mine.append(x)
-            out.append(i)
-    return np.array(out, dtype=int)
+    earlier kept row is dropped."""
+    kept = []
+    for i, x in enumerate(X):
+        if not any(np.linalg.norm(x - X[j]) < radius for j in kept):
+            kept.append(i)
+    return np.array(kept, dtype=int)
 
 
 def _split(saddles, params):
     """Seeds just off each saddle, _SPLIT of its distance to the edge away,
     on both sides of every eigenvector of negative curvature and of the
-    bisector of every pair of them, and the saddle each seed comes from;
-    params is one per saddle.  Around a saddle of index two the eight
+    bisector of every pair of them, in order of the saddles; params is one
+    ModelParams, or one per saddle.  Around a saddle of index two the eight
     directions are 45 degrees apart, so every basin that spans more than
     that around the saddle gets a seed; the six-fold orbits around x = 0
     span 60 degrees each."""
     g, C, B = _columns(params, len(saddles))
     w, V = np.linalg.eigh(_hessian(saddles, g, C, B))
     t = _SPLIT * (0.5 * g[:, 0] - np.max(np.abs(saddles), axis=1))
-    seeds, source = [], []
-    for k, (x, wx, Vx) in enumerate(zip(saddles, w, V)):
+    seeds = []
+    for x, wx, Vx, tx in zip(saddles, w, V, t):
         U = Vx[:, wx < _PSD_TOL].T
         D = list(U) + [(a + sign * b) / math.sqrt(2.0) for i, a in enumerate(U)
                        for b in U[i + 1:] for sign in (1.0, -1.0)]
-        seeds += [x + t[k] * d for d in D] + [x - t[k] * d for d in D]
-        source += [k] * (2 * len(D))
-    return np.array(seeds).reshape(-1, 3), np.array(source, dtype=int)
+        seeds += [x + tx * d for d in D] + [x - tx * d for d in D]
+    return np.array(seeds).reshape(-1, 3)
 
 
 def _label_from_pattern(x):
@@ -284,48 +296,42 @@ def _brute_force_minima(points):
     points, as a list of PhaseResults.
 
     The grids of all points are scanned through one set of scratch buffers.
-    Every candidate of every point is descended in one :func:`descend`, and
-    the saddles of all points are split and descended together, up to three
-    rounds; only then are the minima clustered and ranked per point.  Each
-    row, and so each point's result, is the same as in a call on that point
-    alone.  Raises the ConvergenceError of the first point where no descent
-    ends at a minimum.
+    Every candidate of every point is descended in one :func:`descend`;
+    each point then clusters and splits its own saddles, and the seeds of
+    all points are descended together, up to three rounds.  Each point
+    clusters and ranks the minima of all rounds, in round order.  A row,
+    and so a point's result, is the same as in a call on that point alone.
+    Raises the ConvergenceError of the first point where no descent ends
+    at a minimum, or at once that of a point whose energy overflows.
     """
     points = list(points)
-    n = _CONFIG.grid_points_per_axis
+    n, radius = _CONFIG.grid_points_per_axis, _CONFIG.cluster_radius
     scratch = _Scratch((n, n, n))
     seeds = [_candidates(p, n, scratch) for p in points]
-    owner = np.repeat(np.arange(len(points)), [len(s) for s in seeds])
-    rows, is_min = descend(np.concatenate(seeds), [points[i] for i in owner])
-    found, saddles = [(rows[is_min], owner[is_min])], (rows[~is_min], owner[~is_min])
+    found = [[] for _ in points]
     # a split can end at a saddle of lower index, so split up to once per axis
-    for _ in range(3):
-        X, owner = saddles
-        keep = _cluster(X, owner, _CONFIG.cluster_radius)
-        if not keep.size:
+    for depth in range(4):
+        if depth:
+            seeds = [_split(s[_cluster(s, radius)], p) if len(s) else s
+                     for s, p in zip(saddles, points)]
+        counts = [len(s) for s in seeds]
+        # none left, or eigh saw no negative curvature where eigvalsh did
+        if not sum(counts):
             break
-        X, owner = X[keep], owner[keep]
-        seeds, source = _split(X, [points[i] for i in owner])
-        if not len(seeds):  # eigh saw no negative curvature where eigvalsh did
-            break
-        owner = owner[source]
-        rows, is_min = descend(seeds, [points[i] for i in owner])
-        found.append((rows[is_min], owner[is_min]))
-        saddles = rows[~is_min], owner[~is_min]
+        rows, is_min = descend(np.concatenate(seeds),
+                               [p for p, k in zip(points, counts) for _ in range(k)])
+        ends = np.cumsum(counts)
+        saddles = []
+        for minima, a, b in zip(found, ends - counts, ends):
+            minima.extend(rows[a:b][is_min[a:b]])
+            saddles.append(rows[a:b][~is_min[a:b]])
 
-    # per point, the minima of every round in round order
-    X = np.concatenate([rows for rows, _ in found])
-    owner = np.concatenate([o for _, o in found])
-    order = np.argsort(owner, kind="stable")
-    X, owner = X[order], owner[order]
-    keep = _cluster(X, owner, _CONFIG.cluster_radius)
-    X, owner = X[keep], owner[keep]
-    bounds = np.searchsorted(owner, np.arange(len(points) + 1))
     results = []
-    for p, start, stop in zip(points, bounds, bounds[1:]):
-        if start == stop:
+    for p, minima in zip(points, found):
+        if not minima:
             raise ConvergenceError(f"no descent ended at a minimum at {p}")
-        results.append(_ranked(X[start:stop], p))
+        X = np.array(minima)
+        results.append(_ranked(X[_cluster(X, radius)], p))
     return results
 
 
@@ -360,15 +366,15 @@ class Transition:
 def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     """Locate phase transitions on a g line from the brute-force energy alone.
 
-    The coarse scan flags cells where the ground-state label changes.
-    First-order candidates are refined by bisection on the crossing of the
-    two branch energies (uniform versus frustrated local minima); second-order
-    candidates by bisection on the onset of superradiance.  Order labels are
-    confirmed from derivative jumps against a noise floor estimated from
-    two step sizes; ambiguous jumps are flagged inconclusive, not guessed.
-    The coarse scan and the stencils of each order test are one stacked
-    brute-force minimisation each; every probe of the onset bisection is
-    one brute-force minimum at one g.
+    A coarse cell whose ends differ in :func:`_superradiant` holds a
+    second-order candidate, refined by bisection on that same test; one
+    whose superradiant ends differ in label holds a first-order candidate,
+    refined by bisection on the crossing of the two branch energies (uniform
+    versus frustrated local minima).  Order labels are confirmed from
+    derivative jumps against a noise floor estimated from two step sizes;
+    ambiguous jumps are flagged inconclusive, not guessed.  The coarse scan
+    and the stencils of each order test are one stacked brute-force
+    minimisation each; every onset probe is one brute-force minimum.
     """
     g_min, g_max = (float(v) for v in g_range)
     if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
@@ -381,15 +387,16 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
 
     transitions = []
     for left, right, lo, hi in zip(results, results[1:], gs, gs[1:]):
-        if left.label == right.label:
-            continue
-        if NP in (left.label, right.label):
-            g_star = _bisect_onset(at, lo, hi, left.energy, right.energy)
+        superradiant = _superradiant(left.energy)
+        if superradiant != _superradiant(right.energy):
+            g_star = _bisect_onset(at, lo, hi, left.energy)
             expected = "second"
-        else:
+        elif superradiant and left.label != right.label:
             g_star = _bisect_branch_crossing(at, lo, hi, left.representative.x,
                                              right.representative.x)
             expected = "first"
+        else:
+            continue
         order, jump, noise = _classify_order(at, g_star)
         if order != expected:
             order = "inconclusive"
@@ -402,36 +409,20 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
 _BISECT_WIDTH = 1e-7
 
 
-def _bisect_onset(at, lo, hi, e_lo, e_hi):
-    """Second-order point: bisection on the superradiance predicate.
+def _superradiant(e):
+    """The minimum energy e lies strictly below the normal-phase energy
+    -3/2, beyond the 1e-12 energy-resolution floor."""
+    return e < -1.5 - 1e-12
 
-    e_lo and e_hi are the brute-force minimum energies at the coarse ends
-    lo and hi; every other probe is one brute-force minimum.
-    """
-    width = hi - lo
-    energies = {lo: e_lo, hi: e_hi}
 
-    def superradiant(g):
-        # the minimum lies strictly below the normal-phase energy, beyond the
-        # 1e-12 energy-resolution floor
-        if g not in energies:
-            energies[g] = brute_force_minimize(at(g)).energy
-        return energies[g] < -1.5 - 1e-12
-
-    # coarse labels can miss a shallow minimum just above onset: expand the
-    # bracket until it actually straddles the predicate change
-    for _ in range(8):
-        if superradiant(lo):
-            hi, lo = lo, lo - width
-        else:
-            break
-    for _ in range(8):
-        if not superradiant(hi):
-            lo, hi = hi, hi + width
-        else:
-            break
-    return float(_bisect(lambda mid, rows: [superradiant(float(mid[0]))],
-                         [lo], [hi], _BISECT_WIDTH)[0])
+def _bisect_onset(at, lo, hi, e_lo):
+    """Second-order point: bisection on the change of :func:`_superradiant`
+    between lo and hi.  e_lo is the coarse-scan energy at lo; the ends are
+    never probed, and every probe is one brute-force minimum."""
+    side = _superradiant(e_lo)
+    return float(_bisect(
+        lambda mid, rows: [_superradiant(brute_force_minimize(at(float(mid[0]))).energy) != side],
+        [lo], [hi], _BISECT_WIDTH)[0])
 
 
 def _bisect_branch_crossing(at, lo, hi, seed_left, seed_right):

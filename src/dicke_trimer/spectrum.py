@@ -31,6 +31,8 @@ from .meanfield import (
 )
 
 _CRITICAL_TOL = 1e-10
+#: |g - g_c| at the 13 points of a critical-exponent fit
+_CRITICAL_OFFSETS = np.geomspace(1e-6, 1e-3, 13)
 #: forms per stacked eigensolver call in :func:`spectra`, bounding the
 #: (rows, 12, 12) work arrays
 _CHUNK = 64
@@ -259,17 +261,16 @@ def fit_critical_exponent(params: ModelParams, side: str) -> ExponentFit:
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
     g_crit = critical_couplings(params).g_c
     sgn = 1.0 if side == "above" else -1.0
-    dgs = np.geomspace(1e-6, 1e-3, 13)
 
     gL = first_order_point(params)
     if gL is not None:
-        lo, hi = sorted((g_crit, g_crit + sgn * 1e-3))
+        lo, hi = sorted((g_crit, g_crit + sgn * _CRITICAL_OFFSETS[-1]))
         if lo - 1e-15 <= gL <= hi + 1e-15:
             raise ValueError(
                 f"fit window [{lo}, {hi}] crosses the first-order point g_L={gL}"
             )
 
-    points = [params.replace(g=g_crit + sgn * dg) for dg in dgs]
+    points = [params.replace(g=g_crit + sgn * dg) for dg in _CRITICAL_OFFSETS]
     if side == "below":
         x = np.zeros((len(points), 3))
     else:
@@ -278,4 +279,4 @@ def fit_critical_exponent(params: ModelParams, side: str) -> ExponentFit:
         x = states.representative
     energies, errors = spectra(x, points)
     _raise_first(errors)
-    return fit_power_law(dgs, energies[:, 0])
+    return fit_power_law(_CRITICAL_OFFSETS, energies[:, 0])

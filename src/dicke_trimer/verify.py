@@ -19,6 +19,7 @@ from .model import (
     NSP,
     REGION_SEQUENCES,
     ModelParams,
+    alpha_from_x,
     b_tilde,
     c_tilde,
     classify_region,
@@ -35,9 +36,11 @@ from .meanfield import (
     solve_atom_only,
     solve_fsp,
     solve_ground_state,
+    solve_ground_states,
 )
 from .oracle import _brute_force_minima, detect_transitions
 from .spectrum import (
+    _CRITICAL_OFFSETS,
     _raise_first,
     analytic_np_spectrum,
     excitation_spectrum,
@@ -96,14 +99,12 @@ def criterion_1_critical_points():
 
 def _order_parameter_exponent(J1, J2):
     params = ModelParams(g=1.0, J1=J1, J2=J2)
-    cc = critical_couplings(params)
-    dgs = np.geomspace(1e-6, 1e-3, 13)
-    amps = []
-    for dg in dgs:
-        p = params.replace(g=cc.g_c + dg)
-        res = solve_ground_state(p)
-        amps.append(np.max(np.abs(res.representative.alpha)))
-    return fit_power_law(dgs, np.array(amps)).exponent
+    g_c = critical_couplings(params).g_c
+    points = [params.replace(g=g_c + dg) for dg in _CRITICAL_OFFSETS]
+    states = solve_ground_states(points)
+    _raise_first(states.error)
+    amps = np.max(np.abs(alpha_from_x(states.representative, points)), axis=1)
+    return fit_power_law(_CRITICAL_OFFSETS, amps).exponent
 
 
 def criterion_2_order_parameter_exponent():

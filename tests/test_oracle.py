@@ -2,7 +2,6 @@
 
 import math
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -96,6 +95,17 @@ class TestBruteForceMinimize:
         with pytest.raises(ConvergenceError, match="no descent ended at a minimum"):
             brute_force_minimize(ModelParams(g=1.1, J1=0.1, J2=0.1))
 
+    @pytest.mark.parametrize("J2", [0.1, -0.1])
+    @pytest.mark.parametrize("g", [1e154, 1.3e154, 1e160, 1e200, 1e308])
+    def test_overflowing_energy_raises_a_convergence_error(self, g, J2):
+        # the energy overflows in the descent from g of about 1e154 and on
+        # the whole grid from 1e160; the suite turns any warning into an error
+        params = ModelParams(g=g, J1=0.1, J2=J2)
+        with pytest.raises(ConvergenceError, match=re.escape(f"at {params}")):
+            brute_force_minimize(params)
+        with pytest.raises(ConvergenceError, match=re.escape(f"at {params}")):
+            oracle._brute_force_minima([ModelParams(g=1.1, J1=0.1, J2=J2), params])
+
 
 def _check_stacked_equals_one_point(points):
     """Row i of the stacked minimisation equals brute_force_minimize(points[i])
@@ -148,6 +158,9 @@ class TestStackedMinimization:
                     min_size=1, max_size=4))
     def test_generated_stacks(self, draws):
         _check_stacked_equals_one_point([ModelParams(g=g, J1=J1, J2=J2) for J1, J2, g in draws])
+
+    def test_empty_stack(self):
+        assert oracle._brute_force_minima([]) == []
 
     def test_first_failing_point_raises(self, monkeypatch):
         descend = oracle.descend
@@ -232,12 +245,25 @@ class TestDetectTransitions:
                                                       abs=1e-4)
         assert transitions[1].g_star == pytest.approx(first_order_point(params), abs=1e-4)
 
-    @pytest.mark.parametrize("lo,hi", [(0.92, 0.93), (0.87, 0.88)])
-    def test_onset_bracket_expands_to_the_onset(self, lo, hi):
-        # g_c = 0.9 at J1 = J2 = 0.1 lies outside both coarse brackets
-        at = partial(ModelParams, J1=0.1, J2=0.1)
-        e_lo, e_hi = (brute_force_minimize(at(g)).energy for g in (lo, hi))
-        assert oracle._bisect_onset(at, lo, hi, e_lo, e_hi) == pytest.approx(0.9, abs=1e-5)
+    @pytest.mark.parametrize("J", [0.1, -0.1])
+    @pytest.mark.parametrize("above", [1e-9, 1e-7])
+    def test_coarse_node_just_above_onset(self, monkeypatch, J, above):
+        # the middle node's minimum is superradiant in pattern but within the
+        # energy test's floor of -3/2, so the onset cell is the upper one, and
+        # its bisection probes nothing beyond its 17 halvings of the cell
+        g_c = critical_couplings(ModelParams(g=1.0, J1=J, J2=J)).g_c
+        node = g_c + above
+        probes, minimize = [], oracle.brute_force_minimize
+
+        def counting(params):
+            probes.append(params.g)
+            return minimize(params)
+
+        monkeypatch.setattr(oracle, "brute_force_minimize", counting)
+        transitions = detect_transitions(J, J, (node - 0.01, node + 0.01), n_coarse=3)
+        assert [t.order for t in transitions] == ["second"]
+        assert transitions[0].g_star == pytest.approx(g_c, abs=1e-5)
+        assert len(probes) == 17
 
     @pytest.mark.parametrize("g_range", [
         (1.2, 0.9), (1.0, 1.0), (math.nan, 1.2), (0.9, math.inf), (-math.inf, 1.2),
