@@ -1,20 +1,21 @@
 """Brute-force verification oracle.
 
 Global minimisation of the reduced energy on a dense grid with local
-refinement, degeneracy enumeration, and transition detection from numerical
-derivatives of the ground-state energy.  Deliberately ansatz-free: nothing
-here assumes the uniform or frustrated patterns, so it can arbitrate the
-closed-form and root-scan solvers.  The energy, its derivatives and the
-Newton polish are the pattern-free kernels of :mod:`dicke_trimer.meanfield`.
-The oracle's own parts are the separable grid evaluation and
-:func:`descend`, one batched modified-Newton descent over a stack of seeds
-with one parameter point per row; no scipy optimiser is involved.
-The minimisation runs over a sequence of parameter points at once: their
-grids share one set of scratch buffers, and the grid-local minima and saddle
-splits of all points go through each descent together; each point clusters
-its own minima.  :func:`brute_force_minimize` is its one-point case.
-Transition detection minimises its coarse scan and each order-test stencil
-as one such stack, and tests superradiance by one energy test throughout.
+refinement, degeneracy enumeration, and transition detection from the label
+of the minimum and numerical derivatives of the ground-state energy.
+Deliberately ansatz-free: nothing here assumes the uniform or frustrated
+patterns, so it can arbitrate the closed-form and root-scan solvers.  The
+energy, its derivatives and the Newton polish are the pattern-free kernels
+of :mod:`dicke_trimer.meanfield`.  The oracle's own parts are the separable
+grid evaluation and :func:`descend`, one batched modified-Newton descent
+over a stack of seeds with one parameter point per row; no scipy optimiser
+is involved.  The minimisation runs over a sequence of parameter points at
+once: their grids share one set of scratch buffers, and the grid-local
+minima and saddle splits of all points go through each descent together;
+each point clusters its own minima.  :func:`brute_force_minimize` is its
+one-point case.  Transition detection tells phases apart by one test, the
+label of the minimum, and minimises as one such stack its coarse scan, each
+halving of all its brackets, and the stencils of all its order tests.
 """
 
 from __future__ import annotations
@@ -67,11 +68,9 @@ class _Scratch:
 
 # beyond g ~ 1e154 the grid overflows; NaN is never a grid-local minimum
 @np.errstate(over="ignore", invalid="ignore")
-def _energy_grid(params, n, scratch=None):
+def _energy_grid(params, n, scratch):
     """Vectorised energy evaluation on an n^3 interior grid of (-g/2, g/2)^3,
-    into the buffers of scratch (of shape (n, n, n)) when it is given."""
-    if scratch is None:
-        scratch = _Scratch((n, n, n))
+    into the buffers of scratch (of shape (n, n, n))."""
     g, C, B = _g_c_b(params)
     ax = np.linspace(-0.5 * g, 0.5 * g, n + 2)[1:-1]
     root = np.sqrt(1.0 - 4.0 * ax * ax / (g * g))
@@ -89,7 +88,7 @@ def _energy_grid(params, n, scratch=None):
     return ax, E
 
 
-def _local_minima(E, scratch=None):
+def _local_minima(E, scratch):
     """Mask of the points of a grid no higher than any neighbour, edges
     padded by repetition: E <= scipy.ndimage.minimum_filter(E, size=3,
     mode="nearest").
@@ -98,10 +97,8 @@ def _local_minima(E, scratch=None):
     The minimum of three then runs along each axis in turn, as flat shifts
     by that axis's stride over the whole buffer; a shift wraps only into
     padding, and no interior point reads a value that a wrap produced.  The
-    mask lives in scratch (of E's shape) when it is given.
+    mask lives in scratch (of E's shape).
     """
-    if scratch is None:
-        scratch = _Scratch(E.shape)
     src, dst = scratch.padded, scratch.swap
     inner = (slice(1, -1),) * E.ndim
     src[inner] = E
@@ -258,6 +255,9 @@ def _split(saddles, params):
 
 
 def _label_from_pattern(x):
+    # below a second-order onset the minimum is x = 0 to within 6e-17, and
+    # 1e-9 above it max|x| is already about 3e-5, so 1e-7 puts the change of
+    # label within a small fraction of the bisection width of the onset
     if np.max(np.abs(x)) < 1e-7:
         return NP
     if np.max(np.abs(x - x.mean())) < 1e-7:
@@ -364,17 +364,17 @@ class Transition:
 
 
 def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
-    """Locate phase transitions on a g line from the brute-force energy alone.
+    """Locate phase transitions on a g line from the brute-force minimum alone.
 
-    A coarse cell whose ends differ in :func:`_superradiant` holds a
-    second-order candidate, refined by bisection on that same test; one
-    whose superradiant ends differ in label holds a first-order candidate,
-    refined by bisection on the crossing of the two branch energies (uniform
-    versus frustrated local minima).  Order labels are confirmed from
+    The one test is the label of the brute-force minimum.  A coarse cell
+    whose two ends differ in label holds a transition: a second-order
+    candidate where one end is NP, a first-order one otherwise.  All such
+    cells are bisected together on a change of label from the cell's lower
+    end, each halving one stacked brute-force minimisation over the
+    midpoints of every open bracket.  Order labels are confirmed from
     derivative jumps against a noise floor estimated from two step sizes;
     ambiguous jumps are flagged inconclusive, not guessed.  The coarse scan
-    and the stencils of each order test are one stacked brute-force
-    minimisation each; every onset probe is one brute-force minimum.
+    and the stencils of all order tests are one stacked minimisation each.
     """
     g_min, g_max = (float(v) for v in g_range)
     if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
@@ -382,26 +382,29 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     if not (isinstance(n_coarse, numbers.Integral) and n_coarse >= 2):
         raise ValueError(f"n_coarse must be an integer >= 2, got {n_coarse!r}")
     at = partial(ModelParams, J1=J1, J2=J2)
+
+    def minima(gs):
+        return _brute_force_minima([at(float(g)) for g in gs])
+
     gs = np.linspace(g_min, g_max, n_coarse)
-    results = _brute_force_minima([at(g) for g in gs])
+    labels = np.array([r.label for r in minima(gs)])
+    cells = np.flatnonzero(labels[:-1] != labels[1:])
+    lower = labels[cells]
+    g_stars = _bisect(lambda mid, rows: [r.label != lo for r, lo in zip(minima(mid), lower[rows])],
+                      gs[cells], gs[cells + 1], _BISECT_WIDTH).tolist()
+
+    # g_star - 6h stays above g_star / 2 > 0
+    steps = [min(_CONFIG.derivative_step, g / 12.0) for g in g_stars]
+    stencil_gs = list(dict.fromkeys(g for g_star, h in zip(g_stars, steps)
+                                    for stencil in _stencils(g_star, h) for g in stencil))
+    E = {g: r.energy for g, r in zip(stencil_gs, minima(stencil_gs))}
 
     transitions = []
-    for left, right, lo, hi in zip(results, results[1:], gs, gs[1:]):
-        superradiant = _superradiant(left.energy)
-        if superradiant != _superradiant(right.energy):
-            g_star = _bisect_onset(at, lo, hi, left.energy)
-            expected = "second"
-        elif superradiant and left.label != right.label:
-            g_star = _bisect_branch_crossing(at, lo, hi, left.representative.x,
-                                             right.representative.x)
-            expected = "first"
-        else:
-            continue
-        order, jump, noise = _classify_order(at, g_star)
-        if order != expected:
+    for g_star, h, lo, hi in zip(g_stars, steps, lower, labels[cells + 1]):
+        order, jump, noise = _classify_order(E, g_star, h)
+        if order != ("second" if NP in (lo, hi) else "first"):
             order = "inconclusive"
-        transitions.append(Transition(g_star=g_star, order=order,
-                                      jump=jump, noise_floor=noise))
+        transitions.append(Transition(g_star=g_star, order=order, jump=jump, noise_floor=noise))
     return transitions
 
 
@@ -409,62 +412,26 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
 _BISECT_WIDTH = 1e-7
 
 
-def _superradiant(e):
-    """The minimum energy e lies strictly below the normal-phase energy
-    -3/2, beyond the 1e-12 energy-resolution floor."""
-    return e < -1.5 - 1e-12
+def _stencils(g_star, h):
+    """The h and 2h stencils of the order test at g_star, g_star +- {1, 2,
+    3} step each; they share g_star +- 2h, so 10 distinct g."""
+    return [[g_star + k * step for k in (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)]
+            for step in (h, 2.0 * h)]
 
 
-def _bisect_onset(at, lo, hi, e_lo):
-    """Second-order point: bisection on the change of :func:`_superradiant`
-    between lo and hi.  e_lo is the coarse-scan energy at lo; the ends are
-    never probed, and every probe is one brute-force minimum."""
-    side = _superradiant(e_lo)
-    return float(_bisect(
-        lambda mid, rows: [_superradiant(brute_force_minimize(at(float(mid[0]))).energy) != side],
-        [lo], [hi], _BISECT_WIDTH)[0])
-
-
-def _bisect_branch_crossing(at, lo, hi, seed_left, seed_right):
-    """First-order point: bisection on the sign of the branch-energy gap.
-
-    The seeds are the coarse minima at lo and hi.  A seed that lies outside
-    |x_n| < g/2 at a probed g, as one from hi can in a wide cell, is scaled
-    by g over the g it came from; a seed inside is descended as it is.
-    """
-    seeds = np.array([seed_left, seed_right])
-    sources = np.array([[lo], [hi]])
-
-    def left_lower(g):
-        p = at(g)
-        start = np.where(_inside(seeds, g)[:, None], seeds, seeds * (g / sources))
-        e_l, e_r = energy(descend(start, p)[0], p)
-        return e_l - e_r < 0.0
-
-    at_lo = left_lower(lo)
-    return float(_bisect(lambda mid, rows: [left_lower(float(mid[0])) != at_lo],
-                         [lo], [hi], _BISECT_WIDTH)[0])
-
-
-def _classify_order(at, g_star):
-    """Derivative-jump order classification with a two-step noise estimate.
+def _classify_order(E, g_star, h):
+    """Derivative-jump order classification with a two-step noise estimate,
+    from the map E of g to the brute-force energy at the g of
+    :func:`_stencils`.
 
     The first-derivative jump of E(g) converges to a constant across step
     sizes at a first-order point and shrinks linearly with the step at a
     second-order one; the second-derivative jump does the converse.  The
     noise floor is the spread of the estimate over the two step sizes h and
-    2h.  The two stencils share points: their 10 distinct g, g_star +- {1,
-    2, 3, 4, 6} h, are minimised as one stack.
+    2h.
     """
-    h = _CONFIG.derivative_step
-    steps = (h, 2.0 * h)
-    stencils = [(g_star - 3.0 * step, g_star - 2.0 * step, g_star - step,
-                 g_star + step, g_star + 2.0 * step, g_star + 3.0 * step) for step in steps]
-    gs = list(dict.fromkeys(g for stencil in stencils for g in stencil))
-    E = {g: r.energy for g, r in zip(gs, _brute_force_minima([at(g) for g in gs]))}
-
     jumps1, jumps2 = [], []
-    for step, stencil in zip(steps, stencils):
+    for step, stencil in zip((h, 2.0 * h), _stencils(g_star, h)):
         el = [E[g] for g in stencil[:3]]
         er = [E[g] for g in stencil[3:]]
         dl = (3.0 * el[2] - 4.0 * el[1] + el[0]) / (2.0 * step)

@@ -179,19 +179,19 @@ class TestDetectTransitions:
         # second order at sqrt(0.96), first order at sqrt(1.08)
         transitions = detect_transitions(0.1, -0.1, (0.9, 1.2), n_coarse=31)
         assert [t.order for t in transitions] == ["second", "first"]
-        assert transitions[0].g_star == pytest.approx(math.sqrt(0.96), abs=1e-4)
+        assert transitions[0].g_star == pytest.approx(math.sqrt(0.96), abs=2e-7)
         assert transitions[1].g_star == pytest.approx(math.sqrt(1.08), abs=1e-4)
 
     def test_single_second_order_line(self):
         transitions = detect_transitions(0.1, 0.1, (0.7, 1.1), n_coarse=21)
         assert len(transitions) == 1
         assert transitions[0].order == "second"
-        assert transitions[0].g_star == pytest.approx(0.9, abs=1e-4)
+        assert transitions[0].g_star == pytest.approx(0.9, abs=2e-7)
 
     def test_uncoupled_line(self):
         transitions = detect_transitions(0.0, 0.0, (0.8, 1.2), n_coarse=21)
         assert len(transitions) == 1
-        assert transitions[0].g_star == pytest.approx(1.0, abs=1e-4)
+        assert transitions[0].g_star == pytest.approx(1.0, abs=2e-7)
 
     def test_no_transition_window(self):
         transitions = detect_transitions(0.1, 0.1, (0.3, 0.6), n_coarse=11)
@@ -204,34 +204,30 @@ class TestDetectTransitions:
         assert first[0].jump > 3.0 * first[0].noise_floor
 
     def test_each_g_minimized_once(self, monkeypatch):
-        calls, per_order_test = [], []
-        minima, classify = oracle._brute_force_minima, oracle._classify_order
+        calls, minima = [], oracle._brute_force_minima
 
         def recording(points):
             calls.append(list(points))
             return minima(calls[-1])
 
-        def counting(*args):
-            before = len(calls)
-            out = classify(*args)
-            per_order_test.append([len(points) for points in calls[before:]])
-            return out
-
         monkeypatch.setattr(oracle, "_brute_force_minima", recording)
-        monkeypatch.setattr(oracle, "_classify_order", counting)
         for g_range, n_coarse, orders in [((1.0, 1.1), 21, ["first"]),
                                           ((0.9, 1.2), 31, ["second", "first"])]:
             calls.clear()
-            per_order_test.clear()
             transitions = detect_transitions(0.1, -0.1, g_range, n_coarse=n_coarse)
             assert [t.order for t in transitions] == orders
             seen = [p for points in calls for p in points]
             assert len(seen) == len(set(seen))
             # the coarse scan is one stacked call
             assert len(calls[0]) == n_coarse
-            # each order test is one stacked call of 10 distinct g: the h and
-            # 2h stencils share g_star +- 2h
-            assert per_order_test == [[10]] * len(orders)
+            # each halving probes the midpoint of every open bracket
+            assert [len(points) for points in calls[1:-1]] == [len(orders)] * (len(calls) - 2)
+            # the order tests are one stacked call of 10 distinct g per
+            # transition, all within 6h = 6e-4 of it: the h and 2h stencils
+            # share g_star +- 2h
+            assert len(calls[-1]) == 10 * len(orders)
+            assert [sum(abs(p.g - t.g_star) < 1e-3 for p in calls[-1])
+                    for t in transitions] == [10] * len(orders)
 
     def test_branch_crossing_in_a_wide_coarse_cell(self):
         # the coarse minimum of the cell's upper end lies outside |x_n| < g/2
@@ -242,28 +238,47 @@ class TestDetectTransitions:
         params = ModelParams(g=1.0, J1=J1, J2=J2)
         assert [t.order for t in transitions] == ["second", "first"]
         assert transitions[0].g_star == pytest.approx(critical_couplings(params).g_c_plus,
-                                                      abs=1e-4)
+                                                      abs=2e-7)
         assert transitions[1].g_star == pytest.approx(first_order_point(params), abs=1e-4)
 
-    @pytest.mark.parametrize("J", [0.1, -0.1])
-    @pytest.mark.parametrize("above", [1e-9, 1e-7])
-    def test_coarse_node_just_above_onset(self, monkeypatch, J, above):
-        # the middle node's minimum is superradiant in pattern but within the
-        # energy test's floor of -3/2, so the onset cell is the upper one, and
-        # its bisection probes nothing beyond its 17 halvings of the cell
+    @pytest.mark.parametrize("J, above, g_min, halvings", [
+        *(pytest.param(J, above, None, 17, id=f"{above}-{J}")
+          for above in (1e-9, 1e-7) for J in (0.1, -0.1)),
+        # windows that end at the node, just above g_c = 0.9
+        *(pytest.param(0.1, above, 0.85, 18, id=f"0.85-{above}-0.1") for above in (1e-9, 1e-7)),
+    ])
+    def test_coarse_node_just_above_onset(self, monkeypatch, J, above, g_min, halvings):
+        # the node g_c + above, the middle one of a window of +-0.01 or the
+        # top one of (g_min, g_c + above), is labelled superradiant (its
+        # max|x| is at least 3e-5), so the onset cell is the one below it; its
+        # bisection probes one midpoint per halving of the cell, 17 for a
+        # cell of 0.01 and 18 for one of about 0.025
         g_c = critical_couplings(ModelParams(g=1.0, J1=J, J2=J)).g_c
         node = g_c + above
-        probes, minimize = [], oracle.brute_force_minimize
+        calls, minima = [], oracle._brute_force_minima
 
-        def counting(params):
-            probes.append(params.g)
-            return minimize(params)
+        def recording(points):
+            calls.append(list(points))
+            return minima(calls[-1])
 
-        monkeypatch.setattr(oracle, "brute_force_minimize", counting)
-        transitions = detect_transitions(J, J, (node - 0.01, node + 0.01), n_coarse=3)
+        monkeypatch.setattr(oracle, "_brute_force_minima", recording)
+        g_range = (node - 0.01, node + 0.01) if g_min is None else (g_min, node)
+        transitions = detect_transitions(J, J, g_range, n_coarse=3)
         assert [t.order for t in transitions] == ["second"]
-        assert transitions[0].g_star == pytest.approx(g_c, abs=1e-5)
-        assert len(probes) == 17
+        assert transitions[0].g_star == pytest.approx(g_c, abs=2e-7)
+        # the coarse scan, the halvings and the order test
+        assert [len(points) for points in calls] == [3] + [1] * halvings + [10]
+
+    def test_order_stencil_stays_above_zero_near_a_tiny_onset(self):
+        # g_c = 2e-4 lies below six default derivative steps; here max|x| is
+        # about 2e-4 sqrt(g - g_c), so the label's 1e-7 flips 2.5e-7 above
+        # g_c, and g_star lies within half a bisection width of that
+        J = -0.4999
+        g_c = critical_couplings(ModelParams(g=1.0, J1=J, J2=J)).g_c
+        transitions = detect_transitions(J, J, (1e-5, 0.01), n_coarse=11)
+        assert len(transitions) == 1
+        assert transitions[0].order in ("second", "inconclusive")
+        assert transitions[0].g_star == pytest.approx(g_c + 2.5e-7, abs=0.5e-7)
 
     @pytest.mark.parametrize("g_range", [
         (1.2, 0.9), (1.0, 1.0), (math.nan, 1.2), (0.9, math.inf), (-math.inf, 1.2),
@@ -291,8 +306,9 @@ class TestLocalMinima:
         for _ in range(60):
             J1, J2 = rng.uniform(-0.45, 0.45, 2)
             params = ModelParams(g=rng.uniform(0.3, 3.0), J1=J1, J2=J2)
-            _, E = oracle._energy_grid(params, int(rng.integers(3, 42)))
-            assert np.array_equal(oracle._local_minima(E),
+            n = int(rng.integers(3, 42))
+            _, E = oracle._energy_grid(params, n, oracle._Scratch((n, n, n)))
+            assert np.array_equal(oracle._local_minima(E, oracle._Scratch(E.shape)),
                                   E <= minimum_filter(E, size=3, mode="nearest"))
 
     def test_matches_minimum_filter_with_ties_and_edges(self):
@@ -302,7 +318,7 @@ class TestLocalMinima:
         for _ in range(60):
             # coarse values make plateaus and ties, odd shapes test each axis
             E = np.round(rng.normal(size=tuple(rng.integers(1, 7, 3))), 1)
-            assert np.array_equal(oracle._local_minima(E),
+            assert np.array_equal(oracle._local_minima(E, oracle._Scratch(E.shape)),
                                   E <= minimum_filter(E, size=3, mode="nearest"))
 
 
