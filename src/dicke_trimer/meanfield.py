@@ -683,7 +683,8 @@ def solve_ground_states(points) -> GroundStates:
     the uniform (B < 0, closed form) or frustrated (B > 0, root scan)
     branch.  |B| below 1e-12 is treated as first-order coexistence: both
     branches are solved and the lower-energy one is kept, with
-    ``coexistent`` set.  The orbits, energies and domain checks run over
+    ``coexistent`` set; a branch that fails is never kept over one that
+    does not.  The orbits, energies and domain checks run over
     all rows at once.  A ConvergenceError or ValueError of a row is
     recorded for that row; any other exception propagates.
     """
@@ -713,23 +714,21 @@ def solve_ground_states(points) -> GroundStates:
     rep = members[:, 0]
     for k in np.flatnonzero(~_inside(rep, g[rows, None])):
         error[k] = error[k] or _domain_error(rep[k], points[rows[k]].g)
-    e = np.full(len(rows), np.nan)
+    # a failed candidate has energy +inf, so it is never picked over one that
+    # did not fail; row i's own candidate is candidate i and wins a tie
+    e = np.full(len(rows), np.inf)
     ok = np.flatnonzero([err is None for err in error])
     if ok.size:
         e[ok] = energy(rep[ok], [points[rows[k]] for k in ok])
 
     pick = np.arange(n)
-    for k in range(n, len(rows)):
-        i = rows[k]  # the uniform candidate of row i is candidate i
-        if error[i] is None and (error[k] is not None or e[k] < e[i]):
-            pick[i] = k
-    error = [error[k] for k in pick]
+    k = np.arange(n, len(rows))[e[n:] < e[rows[n:]]]
+    pick[rows[k]] = k
+    error = [error[i] for i in pick]
     failed = np.array([err is not None for err in error], dtype=bool)
-    rep = rep[pick]
-    rep[failed] = np.nan
-    label = label[pick]
-    label[failed] = ""
-    return GroundStates(label=label, representative=rep, energy=e[pick],
+    rep, label, e = rep[pick], label[pick], e[pick]
+    rep[failed], label[failed], e[failed] = np.nan, "", np.nan
+    return GroundStates(label=label, representative=rep, energy=e,
                         degeneracy=np.where(failed, 0, count[pick]),
                         coexistent=coexist & ~failed, error=error)
 

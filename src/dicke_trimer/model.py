@@ -31,6 +31,15 @@ REGION_SEQUENCES = {
     6: (NP, NSP, FSP),
 }
 
+#: The transition between each pair of phases: its boundary name, its order
+#: and its closed-form g at given hoppings (a ModelParams, whose g is not
+#: read), None where the transition does not exist.
+TRANSITIONS = {
+    frozenset((NP, FSP)): ("g_c_plus", "second", lambda p: critical_couplings(p).g_c_plus),
+    frozenset((NP, NSP)): ("g_c_minus", "second", lambda p: critical_couplings(p).g_c_minus),
+    frozenset((NSP, FSP)): ("g_L", "first", lambda p: first_order_point(p)),
+}
+
 
 class ParameterError(ValueError):
     """Raised when model parameters fall outside the validity domain."""

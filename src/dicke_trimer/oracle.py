@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import FSP, NP, NSP, ModelParams
+from .model import FSP, NP, NSP, TRANSITIONS, ModelParams
 from .meanfield import (_NEWTON_TOL, _PSD_TOL, ConvergenceError, PhaseResult, _bisect,
                         _columns, _energy, _g_c_b, _gradient, _hessian, _inside, _polish,
                         energy, state_from_x)
@@ -254,13 +254,15 @@ def _split(saddles, params):
     return np.array(seeds).reshape(-1, 3)
 
 
-def _label_from_pattern(x):
-    # below a second-order onset the minimum is x = 0 to within 6e-17, and
-    # 1e-9 above it max|x| is already about 3e-5, so 1e-7 puts the change of
-    # label within a small fraction of the bisection width of the onset
-    if np.max(np.abs(x)) < 1e-7:
+def _label_from_pattern(x, g):
+    # x lies in (-g/2, g/2), so both tests compare with 1e-7 of g/2.  Near
+    # g = 1 the minimum below a second-order onset is x = 0 to within 6e-17,
+    # and 1e-9 above the onset max|x| is already about 3e-5, so the label
+    # changes within a small fraction of the bisection width of the onset
+    tol = 1e-7 * g / 2.0
+    if np.max(np.abs(x)) < tol:
         return NP
-    if np.max(np.abs(x - x.mean())) < 1e-7:
+    if np.max(np.abs(x - x.mean())) < tol:
         return NSP
     return FSP
 
@@ -283,7 +285,7 @@ def _ranked(minima, params):
     keep.sort(key=tuple)
     states = [state_from_x(x, params) for x in keep]
     return PhaseResult(
-        label=_label_from_pattern(keep[0]),
+        label=_label_from_pattern(keep[0], params.g),
         energy=float(best),
         degeneracy=len(keep),
         representative=states[0],
@@ -367,8 +369,8 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     """Locate phase transitions on a g line from the brute-force minimum alone.
 
     The one test is the label of the brute-force minimum.  A coarse cell
-    whose two ends differ in label holds a transition: a second-order
-    candidate where one end is NP, a first-order one otherwise.  All such
+    whose two ends differ in label holds a transition, expected of the
+    order that ``model.TRANSITIONS`` gives that pair of labels.  All such
     cells are bisected together on a change of label from the cell's lower
     end, each halving one stacked brute-force minimisation over the
     midpoints of every open bracket.  Order labels are confirmed from
@@ -402,7 +404,7 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     transitions = []
     for g_star, h, lo, hi in zip(g_stars, steps, lower, labels[cells + 1]):
         order, jump, noise = _classify_order(E, g_star, h)
-        if order != ("second" if NP in (lo, hi) else "first"):
+        if order != TRANSITIONS[frozenset((lo, hi))][1]:
             order = "inconclusive"
         transitions.append(Transition(g_star=g_star, order=order, jump=jump, noise_floor=noise))
     return transitions

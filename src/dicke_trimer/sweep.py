@@ -23,17 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .model import (
-    FSP,
-    NP,
-    NSP,
-    ModelParams,
-    _b_tildes,
-    alpha_from_x,
-    classify_region,
-    critical_couplings,
-    first_order_point,
-)
+from .model import TRANSITIONS, ModelParams, _b_tildes, alpha_from_x, classify_region
 from .meanfield import _bisect, solve_ground_states
 from .spectrum import spectra
 
@@ -116,11 +106,12 @@ class Axis:
 class PhaseDiagramGrid:
     """A filled 2-D scan: per-cell phase summaries plus boundary polylines.
 
-    boundaries maps a boundary type ("g_c_plus", "g_c_minus", "g_L" for label
-    pairs NP|FSP, NP|NSP, NSP|FSP) to a list of refined (x, y) points in axis
-    coordinates.  analytic_deviation reports, per boundary type, the largest
-    distance between refined points and the closed-form curve (g-J2 plane
-    only, where the closed forms apply).
+    boundaries maps a boundary name of ``model.TRANSITIONS`` ("g_c_plus",
+    "g_c_minus", "g_L" for label pairs NP|FSP, NP|NSP, NSP|FSP) to a list of
+    refined (x, y) points in axis coordinates.  analytic_deviation reports,
+    per boundary, the largest distance between refined points and the
+    table's closed-form curve (g-J2 plane only, where the closed forms
+    apply).
     """
 
     axis_x: Axis
@@ -130,20 +121,6 @@ class PhaseDiagramGrid:
     boundaries: dict = field(default_factory=dict)
     analytic_deviation: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-
-
-_BOUNDARY_FOR_PAIR = {
-    frozenset((NP, FSP)): "g_c_plus",
-    frozenset((NP, NSP)): "g_c_minus",
-    frozenset((NSP, FSP)): "g_L",
-}
-#: boundary key -> its closed-form g at given hoppings (ModelParams with
-#: g = 1), None where the boundary does not exist
-_CLOSED_FORM = {
-    "g_c_plus": lambda p: critical_couplings(p).g_c_plus,
-    "g_c_minus": lambda p: critical_couplings(p).g_c_minus,
-    "g_L": first_order_point,
-}
 
 
 def _cell_params(axis_x, axis_y, fixed, xv, yv):
@@ -167,9 +144,7 @@ def _grid_rows(args):
             "B_tilde": rec["B_tilde"], "error": rec["error"],
         }
         if "g" not in (axis_x.name, axis_y.name):
-            J1 = xv if axis_x.name == "J1" else fixed.get("J1", 0.0)
-            J2 = yv if axis_y.name == "J2" else fixed.get("J2", 0.0)
-            label = classify_region(J1, J2)
+            label = classify_region(rec["J1"], rec["J2"])
             cell["region"] = label.region if not label.boundary else None
         cells.append(cell)
     return cells
@@ -227,7 +202,7 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
         for ix in range(len(xs) - 1):
             a, b = row[ix]["phase"], row[ix + 1]["phase"]
             if a and b and a != b:
-                keys.append(_BOUNDARY_FOR_PAIR.get(frozenset((a, b)), f"{a}|{b}"))
+                keys.append(TRANSITIONS[frozenset((a, b))][0])
                 brackets.append((xs[ix], xs[ix + 1], yv, a))
     boundaries = {}
     refined = _refine_boundaries(axis_x, axis_y, fixed, brackets)
@@ -237,10 +212,9 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
     deviation = {}
     if axis_x.name == "g" and axis_y.name == "J2":
         J1 = fixed.get("J1", 0.0)
+        closed_form = {key: g_of for key, _, g_of in TRANSITIONS.values()}
         for key, pts in boundaries.items():
-            if key not in _CLOSED_FORM:
-                continue
-            refs = [_CLOSED_FORM[key](ModelParams(g=1.0, J1=J1, J2=J2v)) for _, J2v in pts]
+            refs = [closed_form[key](ModelParams(g=1.0, J1=J1, J2=J2v)) for _, J2v in pts]
             devs = [abs(gb - ref) for (gb, _), ref in zip(pts, refs) if ref is not None]
             if devs:
                 deviation[key] = float(max(devs))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from dicke_trimer import sweep
+from dicke_trimer import meanfield, sweep
 from dicke_trimer.meanfield import (
     ConvergenceError,
     _solve_fsp_branch,
@@ -20,6 +20,7 @@ from dicke_trimer.meanfield import (
     solve_nsp,
 )
 from dicke_trimer.model import (
+    TRANSITIONS,
     ModelParams,
     ParameterError,
     b_tilde,
@@ -163,6 +164,33 @@ def test_coexistence_keeps_the_lower_branch():
     assert states.coexistent.all()
 
 
+def test_coexistence_keeps_nsp_where_the_frustrated_branch_fails(monkeypatch):
+    p = _coexistence_points(np.random.default_rng(11), 1)[0]
+
+    def failing(points):
+        points = list(points)
+        return np.full((len(points), 3), np.nan), [ConvergenceError("x")] * len(points)
+
+    monkeypatch.setattr(meanfield, "_fsp_minima", failing)
+    states = solve_ground_states([p])
+    assert states.error[0] is None
+    assert (states.label[0], states.energy[0]) == ("NSP", solve_nsp(p).energy)
+    assert states.coexistent[0]
+
+
+def test_coexistence_without_a_frustrated_minimum_is_nsp():
+    # at g_L = 44.7 the frustrated branch has no local minimum; the uniform
+    # one is the ground state
+    p = ModelParams(g=1.0, J1=-1e-4, J2=0.2)
+    p = p.replace(g=first_order_point(p))
+    assert abs(b_tilde(p)) < 1e-12 and p.g > critical_couplings(p).g_c
+    with pytest.raises(ConvergenceError, match="no frustrated local minimum"):
+        _solve_fsp_branch(p)
+    result = solve_ground_state(p)
+    assert result.label == "NSP" and result.coexistent
+    assert result.energy == solve_nsp(p).energy
+
+
 def test_stacked_spectrum_equals_single_forms_bitwise(points):
     states = solve_ground_states(points)
     ok = [i for i, err in enumerate(states.error) if err is None]
@@ -236,20 +264,23 @@ def test_lockstep_boundaries_equal_sequential_bisection():
                 while hi - lo > 1e-6:
                     mid = 0.5 * (lo + hi)
                     lo, hi = (mid, hi) if label(mid, float(J2)) == a else (lo, mid)
-                key = sweep._BOUNDARY_FOR_PAIR[frozenset((a, b))]
+                key = TRANSITIONS[frozenset((a, b))][0]
                 want.setdefault(key, []).append((0.5 * (lo + hi), float(J2)))
     assert grid.boundaries == want
     assert set(want) == {"g_c_minus", "g_c_plus", "g_L"}
 
 
 def test_j1_j2_grid_keeps_region_column():
-    grid = sweep_phase_diagram(Axis("J1", -0.3, 0.3, 5), Axis("J2", -0.3, 0.3, 5),
-                               fixed={"g": 1.1})
-    for row in grid.cells:
-        for cell in row:
-            region = classify_region(cell["x"], cell["y"])
-            assert cell["region"] == (None if region.boundary else region.region)
-    assert {c["region"] for row in grid.cells for c in row} - {None}
+    # either hopping may lie on either axis
+    for x_name, y_name in (("J1", "J2"), ("J2", "J1")):
+        grid = sweep_phase_diagram(Axis(x_name, -0.3, 0.3, 5), Axis(y_name, -0.3, 0.3, 5),
+                                   fixed={"g": 1.1})
+        for row in grid.cells:
+            for cell in row:
+                hop = {x_name: cell["x"], y_name: cell["y"]}
+                region = classify_region(hop["J1"], hop["J2"])
+                assert cell["region"] == (None if region.boundary else region.region)
+        assert {c["region"] for row in grid.cells for c in row} - {None}
 
 
 def test_empty_line():

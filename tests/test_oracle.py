@@ -271,14 +271,15 @@ class TestDetectTransitions:
 
     def test_order_stencil_stays_above_zero_near_a_tiny_onset(self):
         # g_c = 2e-4 lies below six default derivative steps; here max|x| is
-        # about 2e-4 sqrt(g - g_c), so the label's 1e-7 flips 2.5e-7 above
-        # g_c, and g_star lies within half a bisection width of that
+        # about 2e-4 sqrt(g - g_c), and the label's tolerance of 1e-7 g/2 =
+        # 1e-11 flips it 2.5e-15 above g_c, so g_star lies within about one
+        # bisection width of g_c
         J = -0.4999
         g_c = critical_couplings(ModelParams(g=1.0, J1=J, J2=J)).g_c
         transitions = detect_transitions(J, J, (1e-5, 0.01), n_coarse=11)
         assert len(transitions) == 1
         assert transitions[0].order in ("second", "inconclusive")
-        assert transitions[0].g_star == pytest.approx(g_c + 2.5e-7, abs=0.5e-7)
+        assert transitions[0].g_star == pytest.approx(g_c, abs=2e-7)
 
     @pytest.mark.parametrize("g_range", [
         (1.2, 0.9), (1.0, 1.0), (math.nan, 1.2), (0.9, math.inf), (-math.inf, 1.2),
