@@ -389,21 +389,25 @@ def _h(x, C, g):
     return C * x + x / (g * g * np.sqrt((1.0 - 2.0 * x / g) * (1.0 + 2.0 * x / g)))
 
 
-def _G(x1, C, B, g):
-    """dE/dx2 on the (x1, x2, x2) pattern with x2 = -h(x1)/(2B), over x1."""
+def _G(x1, C, B, g, size=False):
+    """dE/dx2 on the (x1, x2, x2) pattern with x2 = -h(x1)/(2B), over x1;
+    with size, the size of its terms, (|h(x2)| + |B| (|x1| + |x2|)) / |x1|."""
     x2 = -_h(x1, C, g) / (2.0 * B)
+    if size:
+        return (np.abs(_h(x2, C, g)) + np.abs(B) * (np.abs(x1) + np.abs(x2))) / np.abs(x1)
     return (_h(x2, C, g) + B * (x1 + x2)) / x1
 
 
+_EPS = np.finfo(float).eps
 #: the bracketed root solve stops once the bracket is narrower than
 #: 4 eps |x| + 1e-300, brentq's default rtol with xtol = 1e-300
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_RTOL = 4.0 * _EPS
 _ROOT_XTOL = 1e-300
 #: at most this many steps per root
 _ROOT_STEPS = 100
 
 
-def _bracketed_roots(f, x1, x2, f1, f2, *args):
+def _bracketed_roots(f, x1, x2, f1, f2, *args, ftol=None):
     """Roots of f inside the brackets [x1, x2], elementwise, f1 = f(x1) and
     f2 = f(x2) of opposite sign.  f(x, *args) evaluates f elementwise, args
     being arrays with one entry per bracket.
@@ -412,7 +416,9 @@ def _bracketed_roots(f, x1, x2, f1, f2, *args):
     interpolation through the last three points where they admit it,
     bisection otherwise, and never a step closer than half the tolerance to
     a bracket end.  Each element stops on its own, at the end with the
-    smaller |f|, so no root depends on the other elements.
+    smaller |f|, so no root depends on the other elements: once the bracket
+    is narrower than 4 eps |x|, or, given the array ftol (f's rounding
+    floor), once that smaller |f| is at most the element's ftol.
     """
     root = np.empty(len(x1))
     at = np.arange(len(x1))
@@ -423,6 +429,8 @@ def _bracketed_roots(f, x1, x2, f1, f2, *args):
         dx = np.abs(x2 - x1)
         tol = _ROOT_RTOL * np.abs(xm) + _ROOT_XTOL
         done = (dx < tol) | (f1 == 0.0)
+        if ftol is not None:
+            done |= np.minimum(np.abs(f1), np.abs(f2)) <= ftol
         if it == _ROOT_STEPS:
             done[:] = True
         if done.any():
@@ -430,6 +438,8 @@ def _bracketed_roots(f, x1, x2, f1, f2, *args):
             live = ~done
             at, x1, x2, f1, f2, dx, tol = (v[live] for v in (at, x1, x2, f1, f2, dx, tol))
             args = [v[live] for v in args]
+            if ftol is not None:
+                ftol = ftol[live]
             if it:
                 x3, f3 = x3[live], f3[live]
         if not at.size:
@@ -451,21 +461,41 @@ def _bracketed_roots(f, x1, x2, f1, f2, *args):
     return root
 
 
-def _bisect(above, lo, hi, width):
+def _bisect(above, lo, hi, width, levels=1):
     """Bisection of the brackets [lo, hi] (1-D arrays) in lockstep: every
     bracket at least width wide is halved, at most 60 times.  above(mid,
-    rows) gets the midpoints of those brackets and their indices, and
-    returns True where the change lies below mid.  Returns 0.5 (lo + hi)."""
+    rows) gets midpoints and the indices of their brackets, and returns True
+    where the change lies below mid.  Returns 0.5 (lo + hi).
+
+    Each call of above settles up to `levels` halvings: it gets, per active
+    bracket, every midpoint of the next `levels` levels of its bisection
+    tree that is at least width wide (rows repeated), each computed as the
+    halving computes it, so the result does not depend on `levels`."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     active = np.flatnonzero(hi - lo >= width)
-    for _ in range(60):
-        if not active.size:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        up = np.asarray(above(mid, active), dtype=bool)
-        hi[active[up]] = mid[up]
-        lo[active[~up]] = mid[~up]
-        active = active[hi[active] - lo[active] >= width]
+    halvings = 0
+    while active.size and halvings < 60:
+        depth = min(levels, 60 - halvings)
+        # the tree level by level, node k of a level parent of 2k and 2k + 1
+        a, b, mids, wide = lo[active, None], hi[active, None], [], []
+        for _ in range(depth):
+            m = 0.5 * (a + b)
+            mids.append(m)
+            wide.append(b - a >= width)
+            a, b = (np.stack(u, axis=2).reshape(len(active), -1) for u in ((a, m), (m, b)))
+        mid = np.concatenate(mids, axis=1)
+        probe = np.nonzero(np.concatenate(wide, axis=1))
+        up = np.zeros(mid.shape, dtype=bool)
+        up[probe] = np.asarray(above(mid[probe], active[probe[0]]), dtype=bool)
+        node, at = np.zeros(len(active), dtype=int), np.arange(len(active))
+        for level in range(depth):
+            col = 2 ** level - 1 + node[at]
+            u, m = up[at, col], mid[at, col]
+            hi[active[at[u]]], lo[active[at[~u]]] = m[u], m[~u]
+            node[at] = 2 * node[at] + ~u
+            at = at[hi[active[at]] - lo[active[at]] >= width]
+        active = active[at]
+        halvings += depth
     return 0.5 * (lo + hi)
 
 
@@ -553,14 +583,19 @@ def _fsp_roots(C, B, g):
     sign, for 1-D arrays C, B and g: the row of each root and the root,
     ordered by row, window, exact zeros before refined sign changes, and
     x1.  The scan runs over _SCAN_CHUNK windows at a time, the refinement
-    over all sign changes at once."""
+    over all sign changes at once.  A refinement stops at G's rounding
+    floor, 8 eps times the size of G's terms at the larger bracket end:
+    just above g_c_plus G is flat at its root, and a narrower bracket would
+    take 15-20 more steps inside that noise."""
     left, right = _fsp_windows(C, B, g)
     row, piece = np.nonzero(left < right)
     left, right, C, B, g = left[row, piece], right[row, piece], C[row], B[row], g[row]
     parts = [_scan(k, *(u[k:k + _SCAN_CHUNK] for u in (left, right, C, B, g)))
              for k in range(0, max(len(row), 1), _SCAN_CHUNK)]
     zero_win, zero, win, a, b, fa, fb = (np.concatenate(u) for u in zip(*parts))
-    roots = _bracketed_roots(_G, a, b, fa, fb, C[win], B[win], g[win])
+    C, B, g = C[win], B[win], g[win]
+    ftol = 8.0 * _EPS * np.maximum(_G(a, C, B, g, size=True), _G(b, C, B, g, size=True))
+    roots = _bracketed_roots(_G, a, b, fa, fb, C, B, g, ftol=ftol)
     win, x1 = np.concatenate((zero_win, win)), np.concatenate((zero, roots))
     order = np.lexsort((x1, np.repeat([0, 1], (len(zero), len(roots))), win))
     return row[win[order]], x1[order]

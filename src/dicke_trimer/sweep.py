@@ -5,7 +5,7 @@ two-dimensional grid in either the (g, J2) or the (J1, J2) plane.  Both run
 their points through one batched pass: ``solve_ground_states`` over all
 points, then one stacked ``spectra`` call about the representatives; a
 point that fails records its error string.  Grid boundaries are bisected
-for all brackets in lockstep, one batched label call per halving.  Floats
+for all brackets in lockstep, three halvings per batched label call.  Floats
 are serialized with 17 significant digits so that write-then-read
 round-trips are bit exact.
 """
@@ -156,14 +156,17 @@ _REFINE_TOL = 1e-6
 
 def _refine_boundaries(axis_x, axis_y, fixed, brackets):
     """Bisect label changes along x, every bracket (x_lo, x_hi, y, label at
-    x_lo) in lockstep: each halving labels the midpoints of all unfinished
-    brackets in one batched solve ("" where it fails)."""
+    x_lo) in lockstep: one batched solve ("" where it fails) labels the
+    midpoints of the next three halvings of all unfinished brackets: a
+    label call costs far more than the rows it adds, and deeper trees were
+    slower on the criterion-11 grid."""
     def changed(mid, rows):
         labels = solve_ground_states([_cell_params(axis_x, axis_y, fixed, m, brackets[i][2])
                                       for m, i in zip(mid, rows)]).label
         return [label != brackets[i][3] for label, i in zip(labels, rows)]
 
-    return _bisect(changed, [b[0] for b in brackets], [b[1] for b in brackets], _REFINE_TOL)
+    return _bisect(changed, [b[0] for b in brackets], [b[1] for b in brackets], _REFINE_TOL,
+                   levels=3)
 
 
 def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,

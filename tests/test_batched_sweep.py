@@ -243,10 +243,20 @@ def test_exponent_fit_equals_per_point_spectra(J1, J2, side):
     assert fit_critical_exponent(params, side) == fit_power_law(dgs, np.array(gaps))
 
 
-def test_lockstep_boundaries_equal_sequential_bisection():
+def test_lockstep_boundaries_equal_sequential_bisection(monkeypatch):
     axis_g, axis_j2 = Axis("g", 0.9, 1.1, 11), Axis("J2", -0.2, -0.02, 16)
     fixed = {"J1": 0.1}
+    calls = []
+
+    def spy(points):
+        calls.append(len(points))
+        return solve_ground_states(points)
+
+    monkeypatch.setattr(sweep, "solve_ground_states", spy)
     grid = sweep_phase_diagram(axis_g, axis_j2, fixed=fixed)
+    monkeypatch.undo()
+    # the cells, then 15 halvings of every bracket, three per label call
+    assert len(calls) == 1 + 5
 
     def label(g, J2):
         try:
@@ -261,7 +271,7 @@ def test_lockstep_boundaries_equal_sequential_bisection():
             a, b = row[ix]["phase"], row[ix + 1]["phase"]
             if a and b and a != b:
                 lo, hi = float(gs[ix]), float(gs[ix + 1])
-                while hi - lo > 1e-6:
+                while hi - lo >= 1e-6:
                     mid = 0.5 * (lo + hi)
                     lo, hi = (mid, hi) if label(mid, float(J2)) == a else (lo, mid)
                 key = TRANSITIONS[frozenset((a, b))][0]

@@ -96,6 +96,25 @@ def test_seeded_fuzz_against_oracle():
         assert res.energy - brute_force_minimize(p).energy <= 1e-9, p
 
 
+def test_near_onset_roots_stop_at_the_noise_floor():
+    # just above g_c_plus G is flat to rounding at its root, and the root
+    # solve stops at its noise floor; the polished minima stay stationary
+    rng = np.random.default_rng(99)
+    points = []
+    while len(points) < 50:
+        J1, J2 = (float(v) for v in rng.uniform(-0.45, 0.45, 2))
+        p = ModelParams(g=1.0, J1=J1, J2=J2)
+        p = p.replace(g=critical_couplings(p).g_c_plus * (1.0 + 10.0 ** rng.uniform(-12, -1)))
+        if b_tilde(p) > 0.0:
+            points.append(p)
+    states = meanfield.solve_ground_states(points)
+    assert all(err is None for err in states.error)
+    assert set(states.label) == {FSP}
+    assert set(states.degeneracy.tolist()) == {6}
+    for p, x in zip(points, states.representative):
+        assert np.max(np.abs(gradient(x, p))) <= 1e-13, p
+
+
 def _frustrated_draw():
     """Seeded points for the batched frustrated pass: bulk points above
     g_c_plus, most with the turning point of h (two pieces), points just

@@ -26,6 +26,8 @@ from dicke_trimer import (
 )
 from dicke_trimer.meanfield import (
     ConvergenceError,
+    _bisect,
+    _bracketed_roots,
     _orbit,
     _solve_fsp_branch,
     nsp_alpha,
@@ -249,6 +251,92 @@ class TestDispatch:
     def test_np_below_gc(self):
         res = solve_ground_state(ModelParams(g=0.89, J1=0.1, J2=0.1))
         assert res.label == "NP"
+
+
+def _bisect_run(lo, hi, thresholds, width, levels):
+    """_bisect on a monotone test per bracket: the result, the (row, mid)
+    probes and the number of calls of above."""
+    probes, calls = set(), [0]
+
+    def above(mid, rows):
+        calls[0] += 1
+        probes.update(zip(rows.tolist(), mid.tolist()))
+        return mid >= thresholds[rows]
+
+    out = _bisect(above, lo, hi, width, levels=levels)
+    return out, probes, calls[0]
+
+
+# spans and widths that are powers of two put some nodes exactly width wide
+_brackets = st.lists(st.tuples(
+    st.one_of(st.floats(-10.0, 10.0), st.integers(-3, 3).map(float)),
+    st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e-6), st.sampled_from([0.25, 1.0, 2.0])),
+    st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-0.5, 1.5))), max_size=6)
+_widths = st.one_of(st.floats(1e-7, 1.0), st.integers(0, 20).map(lambda k: 2.0 ** -k),
+                    st.just(0.0), st.floats(1e-30, 1e-20))
+
+
+class TestLockstepSolvers:
+    @given(_brackets, _widths, st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_bisect_levels_equal_single_halvings(self, brackets, width, levels):
+        # thresholds at, inside and beyond the bracket ends; a width of 0 or
+        # 1e-30 makes the cap of 60 halvings bind
+        lo = np.array([b[0] for b in brackets])
+        hi = lo + np.array([b[1] for b in brackets])
+        thresholds = lo + np.array([b[2] for b in brackets]) * (hi - lo)
+        want, want_probes, halvings = _bisect_run(lo, hi, thresholds, width, 1)
+        got, probes, calls = _bisect_run(lo, hi, thresholds, width, levels)
+        assert got.tobytes() == want.tobytes()
+        assert want_probes <= probes
+        assert calls == -(-halvings // levels)
+
+    def test_bisect_cap_counts_halvings(self):
+        # a width of 0 never stops a bracket: 60 halvings, in 9 calls of 7;
+        # the first bracket shrinks onto 0, so a 61st halving would show
+        lo, hi, thresholds = np.array([0.0, 1.0]), np.array([1.0, 1.5]), np.array([0.0, 1.2])
+        want, want_probes, halvings = _bisect_run(lo, hi, thresholds, 0.0, 1)
+        got, probes, calls = _bisect_run(lo, hi, thresholds, 0.0, 7)
+        assert halvings == 60 and calls == 9
+        assert got.tobytes() == want.tobytes() and want_probes <= probes
+
+    def test_bisect_empty(self):
+        for levels in (1, 3):
+            out, probes, calls = _bisect_run(np.array([]), np.array([]), np.array([]),
+                                             1e-6, levels)
+            assert out.shape == (0,) and not probes and calls == 0
+
+    # roots of (x - c)^3, flat to rounding around c, and each element's steps
+    _CUBIC_C = np.array([0.3, -1.7, 1e-3, 2.5, 0.1])
+    _CUBIC_LO = _CUBIC_C - np.array([0.2, 1e-3, 0.5, 1e-9, 1.0])
+    _CUBIC_HI = _CUBIC_C + np.array([0.1, 0.5, 1e-2, 1e-6, 1e-12])
+
+    def _cubic_roots(self, **kw):
+        c, lo, hi = self._CUBIC_C, self._CUBIC_LO, self._CUBIC_HI
+        steps = np.zeros(len(c), dtype=int)
+
+        def f(x, c, k):
+            np.add.at(steps, k, 1)
+            return (x - c) ** 3
+
+        roots = _bracketed_roots(f, lo, hi, (lo - c) ** 3, (hi - c) ** 3, c,
+                                 np.arange(len(c)), **kw)
+        return roots, steps
+
+    def test_bracketed_roots_without_ftol_unchanged(self):
+        roots, steps = self._cubic_roots()
+        assert [float(r).hex() for r in roots] == [
+            "0x1.3333333333332p-2", "-0x1.b333333333334p+0", "0x1.0624dd2f1a9fep-10",
+            "0x1.3fffffffffffep+1", "0x1.9999999999998p-4"]
+        assert steps.tolist() == [51, 56, 67, 33, 55]
+
+    def test_bracketed_roots_stop_at_ftol(self):
+        ftol = np.full(len(self._CUBIC_C), 1e-24)
+        roots, steps = self._cubic_roots(ftol=ftol)
+        _, full_steps = self._cubic_roots()
+        assert np.all(np.abs((roots - self._CUBIC_C) ** 3) <= ftol)
+        assert np.all((roots >= self._CUBIC_LO) & (roots <= self._CUBIC_HI))
+        assert np.all(steps < full_steps)
 
 
 class TestRootStructure:
