@@ -181,9 +181,9 @@ def _sweep_line(config) -> int:
         write_line_json(records, output, J1=config["J1"], J2=config["J2"])
 
     failed = [r for r in records if r["error"]]
-    phases = [r["phase"] for r in records if r["phase"]]
-    switches = [(records[i]["g"], phases[i - 1], phases[i])
-                for i in range(1, len(phases)) if phases[i] != phases[i - 1]]
+    solved = [r for r in records if r["phase"]]
+    switches = [(b["g"], a["phase"], b["phase"])
+                for a, b in zip(solved, solved[1:]) if a["phase"] != b["phase"]]
     print(f"dicke-trimer {__version__}: line sweep, {len(records)} points, "
           f"{len(failed)} failed -> {output}")
     for g, a, b in switches:

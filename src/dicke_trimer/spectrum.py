@@ -1,12 +1,13 @@
 """Quadratic fluctuation Hamiltonian and its symplectic spectrum.
 
-Quadrature ordering is fixed as r = (q1..q3, p1..p3, Q1..Q3, P1..P3), with
-q, p the cavity and Q, P the atomic quadratures, so that H = 1/2 r^T M r.
-Excitation energies are the symplectic (Williamson) eigenvalues d_k of M,
-with +-i d_k the eigenvalues of J @ M and J the standard symplectic form for
-this ordering.  The kernels work on stacks of forms: :func:`spectra`
-assembles the (N, 12, 12) stack about N backgrounds and solves it with one
-stacked eigensolver call per chunk, and :func:`excitation_spectrum` is its
+The form has no position-momentum terms: H = 1/2 (X^T Mx X + P^T Mp P) with
+positions X = (q1..q3, Q1..Q3) and momenta P = (p1..p3, P1..P3), q, p the
+cavity and Q, P the atomic quadratures.  Excitation energies are its
+symplectic (Williamson) eigenvalues d_k, the singular values of
+sqrt(Mx) sqrt(Mp) (Williamson, Am. J. Math. 58, 141 (1936)).  The kernels
+work on stacks of forms: :func:`spectra` assembles the (N, 2, 6, 6) stack of
+block pairs about N backgrounds and solves it with one stacked eigensolver
+and one stacked SVD call per chunk, and :func:`excitation_spectrum` is its
 one-row case, equal to a stacked row bitwise.  The analytic normal-phase
 spectrum (see docs/normal_phase_spectrum.md for the derivation) provides an
 independent cross-check.
@@ -34,7 +35,7 @@ _CRITICAL_TOL = 1e-10
 #: |g - g_c| at the 13 points of a critical-exponent fit
 _CRITICAL_OFFSETS = np.geomspace(1e-6, 1e-3, 13)
 #: forms per stacked eigensolver call in :func:`spectra`, bounding the
-#: (rows, 12, 12) work arrays
+#: (rows, 2, 6, 6) work arrays
 _CHUNK = 64
 
 
@@ -49,8 +50,8 @@ class SpectrumResult:
     momentum_labels is set for the analytic normal-phase route only: a tuple
     of (k, branch) per energy with branch in {"-", "+"}.
     soft_mode_gap is the smallest energy.  ``critical`` flags a closed gap:
-    M singular to working precision on the numeric route, a gap below 1e-10
-    on the analytic one.
+    Mx singular to working precision on the numeric route (Mp stays
+    positive definite), a gap below 1e-10 on the analytic one.
     """
 
     energies: np.ndarray
@@ -71,14 +72,15 @@ def _form_coefficients(params):
 
 
 def _assemble(x, params):
-    """The fluctuation matrices M (N, 12, 12) about a stack of backgrounds.
+    """The fluctuation blocks M (N, 2, 6, 6) about a stack of backgrounds:
+    M[:, 0] = Mx on (q1..q3, Q1..Q3), M[:, 1] = Mp on (p1..p3, P1..P3).
 
     x is (N, 3), params holds one ModelParams per row; the Bloch angles
     theta_n follow from x.  Also returns, per row, the DomainError of a
     background outside |x_n| < g/2, the ValueError of one that is not
     stationary (the linear fluctuation term would not vanish), or None.
     The M of a row outside the domain is that of x = 0.
-    Blocks: omega/2 photon diagonal, -Omega/(2 cos theta_n) atom diagonal,
+    Entries: omega/2 photon diagonal, -Omega/(2 cos theta_n) atom diagonal,
     2*lambda*cos(theta_n) q-Q cross terms (phi absorbed into signed alpha),
     Jbar1 photon hopping on both q and p, Jbar2 atom hopping on P and on Q
     weighted by cos(theta_n)*cos(theta_{n+1}).
@@ -104,45 +106,36 @@ def _assemble(x, params):
     MPP = atom + Jbar2[..., None] * A
     MqQ = _diag(2.0 * lam * cth)
 
-    M = np.zeros((len(x), 12, 12))
-    M[:, 0:3, 0:3] = M[:, 3:6, 3:6] = Mqq
-    M[:, 0:3, 6:9] = M[:, 6:9, 0:3] = MqQ
-    M[:, 6:9, 6:9] = MQQ
-    M[:, 9:12, 9:12] = MPP
+    M = np.zeros((len(x), 2, 6, 6))
+    M[:, :, 0:3, 0:3] = Mqq[:, None]
+    M[:, 0, 0:3, 3:6] = M[:, 0, 3:6, 0:3] = MqQ
+    M[:, 0, 3:6, 3:6] = MQQ
+    M[:, 1, 3:6, 3:6] = MPP
     return M, errors
 
 
-def symplectic_form() -> np.ndarray:
-    """Standard symplectic form for the (q1..3, p1..3, Q1..3, P1..3) ordering."""
-    J = np.zeros((12, 12))
-    I3 = np.eye(3)
-    J[0:3, 3:6] = I3
-    J[3:6, 0:3] = -I3
-    J[6:9, 9:12] = I3
-    J[9:12, 6:9] = -I3
-    return J
-
-
 def _williamson(M):
-    """Symplectic (Williamson) eigenvalues of a stack of forms M (N, 12, 12).
+    """Symplectic (Williamson) eigenvalues of a stack of block pairs M (N, 2, 6, 6).
 
-    J M shares its eigenvalues +-i d_k with R J R, R the symmetric square
-    root of M; i R J R is Hermitian, so eigvalsh returns exact +-d_k pairs,
-    also for M singular at criticality.  Returns the (N, 6) energies sorted
-    ascending, the ``critical`` flags and, per row, the
-    UnstableBackgroundError of a form with a negative eigenvalue beyond the
-    critical tolerance (an unstable, mislabelled background), or None.
+    One stacked eigh gives the symmetric square roots Rx, Rp of Mx, Mp; the
+    energies are the singular values of Rx Rp, whose squares are the
+    eigenvalues of Mx Mp.  The SVD reads them without squaring and returns
+    a closed gap for Mx singular at criticality.  Returns the (N, 6)
+    energies sorted ascending, the ``critical`` flags and, per row, the
+    UnstableBackgroundError of a form whose smallest eigenvalue over both
+    blocks is negative beyond the critical tolerance (an unstable,
+    mislabelled background), or None.
     """
-    scale = np.maximum(np.max(np.abs(M), axis=(-2, -1)), 1.0)
+    scale = np.maximum(np.max(np.abs(M), axis=(-3, -2, -1)), 1.0)
     w, V = np.linalg.eigh(M)
+    w0 = np.min(w[..., 0], axis=-1)
     errors = [UnstableBackgroundError(
-                  f"quadratic form has negative eigenvalue {w0:.3e}: unstable background")
-              if w0 < -_CRITICAL_TOL * s else None for w0, s in zip(w[:, 0], scale)]
-    R = (V * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ np.swapaxes(V, -1, -2)
-    d = np.linalg.eigvalsh(1j * (R @ symplectic_form() @ R))
-    energies = 0.5 * (d[:, 6:] - d[:, 5::-1])
-    # eigh fixes the eigenvalues of the 12x12 M only to about 12 eps |M|
-    return energies, w[:, 0] <= 12.0 * np.finfo(float).eps * scale, errors
+                  f"quadratic form has negative eigenvalue {e:.3e}: unstable background")
+              if e < -_CRITICAL_TOL * s else None for e, s in zip(w0, scale)]
+    R = (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(V, -1, -2)
+    energies = np.linalg.svd(R[:, 0] @ R[:, 1], compute_uv=False)[:, ::-1]
+    # eigh fixes the eigenvalues of a block only to about 12 eps |M|
+    return energies, w0 <= 12.0 * np.finfo(float).eps * scale, errors
 
 
 def excitation_spectrum(x, params: ModelParams) -> SpectrumResult:

@@ -77,6 +77,15 @@ class TestSweep:
         assert out_file.exists()
         assert "NP -> NSP" in out and "NSP -> FSP" in out
 
+    def test_phase_change_skips_failed_records(self, capsys, tmp_path):
+        # the g = 0 record fails (B_tilde is undefined there); the change is
+        # reported at the first FSP point, g = 1.0, not at the NP point before it
+        code, out, _ = run(capsys, "sweep", "--mode", "line", "--j1", "0.1", "--j2", "0.1",
+                           "--g-min", "0", "--g-max", "2", "--g-steps", "21",
+                           "--output", str(tmp_path / "line.csv"))
+        assert code == 1 and "1 failed" in out
+        assert "phase change NP -> FSP near g = 1.000000" in out
+
     def test_flags_override_config(self, capsys, tmp_path):
         out_file = tmp_path / "line.json"
         cfg = tmp_path / "cfg.json"

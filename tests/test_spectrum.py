@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,11 +15,12 @@ from dicke_trimer import (
     solve_ground_state,
     soft_mode_gap,
 )
+from dicke_trimer.meanfield import solve_ground_states
 from dicke_trimer.spectrum import (
     UnstableBackgroundError,
     _assemble,
     fit_power_law,
-    symplectic_form,
+    spectra,
 )
 
 
@@ -29,17 +31,13 @@ def np_spectrum_numeric(params):
 class TestQuadraticForm:
     def test_symmetric(self):
         p = ModelParams(g=0.8, J1=0.1, J2=-0.2)
-        M = _assemble(np.zeros((1, 3)), [p])[0][0]
-        assert np.allclose(M, M.T)
+        for M in _assemble(np.zeros((1, 3)), [p])[0][0]:
+            assert np.allclose(M, M.T)
 
     def test_rejects_nonstationary_background(self):
         p = ModelParams(g=0.8, J1=0.1, J2=0.1)
         with pytest.raises(ValueError, match="stationary"):
             excitation_spectrum(np.array([0.1, 0.0, 0.0]), p)
-
-    def test_symplectic_form_squares_to_minus_one(self):
-        J = symplectic_form()
-        assert np.allclose(J @ J, -np.eye(12))
 
 
 class TestNormalPhaseSpectrum:
@@ -110,6 +108,73 @@ class TestOrderedPhaseSpectra:
         p = ModelParams(g=1.3, J1=0.1, J2=0.1)
         with pytest.raises(UnstableBackgroundError):
             excitation_spectrum(np.zeros(3), p)
+
+
+def _np_points_near_onset(delta):
+    """100 normal-phase points at g_c (1 - delta), omega and Omega drawn too."""
+    rng = np.random.default_rng(5)
+    points = []
+    for _ in range(100):
+        J1, J2 = rng.uniform(-0.45, 0.45, 2)
+        omega, Omega = rng.uniform(0.5, 2.0, 2)
+        g_c = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
+        points.append(ModelParams(g=g_c * (1.0 - delta), J1=J1, J2=J2,
+                                  omega=omega, Omega=Omega))
+    return points
+
+
+def _np_spectrum_50_digits(p):
+    """The closed form of analytic_np_spectrum at 50 digits, from the float
+    parameters."""
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    g, J1, J2, omega, Omega = (mp.mpf(v) for v in (p.g, p.J1, p.J2, p.omega, p.Omega))
+    lam = g / 2 * mp.sqrt(omega * Omega)
+    energies = []
+    for c in (mp.mpf(1), mp.cos(2 * mp.pi / 3), mp.cos(2 * mp.pi / 3)):
+        wk, Wk = omega * (1 + 2 * J1 * c), Omega * (1 + 2 * J2 * c)
+        disc = mp.sqrt((wk**2 - Wk**2) ** 2 + 16 * lam**2 * wk * Wk)
+        energies += [mp.sqrt((wk**2 + Wk**2 - disc) / 2), mp.sqrt((wk**2 + Wk**2 + disc) / 2)]
+    return sorted(energies)
+
+
+def _symplectic_reference(Mx, Mp):
+    """Williamson eigenvalues from eig(J @ M), M = diag(Mx, Mp) on (X, P)."""
+    M = np.zeros((12, 12))
+    M[:6, :6], M[6:, 6:] = Mx, Mp
+    J = np.block([[np.zeros((6, 6)), np.eye(6)], [-np.eye(6), np.zeros((6, 6))]])
+    d = np.linalg.eigvals(J @ M).imag
+    return np.sort(d[d > 0.0])
+
+
+class TestSpectrumAccuracy:
+    # about three times the errors of the earlier 12x12 Hermitian route on this draw
+    # (2.8e-14, 9.5e-13 and 2.1e-11)
+    @pytest.mark.parametrize("delta, bound", [(1e-3, 1e-13), (1e-6, 3e-12), (1e-9, 7e-11)])
+    def test_np_near_onset_against_50_digits(self, delta, bound):
+        points = _np_points_near_onset(delta)
+        energies, errors = spectra(np.zeros((len(points), 3)), points)
+        assert errors == [None] * len(points)
+        worst = max(float(abs(mpmath.mpf(float(e)) - r))
+                    for row, p in zip(energies, points)
+                    for e, r in zip(row, _np_spectrum_50_digits(p)))
+        assert worst < bound
+
+    def test_ordered_backgrounds_against_eig_of_j_m(self):
+        rng = np.random.default_rng(9)
+        points = []
+        for _ in range(60):
+            J1, J2 = rng.uniform(-0.45, 0.45, 2)
+            g_c = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
+            points.append(ModelParams(g=g_c * rng.uniform(1.2, 2.0), J1=J1, J2=J2))
+        states = solve_ground_states(points)
+        assert states.error == [None] * len(points)
+        assert {"NSP", "FSP"} <= set(states.label)
+        energies, errors = spectra(states.representative, points)
+        assert errors == [None] * len(points)
+        forms = _assemble(states.representative, points)[0]
+        for (Mx, Mp), e in zip(forms, energies):
+            np.testing.assert_allclose(e, _symplectic_reference(Mx, Mp), rtol=1e-13)
 
 
 class TestPowerLawFits:
