@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,16 +60,17 @@ def _add_param_flags(parser):
 
 
 def cmd_solve(args) -> int:
+    # a ParameterError from the solve, as at g = 0 where B_tilde is
+    # undefined, is an invalid parameter too
     try:
         params = ModelParams(g=args.g, J1=args.j1, J2=args.j2,
                              omega=args.omega, Omega=args.big_omega)
-    except ParameterError as exc:
-        _err(str(exc), kind="ParameterError")
-        return EXIT_USAGE
-    try:
         result = solve_ground_state(params)
         state = result.representative
         spec = excitation_spectrum(state.x, params)
+    except ParameterError as exc:
+        _err(str(exc), kind="ParameterError")
+        return EXIT_USAGE
     except (ConvergenceError, ValueError) as exc:
         _err(str(exc), kind=type(exc).__name__)
         return EXIT_FAILURE
@@ -171,6 +173,9 @@ def _sweep_line(config) -> int:
             raise KeyError(f"line sweep config is missing '{key}'")
     if config["g_steps"] < 2:
         raise ValueError("g_steps must be at least 2")
+    if not (math.isfinite(config["g_min"]) and math.isfinite(config["g_max"])):
+        raise ValueError(f"g_min and g_max must be finite, got "
+                         f"{config['g_min']} and {config['g_max']}")
     gs = np.linspace(config["g_min"], config["g_max"], config["g_steps"])
     records = sweep_g_line(config["J1"], config["J2"], gs,
                            omega=config["omega"], Omega=config["Omega"])

@@ -407,7 +407,7 @@ _ROOT_XTOL = 1e-300
 _ROOT_STEPS = 100
 
 
-def _bracketed_roots(f, x1, x2, f1, f2, *args, ftol=None):
+def _bracketed_roots(f, x1, x2, f1, f2, *args, ftol=0.0):
     """Roots of f inside the brackets [x1, x2], elementwise, f1 = f(x1) and
     f2 = f(x2) of opposite sign.  f(x, *args) evaluates f elementwise, args
     being arrays with one entry per bracket.
@@ -417,29 +417,28 @@ def _bracketed_roots(f, x1, x2, f1, f2, *args, ftol=None):
     bisection otherwise, and never a step closer than half the tolerance to
     a bracket end.  Each element stops on its own, at the end with the
     smaller |f|, so no root depends on the other elements: once the bracket
-    is narrower than 4 eps |x|, or, given the array ftol (f's rounding
-    floor), once that smaller |f| is at most the element's ftol.
+    is narrower than 4 eps |x|, or once that smaller |f| is at most ftol
+    (f's rounding floor, a float or one per bracket; the default 0 stops at
+    an exact zero).
     """
     root = np.empty(len(x1))
     at = np.arange(len(x1))
+    ftol = np.broadcast_to(ftol, at.shape)
     x3 = f3 = None
     for it in range(_ROOT_STEPS + 1):
         lower = np.abs(f1) < np.abs(f2)
         xm = np.where(lower, x1, x2)
         dx = np.abs(x2 - x1)
         tol = _ROOT_RTOL * np.abs(xm) + _ROOT_XTOL
-        done = (dx < tol) | (f1 == 0.0)
-        if ftol is not None:
-            done |= np.minimum(np.abs(f1), np.abs(f2)) <= ftol
+        done = (dx < tol) | (np.minimum(np.abs(f1), np.abs(f2)) <= ftol)
         if it == _ROOT_STEPS:
             done[:] = True
         if done.any():
             root[at[done]] = xm[done]
             live = ~done
-            at, x1, x2, f1, f2, dx, tol = (v[live] for v in (at, x1, x2, f1, f2, dx, tol))
+            at, x1, x2, f1, f2, dx, tol, ftol = (
+                v[live] for v in (at, x1, x2, f1, f2, dx, tol, ftol))
             args = [v[live] for v in args]
-            if ftol is not None:
-                ftol = ftol[live]
             if it:
                 x3, f3 = x3[live], f3[live]
         if not at.size:
@@ -509,50 +508,45 @@ _EDGE_OFFSETS = np.geomspace(1e-1, 1e-15, 15)
 _SCAN_CHUNK = 64
 
 
-def _turning_point(q, g):
-    """The x < 0 where h'(x) = C + 1/(g^2 sqrt(1 - 4x^2/g^2)^3) vanishes,
-    for q = 1/(C g^2) with -q in (0, 1): sqrt(1 - 4x^2/g^2)^3 = -q."""
-    r = (-q) ** (1.0 / 3.0)
-    return -0.5 * g * np.sqrt((1.0 - r) * (1.0 + r))
+def _turning(C, g):
+    """h's turning point t and its zero -x* on the piece from -g/2, for 1-D
+    arrays C and g.  With q = 1/(C g^2), sqrt(1 - 4x^2/g^2) is (-q)^(1/3)
+    at t, where h' vanishes, and -q at -x*, the decoupled single-site
+    minimum.  Both exist for q in (-1, 0], where h'(0) = C + 1/g^2 < 0;
+    elsewhere h is monotone on (-g/2, 0] and both are 0.  Returns the
+    indices with a turning point, t and -x*."""
+    q = 1.0 / (C * g * g)
+    turn = np.flatnonzero((-1.0 < q) & (q <= 0.0))
+    s = np.stack(((-q[turn]) ** (1.0 / 3.0), -q[turn]))
+    t, zero = np.zeros((2, len(g)))
+    t[turn], zero[turn] = -0.5 * g[turn] * np.sqrt((1.0 - s) * (1.0 + s))
+    return turn, t, zero
 
 
-def _fsp_windows(C, B, g):
-    """Intervals of x1 in (-g/2, 0) where x2 = -h(x1)/(2B) lies in (0, g/2),
-    for 1-D arrays C, B and g: (left, right), each of shape (N, 2), one
-    column per monotone piece of h, empty where left >= right.
-
-    h is monotone on each piece between -g/2, its turning point (present
-    when h'(0) = C + 1/g^2 < 0) and 0, so each piece holds at most one
-    window, whose ends solve h = 0 or h = -B*g.  h = 0 holds at the
-    decoupled point -x* on the piece from -g/2 when the turning point is
-    present, and at 0 otherwise; the ends h = -B*g of all pieces are one
-    bracketed root solve.
-    """
+def _level(C, g, v, t):
+    """Where h = v on the pieces (-g/2, t] and [t, 0] of h, for 1-D arrays
+    C, g, v and the turning points t of :func:`_turning` (the second piece
+    is empty where t = 0): per piece, as (N, 2) arrays, the x where h = v
+    or the piece end nearer to it, and whether h = v crosses the piece or
+    meets it at an end.  The first piece starts at the first of the points
+    -g/2 (1 - _EDGE_OFFSETS) where h <= min(v, 0), or at the last of them.
+    The crossings of all pieces are one bracketed root solve."""
     n = len(g)
-    v = -B * g
-    # the piece starting at -g/2 needs a finite end with h(edge) <= min(v, 0)
     edges = -0.5 * g[:, None] * (1.0 - _EDGE_OFFSETS)
     below = _h(edges, C[:, None], g[:, None]) <= np.minimum(v, 0.0)[:, None]
     first = np.where(below.any(axis=1), below.argmax(axis=1), -1)
-    q = 1.0 / (C * g * g)
-    turn = np.flatnonzero(-q < 1.0)
-    t, xs = np.zeros(n), np.zeros(n)
-    t[turn] = _turning_point(q[turn], g[turn])
-    # h(x) = 0 where sqrt(1 - 4x^2/g^2) = -q
-    xs[turn] = 0.5 * g[turn] * np.sqrt((1.0 - q[turn]) * (1.0 + q[turn]))
-    # without the turning point t = 0 and the second piece is empty
     a = np.stack((edges[np.arange(n), first], t), axis=1)
     b = np.stack((t, np.zeros(n)), axis=1)
-    zero = np.stack((-xs, np.zeros(n)), axis=1)
     Cp, gp, vp = (np.repeat(u[:, None], 2, axis=1) for u in (C, g, v))
     fa, fb = _h(a, Cp, gp) - vp, _h(b, Cp, gp) - vp
-    end = np.where(np.abs(fa) < np.abs(fb), a, b)
-    solve = fa * fb < 0.0
+    x = np.where(np.abs(fa) < np.abs(fb), a, b)
+    sign = np.sign(fa) * np.sign(fb)
+    solve = sign < 0.0
     if solve.any():
-        end[solve] = _bracketed_roots(lambda x, C, g, v: _h(x, C, g) - v,
-                                      a[solve], b[solve], fa[solve], fb[solve],
-                                      Cp[solve], gp[solve], vp[solve])
-    return np.minimum(zero, end), np.maximum(zero, end)
+        x[solve] = _bracketed_roots(lambda x, C, g, v: _h(x, C, g) - v,
+                                    a[solve], b[solve], fa[solve], fb[solve],
+                                    Cp[solve], gp[solve], vp[solve])
+    return x, sign <= 0.0
 
 
 def _scan(first, left, right, C, B, g):
@@ -578,16 +572,21 @@ def _scan(first, left, right, C, B, g):
     return first + win[zero], x1[zero], first + win[i], x1[i], x1[i + 1], G[i], G[i + 1]
 
 
-def _fsp_roots(C, B, g):
+def _fsp_roots(C, B, g, t, h0):
     """Every x1 on the frustrated windows where G(x1) is zero or changes
-    sign, for 1-D arrays C, B and g: the row of each root and the root,
-    ordered by row, window, exact zeros before refined sign changes, and
-    x1.  The scan runs over _SCAN_CHUNK windows at a time, the refinement
-    over all sign changes at once.  A refinement stops at G's rounding
-    floor, 8 eps times the size of G's terms at the larger bracket end:
-    just above g_c_plus G is flat at its root, and a narrower bracket would
-    take 15-20 more steps inside that noise."""
-    left, right = _fsp_windows(C, B, g)
+    sign, for 1-D arrays C, B, g and h's turning point t and zero h0 from
+    :func:`_turning`: the row of each root and the root, ordered by row,
+    window, exact zeros before refined sign changes, and x1.  The scan runs
+    over _SCAN_CHUNK windows at a time, the refinement over all sign
+    changes at once.  A refinement stops at G's rounding floor, 8 eps times
+    the size of G's terms at the larger bracket end: just above g_c_plus G
+    is flat at its root, and a narrower bracket would take 15-20 more steps
+    inside that noise."""
+    # the windows, where x2 = -h(x1)/(2B) lies in (0, g/2): on each piece,
+    # from the zero of h to h = -B g or to the piece end
+    end, _ = _level(C, g, -B * g, t)
+    h0 = np.stack((h0, np.zeros(len(g))), axis=1)
+    left, right = np.minimum(h0, end), np.maximum(h0, end)
     row, piece = np.nonzero(left < right)
     left, right, C, B, g = left[row, piece], right[row, piece], C[row], B[row], g[row]
     parts = [_scan(k, *(u[k:k + _SCAN_CHUNK] for u in (left, right, C, B, g)))
@@ -652,17 +651,16 @@ def _fsp_minima(points):
     # by zero, and from about g = 1.3e154 g * g overflows; such a row fails
     # through the domain mask and the stationarity gate, not the warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rows, x1 = _fsp_roots(C[scan], B[scan], g[scan])
+        turn, t, zero = _turning(C, g)
+        rows, x1 = _fsp_roots(*(u[scan] for u in (C, B, g, t, zero)))
         rows = scan[rows]
         x2 = -_h(x1, C[rows], g[rows]) / (2.0 * B[rows])
-        q = 1.0 / (C * g * g)
     _keep_lowest_minima(rows, np.stack((x1, x2, x2), axis=1), coef, x, error)
-    rows = np.flatnonzero(np.isnan(x[:, 0]) & (np.abs(q) < 1.0)
-                          & np.array([err is None for err in error], dtype=bool))
+    rows = turn[np.isnan(x[turn, 0]) & np.array([error[i] is None for i in turn], dtype=bool)]
     # decoupled sites at the single-site minima +-x*: exact for B = 0, and
     # the Newton seed where B is so small that x2 = -h(x1)/(2B) cannot be
     # resolved from the floats of x1 in the window
-    xs = 0.5 * g[rows] * np.sqrt((1.0 - q[rows]) * (1.0 + q[rows]))
+    xs = -zero[rows]
     _keep_lowest_minima(rows, np.stack((-xs, xs, xs), axis=1), coef, x, error)
     for i in np.flatnonzero(np.isnan(x[:, 0])):
         if error[i] is None:
@@ -796,31 +794,21 @@ def root_structure(params: ModelParams, k: float) -> RootStructure:
 
     f(x) = (g^2 + J2 - J1*J2)*x/(1-J1) - x/sqrt(1 - 4*x^2/g^2) is monotonic
     for g < g_c_plus and develops two symmetric turning points above it.
-    As f = -g^2 h(x) with C_tilde - B_tilde in place of C_tilde in h, the
-    turning points are the closed form of the frustrated windows.  The
-    roots are one bracketed solve over the monotone pieces of f between
-    them and the ends (g/2)(1 - 1e-15), where f is still finite; an exact
-    zero at a piece end is a root as well.
+    As f = -g^2 h(x) with C_tilde - B_tilde in place of C_tilde in h, its
+    turning points and roots are those of the frustrated windows: f = k is
+    h = -k/g^2, two rows of one level solve of h on its monotone pieces in
+    (-g/2, 0], the second at +k/g^2 and mirrored, h being odd, for the
+    roots in (0, g/2).  A root at a piece end, where two pieces meet, is
+    counted once.
     """
     g, C, B = _g_c_b(params)
-
-    def f(x):
-        return -g * g * _h(x, C - B, g) - k
-
-    edge = 0.5 * g * (1.0 - 1e-15)
-    turning = ()
-    ends = np.array([-edge, edge])
-    # the turning points exist where -q = 1/((B - C) g^2) lies in (0, 1)
-    if (B - C) * g * g > 1.0:
-        t = float(_turning_point(1.0 / ((C - B) * g * g), g))
-        turning = (t, -t)
-        ends = np.array([-edge, t, -t, edge])
-    vals = f(ends)
-    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
-    roots = _bracketed_roots(f, ends[i], ends[i + 1], vals[i], vals[i + 1])
-    roots = np.sort(np.concatenate((ends[vals == 0.0], roots)))
-    return RootStructure(monotonic=g <= critical_couplings(params).g_c_plus,
-                         roots=tuple(roots.tolist()), turning_points=turning)
+    C, g = np.full(2, C - B), np.full(2, g)
+    turn, t, _ = _turning(C, g)
+    x, hit = _level(C, g, np.array([-k, k]) / (g * g), t)
+    roots = np.unique(np.concatenate((x[0, hit[0]], -x[1, hit[1] & (x[1] < 0.0)])))
+    return RootStructure(monotonic=params.g <= critical_couplings(params).g_c_plus,
+                         roots=tuple(roots.tolist()),
+                         turning_points=(float(t[0]), -float(t[0])) if turn.size else ())
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +841,8 @@ def solve_atom_only(params: ModelParams) -> PhaseResult:
 
     if params.J1 != 0.0:
         raise ValueError(f"atom-only solver requires J1 = 0, got J1={params.J1}")
+    # the ParameterError of solve_ground_state where g * g == 0
+    b_tilde(params)
     g, J2 = params.g, params.J2
     amax = 0.5 * g * (1.0 - 1e-10)
     a0 = 0.45 * g

@@ -237,7 +237,9 @@ def classify_region(J1: float, J2: float) -> RegionLabel:
 
     Interior points get the region number and its g-driven phase sequence.
     Points on the axes or on the dividing curve are reported as boundaries
-    together with the regions they touch, found by probing small offsets.
+    together with the regions they touch, found by probing small offsets;
+    the half offsets reach the regions on both sides of the curve at the
+    origin, where its tangent J1 = -J2 runs through the diagonal probes.
     """
     for name, val in (("J1", J1), ("J2", J2)):
         if not -0.5 < val < 0.5:
@@ -248,8 +250,9 @@ def classify_region(J1: float, J2: float) -> RegionLabel:
     if on_axis or on_curve:
         eps = 1e-6
         neighbours = set()
-        for dJ1 in (-eps, 0.0, eps):
-            for dJ2 in (-eps, 0.0, eps):
+        offsets = (-eps, -0.5 * eps, 0.0, 0.5 * eps, eps)
+        for dJ1 in offsets:
+            for dJ2 in offsets:
                 p1, p2 = J1 + dJ1, J2 + dJ2
                 if not (-0.5 < p1 < 0.5 and -0.5 < p2 < 0.5):
                     continue

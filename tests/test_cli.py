@@ -52,6 +52,14 @@ class TestSolve:
         payload = json.loads(err.strip().splitlines()[-1])
         assert "(-1/2, 1/2)" in payload["error"]
 
+    @pytest.mark.parametrize("g", ["0", "1e-200"])
+    def test_undefined_b_tilde_exits_2(self, capsys, g):
+        # g * g == 0: the solve raises "B_tilde is undefined", an invalid parameter
+        code, _, err = run(capsys, "solve", "--g", g, "--j1", "0.1", "--j2", "0.1")
+        assert code == 2
+        payload = json.loads(err.strip())
+        assert payload["kind"] == "ParameterError" and "B_tilde" in payload["error"]
+
     def test_region_in_report(self, capsys):
         _, out, _ = run(capsys, "solve", "--g", "1.0", "--j1", "0.1",
                         "--j2", "-0.1")
@@ -122,6 +130,21 @@ class TestSweep:
                            "--g-steps", "1")
         assert code == 2
         assert "g_steps" in err
+
+    @pytest.mark.parametrize("g_min,g_max", [("0.5", "inf"), ("-inf", "1.0")])
+    def test_nonfinite_line_bound_exits_2(self, capsys, g_min, g_max):
+        code, out, err = run(capsys, "sweep", "--mode", "line", "--j1", "0.1",
+                             "--j2", "0.1", f"--g-min={g_min}", f"--g-max={g_max}",
+                             "--g-steps", "3")
+        assert code == 2 and not out
+        (line,) = err.strip().splitlines()
+        assert "must be finite" in json.loads(line)["error"]
+
+    def test_reversed_line_range_accepted(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sweep", "--mode", "line", "--j1", "0.1",
+                           "--j2", "0.1", "--g-min", "1.1", "--g-max", "0.9",
+                           "--g-steps", "3", "--output", str(tmp_path / "line.csv"))
+        assert code == 0 and "3 points, 0 failed" in out
 
     def test_reversed_axis_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

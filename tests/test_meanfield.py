@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dicke_trimer import (
     DomainError,
     ModelParams,
+    ParameterError,
     asymptotic_fsp,
     critical_couplings,
     energy,
@@ -407,3 +408,12 @@ class TestAtomOnly:
     def test_rejects_nonzero_j1(self):
         with pytest.raises(ValueError):
             solve_atom_only(ModelParams(g=1.0, J1=0.1))
+
+    @pytest.mark.parametrize("g", [0.0, 1e-200])
+    def test_undefined_b_tilde_raises_parameter_error(self, g):
+        # as solve_ground_state does where g * g == 0
+        p = ModelParams(g=g, J2=0.1)
+        with pytest.raises(ParameterError, match="B_tilde is undefined"):
+            solve_ground_state(p)
+        with pytest.raises(ParameterError, match="B_tilde is undefined"):
+            solve_atom_only(p)

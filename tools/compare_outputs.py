@@ -16,6 +16,14 @@ its ``float.hex``:
 * the bulk draw: 3,000 points of seed 20261018, per point ``J1, J2``
   uniform on (-0.5, 0.5), then g uniform on (0.05, 30), every column of
   their ``sweep._records``;
+* the frustrated-branch draw: 4,000 points of seed 2027, per point
+  ``J1, J2`` uniform on (-0.49, 0.49), then ``g = g_c_plus (1 + 10^U)``
+  with ``U`` uniform on (-9, 1.3), the x and the error text of every row of
+  ``meanfield._fsp_minima``, which also solves the rows with B < 0 (2,189
+  here) that a sweep never sends to the frustrated scan;
+* ``root_structure`` at ``J1 = J2 = 0.1`` for g in {0.8, 1.2, 3.0} and k in
+  {0, +-1, +-1e3, +-1e5, +-1e6, +-1e7}: the monotonic flags, root counts,
+  roots and turning points;
 * the text that ``verify --scope all`` prints.
 
 ``diff`` lists each field whose values differ, with the number of entries
@@ -38,6 +46,10 @@ GRID_SEEDS = range(4)
 ORACLE_SEEDS = range(8)
 BULK_SEED = 20261018
 BULK_POINTS = 3000
+FSP_SEED = 2027
+FSP_POINTS = 4000
+ROOT_G = (0.8, 1.2, 3.0)
+ROOT_K = (0.0, 1.0, -1.0, 1e3, -1e3, 1e5, -1e5, 1e6, -1e6, 1e7, -1e7)
 
 
 def _import_tree(tree):
@@ -106,6 +118,39 @@ def _bulk_fields(fields):
     _table("bulk", list(_records(points)), fields)
 
 
+def _fsp_fields(fields):
+    import numpy as np
+
+    from dicke_trimer.meanfield import _fsp_minima
+    from dicke_trimer.model import ModelParams, critical_couplings
+
+    rng = np.random.default_rng(FSP_SEED)
+    points = []
+    for _ in range(FSP_POINTS):
+        J1, J2 = (float(v) for v in rng.uniform(-0.49, 0.49, 2))
+        gcp = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c_plus
+        points.append(ModelParams(g=gcp * (1.0 + 10.0 ** rng.uniform(-9.0, 1.3)),
+                                  J1=J1, J2=J2))
+    x, error = _fsp_minima(points)
+    for n in range(3):
+        fields[f"fsp/x{n}"] = _column(x[:, n].tolist())
+    fields["fsp/error"] = _column(["None" if err is None else f"{type(err).__name__}: {err}"
+                                   for err in error])
+
+
+def _root_fields(fields):
+    from dicke_trimer.meanfield import root_structure
+    from dicke_trimer.model import ModelParams
+
+    cases = [root_structure(ModelParams(g=g, J1=0.1, J2=0.1), k)
+             for g in ROOT_G for k in ROOT_K]
+    fields["root_structure/monotonic"] = _column([int(rs.monotonic) for rs in cases])
+    for key in ("roots", "turning_points"):
+        fields[f"root_structure/{key}/count"] = _column([len(getattr(rs, key)) for rs in cases])
+        fields[f"root_structure/{key}"] = _column(
+            [float(v) for rs in cases for v in getattr(rs, key)])
+
+
 def _verify_fields(fields):
     from dicke_trimer.cli import main
 
@@ -119,7 +164,8 @@ def _verify_fields(fields):
 def dump(tree, path):
     _import_tree(tree)
     fields = {}
-    for part in (_grid_fields, _oracle_fields, _bulk_fields, _verify_fields):
+    for part in (_grid_fields, _oracle_fields, _bulk_fields, _fsp_fields, _root_fields,
+                 _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
