@@ -335,7 +335,8 @@ def nsp_alpha(params: ModelParams) -> float:
     """Closed-form uniform coherence amplitude; 0.0 at or below onset."""
     g, J1, J2 = params.g, params.J1, params.J2
     denom = g * g - 2.0 * (J2 + 2.0 * J1 * J2)
-    radicand = 1.0 / (1.0 + 2.0 * J1) ** 2 - 1.0 / (denom * denom)
+    s = 1.0 + 2.0 * J1
+    radicand = 1.0 / (s * s) - 1.0 / (denom * denom)
     if denom <= 0.0 or radicand <= 0.0:
         return 0.0
     return 0.5 * g * math.sqrt(radicand)

@@ -13,6 +13,9 @@ its ``float.hex``:
 * ``grid-triple`` seeds 0-3: every cell column, the boundary points, the
   ``analytic_deviation`` and the triple point;
 * the transitions of ``oracle-line`` seeds 0-7;
+* ``line-regions`` seeds 0-3: every column of the ``sweep_g_line`` records
+  of each of its six lines, which builds its parameter columns apart from
+  the grid;
 * the bulk draw: 3,000 points of seed 20261018, per point ``J1, J2``
   uniform on (-0.5, 0.5), then g uniform on (0.05, 30), every column of
   their ``sweep._records``;
@@ -43,6 +46,7 @@ import sys
 from pathlib import Path
 
 GRID_SEEDS = range(4)
+LINE_SEEDS = range(4)
 ORACLE_SEEDS = range(8)
 BULK_SEED = 20261018
 BULK_POINTS = 3000
@@ -101,6 +105,15 @@ def _oracle_fields(fields):
         transitions = work.run(work.config(seed))
         _table(f"oracle-line/{seed}", [dataclasses.asdict(t) for t in transitions], fields)
         fields[f"oracle-line/{seed}/count"] = _column([len(transitions)])
+
+
+def _line_fields(fields):
+    from workloads import WORKLOADS
+
+    work = WORKLOADS["line-regions"]
+    for seed in LINE_SEEDS:
+        for line, records in enumerate(work.run(work.config(seed))):
+            _table(f"line-regions/{seed}/{line}", records, fields)
 
 
 def _bulk_fields(fields):
@@ -164,8 +177,8 @@ def _verify_fields(fields):
 def dump(tree, path):
     _import_tree(tree)
     fields = {}
-    for part in (_grid_fields, _oracle_fields, _bulk_fields, _fsp_fields, _root_fields,
-                 _verify_fields):
+    for part in (_grid_fields, _oracle_fields, _line_fields, _bulk_fields, _fsp_fields,
+                 _root_fields, _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
