@@ -26,6 +26,8 @@ docs/frustrated_stationarity.md.
 
 :func:`solve_ground_states` is the one dispatch to these branches, over a
 batch of parameter points; :func:`solve_ground_state` is its one-point case.
+A batch is one Points record of columns; the public entries convert one
+ModelParams or a sequence of them to Points once, so all run the same code.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ from .model import (
     NP,
     NSP,
     ModelParams,
-    _b_tildes,
+    Points,
+    _sqrt,
     alpha_from_x,
     b_tilde,
+    b_tilde_error,
     c_tilde,
     critical_couplings,
-    per_row,
 )
 
 
@@ -121,14 +124,17 @@ def state_from_x(x, params: ModelParams) -> MeanFieldState:
     return MeanFieldState(alpha=alpha, x=x, theta=bloch_theta(x, params.g))
 
 
-def _g_c_b(params):
-    return params.g, c_tilde(params.J1), b_tilde(params)
-
-
-def _columns(params, k):
-    """g, C_tilde and B_tilde as (k, 1) columns for the kernels below, from
-    one ModelParams or one per row."""
-    return [np.broadcast_to(v, (k, 1)) for v in per_row(params, _g_c_b)]
+def _coefficients(params):
+    """g, C_tilde and B_tilde for the kernels below: floats for one
+    ModelParams, (N, 1) columns for Points (or a sequence of ModelParams);
+    raises the error of the first row where B_tilde is undefined."""
+    if isinstance(params, ModelParams):
+        return params.g, c_tilde(params.J1), b_tilde(params)
+    p = Points.of(params)
+    B = b_tilde(p)
+    if np.isnan(B).any():
+        b_tilde(p[int(np.argmax(np.isnan(B)))])
+    return p.g[:, None], c_tilde(p.J1)[:, None], B[:, None]
 
 
 def _terms(x, g):
@@ -174,20 +180,21 @@ def _hessian(x, g, C, B):
 def energy(x, params):
     """Reduced ground-state energy E(x) over the last axis of x (a float for
     one configuration); hard error outside |x_n| < g/2.  params is one
-    ModelParams, or one per row of x."""
-    e = _energy(x, *per_row(params, _g_c_b))
+    ModelParams, or Points (or a sequence of ModelParams), one row per row
+    of x."""
+    e = _energy(x, *_coefficients(params))
     return float(e) if e.ndim == 0 else e
 
 
 def gradient(x, params) -> np.ndarray:
     """Analytic dE/dx_n over the last axis of x; params as for energy."""
-    return _gradient(x, *per_row(params, _g_c_b))
+    return _gradient(x, *_coefficients(params))
 
 
 def hessian(x, params) -> np.ndarray:
     """Analytic 3x3 Hessian of E, one per row of x (shape x.shape + (3,));
     params as for energy."""
-    return _hessian(x, *per_row(params, _g_c_b))
+    return _hessian(x, *_coefficients(params))
 
 
 #: newton_polish, and each row of the oracle's descent, stops once
@@ -259,7 +266,8 @@ def newton_polish(x, params):
     """Damped Newton on grad E = 0 over all three x_n; no pattern assumed.
 
     x is one configuration (3,) or a (k, 3) stack of them, and params is one
-    ModelParams or one per row.  Per row, a step is halved until it stays
+    ModelParams, or Points (or a sequence of ModelParams), one row per row.
+    Per row, a step is halved until it stays
     inside the domain and lowers max |grad E|; the row ends when no halving
     helps, when its Hessian is singular, or once the halved step no longer
     changes x in floating point.  A row's result does not depend on the
@@ -268,7 +276,8 @@ def newton_polish(x, params):
     """
     x = np.asarray(x, dtype=float)
     stack = x.reshape(-1, 3)
-    polished, norm = _polish(stack, *_columns(params, len(stack)))
+    polished, norm = _polish(stack, *(np.broadcast_to(v, (len(stack), 1))
+                                      for v in _coefficients(params)))
     if x.ndim == 1:
         return polished[0], float(norm[0])
     return polished, norm
@@ -331,28 +340,36 @@ def solve_np(params: ModelParams) -> PhaseResult:
 # ---------------------------------------------------------------------------
 # uniform (NSP) branch
 
-def nsp_alpha(params: ModelParams) -> float:
-    """Closed-form uniform coherence amplitude; 0.0 at or below onset."""
+def nsp_alpha(params):
+    """Closed-form uniform coherence amplitude; 0.0 at or below onset (one
+    per row of Points)."""
     g, J1, J2 = params.g, params.J1, params.J2
+    if type(params) is Points:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            denom = g * g - 2.0 * (J2 + 2.0 * J1 * J2)
+            s = 1.0 + 2.0 * J1
+            radicand = 1.0 / (s * s) - 1.0 / (denom * denom)
+            return np.where((denom > 0.0) & (radicand > 0.0), 0.5 * g * np.sqrt(radicand), 0.0)
     denom = g * g - 2.0 * (J2 + 2.0 * J1 * J2)
     s = 1.0 + 2.0 * J1
-    radicand = 1.0 / (s * s) - 1.0 / (denom * denom)
-    if denom <= 0.0 or radicand <= 0.0:
+    # denom * denom rounds to 0 only where the radicand is far below 0
+    if denom <= 0.0 or denom * denom == 0.0:
         return 0.0
-    return 0.5 * g * math.sqrt(radicand)
+    radicand = 1.0 / (s * s) - 1.0 / (denom * denom)
+    return 0.5 * g * _sqrt(radicand) if radicand > 0.0 else 0.0
 
 
 def _uniform_branch(points):
-    """Label and x of the uniform branch at every point: NSP with
+    """Label and x of the uniform branch at every row of Points: NSP with
     x_n = (1 + 2 J1) nsp_alpha, or NP (x = 0) where nsp_alpha vanishes."""
-    a = np.array([nsp_alpha(p) for p in points])
-    x = (1.0 + 2.0 * np.array([p.J1 for p in points])) * a
-    return [NP if v == 0.0 else NSP for v in a], np.repeat(x[:, None], 3, axis=1)
+    a = nsp_alpha(points)
+    x = (1.0 + 2.0 * points.J1) * a
+    return np.where(a == 0.0, NP, NSP).astype(object), np.repeat(x[:, None], 3, axis=1)
 
 
 def solve_nsp(params: ModelParams) -> PhaseResult:
     """Translational-symmetric superradiant solution, or NP below its onset."""
-    label, x = _uniform_branch([params])
+    label, x = _uniform_branch(Points.of(params))
     return _phase_result(label[0], x[0], params)
 
 
@@ -623,8 +640,8 @@ def _keep_lowest_minima(rows, X, coef, x, error):
 
 
 def _fsp_minima(points):
-    """x of the frustrated minimum branch at every point, g > g_c_plus,
-    ignoring the B sign, as one array pass over all rows.
+    """x of the frustrated minimum branch at every row of Points, g >
+    g_c_plus, ignoring the B sign, as one array pass over all rows.
 
     Needed internally to trace the branch through the first-order point,
     where B changes sign while the branch persists.  Every stationary point
@@ -634,18 +651,16 @@ def _fsp_minima(points):
     NaN in a failed row, and per row its ValueError or ConvergenceError, or
     None.  Each row equals its one-row call bitwise.
     """
-    points = list(points)
+    points = Points.of(points)
     n = len(points)
     error = [None] * n
-    for i, p in enumerate(points):
-        gcp = critical_couplings(p).g_c_plus
-        if p.g <= gcp:
-            error[i] = ValueError(
-                f"frustrated branch requires g > g_c_plus={gcp}, got g={p.g}")
-    valid = np.flatnonzero(np.array([err is None for err in error], dtype=bool))
-    g, C, B = coef = np.full((3, n), np.nan)
-    for i in valid:
-        g[i], C[i], B[i] = _g_c_b(points[i])
+    gcp = critical_couplings(points).g_c_plus
+    below = points.g <= gcp
+    for i in np.flatnonzero(below):
+        error[i] = ValueError(f"frustrated branch requires g > g_c_plus={gcp[i]}, "
+                              f"got g={points.g[i]}")
+    valid = np.flatnonzero(~below)
+    g, C, B = coef = np.where(below, np.nan, (points.g, c_tilde(points.J1), b_tilde(points)))
     x = np.full((n, 3), np.nan)
     scan = valid[np.abs(B[valid]) >= _B_COEXIST_TOL]
     # from about g = 1e12 the turning point rounds onto -g/2, where h divides
@@ -676,7 +691,7 @@ def _fsp_minima(points):
 def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
     """The frustrated minimum branch at one point as a PhaseResult: the
     one-row case of :func:`_fsp_minima`, raising the row's error."""
-    x, error = _fsp_minima([params])
+    x, error = _fsp_minima(Points.of(params))
     if error[0] is not None:
         raise error[0]
     return _phase_result(FSP, x[0], params)
@@ -711,7 +726,8 @@ class GroundStates:
 
 
 def solve_ground_states(points) -> GroundStates:
-    """Global mean-field ground states of a sequence of parameter points.
+    """Global mean-field ground states of Points (or a sequence of
+    ModelParams), one row per point.
 
     Dispatch: g <= g_c gives the NP; above it the sign of B_tilde selects
     the uniform (B < 0, closed form) or frustrated (B > 0, root scan)
@@ -720,14 +736,17 @@ def solve_ground_states(points) -> GroundStates:
     ``coexistent`` set; a branch that fails is never kept over one that
     does not.  The orbits, energies and domain checks run over
     all rows at once.  A ConvergenceError or ValueError of a row is
-    recorded for that row; any other exception propagates.
+    recorded for that row, as is the ParameterError of a row where B_tilde
+    is undefined; any other exception propagates.
     """
-    points = list(points)
+    points = Points.of(points)
     n = len(points)
-    g = np.array([p.g for p in points])
-    above = g > np.array([critical_couplings(p).g_c for p in points])
-    # a row where B_tilde is undefined (g * g == 0) records its error
-    B, error = _b_tildes(points)
+    g = points.g
+    above = g > critical_couplings(points).g_c
+    B = b_tilde(points)
+    error = [None] * n
+    for i in np.flatnonzero(np.isnan(B)):
+        error[i] = b_tilde_error(g[i], points.J2[i])
     coexist = above & (np.abs(B) < _B_COEXIST_TOL)
     uniform = np.flatnonzero(above & (coexist | (B < 0.0)))
     # one candidate per row on its branch, plus the frustrated branch of
@@ -738,22 +757,22 @@ def solve_ground_states(points) -> GroundStates:
     label = np.full(len(rows), NP, dtype=object)
     x = np.zeros((len(rows), 3))
     error += [None] * (len(rows) - n)
-    label[uniform], x[uniform] = _uniform_branch([points[i] for i in uniform])
+    label[uniform], x[uniform] = _uniform_branch(points[uniform])
     label[frustrated] = FSP
-    x[frustrated], errors = _fsp_minima([points[rows[k]] for k in frustrated])
+    x[frustrated], errors = _fsp_minima(points[rows[frustrated]])
     for k, err in zip(frustrated, errors):
         error[k] = err
 
     members, count = _orbits(x, label == FSP)
     rep = members[:, 0]
     for k in np.flatnonzero(~_inside(rep, g[rows, None])):
-        error[k] = error[k] or _domain_error(rep[k], points[rows[k]].g)
+        error[k] = error[k] or _domain_error(rep[k], g[rows[k]])
     # a failed candidate has energy +inf, so it is never picked over one that
     # did not fail; row i's own candidate is candidate i and wins a tie
     e = np.full(len(rows), np.inf)
     ok = np.flatnonzero([err is None for err in error])
     if ok.size:
-        e[ok] = energy(rep[ok], [points[rows[k]] for k in ok])
+        e[ok] = _energy(rep[ok], *_coefficients(points[rows[ok]]))
 
     pick = np.arange(n)
     k = np.arange(n, len(rows))[e[n:] < e[rows[n:]]]
@@ -771,7 +790,7 @@ def solve_ground_state(params: ModelParams) -> PhaseResult:
     """Global mean-field ground state at one parameter point, with its full
     degenerate orbit: the one-point case of :func:`solve_ground_states`,
     raising the error a row would record."""
-    states = solve_ground_states([params])
+    states = solve_ground_states(Points.of(params))
     if states.error[0] is not None:
         raise states.error[0]
     return _phase_result(states.label[0], states.representative[0], params,
@@ -802,7 +821,7 @@ def root_structure(params: ModelParams, k: float) -> RootStructure:
     roots in (0, g/2).  A root at a piece end, where two pieces meet, is
     counted once.
     """
-    g, C, B = _g_c_b(params)
+    g, C, B = _coefficients(params)
     C, g = np.full(2, C - B), np.full(2, g)
     turn, t, _ = _turning(C, g)
     x, hit = _level(C, g, np.array([-k, k]) / (g * g), t)

@@ -1,6 +1,9 @@
 """Parameters, rescalings, critical-point formulas and the six-region classifier.
 
 Everything here is a closed-form, stateless function of the model parameters.
+A batch of points is one :class:`Points` record of columns.  The closed
+forms take one ModelParams or Points; on Points each row equals its one-row
+call bitwise, since numpy and Python round ``+ - * / sqrt`` alike.
 Conventions: the coupling ``g`` and the hoppings ``J1`` (photon) and ``J2``
 (atom) are dimensionless, ``J1 = Jbar1/omega`` and ``J2 = Jbar2/Omega``.  The
 ground-state energy is measured in units of ``N_a * Omega``.
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +36,25 @@ REGION_SEQUENCES = {
 }
 
 #: The transition between each pair of phases: its boundary name, its order
-#: and its closed-form g at given hoppings (a ModelParams, whose g is not
-#: read), None where the transition does not exist.
+#: and its closed-form g at given hoppings (a ModelParams or Points, whose g
+#: is not read), None (NaN on Points) where the transition does not exist.
 TRANSITIONS = {
     frozenset((NP, FSP)): ("g_c_plus", "second", lambda p: critical_couplings(p).g_c_plus),
     frozenset((NP, NSP)): ("g_c_minus", "second", lambda p: critical_couplings(p).g_c_minus),
     frozenset((NSP, FSP)): ("g_L", "first", lambda p: first_order_point(p)),
 }
 
+_sqrt = math.sqrt
+
 
 class ParameterError(ValueError):
     """Raised when model parameters fall outside the validity domain."""
+
+
+def _lam(params):
+    """Bare cavity-atom coupling lambda = g*sqrt(omega*Omega)/2."""
+    w = params.omega * params.Omega
+    return 0.5 * params.g * (np.sqrt(w) if isinstance(w, np.ndarray) else _sqrt(w))
 
 
 @dataclass(frozen=True)
@@ -77,10 +89,7 @@ class ModelParams:
                     f"{name} must lie in the open interval (-1/2, 1/2), got {val}"
                 )
 
-    @property
-    def lam(self) -> float:
-        """Bare cavity-atom coupling lambda = g*sqrt(omega*Omega)/2."""
-        return 0.5 * self.g * math.sqrt(self.omega * self.Omega)
+    lam = property(_lam)
 
     @property
     def Jbar1(self) -> float:
@@ -94,40 +103,90 @@ class ModelParams:
         return dataclasses.replace(self, **kwargs)
 
 
-def c_tilde(J1: float) -> float:
+_FIELDS = ("g", "J1", "J2", "omega", "Omega")
+
+
+@dataclass(frozen=True, eq=False)
+class Points:
+    """Parameter points as columns: g, J1, J2, omega and Omega as read-only
+    1-D float arrays, one entry per row; scalars broadcast, with the
+    defaults of ModelParams.  The first row that ModelParams rejects raises
+    its ParameterError.  points[i] is row i as a ModelParams, points[rows]
+    (a slice, index array or mask) the Points of those rows."""
+
+    g: np.ndarray
+    J1: np.ndarray = 0.0
+    J2: np.ndarray = 0.0
+    omega: np.ndarray = 1.0
+    Omega: np.ndarray = 1.0
+
+    def __post_init__(self):
+        g, J1, J2, omega, Omega = columns = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(getattr(self, f), dtype=float)) for f in _FIELDS))
+        if g.ndim != 1:
+            raise ValueError(f"Points needs 1-D columns, got shape {g.shape}")
+        # ModelParams's rules, written as "inside" so that NaN fails them
+        ok = ((0.0 < omega) & (omega < math.inf) & (0.0 < Omega) & (Omega < math.inf)
+              & (0.0 <= g) & (g < math.inf) & (np.abs(J1) < 0.5) & (np.abs(J2) < 0.5))
+        if not ok.all():
+            ModelParams(*(float(c[np.argmin(ok)]) for c in columns))
+        self._set(columns)
+
+    def _set(self, columns):
+        for name, col in zip(_FIELDS, columns):
+            col = np.array(col, dtype=float)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        return self
+
+    @classmethod
+    def of(cls, params) -> "Points":
+        """params as Points: Points as they are, one ModelParams as one row,
+        an iterable of ModelParams as one row each."""
+        if isinstance(params, Points):
+            return params
+        rows = [(p.g, p.J1, p.J2, p.omega, p.Omega)
+                for p in ((params,) if isinstance(params, ModelParams) else params)]
+        return object.__new__(cls)._set(np.array(rows, dtype=float).reshape(-1, 5).T)
+
+    def __len__(self):
+        return len(self.g)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, numbers.Integral):
+            return ModelParams(*(float(getattr(self, f)[rows]) for f in _FIELDS))
+        return object.__new__(Points)._set([getattr(self, f)[rows] for f in _FIELDS])
+
+    lam = property(_lam)
+    Jbar1 = ModelParams.Jbar1
+    Jbar2 = ModelParams.Jbar2
+
+
+def c_tilde(J1):
     """Quadratic coefficient (1+J1)/((-1+J1)(1+2*J1)); defined even at g=0."""
     return (1.0 + J1) / ((-1.0 + J1) * (1.0 + 2.0 * J1))
 
 
-def b_tilde(params: ModelParams) -> float:
+def b_tilde_error(g, J2) -> ParameterError:
+    return ParameterError(f"B_tilde is undefined where J2/g^2 is not finite, got g={g}, J2={J2}")
+
+
+def b_tilde(params):
     """Cross coefficient J1/((1-J1)(1+2*J1)) + J2/g^2; its sign selects
-    frustrated (B > 0) versus uniform (B < 0) order."""
-    g, J1 = params.g, params.J1
+    frustrated (B > 0) versus uniform (B < 0) order.  Undefined where J2/g^2
+    is not finite: one ModelParams raises there, a row of Points is NaN."""
+    g, J1, J2 = params.g, params.J1, params.J2
     # g * g rather than g**2, which raises OverflowError where g * g is inf
-    if g * g == 0.0:
-        raise ParameterError(f"B_tilde is undefined at g=0 (contains J2/g^2), got g={g}")
-    return J1 / ((1.0 - J1) * (1.0 + 2.0 * J1)) + params.J2 / (g * g)
-
-
-def _b_tildes(points):
-    """b_tilde of every point as an array, NaN where it raises, and per
-    point its ParameterError or None."""
-    B, errors = np.full(len(points), np.nan), [None] * len(points)
-    for i, p in enumerate(points):
-        try:
-            B[i] = b_tilde(p)
-        except ParameterError as err:
-            errors[i] = err
-    return B, errors
-
-
-def per_row(params, fn):
-    """fn(params) for one ModelParams.  For a sequence of them, one per row of
-    a stacked x, the values of fn (a tuple) as (N, 1) columns, one per entry."""
-    if isinstance(params, ModelParams):
-        return fn(params)
-    values = np.array([fn(p) for p in params], dtype=float).reshape(len(params), -1)
-    return tuple(values.T[:, :, None])
+    if type(params) is Points:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            hop = J2 / (g * g)
+        hop[~np.isfinite(hop)] = np.nan
+    else:
+        gg = g * g
+        hop = J2 / gg if gg else math.nan
+        if hop - hop:  # NaN unless J2/g^2 is finite
+            raise b_tilde_error(g, J2)
+    return J1 / ((1.0 - J1) * (1.0 + 2.0 * J1)) + hop
 
 
 def hopping_matrix(J1: float) -> np.ndarray:
@@ -144,10 +203,11 @@ def x_from_alpha(alpha, params: ModelParams) -> np.ndarray:
 
 def alpha_from_x(x, params) -> np.ndarray:
     """Inverse of :func:`x_from_alpha` over the last axis of x; S is
-    invertible for |J1| < 1/2.  params is one ModelParams, or one per row."""
+    invertible for |J1| < 1/2.  params is one ModelParams, or Points (or a
+    sequence of ModelParams) with one row per row of x."""
     x = np.asarray(x, dtype=float)
     # S = (1-J1)*I + J1*ones, so S^-1 has the same circulant structure.
-    (J1,) = per_row(params, lambda p: (p.J1,))
+    J1 = params.J1 if isinstance(params, ModelParams) else Points.of(params).J1[:, None]
     s = x.sum(axis=-1, keepdims=True)
     return (x - J1 * s / (1.0 + 2.0 * J1)) / (1.0 - J1)
 
@@ -168,14 +228,20 @@ class CriticalCouplings:
     k_star: float
 
 
-def critical_couplings(params: ModelParams) -> CriticalCouplings:
-    """Critical coupling per momentum branch and the realised minimum."""
+def critical_couplings(params) -> CriticalCouplings:
+    """Critical coupling per momentum branch and the realised minimum; on
+    Points, each entry is a column."""
     J1, J2 = params.J1, params.J2
-    gcp = math.sqrt((1.0 - J1) * (1.0 - J2))
-    gcm = math.sqrt((1.0 + 2.0 * J1) * (1.0 + 2.0 * J2))
-    if gcp < gcm:
-        return CriticalCouplings(gcp, gcm, gcp, TWO_THIRDS_PI)
-    return CriticalCouplings(gcp, gcm, gcm, 0.0)
+    scalar = type(params) is not Points
+    sqrt = _sqrt if scalar else np.sqrt
+    gcp = sqrt((1.0 - J1) * (1.0 - J2))
+    gcm = sqrt((1.0 + 2.0 * J1) * (1.0 + 2.0 * J2))
+    plus = gcp < gcm
+    if scalar:
+        return (CriticalCouplings(gcp, gcm, gcp, TWO_THIRDS_PI) if plus
+                else CriticalCouplings(gcp, gcm, gcm, 0.0))
+    return CriticalCouplings(gcp, gcm, np.where(plus, gcp, gcm),
+                             np.where(plus, TWO_THIRDS_PI, 0.0))
 
 
 def dividing_curve(J2: float) -> float:
@@ -185,19 +251,22 @@ def dividing_curve(J2: float) -> float:
     return -J2 / (1.0 + J2)
 
 
-def first_order_point(params: ModelParams):
-    """Coupling g_L where B_tilde changes sign, or None when it never does.
+def first_order_point(params):
+    """Coupling g_L where B_tilde changes sign, or None when it never does
+    (NaN in that row of Points).
 
     g_L = sqrt((J1-1)(1+2*J1) * J2 / J1); real only when J1 and J2 have
     opposite signs (the prefactor is negative on the whole hopping domain).
     """
     J1, J2 = params.J1, params.J2
+    if type(params) is Points:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            radicand = (-1.0 + J1) * (1.0 + 2.0 * J1) * J2 / J1
+        return np.sqrt(np.where((J1 == 0.0) | (radicand <= 0.0), np.nan, radicand))
     if J1 == 0.0:
         return None
     radicand = (-1.0 + J1) * (1.0 + 2.0 * J1) * J2 / J1
-    if radicand <= 0.0:
-        return None
-    return math.sqrt(radicand)
+    return _sqrt(radicand) if radicand > 0.0 else None
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
-from .model import FSP, NP, NSP, TRANSITIONS, ModelParams
+from .model import FSP, NP, NSP, TRANSITIONS, ModelParams, Points
 from .meanfield import (_NEWTON_TOL, _PSD_TOL, ConvergenceError, PhaseResult, _bisect,
-                        _columns, _energy, _g_c_b, _gradient, _hessian, _inside, _polish,
+                        _coefficients, _energy, _gradient, _hessian, _inside, _polish,
                         energy, state_from_x)
 
 
@@ -71,7 +69,7 @@ class _Scratch:
 def _energy_grid(params, n, scratch):
     """Vectorised energy evaluation on an n^3 interior grid of (-g/2, g/2)^3,
     into the buffers of scratch (of shape (n, n, n))."""
-    g, C, B = _g_c_b(params)
+    g, C, B = _coefficients(params)
     ax = np.linspace(-0.5 * g, 0.5 * g, n + 2)[1:-1]
     root = np.sqrt(1.0 - 4.0 * ax * ax / (g * g))
     quad = C * ax * ax - 0.5 * root
@@ -145,8 +143,9 @@ def _check_finite(e, rows, params):
 def descend(seeds, params):
     """Refine a (k, 3) stack of seeds to local minima.
 
-    params is one ModelParams, or one per row of seeds; the (g, C_tilde,
-    B_tilde) columns are computed once per call, and every step runs on the
+    params is one ModelParams, or Points (or a sequence of ModelParams), one
+    row per row of seeds; the (g, C_tilde, B_tilde) columns are computed
+    once per call, and every step runs on the
     kernels of :mod:`dicke_trimer.meanfield`.
 
     Modified Newton (Nocedal & Wright, Numerical Optimization, sec. 3.4): the
@@ -171,7 +170,7 @@ def descend(seeds, params):
     positive semidefinite (the minima).
     """
     X = np.array(seeds, dtype=float).reshape(-1, 3)
-    g, C, B = _columns(params, len(X))
+    g, C, B = (np.broadcast_to(v, (len(X), 1)) for v in _coefficients(params))
     E = _energy(X, g, C, B)
     _check_finite(E, np.arange(len(X)), params)
     G = _gradient(X, g, C, B)
@@ -237,14 +236,14 @@ def _cluster(X, radius):
 def _split(saddles, params):
     """Seeds just off each saddle, _SPLIT of its distance to the edge away,
     on both sides of every eigenvector of negative curvature and of the
-    bisector of every pair of them, in order of the saddles; params is one
-    ModelParams, or one per saddle.  Around a saddle of index two the eight
+    bisector of every pair of them, in order of the saddles, all of the
+    point params.  Around a saddle of index two the eight
     directions are 45 degrees apart, so every basin that spans more than
     that around the saddle gets a seed; the six-fold orbits around x = 0
     span 60 degrees each."""
-    g, C, B = _columns(params, len(saddles))
+    g, C, B = _coefficients(params)
     w, V = np.linalg.eigh(_hessian(saddles, g, C, B))
-    t = _SPLIT * (0.5 * g[:, 0] - np.max(np.abs(saddles), axis=1))
+    t = _SPLIT * (0.5 * g - np.max(np.abs(saddles), axis=1))
     seeds = []
     for x, wx, Vx, tx in zip(saddles, w, V, t):
         U = Vx[:, wx < _PSD_TOL].T
@@ -294,8 +293,8 @@ def _ranked(minima, params):
 
 
 def _brute_force_minima(points):
-    """:func:`brute_force_minimize` at each of a sequence of parameter
-    points, as a list of PhaseResults.
+    """:func:`brute_force_minimize` at each row of Points (or of a sequence
+    of ModelParams), as a list of PhaseResults.
 
     The grids of all points are scanned through one set of scratch buffers.
     Every candidate of every point is descended in one :func:`descend`;
@@ -306,22 +305,23 @@ def _brute_force_minima(points):
     Raises the ConvergenceError of the first point where no descent ends
     at a minimum, or at once that of a point whose energy overflows.
     """
-    points = list(points)
+    points = Points.of(points)
+    each = list(points)
     n, radius = _CONFIG.grid_points_per_axis, _CONFIG.cluster_radius
     scratch = _Scratch((n, n, n))
-    seeds = [_candidates(p, n, scratch) for p in points]
-    found = [[] for _ in points]
+    seeds = [_candidates(p, n, scratch) for p in each]
+    found = [[] for _ in each]
     # a split can end at a saddle of lower index, so split up to once per axis
     for depth in range(4):
         if depth:
             seeds = [_split(s[_cluster(s, radius)], p) if len(s) else s
-                     for s, p in zip(saddles, points)]
+                     for s, p in zip(saddles, each)]
         counts = [len(s) for s in seeds]
         # none left, or eigh saw no negative curvature where eigvalsh did
         if not sum(counts):
             break
         rows, is_min = descend(np.concatenate(seeds),
-                               [p for p, k in zip(points, counts) for _ in range(k)])
+                               points[np.repeat(np.arange(len(points)), counts)])
         ends = np.cumsum(counts)
         saddles = []
         for minima, a, b in zip(found, ends - counts, ends):
@@ -329,7 +329,7 @@ def _brute_force_minima(points):
             saddles.append(rows[a:b][~is_min[a:b]])
 
     results = []
-    for p, minima in zip(points, found):
+    for p, minima in zip(each, found):
         if not minima:
             raise ConvergenceError(f"no descent ended at a minimum at {p}")
         X = np.array(minima)
@@ -383,10 +383,8 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
         raise ValueError(f"g_range needs finite g_min < g_max, got {g_min} to {g_max}")
     if not (isinstance(n_coarse, numbers.Integral) and n_coarse >= 2):
         raise ValueError(f"n_coarse must be an integer >= 2, got {n_coarse!r}")
-    at = partial(ModelParams, J1=J1, J2=J2)
-
     def minima(gs):
-        return _brute_force_minima([at(float(g)) for g in gs])
+        return _brute_force_minima(Points(g=gs, J1=J1, J2=J2))
 
     gs = np.linspace(g_min, g_max, n_coarse)
     labels = np.array([r.label for r in minima(gs)])

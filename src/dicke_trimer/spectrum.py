@@ -6,9 +6,10 @@ cavity and Q, P the atomic quadratures.  Excitation energies are its
 symplectic (Williamson) eigenvalues d_k, the singular values of
 sqrt(Mx) sqrt(Mp) (Williamson, Am. J. Math. 58, 141 (1936)).  The kernels
 work on stacks of forms: :func:`spectra` assembles the (N, 2, 6, 6) stack of
-block pairs about N backgrounds and solves it with one stacked eigensolver
-and one stacked SVD call per chunk, and :func:`excitation_spectrum` is its
-one-row case, equal to a stacked row bitwise.  The analytic normal-phase
+block pairs about N backgrounds (their parameters one Points record) and
+solves it with one stacked eigensolver and one stacked SVD call per chunk,
+and :func:`excitation_spectrum` is its one-row case, equal to a stacked row
+bitwise.  The analytic normal-phase
 spectrum (see docs/normal_phase_spectrum.md for the derivation) provides an
 independent cross-check.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, critical_couplings, first_order_point, per_row
+from .model import ModelParams, Points, critical_couplings, first_order_point
 from .meanfield import (
     STATIONARITY_TOL,
     _domain_error,
@@ -67,15 +68,11 @@ def _diag(v):
     return D
 
 
-def _form_coefficients(params):
-    return params.g, params.omega, params.Omega, params.lam, params.Jbar1, params.Jbar2
-
-
-def _assemble(x, params):
+def _assemble(x, points):
     """The fluctuation blocks M (N, 2, 6, 6) about a stack of backgrounds:
     M[:, 0] = Mx on (q1..q3, Q1..Q3), M[:, 1] = Mp on (p1..p3, P1..P3).
 
-    x is (N, 3), params holds one ModelParams per row; the Bloch angles
+    x is (N, 3) and points holds one row per row of x; the Bloch angles
     theta_n follow from x.  Also returns, per row, the DomainError of a
     background outside |x_n| < g/2, the ValueError of one that is not
     stationary (the linear fluctuation term would not vanish), or None.
@@ -85,13 +82,14 @@ def _assemble(x, params):
     Jbar1 photon hopping on both q and p, Jbar2 atom hopping on P and on Q
     weighted by cos(theta_n)*cos(theta_{n+1}).
     """
-    g, omega, Omega, lam, Jbar1, Jbar2 = per_row(params, _form_coefficients)
+    p = points = Points.of(points)
+    g, omega, Omega, lam, Jbar1, Jbar2 = (
+        u[:, None] for u in (p.g, p.omega, p.Omega, p.lam, p.Jbar1, p.Jbar2))
     outside = ~_inside(x, g)
-    errors = [_domain_error(x[k], p.g) if out else None
-              for k, (out, p) in enumerate(zip(outside, params))]
+    errors = [_domain_error(x[k], g[k, 0]) if out else None for k, out in enumerate(outside)]
     x = np.where(outside[:, None], 0.0, x)
     inside = np.flatnonzero(~outside)
-    resid = (np.max(np.abs(gradient(x[inside], [params[k] for k in inside])), axis=-1)
+    resid = (np.max(np.abs(gradient(x[inside], points[inside])), axis=-1)
              if inside.size else [])
     for k, r in zip(inside, resid):
         if r > STATIONARITY_TOL:
@@ -141,7 +139,7 @@ def _williamson(M):
 def excitation_spectrum(x, params: ModelParams) -> SpectrumResult:
     """Excitation energies about the stationary background x (3,): the
     one-row case of :func:`spectra`, raising the row's error."""
-    M, errors = _assemble(np.asarray(x, dtype=float)[None], [params])
+    M, errors = _assemble(np.asarray(x, dtype=float)[None], Points.of(params))
     if errors[0] is not None:
         raise errors[0]
     energies, critical, errors = _williamson(M)
@@ -154,12 +152,12 @@ def excitation_spectrum(x, params: ModelParams) -> SpectrumResult:
 def spectra(x, params):
     """Excitation energies about a stack of backgrounds, in chunks of _CHUNK.
 
-    x is (N, 3) and params holds one ModelParams per row.  Returns the
-    (N, 6) energies, NaN where a row fails, and per row the error that
-    excitation_spectrum raises for it, or None.  Every row equals its
-    excitation_spectrum bitwise.
+    x is (N, 3) and params is Points (or a sequence of ModelParams) with one
+    row per row of x.  Returns the (N, 6) energies, NaN where a row fails,
+    and per row the error that excitation_spectrum raises for it, or None.
+    Every row equals its excitation_spectrum bitwise.
     """
-    params = list(params)
+    params = Points.of(params)
     energies = np.full((len(params), 6), np.nan)
     errors = [None] * len(params)
     for start in range(0, len(params), _CHUNK):
@@ -263,7 +261,8 @@ def fit_critical_exponent(params: ModelParams, side: str) -> ExponentFit:
                 f"fit window [{lo}, {hi}] crosses the first-order point g_L={gL}"
             )
 
-    points = [params.replace(g=g_crit + sgn * dg) for dg in _CRITICAL_OFFSETS]
+    points = Points(g=g_crit + sgn * _CRITICAL_OFFSETS, J1=params.J1, J2=params.J2,
+                    omega=params.omega, Omega=params.Omega)
     if side == "below":
         x = np.zeros((len(points), 3))
     else:

@@ -1,11 +1,15 @@
 """Parameter sweeps, boundary extraction and CSV/JSON serialization.
 
 Two sweep geometries are supported: a line in g at fixed hoppings, and a
-two-dimensional grid in either the (g, J2) or the (J1, J2) plane.  Both run
-their points through one batched pass: ``solve_ground_states`` over all
-points, then one stacked ``spectra`` call about the representatives; a
-point that fails records its error string.  Grid boundaries are bisected
-for all brackets in lockstep, three halvings per batched label call.  Floats
+two-dimensional grid in either the (g, J2) or the (J1, J2) plane.  Both
+build their points as one :class:`~dicke_trimer.model.Points` record of
+columns (a grid's with ``np.meshgrid``) and run them through one batched
+pass: ``solve_ground_states`` over all points, then one stacked ``spectra``
+call about the representatives; a point that fails records its error
+string.  The pass returns columns, and dicts are built only for the output
+records and cells.  Grid boundaries are bisected for all brackets in
+lockstep, three halvings per batched label call, with the probes' columns
+built from arrays as well.  Floats
 are serialized with 17 significant digits so that write-then-read
 round-trips are bit exact.
 """
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .model import TRANSITIONS, ModelParams, _b_tildes, alpha_from_x, classify_region
+from .model import TRANSITIONS, Points, alpha_from_x, b_tilde, classify_region
 from .meanfield import _bisect, solve_ground_states
 from .spectrum import spectra
 
@@ -40,43 +44,43 @@ def _timestamp() -> str:
     return os.environ.get("DICKE_TRIMER_TIMESTAMP", "")
 
 
-def _records(points):
-    """Ground state and spectrum of every point, yielded as record dicts.
-
-    One batched pass; a point where the ground state or its spectrum fails
-    records the error string and NaN values.
-    """
-    B = _b_tildes(points)[0].tolist()
+def _solve(points):
+    """The output columns of every row of Points, as lists, from one batched
+    pass: the ground states, then one stacked spectrum about them.  A row
+    whose ground state or spectrum fails has its error string and NaN (0,
+    "") values."""
     states = solve_ground_states(points)
     errors = list(states.error)
     ok = np.flatnonzero([err is None for err in errors])
-    alpha = np.full((len(points), 3), np.nan)
-    eps = np.full((len(points), 6), np.nan)
+    alpha, eps = np.full((len(points), 3), np.nan), np.full((len(points), 6), np.nan)
     if ok.size:
-        solved = [points[i] for i in ok]
-        alpha[ok] = alpha_from_x(states.representative[ok], solved)
-        eps[ok], spec_errors = spectra(states.representative[ok], solved)
+        alpha[ok] = alpha_from_x(states.representative[ok], points[ok])
+        eps[ok], spec_errors = spectra(states.representative[ok], points[ok])
         for i, err in zip(ok, spec_errors):
             errors[i] = err
-    for p, b, label, e, deg, a, ep, err in zip(
-            points, B, states.label, states.energy.tolist(), states.degeneracy.tolist(),
-            alpha.tolist(), eps.tolist(), errors):
-        rec = {"g": p.g, "J1": p.J1, "J2": p.J2, "B_tilde": b, "error": ""}
-        if err is None:
-            rec.update(phase=label, energy=e, degeneracy=deg)
-        else:
-            rec.update(phase="", energy=math.nan, degeneracy=0)
-            a, ep = [math.nan] * 3, [math.nan] * 6
-            rec["error"] = f"{type(err).__name__}: {err}"
-        rec.update({f"alpha{i+1}": v for i, v in enumerate(a)})
-        rec.update({f"eps{i+1}": v for i, v in enumerate(ep)})
-        yield rec
+    failed = np.array([err is not None for err in errors], dtype=bool)
+    alpha[failed] = eps[failed] = np.nan
+    columns = {"g": points.g, "J1": points.J1, "J2": points.J2, "B_tilde": b_tilde(points),
+               "error": ["" if err is None else f"{type(err).__name__}: {err}" for err in errors],
+               "phase": np.where(failed, "", states.label),
+               "energy": np.where(failed, np.nan, states.energy),
+               "degeneracy": np.where(failed, 0, states.degeneracy),
+               **{f"alpha{i + 1}": a for i, a in enumerate(alpha.T)},
+               **{f"eps{i + 1}": e for i, e in enumerate(eps.T)}}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in columns.items()}
+
+
+def _records(points):
+    """The record dict of every row of Points (or of a sequence of
+    ModelParams), from one batched pass."""
+    columns = _solve(Points.of(points))
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def sweep_g_line(J1, J2, g_values, omega=1.0, Omega=1.0):
     """Solve every g on a line, all points in one batched pass."""
-    return list(_records([ModelParams(g=float(g), J1=J1, J2=J2, omega=omega, Omega=Omega)
-                          for g in np.atleast_1d(np.asarray(g_values, dtype=float))]))
+    return _records(Points(g=np.atleast_1d(np.asarray(g_values, dtype=float)), J1=J1, J2=J2,
+                           omega=omega, Omega=Omega))
 
 
 # ---------------------------------------------------------------------------
@@ -123,30 +127,24 @@ class PhaseDiagramGrid:
     metadata: dict = field(default_factory=dict)
 
 
-def _cell_params(axis_x, axis_y, fixed, xv, yv):
-    kw = dict(fixed)
-    kw[axis_x.name] = float(xv)
-    kw[axis_y.name] = float(yv)
-    return ModelParams(**kw)
+def _points(axis_x, axis_y, fixed, x, y):
+    """The Points of the grid coordinates x and y (arrays or floats)."""
+    return Points(**fixed, **{axis_x.name: x, axis_y.name: y})
 
 
 def _grid_rows(args):
     """Cells of a block of grid rows (row-major), in one batched pass."""
     axis_x, axis_y, fixed, ys = args
-    xy = [(float(xv), float(yv)) for yv in ys for xv in axis_x.values()]
-    records = _records([_cell_params(axis_x, axis_y, fixed, xv, yv) for xv, yv in xy])
-    cells = []
-    for (xv, yv), rec in zip(xy, records):
-        cell = {
-            "x": xv, "y": yv,
-            "phase": rec["phase"], "energy": rec["energy"],
-            "degeneracy": rec["degeneracy"], "soft_mode_gap": rec["eps1"],
-            "B_tilde": rec["B_tilde"], "error": rec["error"],
-        }
-        if "g" not in (axis_x.name, axis_y.name):
-            label = classify_region(rec["J1"], rec["J2"])
+    x, y = (u.ravel() for u in np.meshgrid(axis_x.values(), np.asarray(ys, dtype=float)))
+    c = _solve(_points(axis_x, axis_y, fixed, x, y))
+    keys = ("x", "y", "phase", "energy", "degeneracy", "soft_mode_gap", "B_tilde", "error")
+    cells = [dict(zip(keys, row)) for row in zip(
+        x.tolist(), y.tolist(), c["phase"], c["energy"], c["degeneracy"], c["eps1"],
+        c["B_tilde"], c["error"])]
+    if "g" not in (axis_x.name, axis_y.name):
+        for cell, J1, J2 in zip(cells, c["J1"], c["J2"]):
+            label = classify_region(J1, J2)
             cell["region"] = label.region if not label.boundary else None
-        cells.append(cell)
     return cells
 
 
@@ -154,19 +152,17 @@ def _grid_rows(args):
 _REFINE_TOL = 1e-6
 
 
-def _refine_boundaries(axis_x, axis_y, fixed, brackets):
-    """Bisect label changes along x, every bracket (x_lo, x_hi, y, label at
-    x_lo) in lockstep: one batched solve ("" where it fails) labels the
-    midpoints of the next three halvings of all unfinished brackets: a
-    label call costs far more than the rows it adds, and deeper trees were
-    slower on the criterion-11 grid."""
+def _refine_boundaries(axis_x, axis_y, fixed, lo, hi, y, label):
+    """Bisect label changes along x, every bracket [lo, hi] at y with the
+    label at lo (arrays, one entry per bracket) in lockstep: one batched
+    solve ("" where it fails) labels the midpoints of the next three
+    halvings of all unfinished brackets: a label call costs far more than
+    the rows it adds, and deeper trees were slower on the criterion-11
+    grid."""
     def changed(mid, rows):
-        labels = solve_ground_states([_cell_params(axis_x, axis_y, fixed, m, brackets[i][2])
-                                      for m, i in zip(mid, rows)]).label
-        return [label != brackets[i][3] for label, i in zip(labels, rows)]
+        return solve_ground_states(_points(axis_x, axis_y, fixed, mid, y[rows])).label != label[rows]
 
-    return _bisect(changed, [b[0] for b in brackets], [b[1] for b in brackets], _REFINE_TOL,
-                   levels=3)
+    return _bisect(changed, lo, hi, _REFINE_TOL, levels=3)
 
 
 def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
@@ -199,28 +195,27 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
         flat = _grid_rows((axis_x, axis_y, fixed, ys))
     cells = [flat[iy * len(xs):(iy + 1) * len(xs)] for iy in range(len(ys))]
 
-    keys, brackets = [], []
-    for iy, yv in enumerate(ys):
-        row = cells[iy]
-        for ix in range(len(xs) - 1):
-            a, b = row[ix]["phase"], row[ix + 1]["phase"]
-            if a and b and a != b:
-                keys.append(TRANSITIONS[frozenset((a, b))][0])
-                brackets.append((xs[ix], xs[ix + 1], yv, a))
+    # the brackets: horizontally adjacent cells of two different phases
+    phase = np.array([cell["phase"] for cell in flat], dtype=object).reshape(len(ys), len(xs))
+    a, b = phase[:, :-1], phase[:, 1:]
+    iy, ix = np.nonzero((a != "") & (b != "") & (a != b))
+    lower = a[iy, ix]
+    refined = _refine_boundaries(axis_x, axis_y, fixed, xs[ix], xs[ix + 1], ys[iy], lower)
     boundaries = {}
-    refined = _refine_boundaries(axis_x, axis_y, fixed, brackets)
-    for key, xb, bracket in zip(keys, refined, brackets):
-        boundaries.setdefault(key, []).append((float(xb), float(bracket[2])))
+    for key, xb, yb in zip((TRANSITIONS[frozenset((p, q))][0] for p, q in zip(lower, b[iy, ix])),
+                           refined.tolist(), ys[iy].tolist()):
+        boundaries.setdefault(key, []).append((xb, yb))
 
     deviation = {}
     if axis_x.name == "g" and axis_y.name == "J2":
         J1 = fixed.get("J1", 0.0)
         closed_form = {key: g_of for key, _, g_of in TRANSITIONS.values()}
         for key, pts in boundaries.items():
-            refs = [closed_form[key](ModelParams(g=1.0, J1=J1, J2=J2v)) for _, J2v in pts]
-            devs = [abs(gb - ref) for (gb, _), ref in zip(pts, refs) if ref is not None]
-            if devs:
-                deviation[key] = float(max(devs))
+            gb, J2 = np.array(pts).T
+            ref = closed_form[key](Points(g=1.0, J1=J1, J2=J2))
+            devs = np.abs(gb - ref)[~np.isnan(ref)]
+            if devs.size:
+                deviation[key] = float(devs.max())
 
     meta = {
         "version": __version__,

@@ -19,6 +19,7 @@ from .model import (
     NSP,
     REGION_SEQUENCES,
     ModelParams,
+    Points,
     alpha_from_x,
     b_tilde,
     c_tilde,
@@ -78,18 +79,17 @@ def criterion_1_critical_points():
     of the x = 0 forms at the midpoints of the unfinished brackets.
     """
     rng = np.random.default_rng(0)
-    hops = [_sample_region(rng, region) for region in range(1, 7) for _ in range(50)]
-    g_c = np.array([critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
-                    for J1, J2 in hops])
+    J1, J2 = np.array([_sample_region(rng, region) for region in range(1, 7)
+                       for _ in range(50)]).T
+    g_c = critical_couplings(Points(g=1.0, J1=J1, J2=J2)).g_c
 
     def gapless(mid, rows):
-        points = [ModelParams(g=g, J1=hops[i][0], J2=hops[i][1]) for g, i in zip(mid, rows)]
-        energies, errors = spectra(np.zeros((len(points), 3)), points)
+        energies, errors = spectra(np.zeros((len(mid), 3)), Points(g=mid, J1=J1[rows], J2=J2[rows]))
         _raise_first(errors)
         return ~(energies[:, 0] > 1e-9)
 
     # the gap is positive below g_c and zero at it: bracket on gap <= 1e-9
-    g_bisect = _bisect(gapless, np.full(len(hops), 1e-3), g_c, 1e-9)
+    g_bisect = _bisect(gapless, np.full(len(g_c), 1e-3), g_c, 1e-9)
     worst = float(np.max(np.abs(g_bisect - g_c)))
     passed = worst < 1e-6
     return CheckResult("critical-point formulas (gap bisection vs closed form)",
@@ -97,9 +97,8 @@ def criterion_1_critical_points():
 
 
 def _order_parameter_exponent(J1, J2):
-    params = ModelParams(g=1.0, J1=J1, J2=J2)
-    g_c = critical_couplings(params).g_c
-    points = [params.replace(g=g_c + dg) for dg in _CRITICAL_OFFSETS]
+    g_c = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
+    points = Points(g=g_c + _CRITICAL_OFFSETS, J1=J1, J2=J2)
     states = solve_ground_states(points)
     _raise_first(states.error)
     amps = np.max(np.abs(alpha_from_x(states.representative, points)), axis=1)
@@ -247,11 +246,12 @@ def criterion_9_spectrum_equivalence():
     """Analytic normal-phase spectrum vs the numeric (block SVD) route, on
     100 x = 0 forms in one stacked spectrum."""
     rng = np.random.default_rng(3)
-    points = []
+    rows = []
     for _ in range(100):
         J1, J2 = rng.uniform(-0.45, 0.45, 2)
         cc = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2))
-        points.append(ModelParams(g=rng.uniform(0.05, 0.999 * cc.g_c), J1=J1, J2=J2))
+        rows.append((rng.uniform(0.05, 0.999 * cc.g_c), J1, J2))
+    points = Points(*np.array(rows).T)
     numeric, errors = spectra(np.zeros((len(points), 3)), points)
     _raise_first(errors)
     analytic = np.array([analytic_np_spectrum(p).energies for p in points])

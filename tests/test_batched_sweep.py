@@ -133,6 +133,16 @@ def test_undefined_b_tilde_fails_only_its_row(g0):
     assert all(_same(records[1][k], want[k]) for k in want)
 
 
+def test_nonfinite_b_tilde_fails_only_its_row():
+    # J2/(g * g) overflows to inf at g = 1e-160, where g * g is still nonzero
+    records = sweep_g_line(0.1, 0.1, [0.5, 1e-160, 1.1])
+    assert records[1]["error"].startswith("ParameterError: B_tilde is undefined")
+    assert records[1]["phase"] == "" and math.isnan(records[1]["B_tilde"])
+    for rec, want in zip(records[::2], sweep_g_line(0.1, 0.1, [0.5, 1.1]), strict=True):
+        assert rec["error"] == "" and rec["phase"] in ("NP", "FSP")
+        assert all(_same(rec[k], want[k]) for k in want)
+
+
 def test_ground_states_equal_one_point_results(points):
     states = solve_ground_states(points)
     coexistent = 0

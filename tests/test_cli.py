@@ -1,6 +1,7 @@
 """Command line interface: flags, exit codes, artifacts."""
 
 import json
+import warnings
 
 import pytest
 
@@ -59,6 +60,17 @@ class TestSolve:
         assert code == 2
         payload = json.loads(err.strip())
         assert payload["kind"] == "ParameterError" and "B_tilde" in payload["error"]
+
+    def test_nonfinite_b_tilde_exits_2(self, capsys):
+        # g * g is a tiny nonzero float, J2/(g * g) overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "solve", "--g", "1e-160", "--j2", "0.1")
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["kind"] == "ParameterError"
+        assert payload["error"].startswith("B_tilde is undefined")
 
     def test_region_in_report(self, capsys):
         _, out, _ = run(capsys, "solve", "--g", "1.0", "--j1", "0.1",

@@ -20,7 +20,7 @@ from dicke_trimer import (
     hopping_matrix,
     x_from_alpha,
 )
-from dicke_trimer.model import REGION_SEQUENCES, b_tilde, c_tilde
+from dicke_trimer.model import REGION_SEQUENCES, Points, b_tilde, c_tilde
 
 finite_J = st.floats(min_value=-0.49, max_value=0.49)
 finite_g = st.floats(min_value=0.05, max_value=3.0)
@@ -220,3 +220,101 @@ class TestRegions:
     def test_out_of_domain(self):
         with pytest.raises(ParameterError):
             classify_region(0.6, 0.0)
+
+
+def _bits(values):
+    """Values as the bits of their float64s, None as NaN: equal bits are
+    bitwise-equal floats."""
+    return np.array([math.nan if v is None else v for v in values], dtype=float).view(np.uint64)
+
+
+_EDGE = 0.4999999
+_hopping = st.one_of(st.floats(-_EDGE, _EDGE), st.sampled_from([0.0, -0.0, -_EDGE, _EDGE]))
+# g anywhere, near 0 and where g * g is tiny but nonzero (J2/g^2 overflows);
+# "g_c", "g_c_plus", "g_c_minus", "g_L" put g on that closed form exactly
+_coupling = st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e-150),
+                      st.sampled_from([0.0, 1e-160, 5e-324, "g_c", "g_c_plus", "g_c_minus",
+                                       "g_L"]))
+
+
+@st.composite
+def _rows(draw):
+    J1, J2, g = draw(_hopping), draw(_hopping), draw(_coupling)
+    if isinstance(g, str):
+        p = ModelParams(g=1.0, J1=J1, J2=J2)
+        g = first_order_point(p) if g == "g_L" else getattr(critical_couplings(p), g)
+    return ModelParams(g=1.0 if g is None else g, J1=J1, J2=J2)
+
+
+class TestPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_rows(), min_size=1, max_size=12))
+    def test_columns_equal_scalar_closed_forms_bitwise(self, rows):
+        from dicke_trimer.meanfield import nsp_alpha
+
+        points = Points.of(rows)
+        assert np.array_equal(_bits(c_tilde(points.J1)), _bits(c_tilde(p.J1) for p in rows))
+        cc = critical_couplings(points)
+        for name in ("g_c_plus", "g_c_minus", "g_c", "k_star"):
+            assert np.array_equal(_bits(getattr(cc, name)),
+                                  _bits(getattr(critical_couplings(p), name) for p in rows))
+        assert np.array_equal(_bits(first_order_point(points)),
+                              _bits(first_order_point(p) for p in rows))
+        assert np.array_equal(_bits(nsp_alpha(points)), _bits(nsp_alpha(p) for p in rows))
+        assert np.array_equal(_bits(points.lam), _bits(p.lam for p in rows))
+        want = []
+        for p in rows:
+            try:
+                want.append(b_tilde(p))
+            except ParameterError as exc:
+                assert str(exc).startswith("B_tilde is undefined")
+                want.append(None)
+        assert np.array_equal(_bits(b_tilde(points)), _bits(want))
+
+    def test_tie_reports_zero_momentum(self):
+        # g_c_plus == g_c_minus exactly: both branches report the zero-momentum tie
+        points = Points(g=1.0, J1=[0.0, 0.1], J2=[0.0, 0.1])
+        cc = critical_couplings(points)
+        assert cc.g_c_plus[0] == cc.g_c_minus[0] and cc.k_star[0] == 0.0
+        assert critical_couplings(points[0]).k_star == 0.0
+        assert cc.k_star[1] == critical_couplings(points[1]).k_star > 0.0
+
+    def test_nonfinite_b_tilde_raises_one_row_and_is_nan_in_columns(self):
+        with pytest.raises(ParameterError, match="B_tilde is undefined"):
+            b_tilde(ModelParams(g=1e-160, J2=0.1))
+        assert b_tilde(ModelParams(g=1e-160, J2=0.0)) == 0.0
+        B = b_tilde(Points(g=[1e-160, 1e-160, 0.0, 1.0], J2=[0.1, 0.0, 0.0, 0.1]))
+        assert np.isnan(B[0]) and B[1] == 0.0 and np.isnan(B[2]) and B[3] == 0.1
+
+    @pytest.mark.parametrize("field, bad", [
+        ("omega", 0.0), ("omega", -1.0), ("Omega", 0.0), ("Omega", -2.0),
+        ("omega", math.inf), ("g", math.nan), ("g", -0.1), ("g", math.inf),
+        ("J1", 0.5), ("J1", -0.5), ("J2", 0.5), ("J2", -0.5), ("J2", math.nan),
+    ])
+    def test_first_bad_row_raises_model_params_message(self, field, bad):
+        rows = [dict(g=1.0 + 0.1 * i, J1=0.1, J2=-0.1, omega=1.0, Omega=1.0) for i in range(4)]
+        rows[2][field] = bad
+        # a later row bad in another way
+        rows[3]["omega" if field in ("J1", "J2") else "J1"] = 0.7 if field == "g" else -1.0
+        with pytest.raises(ParameterError) as want:
+            ModelParams(**rows[2])
+        with pytest.raises(ParameterError) as got:
+            Points(**{k: [row[k] for row in rows] for k in rows[0]})
+        assert str(got.value) == str(want.value)
+
+    def test_rows_round_trip(self):
+        rows = [ModelParams(g=0.5, J1=0.1, J2=-0.2), ModelParams(g=1.5, J1=-0.3, J2=0.4,
+                                                                 omega=2.0, Omega=0.5)]
+        points = Points.of(rows)
+        assert len(points) == 2 and list(points) == rows
+        assert Points.of(points) is points and list(Points.of(rows[1])) == rows[1:]
+        assert list(points[[1, 0]]) == rows[::-1] and list(points[1:]) == rows[1:]
+        assert points[0] == rows[0] and isinstance(points[0].g, float)
+        assert np.array_equal(points.Jbar1, [0.1, -0.6]) and not points.g.flags.writeable
+        assert len(Points.of([])) == 0
+
+    def test_scalars_broadcast_with_model_params_defaults(self):
+        points = Points(g=[0.5, 1.0])
+        assert list(points) == [ModelParams(g=0.5), ModelParams(g=1.0)]
+        with pytest.raises(ValueError, match="1-D"):
+            Points(g=np.ones((2, 2)))
