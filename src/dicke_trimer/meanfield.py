@@ -43,10 +43,9 @@ from .model import (
     NSP,
     ModelParams,
     Points,
-    _sqrt,
+    _b_tilde_error,
     alpha_from_x,
     b_tilde,
-    b_tilde_error,
     c_tilde,
     critical_couplings,
 )
@@ -341,22 +340,16 @@ def solve_np(params: ModelParams) -> PhaseResult:
 # uniform (NSP) branch
 
 def nsp_alpha(params):
-    """Closed-form uniform coherence amplitude; 0.0 at or below onset (one
-    per row of Points)."""
-    g, J1, J2 = params.g, params.J1, params.J2
-    if type(params) is Points:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            denom = g * g - 2.0 * (J2 + 2.0 * J1 * J2)
-            s = 1.0 + 2.0 * J1
-            radicand = 1.0 / (s * s) - 1.0 / (denom * denom)
-            return np.where((denom > 0.0) & (radicand > 0.0), 0.5 * g * np.sqrt(radicand), 0.0)
-    denom = g * g - 2.0 * (J2 + 2.0 * J1 * J2)
-    s = 1.0 + 2.0 * J1
-    # denom * denom rounds to 0 only where the radicand is far below 0
-    if denom <= 0.0 or denom * denom == 0.0:
-        return 0.0
-    radicand = 1.0 / (s * s) - 1.0 / (denom * denom)
-    return 0.5 * g * _sqrt(radicand) if radicand > 0.0 else 0.0
+    """Closed-form uniform coherence amplitude; 0.0 at or below onset.  A
+    float for one ModelParams, one per row of Points."""
+    p = Points.of(params)
+    g, J1, J2 = p.g, p.J1, p.J2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        denom = g * g - 2.0 * (J2 + 2.0 * J1 * J2)
+        s = 1.0 + 2.0 * J1
+        radicand = 1.0 / (s * s) - 1.0 / (denom * denom)
+        a = np.where((denom > 0.0) & (radicand > 0.0), 0.5 * g * np.sqrt(radicand), 0.0)
+    return float(a[0]) if isinstance(params, ModelParams) else a
 
 
 def _uniform_branch(points):
@@ -709,7 +702,7 @@ def solve_fsp(params: ModelParams) -> PhaseResult:
 
 @dataclass(frozen=True)
 class GroundStates:
-    """Ground states of a sequence of parameter points, one row per point.
+    """Ground states of a batch of parameter points, one row per point.
 
     representative is the member of the orbit that
     PhaseResult.representative holds.  A row whose solve raised keeps the
@@ -746,7 +739,7 @@ def solve_ground_states(points) -> GroundStates:
     B = b_tilde(points)
     error = [None] * n
     for i in np.flatnonzero(np.isnan(B)):
-        error[i] = b_tilde_error(g[i], points.J2[i])
+        error[i] = _b_tilde_error(g[i], points.J2[i])
     coexist = above & (np.abs(B) < _B_COEXIST_TOL)
     uniform = np.flatnonzero(above & (coexist | (B < 0.0)))
     # one candidate per row on its branch, plus the frustrated branch of

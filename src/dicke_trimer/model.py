@@ -167,7 +167,7 @@ def c_tilde(J1):
     return (1.0 + J1) / ((-1.0 + J1) * (1.0 + 2.0 * J1))
 
 
-def b_tilde_error(g, J2) -> ParameterError:
+def _b_tilde_error(g, J2) -> ParameterError:
     return ParameterError(f"B_tilde is undefined where J2/g^2 is not finite, got g={g}, J2={J2}")
 
 
@@ -185,7 +185,7 @@ def b_tilde(params):
         gg = g * g
         hop = J2 / gg if gg else math.nan
         if hop - hop:  # NaN unless J2/g^2 is finite
-            raise b_tilde_error(g, J2)
+            raise _b_tilde_error(g, J2)
     return J1 / ((1.0 - J1) * (1.0 + 2.0 * J1)) + hop
 
 

@@ -9,10 +9,10 @@ energy, its derivatives and the Newton polish are the pattern-free kernels
 of :mod:`dicke_trimer.meanfield`.  The oracle's own parts are the separable
 grid evaluation and :func:`descend`, one batched modified-Newton descent
 over a stack of seeds with one parameter point per row; no scipy optimiser
-is involved.  The minimisation runs over a sequence of parameter points at
-once: their grids share one set of scratch buffers, and the grid-local
-minima and saddle splits of all points go through each descent together;
-each point clusters its own minima.  :func:`brute_force_minimize` is its
+is involved.  The minimisation runs over a batch of parameter points (one
+Points record) at once: their grids share one set of scratch buffers, and
+the grid-local minima and saddle splits of all points go through each
+descent together; each point clusters its own minima.  :func:`brute_force_minimize` is its
 one-point case.  Transition detection tells phases apart by one test, the
 label of the minimum, and minimises as one such stack its coarse scan, each
 halving of all its brackets, and the stencils of all its order tests.

@@ -160,7 +160,8 @@ def _refine_boundaries(axis_x, axis_y, fixed, lo, hi, y, label):
     the rows it adds, and deeper trees were slower on the criterion-11
     grid."""
     def changed(mid, rows):
-        return solve_ground_states(_points(axis_x, axis_y, fixed, mid, y[rows])).label != label[rows]
+        points = _points(axis_x, axis_y, fixed, mid, y[rows])
+        return solve_ground_states(points).label != label[rows]
 
     return _bisect(changed, lo, hi, _REFINE_TOL, levels=3)
 

@@ -84,7 +84,8 @@ def criterion_1_critical_points():
     g_c = critical_couplings(Points(g=1.0, J1=J1, J2=J2)).g_c
 
     def gapless(mid, rows):
-        energies, errors = spectra(np.zeros((len(mid), 3)), Points(g=mid, J1=J1[rows], J2=J2[rows]))
+        points = Points(g=mid, J1=J1[rows], J2=J2[rows])
+        energies, errors = spectra(np.zeros((len(points), 3)), points)
         _raise_first(errors)
         return ~(energies[:, 0] > 1e-9)
 
