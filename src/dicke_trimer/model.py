@@ -130,11 +130,10 @@ class Points:
               & (0.0 <= g) & (g < math.inf) & (np.abs(J1) < 0.5) & (np.abs(J2) < 0.5))
         if not ok.all():
             ModelParams(*(float(c[np.argmin(ok)]) for c in columns))
-        self._set(columns)
+        self._set(np.array(c) for c in columns)
 
     def _set(self, columns):
         for name, col in zip(_FIELDS, columns):
-            col = np.array(col, dtype=float)
             col.flags.writeable = False
             object.__setattr__(self, name, col)
         return self
@@ -147,7 +146,7 @@ class Points:
             return params
         rows = [(p.g, p.J1, p.J2, p.omega, p.Omega)
                 for p in ((params,) if isinstance(params, ModelParams) else params)]
-        return object.__new__(cls)._set(np.array(rows, dtype=float).reshape(-1, 5).T)
+        return object.__new__(cls)._set(np.array(rows, dtype=float).reshape(-1, 5).T.copy())
 
     def __len__(self):
         return len(self.g)

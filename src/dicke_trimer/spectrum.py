@@ -86,7 +86,9 @@ def _assemble(x, points):
     g, omega, Omega, lam, Jbar1, Jbar2 = (
         u[:, None] for u in (p.g, p.omega, p.Omega, p.lam, p.Jbar1, p.Jbar2))
     outside = ~_inside(x, g)
-    errors = [_domain_error(x[k], g[k, 0]) if out else None for k, out in enumerate(outside)]
+    errors = [None] * len(x)
+    for k in np.flatnonzero(outside):
+        errors[k] = _domain_error(x[k], g[k, 0])
     x = np.where(outside[:, None], 0.0, x)
     inside = np.flatnonzero(~outside)
     resid = (np.max(np.abs(gradient(x[inside], points[inside])), axis=-1)
@@ -127,9 +129,10 @@ def _williamson(M):
     scale = np.maximum(np.max(np.abs(M), axis=(-3, -2, -1)), 1.0)
     w, V = np.linalg.eigh(M)
     w0 = np.min(w[..., 0], axis=-1)
-    errors = [UnstableBackgroundError(
-                  f"quadratic form has negative eigenvalue {e:.3e}: unstable background")
-              if e < -_CRITICAL_TOL * s else None for e, s in zip(w0, scale)]
+    errors = [None] * len(M)
+    for k in np.flatnonzero(w0 < -_CRITICAL_TOL * scale):
+        errors[k] = UnstableBackgroundError(
+            f"quadratic form has negative eigenvalue {w0[k]:.3e}: unstable background")
     R = (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(V, -1, -2)
     energies = np.linalg.svd(R[:, 0] @ R[:, 1], compute_uv=False)[:, ::-1]
     # eigh fixes the eigenvalues of a block only to about 12 eps |M|

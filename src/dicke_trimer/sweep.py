@@ -137,8 +137,8 @@ def _grid_rows(args):
     axis_x, axis_y, fixed, ys = args
     x, y = (u.ravel() for u in np.meshgrid(axis_x.values(), np.asarray(ys, dtype=float)))
     c = _solve(_points(axis_x, axis_y, fixed, x, y))
-    keys = ("x", "y", "phase", "energy", "degeneracy", "soft_mode_gap", "B_tilde", "error")
-    cells = [dict(zip(keys, row)) for row in zip(
+    cells = [{"x": xv, "y": yv, "phase": ph, "energy": e, "degeneracy": d, "soft_mode_gap": gap,
+              "B_tilde": b, "error": err} for xv, yv, ph, e, d, gap, b, err in zip(
         x.tolist(), y.tolist(), c["phase"], c["energy"], c["degeneracy"], c["eps1"],
         c["B_tilde"], c["error"])]
     if "g" not in (axis_x.name, axis_y.name):
