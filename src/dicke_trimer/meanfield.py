@@ -828,17 +828,53 @@ def root_structure(params: ModelParams, k: float) -> RootStructure:
 # atom-hopping-only special case (independent route)
 
 def _atom_only_energy(alpha, g, J2):
-    alpha = np.asarray(alpha, dtype=float)
     root = np.sqrt(1.0 - 4.0 * alpha * alpha / (g * g))
     return float(np.sum(-alpha * alpha - 0.5 * root
                         + (2.0 * J2 / (g * g)) * alpha * np.roll(alpha, -1)))
 
 
 def _atom_only_gradient(alpha, g, J2):
-    alpha = np.asarray(alpha, dtype=float)
     root = np.sqrt(1.0 - 4.0 * alpha * alpha / (g * g))
     return (-2.0 * alpha + 2.0 * alpha / (g * g * root)
             + (2.0 * J2 / (g * g)) * (np.roll(alpha, 1) + np.roll(alpha, -1)))
+
+
+def _atom_only_hessian(alpha, g, J2):
+    u = 4.0 * alpha * alpha / (g * g)
+    root = np.sqrt(1.0 - u)
+    H = np.full((3, 3), 2.0 * J2 / (g * g))
+    np.fill_diagonal(H, -2.0 + (2.0 / (g * g)) * (1.0 / root + u / root**3))
+    return H
+
+
+def _atom_only_descent(alpha, g, J2):
+    """Modified Newton from one seed (Nocedal & Wright, sec. 3.4), Hessian
+    eigenvalues w taken as max(|w|, 1e-8); a step is halved until it stays
+    inside |alpha| < g/2 and passes the Armijo test on E, or, once the
+    predicted decrease is below the float resolution of E, lowers max |grad|.
+    Ends at max |grad| < _NEWTON_TOL, after 200 steps, or when a halved step
+    no longer changes alpha."""
+    e, grad = _atom_only_energy(alpha, g, J2), _atom_only_gradient(alpha, g, J2)
+    for _ in range(200):
+        norm = np.max(np.abs(grad))
+        if norm < _NEWTON_TOL:
+            break
+        w, V = np.linalg.eigh(_atom_only_hessian(alpha, g, J2))
+        step = -V @ ((V.T @ grad) / np.maximum(np.abs(w), 1e-8))
+        slope, lam = grad @ step, 1.0
+        # below it, steps of equal E pass Armijo and can cycle between two floats
+        flat = -slope <= _EPS * abs(e)
+        while True:
+            trial = alpha + lam * step
+            if np.all(trial == alpha):
+                return alpha
+            if _inside(trial, g):
+                t_e, t_grad = _atom_only_energy(trial, g, J2), _atom_only_gradient(trial, g, J2)
+                if (np.max(np.abs(t_grad)) < norm) if flat else (t_e <= e + 1e-4 * lam * slope):
+                    break
+            lam *= 0.5
+        alpha, e, grad = trial, t_e, t_grad
+    return alpha
 
 
 def solve_atom_only(params: ModelParams) -> PhaseResult:
@@ -846,64 +882,28 @@ def solve_atom_only(params: ModelParams) -> PhaseResult:
 
     With the photon hopping off the x variables coincide with alpha and the
     reduced energy per site is -a^2 - 1/2*sqrt(1 - 4a^2/g^2) plus the
-    (2*J2/g^2) a_n a_{n+1} coupling.  Solved here with scipy local descent
-    from pattern seeds, deliberately not reusing the general-x machinery,
+    (2*J2/g^2) a_n a_{n+1} coupling.  Solved by its own modified Newton from
+    seven pattern seeds, deliberately not reusing the general-x machinery,
     so it can serve as a cross-check of solve_ground_state at J1 = 0.
     """
-    from scipy.optimize import minimize
-
     if params.J1 != 0.0:
         raise ValueError(f"atom-only solver requires J1 = 0, got J1={params.J1}")
     # the ParameterError of solve_ground_state where g * g == 0
     b_tilde(params)
     g, J2 = params.g, params.J2
-    amax = 0.5 * g * (1.0 - 1e-10)
-    a0 = 0.45 * g
-    seeds = [np.zeros(3)]
-    for base in (np.array([1.0, 1.0, 1.0]), np.array([-2.0, 1.0, 1.0]) / 2.0,
-                 np.array([-1.0, 1.0, 1.0])):
-        for s in (1.0, -1.0):
-            seeds.append(s * a0 * base)
-
-    best = None
-    for seed in seeds:
-        res = minimize(
-            _atom_only_energy, np.clip(seed, -amax, amax), args=(g, J2),
-            jac=_atom_only_gradient, method="L-BFGS-B",
-            bounds=[(-amax, amax)] * 3,
-            options={"ftol": 1e-16, "gtol": 1e-12},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    alpha = best.x
-    # polish with a few Newton steps on the analytic gradient
-    for _ in range(50):
-        u = 4.0 * alpha * alpha / (g * g)
-        root = np.sqrt(1.0 - u)
-        grad = _atom_only_gradient(alpha, g, J2)
-        if np.max(np.abs(grad)) < 1e-13:
-            break
-        diag = -2.0 + (2.0 / (g * g)) * (1.0 / root + u / root**3)
-        H = np.full((3, 3), 2.0 * J2 / (g * g))
-        np.fill_diagonal(H, diag)
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            break
-        trial = alpha - step
-        if np.max(np.abs(trial)) >= amax:
-            break
-        alpha = trial
-
+    seeds = [np.zeros(3)] + [s * 0.45 * g * np.array(base)
+                             for base in ((1.0, 1.0, 1.0), (-1.0, 0.5, 0.5), (-1.0, 1.0, 1.0))
+                             for s in (1.0, -1.0)]
+    alpha = min((_atom_only_descent(seed, g, J2) for seed in seeds),
+                key=lambda a: _atom_only_energy(a, g, J2))
     amp = np.max(np.abs(alpha))
     if amp < 1e-8:
         return solve_np(params)
     uniform = np.max(np.abs(alpha - alpha.mean())) < 1e-8 * max(amp, 1.0)
-    label = NSP if uniform else FSP
     configs = _orbit(alpha)
     states = [state_from_x(c, params) for c in configs]  # x == alpha at J1=0
     return PhaseResult(
-        label=label,
+        label=NSP if uniform else FSP,
         energy=_atom_only_energy(configs[0], g, J2),
         degeneracy=len(configs),
         representative=states[0],

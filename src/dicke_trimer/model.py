@@ -182,7 +182,7 @@ def b_tilde(params):
         hop[~np.isfinite(hop)] = np.nan
     else:
         gg = g * g
-        hop = J2 / gg if gg else math.nan
+        hop = float(J2) / float(gg) if gg else math.nan  # numpy scalars warn on overflow
         if hop - hop:  # NaN unless J2/g^2 is finite
             raise _b_tilde_error(g, J2)
     return J1 / ((1.0 - J1) * (1.0 + 2.0 * J1)) + hop

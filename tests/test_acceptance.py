@@ -88,3 +88,26 @@ def test_frustrated_stationarity():
 def test_oracle_agreement():
     """Oracle global minimum equals the analytic-branch energy within 1e-9."""
     _run(verify.check_oracle_agreement)
+
+
+def test_runtime_needs_only_numpy():
+    """With scipy blocked before the import, the atom-only solver runs in NSP
+    and FSP and all 16 checks of `verify --scope all` pass."""
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dicke_trimer
+
+    src = str(Path(dicke_trimer.__file__).resolve().parents[1])
+    code = ("import json, sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
+            "from dicke_trimer import ModelParams, solve_atom_only, verify; "
+            "labels = [solve_atom_only(ModelParams(g=1.5, J2=J2)).label for J2 in (-0.3, 0.3)]; "
+            "print(json.dumps([labels, [bool(r.passed) for r in verify.run_scope('all')]]))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    labels, passed = json.loads(out.stdout)
+    assert labels == ["NSP", "FSP"]
+    assert passed == [True] * 16

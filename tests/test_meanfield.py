@@ -26,6 +26,8 @@ from dicke_trimer import (
     state_from_x,
 )
 from dicke_trimer.meanfield import (
+    _PSD_TOL,
+    STATIONARITY_TOL,
     ConvergenceError,
     _bisect,
     _bracketed_roots,
@@ -394,16 +396,27 @@ class TestRootStructure:
 
 
 class TestAtomOnly:
-    @pytest.mark.parametrize("J2,g", [(-0.3, 0.8), (-0.1, 1.2), (0.2, 1.1),
-                                      (0.3, 0.5)])
+    # four hand-picked points, a seeded J1 = 0 draw over the whole range, and
+    # the point where steps of equal energy passed the Armijo test and cycled
+    # between two floats
+    _RNG = np.random.default_rng(2311)
+    _DRAW = [(float(J2), float(g)) for J2, g in zip(_RNG.uniform(-0.49999, 0.49999, 60),
+                                                    _RNG.uniform(0.05, 30.0, 60))]
+
+    @pytest.mark.parametrize("J2,g", [(-0.3, 0.8), (-0.1, 1.2), (0.2, 1.1), (0.3, 0.5)]
+                             + _DRAW + [(-0.2491755418915539, 28.405250638639767)])
     def test_agrees_with_general_solver(self, J2, g):
         p = ModelParams(g=g, J1=0.0, J2=J2)
         a = solve_atom_only(p)
         b = solve_ground_state(p)
         assert a.label == b.label
         assert a.degeneracy == b.degeneracy
+        assert a.energy == pytest.approx(b.energy, rel=1e-12, abs=0.0)
         assert np.allclose(np.sort(np.abs(a.representative.alpha)),
                            np.sort(np.abs(b.representative.alpha)), atol=1e-8)
+        x = a.representative.alpha  # x == alpha at J1 = 0
+        assert np.max(np.abs(gradient(x, p))) <= STATIONARITY_TOL
+        assert np.linalg.eigvalsh(hessian(x, p))[0] > _PSD_TOL
 
     def test_rejects_nonzero_j1(self):
         with pytest.raises(ValueError):

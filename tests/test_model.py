@@ -93,6 +93,17 @@ class TestCoefficients:
         else:
             assert b_tilde(p) == J1 / ((1.0 - J1) * (1.0 + 2.0 * J1))
 
+    @pytest.mark.parametrize("g, J2", [(np.float64(1e-160), 0.1), (1e-160, np.float64(0.1)),
+                                       (np.float64(1e-160), np.float64(0.1))],
+                             ids=["g", "J2", "both"])
+    def test_numpy_scalar_b_tilde_raises_as_for_floats(self, g, J2):
+        # J2/g^2 of numpy scalars warns on overflow, an error under
+        # filterwarnings; it must raise the ParameterError as floats do
+        with pytest.raises(ParameterError, match="B_tilde is undefined"):
+            b_tilde(ModelParams(g=g, J2=J2))
+        scalars = ModelParams(g=np.float64(1.1), J1=np.float64(0.1), J2=np.float64(0.1))
+        assert b_tilde(scalars) == b_tilde(ModelParams(g=1.1, J1=0.1, J2=0.1))
+
     @given(finite_J, finite_J, finite_g)
     def test_b_sign_flips_at_first_order_point(self, J1, J2, g):
         if abs(J1) < 1e-3 or abs(J2) < 1e-3:  # g_L diverges as J1 -> 0

@@ -27,6 +27,10 @@ its ``float.hex``:
 * ``root_structure`` at ``J1 = J2 = 0.1`` for g in {0.8, 1.2, 3.0} and k in
   {0, +-1, +-1e3, +-1e5, +-1e6, +-1e7}: the monotonic flags, root counts,
   roots and turning points;
+* ``atom-only``: the label, degeneracy, energy and sorted ``|alpha|`` of
+  ``solve_atom_only`` at the 16 points of criterion 12 and on the ``J1 = 0``
+  draw of 1,000 points of seed 12, per point ``J2`` uniform on (-0.5, 0.5),
+  then g uniform on (0.05, 30);
 * the text that ``verify --scope all`` prints.
 
 ``diff`` lists each field whose values differ, with the number of entries
@@ -54,6 +58,8 @@ FSP_SEED = 2027
 FSP_POINTS = 4000
 ROOT_G = (0.8, 1.2, 3.0)
 ROOT_K = (0.0, 1.0, -1.0, 1e3, -1e3, 1e5, -1e5, 1e6, -1e6, 1e7, -1e7)
+ATOM_SEED = 12
+ATOM_POINTS = 1000
 
 
 def _import_tree(tree):
@@ -164,6 +170,28 @@ def _root_fields(fields):
             [float(v) for rs in cases for v in getattr(rs, key)])
 
 
+def _atom_only_fields(fields):
+    import numpy as np
+
+    from dicke_trimer.meanfield import solve_atom_only
+    from dicke_trimer.model import ModelParams
+
+    # criterion 12's grid, then the draw
+    points = [ModelParams(g=g, J2=J2) for J2 in (-0.3, -0.1, 0.1, 0.3)
+              for g in (0.5, 0.9, 1.1, 1.5)]
+    rng = np.random.default_rng(ATOM_SEED)
+    for _ in range(ATOM_POINTS):
+        J2 = float(rng.uniform(-0.5, 0.5))
+        points.append(ModelParams(g=float(rng.uniform(0.05, 30.0)), J2=J2))
+    results = [solve_atom_only(p) for p in points]
+    amps = np.sort(np.abs([r.representative.alpha for r in results]), axis=1)
+    fields["atom-only/label"] = _column([r.label for r in results])
+    fields["atom-only/degeneracy"] = _column([r.degeneracy for r in results])
+    fields["atom-only/energy"] = _column([float(r.energy) for r in results])
+    for n in range(3):
+        fields[f"atom-only/alpha{n}"] = _column(amps[:, n].tolist())
+
+
 def _verify_fields(fields):
     from dicke_trimer.cli import main
 
@@ -178,7 +206,7 @@ def dump(tree, path):
     _import_tree(tree)
     fields = {}
     for part in (_grid_fields, _oracle_fields, _line_fields, _bulk_fields, _fsp_fields,
-                 _root_fields, _verify_fields):
+                 _root_fields, _atom_only_fields, _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
