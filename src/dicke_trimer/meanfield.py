@@ -7,9 +7,9 @@ transformed variables x_n on the open cube |x_n| < g/2, is
 
 with periodic indices and the coefficients from :mod:`dicke_trimer.model`.
 :func:`energy`, :func:`gradient` and :func:`hessian` are its only
-implementation, and :func:`newton_polish` is the one damped-Newton loop that
-polishes its minima, a stack of them at once, for the frustrated solver here
-and for the oracle.
+implementation, and :func:`_descend` is the one batched modified-Newton
+loop that refines its minima, a stack of them at once, for the frustrated
+solver here and for the oracle; only the atom-only cross-check keeps its own.
 Three kinds of minima occur: the trivial x = 0 (normal phase, NP), a uniform
 configuration (normal superradiant phase, NSP, two-fold degenerate) and a
 frustrated one with one site carrying opposite sign and twice the amplitude
@@ -18,10 +18,10 @@ of the other two (FSP, six-fold degenerate).
 The frustrated minima are found by enumerating the roots of one scalar
 function: on the (x1, x2, x2) pattern dE/dx1 = 0 gives x2 explicitly, and
 dE/dx2 = 0 becomes an equation in x1 alone, scanned on the windows where x2
-stays in the domain.  Each root is polished as the 3-vector (x1, x2, x2).
+stays in the domain.  Each root seeds a descent of the 3-vector (x1, x2, x2).
 The frustrated rows of a batch go through this as one array pass: the window
 ends, the scan and the root refinement (an elementwise bracketed solve) run
-over all rows at once, and the candidates are polished as one stack.  See
+over all rows at once, and the candidates are descended as one stack.  See
 docs/frustrated_stationarity.md.
 
 :func:`solve_ground_states` is the one dispatch to these branches, over a
@@ -196,90 +196,107 @@ def hessian(x, params) -> np.ndarray:
     return _hessian(x, *_coefficients(params))
 
 
-#: newton_polish, and each row of the oracle's descent, stops once
-#: max |grad E| is below this
+#: the descent stops a row once max |grad E| is below this
 _NEWTON_TOL = 1e-13
 #: a stationary point whose smallest Hessian eigenvalue is below this is a
 #: saddle, not a minimum
 _PSD_TOL = -1e-9
-#: at most this many Newton steps, each halved at most _NEWTON_HALVINGS times
-_NEWTON_STEPS = 60
-_NEWTON_HALVINGS = 40
+#: the floor of |w| for the eigenvalues w of the scaled Hessian in a step
+_EIG_FLOOR = 1e-8
+#: Armijo sufficient-decrease constant
+_ARMIJO = 1e-4
+#: below this share of |E|, a predicted decrease -grad.step is lost in the
+#: rounding of E, and a step must lower max |grad E| instead
+_FLOAT_FLOOR = 1e-14
+#: at most this many steps per row, each halved at most 60 times; a pass
+#: tries the step lengths of the first halving alone, then of six at once
+_STEPS = 100
+_PASSES = np.split(np.ldexp(1.0, -np.arange(60)), np.arange(1, 60, 6))
 
 
-def _newton_steps(H, grad):
-    """H^-1 grad per row, and which rows could be solved: a singular
-    Hessian ends its own row only."""
-    try:
-        return np.linalg.solve(H, grad[..., None])[..., 0], np.ones(len(H), dtype=bool)
-    except np.linalg.LinAlgError:
-        step, solved = np.zeros_like(grad), np.ones(len(H), dtype=bool)
-        for k in range(len(H)):
-            try:
-                step[k] = np.linalg.solve(H[k:k + 1], grad[k:k + 1, :, None])[0, :, 0]
-            except np.linalg.LinAlgError:
-                solved[k] = False
-        return step, solved
+# beyond g ~ 1e154 the kernels overflow; such a trial fails its test
+@np.errstate(over="ignore", invalid="ignore")
+def _descend(X, g, C, B):
+    """Modified Newton (Nocedal & Wright, Numerical Optimization, sec. 3.4)
+    on the rows of an (N, 3) stack; g, C_tilde, B_tilde floats or columns.
 
-
-def _polish(x, g, C, B):
-    """newton_polish over the rows of an (N, 3) stack, with g, C_tilde and
-    B_tilde as (N, 1) columns.  The rows step in lockstep, but each keeps
-    its own step length and stop rules, so no row depends on another."""
-    x = np.array(x, dtype=float)
-    grad = _gradient(x, g, C, B)
-    norm = np.max(np.abs(grad), axis=-1)
+    The step solves the Hessian scaled to a diagonal of at most one in
+    modulus (S H S, S = diag(1/sqrt(max(|H_nn|, 1)))), so that the other
+    sites stay resolved when one nears the edge, with each eigenvalue w
+    taken as max(|w|, _EIG_FLOOR): it points downhill, and a row on a plane
+    of symmetry through a saddle ends there, for the oracle to split.  A row
+    takes the first halving of its step whose trial lies inside |x_n| < g/2
+    and passes the Armijo test on E or, where the predicted decrease is
+    below _FLOAT_FLOOR |E|, lowers max |grad E|; it ends at max |grad E| <
+    _NEWTON_TOL, when no halving passes or one no longer moves it.  Returns
+    x, its max |grad E| and a mask of the rows whose Hessian is positive
+    semidefinite (the minima); no row depends on another.
+    """
+    X = np.array(X, dtype=float)
+    g, C, B = (np.broadcast_to(v, (len(X), 1)) for v in (g, C, B))
+    E, G = _energy(X, g, C, B), _gradient(X, g, C, B)
+    norm = np.max(np.abs(G), axis=1)
     live = np.flatnonzero(norm >= _NEWTON_TOL)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_STEPS):
         if not live.size:
             break
-        step, solved = _newton_steps(
-            _hessian(x[live], g[live], C[live], B[live]), grad[live])
-        live, step = live[solved], step[solved]
+        x, grad = X[live], G[live]
+        H = _hessian(x, g[live], C[live], B[live])
+        s = 1.0 / np.sqrt(np.maximum(np.abs(np.diagonal(H, axis1=1, axis2=2)), 1.0))
+        w, V = np.linalg.eigh(H * s[:, :, None] * s[:, None, :])
+        # step = -S V diag(1/max(|w|, floor)) V^T S grad with S = diag(s),
+        # summed out by hand so that no stacked matmul mixes rows
+        coef = np.sum(V * (s * grad)[:, :, None], axis=1) / np.maximum(np.abs(w), _EIG_FLOOR)
+        step = -s * np.sum(V * coef[:, None, :], axis=2)
+        slope = np.sum(grad * step, axis=1)
+        # below the floor, steps of equal E pass Armijo and can cycle
+        flat = ~(-slope > _FLOAT_FLOOR * np.abs(E[live]))
         moved = np.zeros(len(live), dtype=bool)
         pending = np.arange(len(live))
-        lam = 1.0  # the pending rows have all been halved equally often
-        for _ in range(_NEWTON_HALVINGS):
+        for lams in _PASSES:
             if not pending.size:
                 break
-            rows = live[pending]
-            trial = x[rows] - lam * step[pending]
-            # a stuck row: every smaller step rounds to x as well
-            stuck = np.all(trial == x[rows], axis=-1)
-            test = np.flatnonzero(~stuck & _inside(trial, g[rows]))
-            r = rows[test]
-            tg = _gradient(trial[test], g[r], C[r], B[r])
-            tnorm = np.max(np.abs(tg), axis=-1)
-            better = tnorm < norm[r]
-            ok = test[better]
-            x[rows[ok]], grad[rows[ok]], norm[rows[ok]] = trial[ok], tg[better], tnorm[better]
-            moved[pending[ok]] = True
-            pending = pending[~stuck & ~moved[pending]]
-            lam *= 0.5
-        live = live[moved]  # a row no halving helped has stopped
+            at = np.repeat(pending, len(lams))
+            lam = np.broadcast_to(lams, (len(pending), len(lams))).ravel()
+            rows, xa = live[at], x[at]
+            trial = xa + lam[:, None] * step[at]
+            stuck = np.all(trial == xa, axis=1)
+            test = ~stuck & _inside(trial, g[rows])
+            ok = np.zeros(len(at), dtype=bool)
+            # E only where it can rank the trial, grad E only where it cannot
+            a, f = np.flatnonzero(test & ~flat[at]), np.flatnonzero(test & flat[at])
+            if a.size:
+                r = rows[a]
+                ok[a] = (_energy(trial[a], g[r], C[r], B[r])
+                         <= E[r] + _ARMIJO * lam[a] * slope[at[a]])
+            if f.size:
+                r = rows[f]
+                ok[f] = np.max(np.abs(_gradient(trial[f], g[r], C[r], B[r])), axis=1) < norm[r]
+            # each row takes its first trial that passes, as one halving at a
+            # time would, and ends at its first that no longer moves it
+            end = (ok | stuck).reshape(len(pending), -1)
+            hit = end.any(axis=1)
+            first = np.arange(0, len(at), len(lams)) + np.argmax(end, axis=1)
+            take = hit & ok[first]
+            X[live[pending[take]]] = trial[first[take]]
+            moved[pending[take]] = True
+            pending = pending[~hit]
+        live = live[moved]  # a row no halving helped has ended
+        r = (X[live], g[live], C[live], B[live])
+        E[live], G[live] = _energy(*r), _gradient(*r)
+        norm[live] = np.max(np.abs(G[live]), axis=1)
         live = live[norm[live] >= _NEWTON_TOL]
-    return x, norm
+    return X, norm, np.linalg.eigvalsh(_hessian(X, g, C, B))[:, 0] > _PSD_TOL
 
 
 def newton_polish(x, params):
-    """Damped Newton on grad E = 0 over all three x_n; no pattern assumed.
-
-    x is one configuration (3,) or a (k, 3) stack of them, and params is one
-    ModelParams, or Points (or a sequence of ModelParams), one row per row.
-    Per row, a step is halved until it stays
-    inside the domain and lowers max |grad E|; the row ends when no halving
-    helps, when its Hessian is singular, or once the halved step no longer
-    changes x in floating point.  A row's result does not depend on the
-    other rows.  Returns the polished x and its max |grad E| (a float for
-    one configuration).
-    """
+    """:func:`_descend` from one configuration (3,) or a (k, 3) stack, with
+    params one ModelParams, or Points (or a sequence of ModelParams), one
+    row per row.  Returns x and its max |grad E| (a float for one
+    configuration)."""
     x = np.asarray(x, dtype=float)
-    stack = x.reshape(-1, 3)
-    polished, norm = _polish(stack, *(np.broadcast_to(v, (len(stack), 1))
-                                      for v in _coefficients(params)))
-    if x.ndim == 1:
-        return polished[0], float(norm[0])
-    return polished, norm
+    X, norm, _ = _descend(x.reshape(-1, 3), *_coefficients(params))
+    return (X[0], float(norm[0])) if x.ndim == 1 else (X, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +403,6 @@ def asymptotic_fsp(params: ModelParams) -> MeanFieldState:
     dg = max(params.g - gcp, 0.0)
     t = math.sqrt((1.0 - params.J2) * gcp * dg / 3.0)
     return state_from_x(np.array([-2.0 * t, t, t]), params)
-
-
-def _is_fsp_minimum(x, g, C, B):
-    """True for each row of x, with x[0] opposite in sign to x[1] and x[2],
-    that is a local minimum of the full energy."""
-    frustrated = (x[:, 0] * x[:, 1] < 0.0) & (x[:, 0] * x[:, 2] < 0.0)
-    return frustrated & (np.linalg.eigvalsh(_hessian(x, g, C, B))[:, 0] > _PSD_TOL)
 
 
 def _h(x, C, g):
@@ -612,11 +622,11 @@ def _fsp_roots(C, B, g, t, h0):
 
 
 def _keep_lowest_minima(rows, X, coef, x, error):
-    """Polish the candidates X (k, 3) of the given rows as one stack and set
-    x[row] to the lowest one that ends as a stationary frustrated local
+    """Descend from the candidates X (k, 3) of the given rows as one stack
+    and set x[row] to the lowest end that is a stationary frustrated local
     minimum.  coef holds g, C_tilde and B_tilde per row.  A candidate outside
-    the domain fails its row with the DomainError that polishing it would
-    raise."""
+    the domain fails its row with the DomainError that descending from it
+    would raise."""
     g, C, B = (u[rows, None] for u in coef)
     for k in np.flatnonzero(~_inside(X, g)):
         error[rows[k]] = error[rows[k]] or _domain_error(X[k], g[k, 0])
@@ -624,8 +634,9 @@ def _keep_lowest_minima(rows, X, coef, x, error):
     if not use.size:
         return
     rows, g, C, B = rows[use], g[use], C[use], B[use]
-    P, resid = _polish(X[use], g, C, B)
-    ok = np.flatnonzero((resid <= STATIONARITY_TOL) & _is_fsp_minimum(P, g, C, B))
+    P, resid, psd = _descend(X[use], g, C, B)
+    frustrated = np.all(P[:, :1] * P[:, 1:] < 0.0, axis=1)
+    ok = np.flatnonzero((resid <= STATIONARITY_TOL) & frustrated & psd)
     # lexsort is stable: the earliest candidate wins among equal energies
     order = ok[np.lexsort((_energy(P[ok], g[ok], C[ok], B[ok]), rows[ok]))]
     best = order[np.unique(rows[order], return_index=True)[1]]
@@ -847,14 +858,20 @@ def _atom_only_hessian(alpha, g, J2):
     return H
 
 
-def _atom_only_descent(alpha, g, J2):
+@np.errstate(over="ignore", invalid="ignore")
+def _atom_only_descent(alpha, params):
     """Modified Newton from one seed (Nocedal & Wright, sec. 3.4), Hessian
-    eigenvalues w taken as max(|w|, 1e-8); a step is halved until it stays
-    inside |alpha| < g/2 and passes the Armijo test on E, or, once the
-    predicted decrease is below the float resolution of E, lowers max |grad|.
-    Ends at max |grad| < _NEWTON_TOL, after 200 steps, or when a halved step
-    no longer changes alpha."""
+    eigenvalues w taken as max(|w|, 1e-8); a step is halved, at most 60
+    times, until it stays inside |alpha| < g/2 and passes the Armijo test on
+    E, or, once the predicted decrease is below the float resolution of E,
+    lowers max |grad|.  Ends at max |grad| < _NEWTON_TOL, after 200 steps,
+    or when no halving helps or a halved step no longer changes alpha.
+    Raises ConvergenceError where the seed's energy or a step's predicted
+    decrease overflows (g beyond about 1e154)."""
+    g, J2 = params.g, params.J2
     e, grad = _atom_only_energy(alpha, g, J2), _atom_only_gradient(alpha, g, J2)
+    if not math.isfinite(e):
+        raise ConvergenceError(f"the energy overflows at {params}")
     for _ in range(200):
         norm = np.max(np.abs(grad))
         if norm < _NEWTON_TOL:
@@ -862,9 +879,11 @@ def _atom_only_descent(alpha, g, J2):
         w, V = np.linalg.eigh(_atom_only_hessian(alpha, g, J2))
         step = -V @ ((V.T @ grad) / np.maximum(np.abs(w), 1e-8))
         slope, lam = grad @ step, 1.0
+        if not math.isfinite(slope):
+            raise ConvergenceError(f"the energy overflows at {params}")
         # below it, steps of equal E pass Armijo and can cycle between two floats
         flat = -slope <= _EPS * abs(e)
-        while True:
+        for _ in range(60):
             trial = alpha + lam * step
             if np.all(trial == alpha):
                 return alpha
@@ -873,6 +892,8 @@ def _atom_only_descent(alpha, g, J2):
                 if (np.max(np.abs(t_grad)) < norm) if flat else (t_e <= e + 1e-4 * lam * slope):
                     break
             lam *= 0.5
+        else:
+            return alpha
         alpha, e, grad = trial, t_e, t_grad
     return alpha
 
@@ -894,7 +915,7 @@ def solve_atom_only(params: ModelParams) -> PhaseResult:
     seeds = [np.zeros(3)] + [s * 0.45 * g * np.array(base)
                              for base in ((1.0, 1.0, 1.0), (-1.0, 0.5, 0.5), (-1.0, 1.0, 1.0))
                              for s in (1.0, -1.0)]
-    alpha = min((_atom_only_descent(seed, g, J2) for seed in seeds),
+    alpha = min((_atom_only_descent(seed, params) for seed in seeds),
                 key=lambda a: _atom_only_energy(a, g, J2))
     amp = np.max(np.abs(alpha))
     if amp < 1e-8:

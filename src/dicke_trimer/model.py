@@ -251,8 +251,8 @@ def dividing_curve(J2: float) -> float:
 
 
 def first_order_point(params):
-    """Coupling g_L where B_tilde changes sign, or None when it never does
-    (NaN in that row of Points).
+    """Coupling g_L where B_tilde changes sign, or None when it never does at
+    a finite g (NaN in that row of Points).
 
     g_L = sqrt((J1-1)(1+2*J1) * J2 / J1); real only when J1 and J2 have
     opposite signs (the prefactor is negative on the whole hopping domain).
@@ -261,11 +261,11 @@ def first_order_point(params):
     if type(params) is Points:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             radicand = (-1.0 + J1) * (1.0 + 2.0 * J1) * J2 / J1
-        return np.sqrt(np.where((J1 == 0.0) | (radicand <= 0.0), np.nan, radicand))
+        return np.sqrt(np.where((0.0 < radicand) & (radicand < np.inf), radicand, np.nan))
     if J1 == 0.0:
         return None
     radicand = (-1.0 + J1) * (1.0 + 2.0 * J1) * J2 / J1
-    return _sqrt(radicand) if radicand > 0.0 else None
+    return _sqrt(radicand) if 0.0 < radicand < math.inf else None
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,17 @@ refinement, degeneracy enumeration, and transition detection from the label
 of the minimum and numerical derivatives of the ground-state energy.
 Deliberately ansatz-free: nothing here assumes the uniform or frustrated
 patterns, so it can arbitrate the closed-form and root-scan solvers.  The
-energy, its derivatives and the Newton polish are the pattern-free kernels
-of :mod:`dicke_trimer.meanfield`.  The oracle's own parts are the separable
-grid evaluation and :func:`descend`, one batched modified-Newton descent
-over a stack of seeds with one parameter point per row; no scipy optimiser
-is involved.  The minimisation runs over a batch of parameter points (one
-Points record) at once: their grids share one set of scratch buffers, and
-the grid-local minima and saddle splits of all points go through each
-descent together; each point clusters its own minima.  :func:`brute_force_minimize` is its
-one-point case.  Transition detection tells phases apart by one test, the
-label of the minimum, and minimises as one such stack its coarse scan, each
-halving of all its brackets, and the stencils of all its order tests.
+energy, its derivatives and the descent (:func:`descend`, the batched
+modified Newton of :mod:`dicke_trimer.meanfield`) are pattern-free and
+shared with the solver; the oracle's own parts are the separable grid, the
+splitting of saddles and the clustering of minima.  The minimisation runs
+over a batch of parameter points (one Points record) at once: their grids
+share one set of scratch buffers, and the grid-local minima and saddle
+splits of all points go through each descent together; each point clusters
+its own minima.  :func:`brute_force_minimize` is its one-point case.
+Transition detection tells phases apart by one test, the label of the
+minimum, and minimises as one such stack its coarse scan, each halving of
+all its brackets, and the stencils of all its order tests.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FSP, NP, NSP, TRANSITIONS, ModelParams, Points
-from .meanfield import (_NEWTON_TOL, _PSD_TOL, ConvergenceError, PhaseResult, _bisect,
-                        _coefficients, _energy, _gradient, _hessian, _inside, _polish,
-                        energy, state_from_x)
+from .meanfield import (_PSD_TOL, ConvergenceError, PhaseResult, _bisect, _coefficients,
+                        _descend, _energy, _hessian, energy, state_from_x)
 
 
 @dataclass(frozen=True)
@@ -112,115 +111,35 @@ def _local_minima(E, scratch):
     return np.less_equal(E, src[inner], out=scratch.mask)
 
 
-#: the descent maps each eigenvalue w of the scaled Hessian to
-#: max(|w|, _EIG_FLOOR)
-_EIG_FLOOR = 1e-8
-#: Armijo sufficient-decrease constant
-_ARMIJO = 1e-4
-#: a row stops once its predicted decrease -grad.step is below this share of
-#: |E|: the energy can no longer tell the step apart, and newton_polish,
-#: which works on the gradient, takes over
-_FLOAT_FLOOR = 1e-14
-#: at most this many steps, each halved at most _HALVINGS times
-_STEPS = 100
-_HALVINGS = 60
 #: a saddle is split into seeds this share of its distance to the edge away
 _SPLIT = 1e-3
 #: at most this many grid-local minima of one point are descended
 _MAX_CANDIDATES = 64
 
 
-def _check_finite(e, rows, params):
-    """Raise the ConvergenceError of the point of the first of rows whose
-    energy e overflowed."""
-    finite = np.isfinite(e)
+def _check_finite(X, coef, params):
+    """Raise the ConvergenceError of the point of the first row of X whose energy overflows."""
+    finite = np.isfinite(_energy(X, *coef))
     if not finite.all():
-        p = params if isinstance(params, ModelParams) else params[rows[np.argmin(finite)]]
+        p = params if isinstance(params, ModelParams) else params[np.argmin(finite)]
         raise ConvergenceError(f"the energy overflows at {p}")
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def descend(seeds, params):
-    """Refine a (k, 3) stack of seeds to local minima.
-
-    params is one ModelParams, or Points (or a sequence of ModelParams), one
-    row per row of seeds; the (g, C_tilde, B_tilde) columns are computed
-    once per call, and every step runs on the
-    kernels of :mod:`dicke_trimer.meanfield`.
-
-    Modified Newton (Nocedal & Wright, Numerical Optimization, sec. 3.4): the
-    step solves the Hessian, scaled to a diagonal of at most one in modulus
-    (S H S with S = diag(1/sqrt(max(|H_nn|, 1)))), with each eigenvalue w
-    replaced by max(|w|, _EIG_FLOOR), so it always points downhill.  Taking
-    |w| rather than flooring w itself keeps a row that lies on a plane of
-    symmetry through a saddle on that plane: it ends at the saddle instead
-    of leaving it to a side picked by rounding, and brute_force_minimize can
-    split it.  The scaling keeps the eigenvalues of the other sites resolved
-    when one site is near the edge, where its diagonal entry reaches 1e17.
-    Each row backtracks on its own, halving its step until the trial lies
-    inside |x_n| < g/2 and passes the Armijo test on E.  A row stops at
-    max |grad E| < _NEWTON_TOL, when its predicted decrease is below float
-    resolution, or when its halved step no longer moves it.  Then
-    newton_polish finishes it, unless the polish would raise E.  Every
-    operation acts row by row, so a row's result does not depend on the
-    other rows or on their parameter points.  An energy that overflows (g
-    beyond about 1e154) raises the ConvergenceError of its row's point.
-
-    Returns the refined (k, 3) stack and a mask of the rows whose Hessian is
-    positive semidefinite (the minima).
+    """Refine a (k, 3) stack of seeds to local minima by the descent of
+    :func:`dicke_trimer.meanfield._descend`, params one ModelParams, or
+    Points (or a sequence of ModelParams), one row per row of seeds.  A
+    seed or result whose energy overflows (g beyond about 1e154) raises the
+    ConvergenceError of its row's point.  Returns the refined stack and a
+    mask of the rows whose Hessian is positive semidefinite (the minima).
     """
     X = np.array(seeds, dtype=float).reshape(-1, 3)
-    g, C, B = (np.broadcast_to(v, (len(X), 1)) for v in _coefficients(params))
-    E = _energy(X, g, C, B)
-    _check_finite(E, np.arange(len(X)), params)
-    G = _gradient(X, g, C, B)
-    active = np.max(np.abs(G), axis=1) >= _NEWTON_TOL
-    for _ in range(_STEPS):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        x, e, grad = X[rows], E[rows], G[rows]
-        gr, Cr, Br = g[rows], C[rows], B[rows]
-        H = _hessian(x, gr, Cr, Br)
-        s = 1.0 / np.sqrt(np.maximum(np.abs(np.diagonal(H, axis1=1, axis2=2)), 1.0))
-        w, V = np.linalg.eigh(H * s[:, :, None] * s[:, None, :])
-        # step = -S V diag(1/max(|w|, floor)) V^T S grad with S = diag(s),
-        # summed out by hand so that no stacked matmul mixes rows
-        coef = np.sum(V * (s * grad)[:, :, None], axis=1) / np.maximum(np.abs(w), _EIG_FLOOR)
-        step = -s * np.sum(V * coef[:, None, :], axis=2)
-        slope = np.sum(grad * step, axis=1)
-        pending = -slope > _FLOAT_FLOOR * np.abs(e)
-        moved = np.zeros(rows.size, dtype=bool)
-        lam = 1.0  # the pending rows have all been halved equally often
-        for _ in range(_HALVINGS):
-            if not pending.any():
-                break
-            trial = x + lam * step
-            pending &= ~np.all(trial == x, axis=1)
-            test = np.flatnonzero(pending & _inside(trial, gr))
-            e_trial = _energy(trial[test], gr[test], Cr[test], Br[test])
-            _check_finite(e_trial, rows[test], params)
-            ok = e_trial <= e[test] + (_ARMIJO * lam) * slope[test]
-            done = test[ok]
-            X[rows[done]], E[rows[done]] = trial[done], e_trial[ok]
-            moved[done] = True
-            pending[done] = False
-            lam *= 0.5
-        active[rows[~moved]] = False
-        moved = rows[moved]
-        G[moved] = _gradient(X[moved], g[moved], C[moved], B[moved])
-        active[moved] = np.max(np.abs(G[moved]), axis=1) >= _NEWTON_TOL
-    rows = np.flatnonzero(np.max(np.abs(G), axis=1) >= _NEWTON_TOL)
-    if rows.size:
-        # newton_polish solves grad E = 0 and, far from a minimum, can reach
-        # a saddle uphill; its result is kept where E stays at the float floor
-        gr, Cr, Br = g[rows], C[rows], B[rows]
-        P, _ = _polish(X[rows], gr, Cr, Br)
-        e_polished = _energy(P, gr, Cr, Br)
-        _check_finite(e_polished, rows, params)
-        kept = e_polished <= E[rows] + _FLOAT_FLOOR * np.abs(E[rows])
-        X[rows[kept]] = P[kept]
-    return X, np.linalg.eigvalsh(_hessian(X, g, C, B))[:, 0] > _PSD_TOL
+    coef = _coefficients(params)
+    _check_finite(X, coef, params)
+    X, _, is_min = _descend(X, *coef)
+    _check_finite(X, coef, params)
+    return X, is_min
 
 
 def _cluster(X, radius):

@@ -249,20 +249,19 @@ def fit_critical_exponent(params: ModelParams, side: str) -> ExponentFit:
     side is "below" (normal phase) or "above" (superradiant side) of the
     realised critical coupling g_c for these hoppings; the fit takes 13
     points at g_c +- dg, dg from 1e-6 to 1e-3.  Errors out if the fit
-    window would cross the first-order point g_L.
+    window would reach g <= 0 or cross the first-order point g_L.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
     g_crit = critical_couplings(params).g_c
     sgn = 1.0 if side == "above" else -1.0
 
+    lo, hi = sorted((g_crit, g_crit + sgn * _CRITICAL_OFFSETS[-1]))
+    if lo <= 0.0:
+        raise ValueError(f"fit window [{lo}, {hi}] reaches g <= 0")
     gL = first_order_point(params)
-    if gL is not None:
-        lo, hi = sorted((g_crit, g_crit + sgn * _CRITICAL_OFFSETS[-1]))
-        if lo - 1e-15 <= gL <= hi + 1e-15:
-            raise ValueError(
-                f"fit window [{lo}, {hi}] crosses the first-order point g_L={gL}"
-            )
+    if gL is not None and lo - 1e-15 <= gL <= hi + 1e-15:
+        raise ValueError(f"fit window [{lo}, {hi}] crosses the first-order point g_L={gL}")
 
     points = Points(g=g_crit + sgn * _CRITICAL_OFFSETS, J1=params.J1, J2=params.J2,
                     omega=params.omega, Omega=params.Omega)

@@ -17,7 +17,8 @@ from dicke_trimer import (
     solve_nsp,
 )
 from dicke_trimer import meanfield
-from dicke_trimer.meanfield import ConvergenceError, _solve_fsp_branch
+from dicke_trimer.meanfield import (_PSD_TOL, STATIONARITY_TOL, ConvergenceError,
+                                    _solve_fsp_branch)
 from dicke_trimer.model import FSP, b_tilde, c_tilde
 
 
@@ -150,6 +151,23 @@ def _frustrated_draw():
     return points
 
 
+def _check_rows_equal_one_row_calls(points, x, errors):
+    """Each row of the batched frustrated pass equals its one-row call
+    bitwise, in x or in its error; returns the names of the errors."""
+    kinds = set()
+    for p, xi, err in zip(points, x, errors, strict=True):
+        try:
+            want = _solve_fsp_branch(p).representative.x
+        except (ConvergenceError, ValueError) as exc:
+            kinds.add(type(exc).__name__)
+            assert type(err) is type(exc) and str(err) == str(exc)
+            assert np.all(np.isnan(xi))
+            continue
+        assert err is None
+        assert np.array_equal(xi, want)
+    return kinds
+
+
 def test_batched_rows_equal_one_row_calls(monkeypatch):
     points = _frustrated_draw()
     fallback = []
@@ -163,17 +181,7 @@ def test_batched_rows_equal_one_row_calls(monkeypatch):
     monkeypatch.setattr(meanfield, "_keep_lowest_minima", spy)
     x, errors = meanfield._fsp_minima(points)
     monkeypatch.undo()
-    kinds = set()
-    for p, xi, err in zip(points, x, errors, strict=True):
-        try:
-            want = _solve_fsp_branch(p).representative.x
-        except (ConvergenceError, ValueError) as exc:
-            kinds.add(type(exc).__name__)
-            assert type(err) is type(exc) and str(err) == str(exc)
-            assert np.all(np.isnan(xi))
-            continue
-        assert err is None
-        assert np.array_equal(xi, want)
+    kinds = _check_rows_equal_one_row_calls(points, x, errors)
     # the draw reaches both pieces of h, the decoupled fallback and every error
     two_piece = [1.0 / (c_tilde(p.J1) * p.g**2) > -1.0 for p in points]
     assert sum(two_piece) >= 50 and len(points) - sum(two_piece) >= 20
@@ -181,6 +189,31 @@ def test_batched_rows_equal_one_row_calls(monkeypatch):
     assert sum(tiny) == 100
     assert sum(tiny[i] for i in fallback) >= 3
     assert kinds == {"ConvergenceError", "ValueError", "DomainError"}
+
+
+def test_tiny_b_rows_equal_one_row_calls_and_are_minima():
+    # |B_tilde| from 1e-15 to 1e-11 next to g_L: the scanned x2 = -h(x1)/(2B)
+    # starts far from stationary, and below 1e-12 only the decoupled seed
+    # runs; every row descends to the frustrated minimum
+    rng = np.random.default_rng(20261020)
+    points = []
+    while len(points) < 60:
+        J1, J2 = (float(v) for v in rng.uniform(-0.5, 0.5, 2))
+        gL = first_order_point(ModelParams(g=1.0, J1=J1, J2=J2))
+        if gL is None:
+            continue
+        b = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -11))
+        p = ModelParams(g=gL - b * gL**3 / (2.0 * J2), J1=J1, J2=J2)
+        if p.g > critical_couplings(p).g_c_plus:
+            points.append(p)
+    tiny = [abs(b_tilde(p)) for p in points]
+    assert max(tiny) <= 1e-11 and sum(t < 1e-12 for t in tiny) >= 20
+    x, errors = meanfield._fsp_minima(points)
+    assert _check_rows_equal_one_row_calls(points, x, errors) == set()
+    for p, xi in zip(points, x):
+        assert np.max(np.abs(gradient(xi, p))) <= STATIONARITY_TOL, p
+        assert np.linalg.eigvalsh(hessian(xi, p))[0] > _PSD_TOL, p
+        assert xi[0] < 0.0 < xi[1] == xi[2], p
 
 
 @pytest.mark.parametrize("J2", [0.1, -0.1])

@@ -430,3 +430,38 @@ class TestAtomOnly:
             solve_ground_state(p)
         with pytest.raises(ParameterError, match="B_tilde is undefined"):
             solve_atom_only(p)
+
+    def test_huge_g_raises_a_typed_error_or_returns_a_finite_result(self):
+        # from g ~ 1.2e154 the energy and the predicted decrease overflow, and
+        # from g ~ 1e155 4 alpha^2/g^2 is inf/inf, where the backtracking
+        # never ended; a fresh interpreter, with warnings as errors and a
+        # timeout, runs the cases
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import dicke_trimer
+
+        src = str(Path(dicke_trimer.__file__).resolve().parents[1])
+        code = """if True:
+            import json, math, sys
+            sys.path.insert(0, sys.argv[1])
+            from dicke_trimer import ModelParams, solve_atom_only
+            from dicke_trimer.meanfield import ConvergenceError
+            out = []
+            for g in (1.2e154, 1.4e154, 1e155, 1e200, 1e308):
+                for J2 in (0.1, -0.1):
+                    try:
+                        out.append(math.isfinite(solve_atom_only(ModelParams(g=g, J2=J2)).energy))
+                    except (ConvergenceError, ValueError) as err:
+                        out.append(type(err).__name__)
+            print(json.dumps(out))
+        """
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code, src],
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        outcomes = json.loads(out.stdout)
+        assert len(outcomes) == 10
+        assert all(o is True or o in ("ConvergenceError", "DomainError", "ParameterError")
+                   for o in outcomes), outcomes

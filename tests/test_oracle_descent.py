@@ -7,7 +7,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dicke_trimer import ModelParams, energy, gradient, hessian
+from dicke_trimer import ModelParams, critical_couplings, energy, gradient, hessian
+from dicke_trimer import meanfield
 from dicke_trimer.meanfield import STATIONARITY_TOL
 from dicke_trimer.oracle import _PSD_TOL, descend
 
@@ -103,3 +104,21 @@ def test_exact_stationary_seed_stays():
         X, is_min = descend(np.zeros((1, 3)), ModelParams(g=g, J1=0.1, J2=0.1))
         assert np.array_equal(X, np.zeros((1, 3)))
         assert is_min[0] == minimum
+
+
+def test_level_passes_equal_one_halving_at_a_time(monkeypatch):
+    # a pass tries several halvings of every pending row at once and each row
+    # takes its first trial that passes; near onset the minima are flat, and
+    # rows take many halvings per step
+    rng = np.random.default_rng(99)
+    seeds, rows = [], []
+    for _ in range(8):
+        J1, J2 = rng.uniform(-0.45, 0.45, 2)
+        p = ModelParams(g=1.0, J1=J1, J2=J2)
+        p = p.replace(g=critical_couplings(p).g_c * (1.0 + 10.0 ** rng.uniform(-8.0, -3.0)))
+        seeds += list(_seeds(rng, p))
+        rows += [p] * 6
+    X, is_min = descend(np.array(seeds), rows)
+    monkeypatch.setattr(meanfield, "_PASSES", [lam[None] for p in meanfield._PASSES for lam in p])
+    Y, one_min = descend(np.array(seeds), rows)
+    assert np.array_equal(X, Y) and np.array_equal(is_min, one_min)

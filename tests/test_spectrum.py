@@ -202,3 +202,7 @@ class TestPowerLawFits:
         p = ModelParams(g=1.0, J1=0.1, J2=-1.0 / 11.0 - 1e-5)
         with pytest.raises(ValueError, match="first-order"):
             fit_critical_exponent(p, "above")
+        # g_c = 2e-7 here, so the 1e-3 window below it reaches g <= 0
+        p = ModelParams(g=1.0, J1=-0.4999999, J2=-0.4999999)
+        with pytest.raises(ValueError, match=r"fit window \[.*\] reaches g <= 0"):
+            fit_critical_exponent(p, "below")

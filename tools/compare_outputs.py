@@ -24,6 +24,18 @@ its ``float.hex``:
   with ``U`` uniform on (-9, 1.3), the x and the error text of every row of
   ``meanfield._fsp_minima``, which also solves the rows with B < 0 (2,189
   here) that a sweep never sends to the frustrated scan;
+* the near-onset oracle probe: 1,250 points of seed 99, per point ``J1, J2``
+  uniform on (-0.45, 0.45), then ``g = g_c (1 + 10^u)`` with ``u`` uniform
+  on (-10, -1), run through ``oracle._brute_force_minima`` in stacks of 25:
+  the label, degeneracy, energy and representative x of every point, where
+  the minima are so flat that the descent's float-floor rules decide the
+  degeneracy;
+* the near-``g_L`` draw: 8,000 points of seed 2028, per point ``J1, J2``
+  uniform on (-0.49, 0.49) and kept where they differ in sign and ``g_L``
+  exists, then ``g = g_L (1 +- 10^U)`` with the sign even odds and ``U``
+  uniform on (-15, -3), kept where ``g > g_c_plus``: the x and the error
+  text of every row of ``meanfield._fsp_minima``, where a tiny ``B_tilde``
+  leaves the scanned roots far from stationary;
 * ``root_structure`` at ``J1 = J2 = 0.1`` for g in {0.8, 1.2, 3.0} and k in
   {0, +-1, +-1e3, +-1e5, +-1e6, +-1e7}: the monotonic flags, root counts,
   roots and turning points;
@@ -56,6 +68,11 @@ BULK_SEED = 20261018
 BULK_POINTS = 3000
 FSP_SEED = 2027
 FSP_POINTS = 4000
+ONSET_SEED = 99
+ONSET_POINTS = 1250
+ONSET_STACK = 25
+GL_SEED = 2028
+GL_POINTS = 8000
 ROOT_G = (0.8, 1.2, 3.0)
 ROOT_K = (0.0, 1.0, -1.0, 1e3, -1e3, 1e5, -1e5, 1e6, -1e6, 1e7, -1e7)
 ATOM_SEED = 12
@@ -157,6 +174,52 @@ def _fsp_fields(fields):
                                    for err in error])
 
 
+def _onset_fields(fields):
+    import numpy as np
+
+    from dicke_trimer.model import ModelParams, critical_couplings
+    from dicke_trimer.oracle import _brute_force_minima
+
+    rng = np.random.default_rng(ONSET_SEED)
+    points = []
+    for _ in range(ONSET_POINTS):
+        J1, J2 = (float(v) for v in rng.uniform(-0.45, 0.45, 2))
+        g_c = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
+        points.append(ModelParams(g=g_c * (1.0 + 10.0 ** rng.uniform(-10.0, -1.0)),
+                                  J1=J1, J2=J2))
+    results = [r for k in range(0, len(points), ONSET_STACK)
+               for r in _brute_force_minima(points[k:k + ONSET_STACK])]
+    fields["onset/label"] = _column([r.label for r in results])
+    fields["onset/degeneracy"] = _column([r.degeneracy for r in results])
+    fields["onset/energy"] = _column([r.energy for r in results])
+    for n in range(3):
+        fields[f"onset/x{n}"] = _column([float(r.representative.x[n]) for r in results])
+
+
+def _gl_fields(fields):
+    import numpy as np
+
+    from dicke_trimer.meanfield import _fsp_minima
+    from dicke_trimer.model import ModelParams, critical_couplings, first_order_point
+
+    rng = np.random.default_rng(GL_SEED)
+    points = []
+    while len(points) < GL_POINTS:
+        J1, J2 = (float(v) for v in rng.uniform(-0.49, 0.49, 2))
+        g_L = first_order_point(ModelParams(g=1.0, J1=J1, J2=J2)) if J1 * J2 < 0.0 else None
+        if g_L is None:
+            continue
+        sign = float(rng.choice([-1.0, 1.0]))
+        p = ModelParams(g=g_L * (1.0 + sign * 10.0 ** rng.uniform(-15.0, -3.0)), J1=J1, J2=J2)
+        if p.g > critical_couplings(p).g_c_plus:
+            points.append(p)
+    x, error = _fsp_minima(points)
+    for n in range(3):
+        fields[f"near-g_L/x{n}"] = _column(x[:, n].tolist())
+    fields["near-g_L/error"] = _column(["None" if err is None else f"{type(err).__name__}: {err}"
+                                        for err in error])
+
+
 def _root_fields(fields):
     from dicke_trimer.meanfield import root_structure
     from dicke_trimer.model import ModelParams
@@ -206,7 +269,7 @@ def dump(tree, path):
     _import_tree(tree)
     fields = {}
     for part in (_grid_fields, _oracle_fields, _line_fields, _bulk_fields, _fsp_fields,
-                 _root_fields, _atom_only_fields, _verify_fields):
+                 _onset_fields, _gl_fields, _root_fields, _atom_only_fields, _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
