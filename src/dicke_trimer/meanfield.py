@@ -300,28 +300,29 @@ def newton_polish(x, params):
 
 
 # ---------------------------------------------------------------------------
-# degenerate orbits
+# degenerate orbits and the PhaseResult of a point's minima
 
-#: orbit members closer than this (max norm) are one configuration
+#: orbit members closer than this times g (max norm) are one configuration
 _ORBIT_TOL = 1e-9
 
 
-def _orbits(x, frustrated):
+def _orbits(x, g, frustrated):
     """Distinct configurations under cyclic permutation and global sign flip,
-    for every row of an (N, 3) stack.
+    for every row of an (N, 3) stack, g a float or one per row.
 
     The candidates sign * roll(x, shift) are taken for sign +1, -1 and shift
-    0, 1, 2, and each is kept unless a kept one lies within _ORBIT_TOL.
-    Returns the (N, 6, 3) candidates in order and the count kept per row:
-    row n's orbit is members[n, :count[n]], sorted as tuples, and where
-    ``frustrated[n]`` led by the member with the odd site first and negative
-    (the representative).
+    0, 1, 2, and each is kept unless a kept one lies within _ORBIT_TOL * g
+    (x scales with g).  Returns the (N, 6, 3) candidates in order and the
+    count kept per row: row n's orbit is members[n, :count[n]], sorted as
+    tuples, and where ``frustrated[n]`` led by the member with the odd site
+    first and negative (the representative).
     """
     cand = np.stack([sign * np.roll(x, shift, axis=-1)
                      for sign in (1.0, -1.0) for shift in range(3)], axis=1)
+    tol = _ORBIT_TOL * np.reshape(g, (-1, 1))
     keep = np.ones(cand.shape[:2], dtype=bool)
     for k in range(1, 6):
-        close = np.max(np.abs(cand[:, k:k + 1] - cand[:, :k]), axis=-1) < _ORBIT_TOL
+        close = np.max(np.abs(cand[:, k:k + 1] - cand[:, :k]), axis=-1) < tol
         keep[:, k] = ~np.any(keep[:, :k] & close, axis=1)
     odd_first = (cand[..., 0] < 0.0) & (np.minimum(cand[..., 1], cand[..., 2]) > 0.0)
     behind = ~odd_first & np.asarray(frustrated)[:, None]
@@ -329,23 +330,34 @@ def _orbits(x, frustrated):
     return np.take_along_axis(cand, order[..., None], axis=1), keep.sum(axis=1)
 
 
-def _orbit(x, frustrated=False):
+def _orbit(x, g, frustrated=False):
     """The orbit of one configuration as a list, representative first."""
-    members, count = _orbits(np.asarray(x, dtype=float)[None], [frustrated])
+    members, count = _orbits(np.asarray(x, dtype=float)[None], g, [frustrated])
     return list(members[0, :count[0]])
 
 
+def _pattern(x, g):
+    """NP where every |x_n|, NSP where every |x_n - mean x| of a minimum x is
+    below 1e-7 of g/2, else FSP; x lies in (-g/2, g/2).  Near g = 1 the
+    minimum below a second-order onset is x = 0 to within 6e-17, and 1e-9
+    above the onset max|x| is already about 3e-5."""
+    tol = 1e-7 * g / 2.0
+    if np.max(np.abs(x)) < tol:
+        return NP
+    return NSP if np.max(np.abs(x - x.mean())) < tol else FSP
+
+
+def _result(label, minima, params, energy, coexistent=False):
+    """The PhaseResult of one point's degenerate minima x, representative first."""
+    states = [state_from_x(x, params) for x in minima]
+    return PhaseResult(label=label, energy=energy, degeneracy=len(states),
+                       representative=states[0], all_minima=states, coexistent=coexistent)
+
+
 def _phase_result(label, x, params, coexistent=False):
-    configs = _orbit(x, label == FSP)
-    states = [state_from_x(c, params) for c in configs]
-    return PhaseResult(
-        label=label,
-        energy=energy(configs[0], params),
-        degeneracy=len(configs),
-        representative=states[0],
-        all_minima=states,
-        coexistent=coexistent,
-    )
+    """The PhaseResult of the orbit of x under the dispatch's label."""
+    configs = _orbit(x, params.g, label == FSP)
+    return _result(label, configs, params, energy(configs[0], params), coexistent)
 
 
 def solve_np(params: ModelParams) -> PhaseResult:
@@ -767,7 +779,7 @@ def solve_ground_states(points) -> GroundStates:
     for k, err in zip(frustrated, errors):
         error[k] = err
 
-    members, count = _orbits(x, label == FSP)
+    members, count = _orbits(x, g[rows], label == FSP)
     rep = members[:, 0]
     for k in np.flatnonzero(~_inside(rep, g[rows, None])):
         error[k] = error[k] or _domain_error(rep[k], g[rows[k]])
@@ -917,16 +929,8 @@ def solve_atom_only(params: ModelParams) -> PhaseResult:
                              for s in (1.0, -1.0)]
     alpha = min((_atom_only_descent(seed, params) for seed in seeds),
                 key=lambda a: _atom_only_energy(a, g, J2))
-    amp = np.max(np.abs(alpha))
-    if amp < 1e-8:
+    label = _pattern(alpha, g)
+    if label == NP:
         return solve_np(params)
-    uniform = np.max(np.abs(alpha - alpha.mean())) < 1e-8 * max(amp, 1.0)
-    configs = _orbit(alpha)
-    states = [state_from_x(c, params) for c in configs]  # x == alpha at J1=0
-    return PhaseResult(
-        label=NSP if uniform else FSP,
-        energy=_atom_only_energy(configs[0], g, J2),
-        degeneracy=len(configs),
-        representative=states[0],
-        all_minima=states,
-    )
+    configs = _orbit(alpha, g)  # x == alpha at J1 = 0
+    return _result(label, configs, params, _atom_only_energy(configs[0], g, J2))

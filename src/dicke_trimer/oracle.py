@@ -25,9 +25,9 @@ import numbers
 from dataclasses import dataclass
 import numpy as np
 
-from .model import FSP, NP, NSP, TRANSITIONS, ModelParams, Points
+from .model import TRANSITIONS, ModelParams, Points
 from .meanfield import (_PSD_TOL, ConvergenceError, PhaseResult, _bisect, _coefficients,
-                        _descend, _energy, _hessian, energy, state_from_x)
+                        _descend, _energy, _hessian, _pattern, _result, energy)
 
 
 @dataclass(frozen=True)
@@ -172,19 +172,6 @@ def _split(saddles, params):
     return np.array(seeds).reshape(-1, 3)
 
 
-def _label_from_pattern(x, g):
-    # x lies in (-g/2, g/2), so both tests compare with 1e-7 of g/2.  Near
-    # g = 1 the minimum below a second-order onset is x = 0 to within 6e-17,
-    # and 1e-9 above the onset max|x| is already about 3e-5, so the label
-    # changes within a small fraction of the bisection width of the onset
-    tol = 1e-7 * g / 2.0
-    if np.max(np.abs(x)) < tol:
-        return NP
-    if np.max(np.abs(x - x.mean())) < tol:
-        return NSP
-    return FSP
-
-
 def _candidates(params, n, scratch):
     """The grid-local minima of one point as a (k, 3) stack of seeds, in C
     order, or the _MAX_CANDIDATES lowest of them in order of energy."""
@@ -199,16 +186,8 @@ def _ranked(minima, params):
     """The PhaseResult of the distinct minima found at one point."""
     energies = energy(minima, params)
     best = energies.min()
-    keep = list(minima[energies <= best + _CONFIG.refine_tolerance])
-    keep.sort(key=tuple)
-    states = [state_from_x(x, params) for x in keep]
-    return PhaseResult(
-        label=_label_from_pattern(keep[0], params.g),
-        energy=float(best),
-        degeneracy=len(keep),
-        representative=states[0],
-        all_minima=states,
-    )
+    keep = sorted(minima[energies <= best + _CONFIG.refine_tolerance], key=tuple)
+    return _result(_pattern(keep[0], params.g), keep, params, float(best))
 
 
 def _brute_force_minima(points):
@@ -233,7 +212,7 @@ def _brute_force_minima(points):
     # a split can end at a saddle of lower index, so split up to once per axis
     for depth in range(4):
         if depth:
-            seeds = [_split(s[_cluster(s, radius)], p) if len(s) else s
+            seeds = [_split(s[_cluster(s, radius * p.g)], p) if len(s) else s
                      for s, p in zip(saddles, each)]
         counts = [len(s) for s in seeds]
         # none left, or eigh saw no negative curvature where eigvalsh did
@@ -252,7 +231,7 @@ def _brute_force_minima(points):
         if not minima:
             raise ConvergenceError(f"no descent ended at a minimum at {p}")
         X = np.array(minima)
-        results.append(_ranked(X[_cluster(X, radius)], p))
+        results.append(_ranked(X[_cluster(X, radius * p.g)], p))
     return results
 
 
@@ -264,11 +243,11 @@ def brute_force_minimize(params: ModelParams) -> PhaseResult:
     just off it reach, along and between its directions of negative
     curvature (:func:`_split`); a row that reaches another saddle is split
     again, up to three times.  The minima are deduplicated at the cluster
-    radius and all members within the refine tolerance of the best energy
-    are reported as the degenerate set.  Raises ConvergenceError when no
-    descent ends at a minimum: a saddle is never reported as the ground
-    state.  This is the one-point case of the stacked minimisation that
-    transition detection runs over many points at once.
+    radius times g; those within the refine tolerance of the best energy
+    are the degenerate set, labelled by the pattern of the first.  Raises
+    ConvergenceError when no descent ends at a minimum: a saddle is never
+    reported as the ground state.  This is the one-point case of the
+    stacked minimisation that transition detection runs over many points.
     """
     return _brute_force_minima([params])[0]
 

@@ -120,9 +120,9 @@ class TestStateConstruction:
         assert np.allclose(np.sin(st_.theta), -2.0 * st_.x / 1.0)
 
     def test_orbit_counts(self):
-        assert len(_orbit(np.array([0.1, 0.1, 0.1]))) == 2
-        assert len(_orbit(np.array([-0.2, 0.1, 0.1]))) == 6
-        assert len(_orbit(np.zeros(3))) == 1
+        assert len(_orbit(np.array([0.1, 0.1, 0.1]), 1.0)) == 2
+        assert len(_orbit(np.array([-0.2, 0.1, 0.1]), 1.0)) == 6
+        assert len(_orbit(np.zeros(3), 1.0)) == 1
 
 
 class TestNormalPhase:
@@ -167,6 +167,13 @@ class TestUniformPhase:
         res = solve_nsp(P5)
         a, b = res.all_minima
         assert np.allclose(a.x, -b.x)
+
+    def test_sign_partners_stay_distinct_at_tiny_g(self):
+        # g_c = 2e-8 and x ~ 5e-12: the orbit tolerance scales with g, so the
+        # two members are not merged as one configuration
+        res = solve_ground_state(ModelParams(g=3e-8, J1=-0.49999999, J2=-0.49999999))
+        assert res.label == "NSP"
+        assert res.degeneracy == 2
 
 
 class TestFrustratedPhase:

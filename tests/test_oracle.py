@@ -48,6 +48,12 @@ class TestBruteForceMinimize:
         assert res.label == label
         assert res.degeneracy == deg
 
+    def test_uniform_pair_stays_distinct_at_tiny_g(self):
+        # x ~ 5e-12 at g = 3e-8: clusters scale with g, so -x and x are two
+        res = brute_force_minimize(ModelParams(g=3e-8, J1=-0.49999999, J2=-0.49999999))
+        assert res.label == "NSP"
+        assert res.degeneracy == 2
+
     def test_agrees_with_analytic_solver(self):
         rng = np.random.default_rng(3)
         for _ in range(8):

@@ -43,6 +43,13 @@ its ``float.hex``:
   ``solve_atom_only`` at the 16 points of criterion 12 and on the ``J1 = 0``
   draw of 1,000 points of seed 12, per point ``J2`` uniform on (-0.5, 0.5),
   then g uniform on (0.05, 30);
+* ``tiny-g``: 200 points of seed 2029 with ``g_c`` under about 1e-3, drawn
+  as columns: 200 ``J1`` and then 200 ``J2``, each ``-0.5 + 10^U`` with
+  ``U`` uniform on (-10, -3), then ``g = g_c (1 + 10^V)`` with ``V`` uniform
+  on (-3, 1): the
+  label and degeneracy of ``meanfield.solve_ground_states`` and of
+  ``oracle._brute_force_minima`` (in stacks of 25), where ``x`` is so small
+  that an absolute identity tolerance merges distinct minima;
 * the text that ``verify --scope all`` prints.
 
 ``diff`` lists each field whose values differ, with the number of entries
@@ -77,6 +84,8 @@ ROOT_G = (0.8, 1.2, 3.0)
 ROOT_K = (0.0, 1.0, -1.0, 1e3, -1e3, 1e5, -1e5, 1e6, -1e6, 1e7, -1e7)
 ATOM_SEED = 12
 ATOM_POINTS = 1000
+TINY_SEED = 2029
+TINY_POINTS = 200
 
 
 def _import_tree(tree):
@@ -255,6 +264,27 @@ def _atom_only_fields(fields):
         fields[f"atom-only/alpha{n}"] = _column(amps[:, n].tolist())
 
 
+def _tiny_g_fields(fields):
+    import numpy as np
+
+    from dicke_trimer.meanfield import solve_ground_states
+    from dicke_trimer.model import ModelParams, Points, critical_couplings
+    from dicke_trimer.oracle import _brute_force_minima
+
+    rng = np.random.default_rng(TINY_SEED)
+    J1, J2 = (-0.5 + 10.0 ** rng.uniform(-10.0, -3.0, TINY_POINTS) for _ in range(2))
+    g_c = critical_couplings(Points(g=1.0, J1=J1, J2=J2)).g_c
+    g = g_c * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0, TINY_POINTS))
+    points = [ModelParams(g=float(a), J1=float(b), J2=float(c)) for a, b, c in zip(g, J1, J2)]
+    states = solve_ground_states(points)
+    results = [r for k in range(0, len(points), ONSET_STACK)
+               for r in _brute_force_minima(points[k:k + ONSET_STACK])]
+    fields["tiny-g/solver/label"] = _column(states.label.tolist())
+    fields["tiny-g/solver/degeneracy"] = _column(states.degeneracy.tolist())
+    fields["tiny-g/oracle/label"] = _column([r.label for r in results])
+    fields["tiny-g/oracle/degeneracy"] = _column([r.degeneracy for r in results])
+
+
 def _verify_fields(fields):
     from dicke_trimer.cli import main
 
@@ -269,7 +299,8 @@ def dump(tree, path):
     _import_tree(tree)
     fields = {}
     for part in (_grid_fields, _oracle_fields, _line_fields, _bulk_fields, _fsp_fields,
-                 _onset_fields, _gl_fields, _root_fields, _atom_only_fields, _verify_fields):
+                 _onset_fields, _gl_fields, _root_fields, _atom_only_fields, _tiny_g_fields,
+                 _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
