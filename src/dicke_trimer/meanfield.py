@@ -56,11 +56,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """No verified minimum was found; carries the last residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """No verified minimum was found."""
 
 
 @dataclass(frozen=True)
@@ -699,8 +695,7 @@ def _fsp_minima(points):
             p = points[i]
             error[i] = ConvergenceError(
                 f"no frustrated local minimum at g={p.g} (J1={p.J1}, "
-                f"J2={p.J2}); the branch may not exist yet",
-                residual=math.inf)
+                f"J2={p.J2}); the branch may not exist yet")
     return x, error
 
 

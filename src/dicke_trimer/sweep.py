@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .model import TRANSITIONS, Points, alpha_from_x, b_tilde, classify_region
+from .model import _FIELDS, TRANSITIONS, Points, alpha_from_x, b_tilde, classify_region
 from .meanfield import _bisect, solve_ground_states
 from .spectrum import spectra
 
@@ -152,18 +152,31 @@ def _grid_rows(args):
 _REFINE_TOL = 1e-6
 
 
-def _refine_boundaries(axis_x, axis_y, fixed, lo, hi, y, label):
+def _refine_boundaries(axis_x, axis_y, fixed, lo, hi, y, label, upper):
     """Bisect label changes along x, every bracket [lo, hi] at y with the
-    label at lo (arrays, one entry per bracket) in lockstep: one batched
-    solve ("" where it fails) labels the midpoints of the next three
-    halvings of all unfinished brackets: a label call costs far more than
-    the rows it adds, and deeper trees were slower on the criterion-11
-    grid."""
-    def changed(mid, rows):
-        points = _points(axis_x, axis_y, fixed, mid, y[rows])
-        return solve_ground_states(points).label != label[rows]
+    label at lo and upper at hi (arrays, one entry per bracket) in lockstep:
+    one batched solve ("" where it fails) labels the midpoints of the next
+    three halvings of all unfinished brackets: a label call costs far more
+    than the rows it adds, and deeper trees were slower on the criterion-11
+    grid.  Returns the points and the label at each final upper end, which
+    keys the change found where a phase narrower than the bracket lies in
+    it: the lowest probe above the point that differs from label, or upper."""
+    probes = []
 
-    return _bisect(changed, lo, hi, _REFINE_TOL, levels=3)
+    def changed(mid, rows):
+        probes.append((rows, mid, solve_ground_states(
+            _points(axis_x, axis_y, fixed, mid, y[rows])).label))
+        return probes[-1][2] != label[rows]
+
+    x = _bisect(changed, lo, hi, _REFINE_TOL, levels=3)
+    beyond = np.array(upper, dtype=object)
+    if probes:
+        rows, mid, labels = (np.concatenate(u) for u in zip(*probes))
+        up = np.flatnonzero((labels != label[rows]) & (mid > x[rows]))
+        up = up[np.lexsort((mid[up], rows[up]))]
+        up = up[np.unique(rows[up], return_index=True)[1]]
+        beyond[rows[up]] = labels[up]
+    return x, beyond
 
 
 def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
@@ -171,12 +184,17 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
     """Fill a 2-D grid of ground states and extract refined phase boundaries.
 
     Boundary points are found by bisection (to 1e-6 in the x coordinate)
-    between horizontally adjacent cells of differing phase; for g-J2 grids the
-    deviation from the closed-form g_c and g_L curves is reported per boundary.
+    between horizontally adjacent cells of differing phase, each filed under
+    the phases on its two sides; for g-J2 grids the deviation from the
+    closed-form g_c and g_L curves is reported per boundary.  fixed holds
+    any of g, J1, J2, omega and Omega.
     The cells are one batched pass; with workers > 1 a process pool runs it
     over blocks of rows.
     """
     fixed = dict(fixed or {})
+    unknown = [key for key in fixed if key not in _FIELDS]
+    if unknown:
+        raise ValueError(f"unknown fixed parameter {unknown[0]!r}; allowed: {', '.join(_FIELDS)}")
     fixed.setdefault("omega", 1.0)
     fixed.setdefault("Omega", 1.0)
     if axis_x.name == axis_y.name:
@@ -201,11 +219,12 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
     a, b = phase[:, :-1], phase[:, 1:]
     iy, ix = np.nonzero((a != "") & (b != "") & (a != b))
     lower = a[iy, ix]
-    refined = _refine_boundaries(axis_x, axis_y, fixed, xs[ix], xs[ix + 1], ys[iy], lower)
+    refined, beyond = _refine_boundaries(axis_x, axis_y, fixed, xs[ix], xs[ix + 1], ys[iy],
+                                         lower, b[iy, ix])
     boundaries = {}
-    for key, xb, yb in zip((TRANSITIONS[frozenset((p, q))][0] for p, q in zip(lower, b[iy, ix])),
-                           refined.tolist(), ys[iy].tolist()):
-        boundaries.setdefault(key, []).append((xb, yb))
+    for p, q, xb, yb in zip(lower, beyond, refined.tolist(), ys[iy].tolist()):
+        if q:  # a probe that failed ("") meets no phase
+            boundaries.setdefault(TRANSITIONS[frozenset((p, q))][0], []).append((xb, yb))
 
     deviation = {}
     if axis_x.name == "g" and axis_y.name == "J2":

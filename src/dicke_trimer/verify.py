@@ -151,7 +151,8 @@ def criterion_5_degeneracy():
     for label, want in ((FSP, 6), (NSP, 2)):
         found = 0
         while found < 20:
-            J1, J2 = rng.uniform(-0.45, 0.45, 2)
+            # floats, so that the failure detail prints plain numbers
+            J1, J2 = rng.uniform(-0.45, 0.45, 2).tolist()
             params = ModelParams(g=rng.uniform(0.3, 2.0), J1=J1, J2=J2)
             cc = critical_couplings(params)
             try:

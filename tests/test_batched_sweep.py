@@ -281,11 +281,14 @@ def test_lockstep_boundaries_equal_sequential_bisection(monkeypatch):
             a, b = row[ix]["phase"], row[ix + 1]["phase"]
             if a and b and a != b:
                 lo, hi = float(gs[ix]), float(gs[ix + 1])
+                # the point is keyed by the label at the final upper end
                 while hi - lo >= 1e-6:
                     mid = 0.5 * (lo + hi)
-                    lo, hi = (mid, hi) if label(mid, float(J2)) == a else (lo, mid)
-                key = TRANSITIONS[frozenset((a, b))][0]
-                want.setdefault(key, []).append((0.5 * (lo + hi), float(J2)))
+                    at = label(mid, float(J2))
+                    lo, hi, b = (mid, hi, b) if at == a else (lo, mid, at)
+                if b:
+                    key = TRANSITIONS[frozenset((a, b))][0]
+                    want.setdefault(key, []).append((0.5 * (lo + hi), float(J2)))
     assert grid.boundaries == want
     assert set(want) == {"g_c_minus", "g_c_plus", "g_L"}
 

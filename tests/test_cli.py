@@ -72,6 +72,12 @@ class TestSolve:
         assert payload["kind"] == "ParameterError"
         assert payload["error"].startswith("B_tilde is undefined")
 
+    def test_overflowing_g_exits_1(self, capsys):
+        code, out, err = run(capsys, "solve", "--g", "1e308", "--j1", "0.1", "--j2", "0.1")
+        assert code == 1 and out == ""
+        (line,) = err.strip().splitlines()
+        assert json.loads(line)["kind"] == "DomainError"
+
     def test_region_in_report(self, capsys):
         _, out, _ = run(capsys, "solve", "--g", "1.0", "--j1", "0.1",
                         "--j2", "-0.1")
@@ -135,6 +141,25 @@ class TestSweep:
         assert "boundary" in out
         doc = json.loads(out_file.read_text())
         assert len(doc["cells"]) == 6
+
+    def test_grid_with_failed_cells_writes_csv_and_exits_1(self, capsys, tmp_path):
+        # the three g = 0 cells fail: B_tilde is undefined there
+        out_file = tmp_path / "grid.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "grid",
+            "axis_x": {"name": "g", "min": 0.0, "max": 1.2, "steps": 4},
+            "axis_y": {"name": "J2", "min": -0.2, "max": -0.05, "steps": 3},
+            "fixed": {"J1": 0.1},
+            "output": str(out_file), "format": "csv",
+        }))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 1
+        assert "3 failed cells" in out
+        assert len(out_file.read_text().splitlines()) == 13
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["kind"] == "PartialFailure"
+        assert payload["error"] == "3 of 12 cells failed"
 
     def test_zero_step_axis_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--mode", "line", "--j1", "0.1",
@@ -218,7 +243,7 @@ class TestVerify:
 
     def test_convergence_error_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "run_scope",
-                            _raising(ConvergenceError("no minimum", residual=1.0)))
+                            _raising(ConvergenceError("no minimum")))
         code, out, err = run(capsys, "verify", "--scope", "formulas")
         assert code == 1
         assert out == ""

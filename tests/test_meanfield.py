@@ -36,6 +36,7 @@ from dicke_trimer.meanfield import (
     nsp_alpha,
     root_structure,
 )
+from dicke_trimer.model import Points
 
 def _monotone_fn(params):
     """The per-site stationarity function f of the monotonic method and f'."""
@@ -72,6 +73,10 @@ class TestEnergyFunctional:
     def test_nonfinite_coordinate_is_a_domain_error(self, fn, bad):
         with pytest.raises(DomainError):
             fn(np.array([bad, 0.0, 0.0]), ModelParams(g=1.0))
+
+    def test_points_row_with_undefined_b_tilde_raises_its_error(self):
+        with pytest.raises(ParameterError, match="got g=0.0, J2=0.1"):
+            energy(np.zeros((2, 3)), Points(g=[0.0, 1.0], J2=0.1))
 
     def test_zero_hopping_single_site_value(self):
         # uniform alpha* at J1=J2=0 reproduces three independent sites:

@@ -42,17 +42,13 @@ class TestBruteForceMinimize:
         (ModelParams(g=0.5, J1=0.1, J2=-0.1), "NP", 1),
         (ModelParams(g=1.1, J1=-0.1, J2=-0.1), "NSP", 2),
         (ModelParams(g=1.1, J1=0.1, J2=0.1), "FSP", 6),
+        # x ~ 5e-12 at g = 3e-8: clusters scale with g, so -x and x are two
+        (ModelParams(g=3e-8, J1=-0.49999999, J2=-0.49999999), "NSP", 2),
     ])
     def test_phase_and_degeneracy(self, params, label, deg):
         res = brute_force_minimize(params)
         assert res.label == label
         assert res.degeneracy == deg
-
-    def test_uniform_pair_stays_distinct_at_tiny_g(self):
-        # x ~ 5e-12 at g = 3e-8: clusters scale with g, so -x and x are two
-        res = brute_force_minimize(ModelParams(g=3e-8, J1=-0.49999999, J2=-0.49999999))
-        assert res.label == "NSP"
-        assert res.degeneracy == 2
 
     def test_agrees_with_analytic_solver(self):
         rng = np.random.default_rng(3)
@@ -89,6 +85,16 @@ class TestBruteForceMinimize:
             assert res.energy < -1.5
             for state in res.all_minima:
                 assert np.linalg.eigvalsh(hessian(state.x, params))[0] > -1e-9
+
+    def test_capped_candidates_reach_the_uncapped_minimum(self, monkeypatch):
+        # this grid has 28 grid-local minima; only the 14 lowest are descended
+        params = ModelParams(g=0.7328, J1=0.4849, J2=0.1003)
+        uncapped = brute_force_minimize(params)
+        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", 14)
+        capped = brute_force_minimize(params)
+        assert (capped.label, capped.degeneracy) == (uncapped.label, uncapped.degeneracy)
+        assert (capped.label, capped.degeneracy) == ("FSP", 6)
+        assert capped.energy == uncapped.energy
 
     def test_raises_rather_than_report_a_saddle(self, monkeypatch):
         descend = oracle.descend

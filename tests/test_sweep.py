@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dicke_trimer import sweep
 from dicke_trimer.sweep import (
     Axis,
     PhaseDiagramGrid,
@@ -113,6 +114,36 @@ class TestGridSweep:
         ax, ay = Axis("g", 0.9, 1.1, 3), Axis("J2", -0.2, -0.1, 3)
         grid = PhaseDiagramGrid(ax, ay, {}, [], boundaries={"a": a, "b": b})
         assert boundary_intersection(grid, "a", "b") == crossing
+
+    def test_narrow_phase_inside_a_bracket_keys_the_change_found(self):
+        # at J2 = -0.125 the NP and FSP cells at g = 0.8 and 1.2 bracket the
+        # NSP phase; the change found from NP is its onset g_c_minus
+        grid = sweep_phase_diagram(Axis("g", 0.0, 1.2, 4), Axis("J2", -0.2, -0.05, 3),
+                                   fixed={"J1": 0.1})
+        assert [J2 for _, J2 in grid.boundaries["g_c_minus"]] == [-0.2, -0.125]
+        assert grid.boundaries["g_c_minus"][1][0] == pytest.approx(math.sqrt(0.9), abs=1e-6)
+        assert grid.analytic_deviation["g_c_plus"] < 1e-6
+
+    def test_failed_probe_files_no_point(self, monkeypatch):
+        solve = sweep.solve_ground_states
+
+        def failing_window(points):
+            states = solve(points)
+            states.label[(0.85 < points.g) & (points.g < 0.96)] = ""
+            return states
+
+        monkeypatch.setattr(sweep, "solve_ground_states", failing_window)
+        grid = sweep_phase_diagram(Axis("g", 0.0, 1.2, 4), Axis("J2", -0.2, -0.05, 3),
+                                   fixed={"J1": 0.1})
+        # the brackets at J2 = -0.125 and -0.05 close onto the failed window
+        assert grid.boundaries == {"g_c_minus": [(pytest.approx(math.sqrt(0.72), abs=1e-6),
+                                                  -0.2)]}
+
+    def test_unknown_fixed_key_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown fixed parameter 'j1'; "
+                                             "allowed: g, J1, J2, omega, Omega"):
+            sweep_phase_diagram(Axis("g", 0.0, 1.2, 4), Axis("J2", -0.2, -0.05, 3),
+                                fixed={"j1": 0.1})
 
     def test_grid_requires_g(self):
         with pytest.raises(ValueError, match="include g"):

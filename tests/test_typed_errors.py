@@ -35,7 +35,7 @@ def test_programming_error_in_batched_pass_propagates(monkeypatch):
 
 def test_convergence_error_is_recorded_per_row(monkeypatch):
     monkeypatch.setattr(meanfield, "_fsp_minima",
-                        _failing(ConvergenceError("no minimum", residual=1.0)))
+                        _failing(ConvergenceError("no minimum")))
     np_rec, fsp_rec = sweep_g_line(0.1, 0.1, [0.5, 1.1])
     assert np_rec["phase"] == "NP" and np_rec["error"] == ""
     assert fsp_rec["error"] == "ConvergenceError: no minimum"

@@ -1,0 +1,44 @@
+"""Acceptance checks report a failure, with its detail, when the code they
+check gives a wrong answer."""
+
+import dataclasses
+
+import pytest
+
+from dicke_trimer import verify
+from dicke_trimer.meanfield import solve_ground_state, solve_np
+from dicke_trimer.oracle import Transition
+
+
+def _too_few_minima(points):
+    """Solver results in place of the oracle's, each with one minimum."""
+    return [dataclasses.replace(solve_ground_state(p), degeneracy=1) for p in points]
+
+
+def _far_point(grid, key_a, key_b):
+    return (1.0, 0.0)
+
+
+def _swapped_orders(J1, J2, g_range, n_coarse=121):
+    return [Transition(0.98, "first", 1.0, 0.0), Transition(1.04, "second", 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("check,name,wrong,detail", [
+    (verify.criterion_4_transition_line, "detect_transitions", _swapped_orders,
+     "second at 0.980000 (first; ref 0.979796)"),
+    (verify.criterion_5_degeneracy, "_brute_force_minima", _too_few_minima,
+     "failures: [('FSP', "),
+    (verify.criterion_7_table_sequences, "solve_ground_state", solve_np,
+     "(1, ('NP',), ('NP', 'FSP'))"),
+    (verify.criterion_11_triple_point, "boundary_intersection", _far_point,
+     "numeric (1.000000, 0.000000)"),
+    (verify.criterion_12_atom_only_consistency, "solve_atom_only", solve_np,
+     "failures: [(-0.3, 0.9, 'NP', 'NSP', "),
+])
+def test_wrong_answer_fails_the_check(monkeypatch, check, name, wrong, detail):
+    monkeypatch.setattr(verify, name, wrong)
+    result = check()
+    assert not result.passed
+    assert detail in result.detail
+    # the detail prints plain floats, not numpy scalar reprs
+    assert "np." not in result.detail
