@@ -164,9 +164,9 @@ def _refine_boundaries(axis_x, axis_y, fixed, lo, hi, y, label, upper):
     probes = []
 
     def changed(mid, rows):
-        probes.append((rows, mid, solve_ground_states(
-            _points(axis_x, axis_y, fixed, mid, y[rows])).label))
-        return probes[-1][2] != label[rows]
+        labels = solve_ground_states(_points(axis_x, axis_y, fixed, mid, y[rows])).label
+        probes.append((rows, mid, labels))
+        return labels != label[rows]
 
     x = _bisect(changed, lo, hi, _REFINE_TOL, levels=3)
     beyond = np.array(upper, dtype=object)
