@@ -28,9 +28,6 @@ from .meanfield import (
     gradient,
     hessian,
     state_from_x,
-    solve_np,
-    solve_nsp,
-    solve_fsp,
     asymptotic_fsp,
     solve_ground_state,
     root_structure,

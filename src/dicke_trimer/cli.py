@@ -183,7 +183,8 @@ def _sweep_line(config) -> int:
     if config["format"] == "csv":
         write_line_csv(records, output)
     else:
-        write_line_json(records, output, J1=config["J1"], J2=config["J2"])
+        write_line_json(records, output, J1=config["J1"], J2=config["J2"],
+                        omega=config["omega"], Omega=config["Omega"])
 
     failed = [r for r in records if r["error"]]
     solved = [r for r in records if r["phase"]]

@@ -285,16 +285,6 @@ def _descend(X, g, C, B):
     return X, norm, np.linalg.eigvalsh(_hessian(X, g, C, B))[:, 0] > _PSD_TOL
 
 
-def newton_polish(x, params):
-    """:func:`_descend` from one configuration (3,) or a (k, 3) stack, with
-    params one ModelParams, or Points (or a sequence of ModelParams), one
-    row per row.  Returns x and its max |grad E| (a float for one
-    configuration)."""
-    x = np.asarray(x, dtype=float)
-    X, norm, _ = _descend(x.reshape(-1, 3), *_coefficients(params))
-    return (X[0], float(norm[0])) if x.ndim == 1 else (X, norm)
-
-
 # ---------------------------------------------------------------------------
 # degenerate orbits and the PhaseResult of a point's minima
 
@@ -356,11 +346,6 @@ def _phase_result(label, x, params, coexistent=False):
     return _result(label, configs, params, energy(configs[0], params), coexistent)
 
 
-def solve_np(params: ModelParams) -> PhaseResult:
-    """The trivial x = 0 solution; energy -3/2 regardless of parameters."""
-    return _phase_result(NP, np.zeros(3), params)
-
-
 # ---------------------------------------------------------------------------
 # uniform (NSP) branch
 
@@ -383,12 +368,6 @@ def _uniform_branch(points):
     a = nsp_alpha(points)
     x = (1.0 + 2.0 * points.J1) * a
     return np.where(a == 0.0, NP, NSP).astype(object), np.repeat(x[:, None], 3, axis=1)
-
-
-def solve_nsp(params: ModelParams) -> PhaseResult:
-    """Translational-symmetric superradiant solution, or NP below its onset."""
-    label, x = _uniform_branch(Points.of(params))
-    return _phase_result(label[0], x[0], params)
 
 
 # ---------------------------------------------------------------------------
@@ -699,22 +678,6 @@ def _fsp_minima(points):
     return x, error
 
 
-def _solve_fsp_branch(params: ModelParams) -> PhaseResult:
-    """The frustrated minimum branch at one point as a PhaseResult: the
-    one-row case of :func:`_fsp_minima`, raising the row's error."""
-    x, error = _fsp_minima(Points.of(params))
-    if error[0] is not None:
-        raise error[0]
-    return _phase_result(FSP, x[0], params)
-
-
-def solve_fsp(params: ModelParams) -> PhaseResult:
-    """Frustrated superradiant ground state for g > g_c_plus and B_tilde > 0."""
-    if b_tilde(params) <= 0.0:
-        raise ValueError("frustrated phase requires B_tilde > 0")
-    return _solve_fsp_branch(params)
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -926,6 +889,6 @@ def solve_atom_only(params: ModelParams) -> PhaseResult:
                 key=lambda a: _atom_only_energy(a, g, J2))
     label = _pattern(alpha, g)
     if label == NP:
-        return solve_np(params)
+        return _phase_result(NP, np.zeros(3), params)
     configs = _orbit(alpha, g)  # x == alpha at J1 = 0
     return _result(label, configs, params, _atom_only_energy(configs[0], g, J2))

@@ -322,10 +322,11 @@ def read_line_csv(path):
     return records
 
 
-def write_line_json(records, path, J1=None, J2=None):
+def write_line_json(records, path, J1=None, J2=None, omega=None, Omega=None):
     doc = {
         "metadata": {"version": __version__, "timestamp": _timestamp(),
-                     "J1": J1, "J2": J2, "points": len(records)},
+                     "J1": J1, "J2": J2, "omega": omega, "Omega": Omega,
+                     "points": len(records)},
         "records": records,
     }
     with open(path, "w") as fh:

@@ -31,11 +31,10 @@ from .model import (
 from .meanfield import (
     ConvergenceError,
     _bisect,
-    _solve_fsp_branch,
+    _fsp_minima,
     energy,
     gradient,
     solve_atom_only,
-    solve_fsp,
     solve_ground_state,
     solve_ground_states,
 )
@@ -179,7 +178,7 @@ def criterion_6_asymptotic_ratios():
     """x1/x2 -> -2 and alpha2/alpha1 -> -1/2 at g_c+ + 1e-4."""
     params = ModelParams(g=1.0, J1=0.1, J2=0.1)
     gcp = critical_couplings(params).g_c_plus
-    res = solve_fsp(params.replace(g=gcp + 1e-4))
+    res = solve_ground_state(params.replace(g=gcp + 1e-4))
     xs = np.sort(res.representative.x)
     ratio_x = xs[0] / xs[1]
     alpha = res.representative.alpha
@@ -385,11 +384,10 @@ def check_frustrated_stationarity():
     """|grad E| of the frustrated solution near onset is below 1e-12."""
     params = ModelParams(g=1.0, J1=0.1, J2=0.1)
     gcp = critical_couplings(params).g_c_plus
-    worst = 0.0
-    for dg in (1e-5, 1e-3, 1e-1):
-        p = params.replace(g=gcp + dg)
-        res = _solve_fsp_branch(p)
-        worst = max(worst, float(np.max(np.abs(gradient(res.representative.x, p)))))
+    points = Points.of([params.replace(g=gcp + dg) for dg in (1e-5, 1e-3, 1e-1)])
+    x, errors = _fsp_minima(points)
+    _raise_first(errors)
+    worst = float(np.max(np.abs(gradient(x, points))))
     passed = worst < 1e-12
     return CheckResult("frustrated stationarity residuals", passed,
                        f"max residual {worst:.2e} (tol 1e-12)")

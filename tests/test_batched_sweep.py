@@ -14,15 +14,18 @@ import pytest
 from dicke_trimer import meanfield, sweep
 from dicke_trimer.meanfield import (
     ConvergenceError,
-    _solve_fsp_branch,
+    _fsp_minima,
+    _uniform_branch,
+    energy,
     solve_ground_state,
     solve_ground_states,
-    solve_nsp,
 )
 from dicke_trimer.model import (
+    FSP,
     TRANSITIONS,
     ModelParams,
     ParameterError,
+    Points,
     b_tilde,
     classify_region,
     critical_couplings,
@@ -166,10 +169,13 @@ def test_ground_states_equal_one_point_results(points):
 def test_coexistence_keeps_the_lower_branch():
     coexistence = _coexistence_points(np.random.default_rng(11), 30)
     states = solve_ground_states(coexistence)
-    for p, label, e in zip(coexistence, states.label, states.energy, strict=True):
-        nsp, fsp = solve_nsp(p), _solve_fsp_branch(p)
-        best = nsp if nsp.energy <= fsp.energy else fsp
-        assert (label, e) == (best.label, best.energy)
+    uniform, x_nsp = _uniform_branch(Points.of(coexistence))
+    x_fsp, errors = _fsp_minima(coexistence)
+    assert errors == [None] * len(coexistence)
+    for p, label, e, u, xu, xf in zip(coexistence, states.label, states.energy, uniform,
+                                      x_nsp, x_fsp, strict=True):
+        nsp, fsp = energy(xu, p), energy(xf, p)
+        assert (label, e) == ((u, nsp) if nsp <= fsp else (FSP, fsp))
     assert set(states.label) == {"NSP", "FSP"}
     assert states.coexistent.all()
 
@@ -184,7 +190,8 @@ def test_coexistence_keeps_nsp_where_the_frustrated_branch_fails(monkeypatch):
     monkeypatch.setattr(meanfield, "_fsp_minima", failing)
     states = solve_ground_states([p])
     assert states.error[0] is None
-    assert (states.label[0], states.energy[0]) == ("NSP", solve_nsp(p).energy)
+    _, (x_nsp,) = _uniform_branch(Points.of(p))
+    assert (states.label[0], states.energy[0]) == ("NSP", energy(x_nsp, p))
     assert states.coexistent[0]
 
 
@@ -194,11 +201,12 @@ def test_coexistence_without_a_frustrated_minimum_is_nsp():
     p = ModelParams(g=1.0, J1=-1e-4, J2=0.2)
     p = p.replace(g=first_order_point(p))
     assert abs(b_tilde(p)) < 1e-12 and p.g > critical_couplings(p).g_c
-    with pytest.raises(ConvergenceError, match="no frustrated local minimum"):
-        _solve_fsp_branch(p)
+    _, (error,) = _fsp_minima([p])
+    assert isinstance(error, ConvergenceError) and "no frustrated local minimum" in str(error)
     result = solve_ground_state(p)
     assert result.label == "NSP" and result.coexistent
-    assert result.energy == solve_nsp(p).energy
+    _, (x_nsp,) = _uniform_branch(Points.of(p))
+    assert result.energy == energy(x_nsp, p)
 
 
 def test_stacked_spectrum_equals_single_forms_bitwise(points):

@@ -126,6 +126,16 @@ class TestSweep:
         assert doc["metadata"]["J1"] == 0.1
         assert len(doc["records"]) == 5
 
+    def test_line_json_records_frequencies(self, capsys, tmp_path):
+        # the eps columns depend on omega and Omega, so the metadata names them
+        out_file = tmp_path / "line.json"
+        code, _, _ = run(capsys, "sweep", "--mode", "line", "--j1", "0.1", "--j2", "0.1",
+                         "--g-min", "0.7", "--g-max", "1.0", "--g-steps", "5",
+                         "--omega", "2", "--format", "json", "--output", str(out_file))
+        assert code == 0
+        meta = json.loads(out_file.read_text())["metadata"]
+        assert (meta["J1"], meta["J2"], meta["omega"], meta["Omega"]) == (0.1, 0.1, 2.0, 1.0)
+
     def test_grid_sweep(self, capsys, tmp_path):
         out_file = tmp_path / "grid.json"
         cfg = tmp_path / "cfg.json"

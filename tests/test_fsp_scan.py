@@ -10,16 +10,16 @@ from dicke_trimer import (
     asymptotic_fsp,
     brute_force_minimize,
     critical_couplings,
+    energy,
     first_order_point,
     gradient,
     hessian,
     solve_ground_state,
-    solve_nsp,
 )
 from dicke_trimer import meanfield
-from dicke_trimer.meanfield import (_PSD_TOL, STATIONARITY_TOL, ConvergenceError,
-                                    _solve_fsp_branch)
-from dicke_trimer.model import FSP, b_tilde, c_tilde
+from dicke_trimer.meanfield import (_PSD_TOL, STATIONARITY_TOL, ConvergenceError, _fsp_minima,
+                                    _orbit, _phase_result, _uniform_branch)
+from dicke_trimer.model import FSP, Points, b_tilde, c_tilde
 
 
 def _check_fsp_minimum(res, params):
@@ -69,18 +69,21 @@ class TestHardPoints:
         p = p.replace(g=first_order_point(p))
         assert abs(b_tilde(p)) < 1e-16
         assert solve_ground_state(p).coexistent
-        res = _solve_fsp_branch(p)
+        (x,), (error,) = _fsp_minima([p])
+        assert error is None
+        res = _phase_result(FSP, x, p)
         _check_fsp_minimum(res, p)
         q = 1.0 / (c_tilde(p.J1) * p.g ** 2)
         xs = 0.5 * p.g * math.sqrt(1.0 - q * q)
         assert np.allclose(np.sort(res.representative.x), [-xs, xs, xs], atol=1e-12)
-        assert res.energy == pytest.approx(solve_nsp(p).energy, abs=1e-12)
+        _, (x_nsp,) = _uniform_branch(Points.of(p))
+        assert res.energy == pytest.approx(energy(x_nsp, p), abs=1e-12)
 
     def test_branch_needs_g_above_g_c_plus(self):
         p = ModelParams(g=1.0, J1=0.1, J2=0.1)
         p = p.replace(g=critical_couplings(p).g_c_plus)
-        with pytest.raises(ValueError, match="requires g > g_c_plus"):
-            _solve_fsp_branch(p)
+        _, (error,) = _fsp_minima([p])
+        assert isinstance(error, ValueError) and "requires g > g_c_plus" in str(error)
 
 
 def test_seeded_fuzz_against_oracle():
@@ -156,15 +159,14 @@ def _check_rows_equal_one_row_calls(points, x, errors):
     bitwise, in x or in its error; returns the names of the errors."""
     kinds = set()
     for p, xi, err in zip(points, x, errors, strict=True):
-        try:
-            want = _solve_fsp_branch(p).representative.x
-        except (ConvergenceError, ValueError) as exc:
+        (want,), (exc,) = _fsp_minima([p])
+        if exc is not None:
             kinds.add(type(exc).__name__)
             assert type(err) is type(exc) and str(err) == str(exc)
             assert np.all(np.isnan(xi))
             continue
         assert err is None
-        assert np.array_equal(xi, want)
+        assert np.array_equal(xi, _orbit(want, p.g, frustrated=True)[0])
     return kinds
 
 

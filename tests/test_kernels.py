@@ -4,8 +4,8 @@ Newton polish and the orientation of the frustrated representative."""
 import numpy as np
 import pytest
 
-from dicke_trimer import ModelParams, energy, gradient, hessian, solve_nsp
-from dicke_trimer.meanfield import _NEWTON_TOL, _solve_fsp_branch, newton_polish
+from dicke_trimer import ModelParams, energy, gradient, hessian, solve_ground_state
+from dicke_trimer.meanfield import _NEWTON_TOL, _coefficients, _descend, _fsp_minima, _orbit
 from dicke_trimer.model import b_tilde, c_tilde
 
 
@@ -73,14 +73,15 @@ def test_hessian_on_a_stack_matches_rowwise_calls():
 
 def _nsp_minimum():
     params = ModelParams(g=1.3, J1=-0.1, J2=-0.2)
-    res = solve_nsp(params)
+    res = solve_ground_state(params)
     assert res.label == "NSP"
     return res.representative.x, params
 
 
 def _fsp_minimum():
     params = ModelParams(g=1.4, J1=0.2, J2=0.1)
-    res = _solve_fsp_branch(params)
+    res = solve_ground_state(params)
+    assert res.label == "FSP"
     return res.representative.x, params
 
 
@@ -91,7 +92,7 @@ class TestNewtonPolish:
         rng = np.random.default_rng(3)
         for _ in range(5):
             seed = x0 + rng.uniform(-1e-3, 1e-3, 3)
-            x, norm = newton_polish(seed, params)
+            (x,), (norm,), _ = _descend([seed], *_coefficients(params))
             assert norm < 1e-13
             assert norm == np.max(np.abs(gradient(x, params)))
             assert np.allclose(x, x0, atol=1e-10)
@@ -100,14 +101,14 @@ class TestNewtonPolish:
         # a start far from any minimum, where the loop may stop early
         params = ModelParams(g=3.0, J1=0.3, J2=-0.2)
         for seed in ([0.3, -0.7, 1.1], [1.4999, 1.4999, -1.4999], [0.0, 0.0, 1e-3]):
-            x, norm = newton_polish(seed, params)
+            (x,), (norm,), _ = _descend([seed], *_coefficients(params))
             assert norm == np.max(np.abs(gradient(x, params)))
 
     def test_stays_inside_domain_from_edge_seed(self):
         params = ModelParams(g=2.0, J1=0.1, J2=0.1)
         half = 0.5 * params.g
         for seed in ([half * (1 - 1e-9), 0.1, 0.1], [-half * (1 - 1e-12)] * 3):
-            x, norm = newton_polish(seed, params)
+            (x,), (norm,), _ = _descend([seed], *_coefficients(params))
             assert np.max(np.abs(x)) < half
             assert norm == np.max(np.abs(gradient(x, params)))
 
@@ -137,9 +138,9 @@ class TestNewtonPolish:
         seeds.insert(30, x0)
         params.insert(30, p0)
 
-        X, norms = newton_polish(np.array(seeds), params)
+        X, norms, _ = _descend(seeds, *_coefficients(params))
         for seed, p, x, norm in zip(seeds, params, X, norms, strict=True):
-            want, want_norm = newton_polish(seed, p)
+            (want,), (want_norm,), _ = _descend([seed], *_coefficients(p))
             assert np.array_equal(x, want) and norm == want_norm
         assert norms[10] < _NEWTON_TOL
         step = np.linalg.solve(hessian(X[20], stuck), gradient(X[20], stuck))
@@ -147,8 +148,8 @@ class TestNewtonPolish:
         assert np.array_equal(X[30], x0)
         # one ModelParams for the whole stack, as the oracle passes it
         same = rng.uniform(-0.499, 0.499, (10, 3)) * params[0].g
-        X, norms = newton_polish(same, params[0])
-        want, want_norms = newton_polish(same, params[:1] * 10)
+        X, norms, _ = _descend(same, *_coefficients(params[0]))
+        want, want_norms, _ = _descend(same, *_coefficients(params[:1] * 10))
         assert np.array_equal(X, want) and np.array_equal(norms, want_norms)
 
 
@@ -157,6 +158,7 @@ def test_fsp_representative_has_one_negative_site():
     # member with two negative sites
     params = ModelParams(g=1.03, J1=0.1, J2=-0.1)
     assert b_tilde(params) < 0.0
-    x = _solve_fsp_branch(params).representative.x
+    (x,), _ = _fsp_minima([params])
+    x = _orbit(x, params.g, frustrated=True)[0]
     assert np.count_nonzero(x < 0.0) == 1
     assert x[0] < 0.0 < min(x[1], x[2])

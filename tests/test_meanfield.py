@@ -1,4 +1,4 @@
-"""Mean-field energy functional and the three phase solvers."""
+"""Mean-field energy functional, the two branches and the dispatch."""
 
 import math
 
@@ -19,20 +19,19 @@ from dicke_trimer import (
     gradient,
     hessian,
     solve_atom_only,
-    solve_fsp,
     solve_ground_state,
-    solve_np,
-    solve_nsp,
     state_from_x,
 )
+from dicke_trimer import meanfield
 from dicke_trimer.meanfield import (
     _PSD_TOL,
     STATIONARITY_TOL,
     ConvergenceError,
     _bisect,
     _bracketed_roots,
+    _fsp_minima,
     _orbit,
-    _solve_fsp_branch,
+    _uniform_branch,
     nsp_alpha,
     root_structure,
 )
@@ -132,7 +131,7 @@ class TestStateConstruction:
 
 class TestNormalPhase:
     def test_energy_and_degeneracy(self):
-        res = solve_np(ModelParams(g=0.5, J1=0.2, J2=-0.3))
+        res = solve_ground_state(ModelParams(g=0.5, J1=0.2, J2=-0.3))
         assert res.label == "NP"
         assert res.energy == -1.5
         assert res.degeneracy == 1
@@ -141,7 +140,7 @@ class TestNormalPhase:
 
 class TestUniformPhase:
     def test_reference_point(self):
-        res = solve_nsp(P5)
+        res = solve_ground_state(P5)
         # closed form: alpha = (g/2) sqrt(1/(1+2J1)^2 - 1/(g^2-2(J2+2J1J2))^2)
         denom = P5.g**2 - 2.0 * (P5.J2 + 2.0 * P5.J1 * P5.J2)
         a = 0.5 * P5.g * math.sqrt(1.0 / 0.8**2 - 1.0 / denom**2)
@@ -150,12 +149,12 @@ class TestUniformPhase:
         assert abs(res.representative.alpha[0]) == pytest.approx(a, abs=1e-12)
 
     def test_stationarity(self):
-        res = solve_nsp(P5)
+        res = solve_ground_state(P5)
         assert np.max(np.abs(gradient(res.representative.x, P5))) < 1e-12
 
     def test_below_onset_returns_np(self):
-        res = solve_nsp(ModelParams(g=0.5, J1=-0.1, J2=-0.1))
-        assert res.label == "NP"
+        label, _ = _uniform_branch(Points.of(ModelParams(g=0.5, J1=-0.1, J2=-0.1)))
+        assert label[0] == "NP"
 
     @pytest.mark.parametrize("g", [1e-200, 1e100, 1e200, 1e308])
     @pytest.mark.parametrize("J1", [-0.1, 0.1])
@@ -169,7 +168,7 @@ class TestUniformPhase:
             assert a == pytest.approx(0.5 * g / (1.0 + 2.0 * J1), rel=1e-15)
 
     def test_two_minima_are_sign_partners(self):
-        res = solve_nsp(P5)
+        res = solve_ground_state(P5)
         a, b = res.all_minima
         assert np.allclose(a.x, -b.x)
 
@@ -183,7 +182,7 @@ class TestUniformPhase:
 
 class TestFrustratedPhase:
     def test_reference_point(self):
-        res = solve_fsp(P2)
+        res = solve_ground_state(P2)
         x = res.representative.x
         assert res.label == "FSP"
         assert res.degeneracy == 6
@@ -192,17 +191,17 @@ class TestFrustratedPhase:
         assert np.max(np.abs(gradient(x, P2))) < 1e-11
 
     def test_hessian_positive(self):
-        res = solve_fsp(P2)
+        res = solve_ground_state(P2)
         assert np.linalg.eigvalsh(hessian(res.representative.x, P2))[0] > 0.0
 
     def test_orbit_energies_equal(self):
-        res = solve_fsp(P2)
+        res = solve_ground_state(P2)
         energies = [energy(s.x, P2) for s in res.all_minima]
         assert max(energies) - min(energies) < 1e-12
 
     def test_asymptotic_ratios_near_onset(self):
         gcp = critical_couplings(P2).g_c_plus
-        res = solve_fsp(P2.replace(g=gcp + 1e-4))
+        res = solve_ground_state(P2.replace(g=gcp + 1e-4))
         x = np.sort(res.representative.x)
         assert x[0] / x[1] == pytest.approx(-2.0, rel=1e-2)
         alpha = res.representative.alpha
@@ -216,25 +215,21 @@ class TestFrustratedPhase:
         assert st_.x[0] == pytest.approx(-2.0 * t)
         assert st_.x[1] == st_.x[2] == pytest.approx(t)
 
-    def test_rejects_negative_b(self):
-        with pytest.raises(ValueError):
-            solve_fsp(ModelParams(g=1.0, J1=-0.1, J2=-0.1))
-
     def test_fold_born_minimum_found(self):
         # uniform phase condenses first here; the frustrated minimum is
         # disconnected from the branch emerging at g_c_plus
         p = ModelParams(g=1.05, J1=0.1, J2=-0.1)
-        res = _solve_fsp_branch(p)
-        x = res.representative.x
+        (x,), (error,) = _fsp_minima([p])
+        assert error is None
         assert np.linalg.eigvalsh(hessian(x, p))[0] > 0.0
         assert x[0] < 0.0 < x[1]
-        assert res.energy == pytest.approx(-1.5103096019806, abs=1e-10)
+        assert energy(x, p) == pytest.approx(-1.5103096019806, abs=1e-10)
 
     def test_no_minimum_below_fold(self):
         # just above g_c_plus on the same line only the saddle exists
         p = ModelParams(g=0.999, J1=0.1, J2=-0.1)
-        with pytest.raises(ConvergenceError):
-            _solve_fsp_branch(p)
+        _, (error,) = _fsp_minima([p])
+        assert isinstance(error, ConvergenceError)
 
 
 class TestDispatch:
@@ -251,7 +246,9 @@ class TestDispatch:
 
         def diff(g):
             q = p.replace(g=g)
-            return solve_nsp(q).energy - _solve_fsp_branch(q).energy
+            x = np.concatenate((_uniform_branch(Points.of(q))[1], _fsp_minima([q])[0]))
+            nsp, fsp = energy(x, q)
+            return nsp - fsp
 
         from scipy.optimize import brentq
         g_cross = brentq(diff, lo, hi, xtol=1e-12)
@@ -433,6 +430,24 @@ class TestAtomOnly:
     def test_rejects_nonzero_j1(self):
         with pytest.raises(ValueError):
             solve_atom_only(ModelParams(g=1.0, J1=0.1))
+
+    def test_shares_no_solver_code_with_the_dispatch(self, monkeypatch):
+        # criterion 12 is an independent check only while the atom-only route
+        # reaches neither branch of the dispatch nor its descent
+        points = [ModelParams(g=g, J2=J2) for J2, g in ((0.3, 0.5), (-0.1, 1.2), (0.2, 1.1))]
+        want = [solve_atom_only(p) for p in points]
+        assert [r.label for r in want] == ["NP", "NSP", "FSP"]
+
+        def unreachable(*args):
+            raise AssertionError("the atom-only route reached the dispatch's solver code")
+
+        for name in ("_descend", "_fsp_minima", "_uniform_branch"):
+            monkeypatch.setattr(meanfield, name, unreachable)
+        with pytest.raises(AssertionError):
+            solve_ground_state(points[2])
+        for p, b in zip(points, want, strict=True):
+            a = solve_atom_only(p)
+            assert (a.label, a.degeneracy, a.energy) == (b.label, b.degeneracy, b.energy)
 
     @pytest.mark.parametrize("g", [0.0, 1e-200])
     def test_undefined_b_tilde_raises_parameter_error(self, g):

@@ -3,11 +3,18 @@ check gives a wrong answer."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from dicke_trimer import verify
-from dicke_trimer.meanfield import solve_ground_state, solve_np
+from dicke_trimer.meanfield import _phase_result, solve_ground_state
+from dicke_trimer.model import NP
 from dicke_trimer.oracle import Transition
+
+
+def _normal_phase(params):
+    """The x = 0 normal phase at every point, in place of a solver's result."""
+    return _phase_result(NP, np.zeros(3), params)
 
 
 def _too_few_minima(points):
@@ -28,11 +35,11 @@ def _swapped_orders(J1, J2, g_range, n_coarse=121):
      "second at 0.980000 (first; ref 0.979796)"),
     (verify.criterion_5_degeneracy, "_brute_force_minima", _too_few_minima,
      "failures: [('FSP', "),
-    (verify.criterion_7_table_sequences, "solve_ground_state", solve_np,
+    (verify.criterion_7_table_sequences, "solve_ground_state", _normal_phase,
      "(1, ('NP',), ('NP', 'FSP'))"),
     (verify.criterion_11_triple_point, "boundary_intersection", _far_point,
      "numeric (1.000000, 0.000000)"),
-    (verify.criterion_12_atom_only_consistency, "solve_atom_only", solve_np,
+    (verify.criterion_12_atom_only_consistency, "solve_atom_only", _normal_phase,
      "failures: [(-0.3, 0.9, 'NP', 'NSP', "),
 ])
 def test_wrong_answer_fails_the_check(monkeypatch, check, name, wrong, detail):
