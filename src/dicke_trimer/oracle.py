@@ -14,8 +14,13 @@ share one set of scratch buffers, and the grid-local minima and saddle
 splits of all points go through each descent together; each point clusters
 its own minima.  :func:`brute_force_minimize` is its one-point case.
 Transition detection tells phases apart by one test, the label of the
-minimum, and minimises as one such stack its coarse scan, each halving of
-all its brackets, and the stencils of all its order tests.
+minimum.  It minimises as one such stack its coarse scan, each step of the
+root find on its frustrated indicator (the lowest uniform-pattern minus the
+lowest frustrated-pattern energy of :func:`_minima`, the clustered local
+minima of each point), the label confirmation of all its roots and the
+stencils of all its order tests; an onset's indicator, the curvature at
+x = 0, needs no grid.  A root the labels do not confirm falls back to a
+label bisection of its coarse cell.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ import numbers
 from dataclasses import dataclass
 import numpy as np
 
-from .model import TRANSITIONS, ModelParams, Points
-from .meanfield import (_PSD_TOL, ConvergenceError, PhaseResult, _bisect, _coefficients,
-                        _descend, _energy, _hessian, _pattern, _result, energy)
+from .model import FSP, NP, TRANSITIONS, ModelParams, Points
+from .meanfield import (_PSD_TOL, ConvergenceError, PhaseResult, _bisect, _bracketed_roots,
+                        _coefficients, _descend, _energy, _hessian, _pattern, _result, energy)
 
 
 @dataclass(frozen=True)
@@ -190,18 +195,18 @@ def _ranked(minima, params):
     return _result(_pattern(keep[0], params.g), keep, params, float(best))
 
 
-def _brute_force_minima(points):
-    """:func:`brute_force_minimize` at each row of Points (or of a sequence
-    of ModelParams), as a list of PhaseResults.
+def _minima(points):
+    """The clustered local minima of each row of Points (or of a sequence of
+    ModelParams), as a list of (k, 3) stacks, in the order found.
 
     The grids of all points are scanned through one set of scratch buffers.
     Every candidate of every point is descended in one :func:`descend`;
     each point then clusters and splits its own saddles, and the seeds of
     all points are descended together, up to three rounds.  Each point
-    clusters and ranks the minima of all rounds, in round order.  A row,
-    and so a point's result, is the same as in a call on that point alone.
-    Raises the ConvergenceError of the first point where no descent ends
-    at a minimum, or at once that of a point whose energy overflows.
+    clusters the minima of all rounds, in round order.  A row, and so a
+    point's minima, is the same as in a call on that point alone.  Raises
+    the ConvergenceError of the first point where no descent ends at a
+    minimum, or at once that of a point whose energy overflows.
     """
     points = Points.of(points)
     each = list(points)
@@ -226,13 +231,21 @@ def _brute_force_minima(points):
             minima.extend(rows[a:b][is_min[a:b]])
             saddles.append(rows[a:b][~is_min[a:b]])
 
-    results = []
+    clustered = []
     for p, minima in zip(each, found):
         if not minima:
             raise ConvergenceError(f"no descent ended at a minimum at {p}")
         X = np.array(minima)
-        results.append(_ranked(X[_cluster(X, radius * p.g)], p))
-    return results
+        clustered.append(X[_cluster(X, radius * p.g)])
+    return clustered
+
+
+def _brute_force_minima(points):
+    """:func:`brute_force_minimize` at each row of Points (or of a sequence
+    of ModelParams), as a list of PhaseResults: each point's
+    :func:`_minima`, ranked."""
+    points = Points.of(points)
+    return [_ranked(X, p) for X, p in zip(_minima(points), points)]
 
 
 def brute_force_minimize(params: ModelParams) -> PhaseResult:
@@ -261,35 +274,117 @@ class Transition:
     order: str  # "first", "second" or "inconclusive"
     jump: float
     noise_floor: float
+    #: "root" where g_star is the confirmed root of the cell's indicator,
+    #: "bisection" where it is the label bisection of the cell
+    path: str = "root"
+
+
+#: transition points are bisected to this width in g; a root is confirmed
+#: by the labels this far apart
+_BISECT_WIDTH = 1e-7
+
+
+def _onset_curvature(points):
+    """The smallest Hessian eigenvalue at x = 0 (stationary everywhere) of
+    each point: positive where x = 0 is a minimum, linear in g through
+    g_c."""
+    coef = _coefficients(points)
+    return np.linalg.eigvalsh(_hessian(np.zeros((len(points), 3)), *coef))[:, 0]
+
+
+def _branch_gap(points, minima):
+    """The lowest energy of each point's uniform-pattern minima less that of
+    its frustrated-pattern ones (of :func:`_minima`): negative where the
+    uniform branch lies lower, +-inf where one branch is missing."""
+    gaps = []
+    for X, p in zip(minima, points):
+        E = energy(X, p)
+        frustrated = np.array([_pattern(x, p.g) == FSP for x in X])
+        gaps.append(np.min(E[~frustrated], initial=np.inf)
+                    - np.min(E[frustrated], initial=np.inf))
+    return np.array(gaps)
 
 
 def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     """Locate phase transitions on a g line from the brute-force minimum alone.
 
-    The one test is the label of the brute-force minimum.  A coarse cell
-    whose two ends differ in label holds a transition, expected of the
-    order that ``model.TRANSITIONS`` gives that pair of labels.  All such
-    cells are bisected together on a change of label from the cell's lower
-    end, each halving one stacked brute-force minimisation over the
-    midpoints of every open bracket.  Order labels are confirmed from
+    The one test of a phase is the label of the brute-force minimum.  A
+    coarse cell whose two ends differ in label holds a transition, expected
+    of the order that ``model.TRANSITIONS`` gives that pair of labels.  Each
+    such cell is first solved for the root of a smooth indicator that
+    changes sign there: at an NP end the smallest Hessian eigenvalue at
+    x = 0 (:func:`_onset_curvature`, no grid needed), otherwise the energy
+    of the lowest uniform-pattern minimum less that of the lowest
+    frustrated one (:func:`_branch_gap`, whose every step is one stacked
+    minimisation over the open brackets).  The brackets of each kind run
+    in lockstep through ``meanfield._bracketed_roots`` (Chandrupatla).  The
+    label then confirms every root: one stacked minimisation labels
+    g* -+ _BISECT_WIDTH / 2, clipped to the cell (a probe on a cell end
+    takes the end's coarse label), and the root is g_star only where the
+    two labels are the cell's lower and upper ones.  Every other cell,
+    and every cell whose end indicators are not finite and of opposite
+    sign, is bisected on a change of label from its lower end, all in one
+    lockstep bisection of one stacked minimisation per halving;
+    ``Transition.path`` says which.  Order labels are confirmed from
     derivative jumps against a noise floor estimated from two step sizes;
     ambiguous jumps are flagged inconclusive, not guessed.  The coarse scan
-    and the stencils of all order tests are one stacked minimisation each.
+    and the stencils of all order tests are one stacked minimisation each,
+    so a line without a fallback makes at most three of them plus one per
+    step of its slowest frustrated root.
     """
     g_min, g_max = (float(v) for v in g_range)
     if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
         raise ValueError(f"g_range needs finite g_min < g_max, got {g_min} to {g_max}")
     if not (isinstance(n_coarse, numbers.Integral) and n_coarse >= 2):
         raise ValueError(f"n_coarse must be an integer >= 2, got {n_coarse!r}")
+    def at(gs):
+        return Points(g=gs, J1=J1, J2=J2)
+
     def minima(gs):
-        return _brute_force_minima(Points(g=gs, J1=J1, J2=J2))
+        return _brute_force_minima(at(gs))
+
+    def gap(gs):
+        points = at(gs)
+        return _branch_gap(points, _minima(points))
 
     gs = np.linspace(g_min, g_max, n_coarse)
-    labels = np.array([r.label for r in minima(gs)])
+    coarse = at(gs)
+    found = _minima(coarse)
+    labels = np.array([_ranked(X, p).label for X, p in zip(found, coarse)])
     cells = np.flatnonzero(labels[:-1] != labels[1:])
-    lower = labels[cells]
-    g_stars = _bisect(lambda mid, rows: [r.label != lo for r, lo in zip(minima(mid), lower[rows])],
-                      gs[cells], gs[cells + 1], _BISECT_WIDTH).tolist()
+    if not len(cells):
+        return []
+    lower, upper, lo, hi = labels[cells], labels[cells + 1], gs[cells], gs[cells + 1]
+
+    # each cell's indicator at its two ends, from the coarse minima
+    onset = (lower == NP) | (upper == NP)
+    ends = np.concatenate([cells, cells + 1])
+    f = np.where(np.tile(onset, 2), _onset_curvature(coarse[ends]),
+                 _branch_gap(coarse[ends], [found[i] for i in ends]))
+    f1, f2 = np.split(f, 2)
+    bracketed = np.isfinite(f1) & np.isfinite(f2) & (np.sign(f1) * np.sign(f2) < 0.0)
+    roots = np.full(len(cells), np.nan)
+    for kind, indicator in ((onset, lambda gs: _onset_curvature(at(gs))), (~onset, gap)):
+        rows = np.flatnonzero(kind & bracketed)
+        roots[rows] = _bracketed_roots(indicator, lo[rows], hi[rows], f1[rows], f2[rows])
+
+    # the labels just below and above each root, in one stacked call
+    rows = np.flatnonzero(bracketed)
+    probes = np.concatenate([np.maximum(roots[rows] - 0.5 * _BISECT_WIDTH, lo[rows]),
+                             np.minimum(roots[rows] + 0.5 * _BISECT_WIDTH, hi[rows])]).tolist()
+    label = dict(zip(gs.tolist(), labels))
+    new = [g for g in dict.fromkeys(probes) if g not in label]
+    if new:
+        label.update(zip(new, (r.label for r in minima(new))))
+    seen = np.array([label[g] for g in probes])
+    confirmed = np.zeros(len(cells), dtype=bool)
+    confirmed[rows] = (seen[:len(rows)] == lower[rows]) & (seen[len(rows):] == upper[rows])
+
+    fall = np.flatnonzero(~confirmed)
+    first = lower[fall]
+    roots[fall] = _bisect(lambda mid, i: [r.label != a for r, a in zip(minima(mid), first[i])],
+                          lo[fall], hi[fall], _BISECT_WIDTH)
+    g_stars = roots.tolist()
 
     # g_star - 6h stays above g_star / 2 > 0
     steps = [min(_CONFIG.derivative_step, g / 12.0) for g in g_stars]
@@ -298,16 +393,13 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     E = {g: r.energy for g, r in zip(stencil_gs, minima(stencil_gs))}
 
     transitions = []
-    for g_star, h, lo, hi in zip(g_stars, steps, lower, labels[cells + 1]):
+    for g_star, h, lo_label, hi_label, root in zip(g_stars, steps, lower, upper, confirmed):
         order, jump, noise = _classify_order(E, g_star, h)
-        if order != TRANSITIONS[frozenset((lo, hi))][1]:
+        if order != TRANSITIONS[frozenset((lo_label, hi_label))][1]:
             order = "inconclusive"
-        transitions.append(Transition(g_star=g_star, order=order, jump=jump, noise_floor=noise))
+        transitions.append(Transition(g_star=g_star, order=order, jump=jump, noise_floor=noise,
+                                      path="root" if root else "bisection"))
     return transitions
-
-
-#: transition points are bisected to this width in g
-_BISECT_WIDTH = 1e-7
 
 
 def _stencils(g_star, h):

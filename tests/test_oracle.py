@@ -22,6 +22,7 @@ from dicke_trimer import (
     solve_ground_state,
 )
 from dicke_trimer.meanfield import ConvergenceError
+from dicke_trimer.model import TRANSITIONS
 
 
 class TestOracleConfig:
@@ -191,8 +192,8 @@ class TestDetectTransitions:
         # second order at sqrt(0.96), first order at sqrt(1.08)
         transitions = detect_transitions(0.1, -0.1, (0.9, 1.2), n_coarse=31)
         assert [t.order for t in transitions] == ["second", "first"]
-        assert transitions[0].g_star == pytest.approx(math.sqrt(0.96), abs=2e-7)
-        assert transitions[1].g_star == pytest.approx(math.sqrt(1.08), abs=1e-4)
+        assert transitions[0].g_star == pytest.approx(math.sqrt(0.96), abs=1e-9)
+        assert transitions[1].g_star == pytest.approx(math.sqrt(1.08), abs=1e-9)
 
     def test_single_second_order_line(self):
         transitions = detect_transitions(0.1, 0.1, (0.7, 1.1), n_coarse=21)
@@ -216,24 +217,31 @@ class TestDetectTransitions:
         assert first[0].jump > 3.0 * first[0].noise_floor
 
     def test_each_g_minimized_once(self, monkeypatch):
-        calls, minima = [], oracle._brute_force_minima
+        calls, minima = [], oracle._minima
 
         def recording(points):
             calls.append(list(points))
             return minima(calls[-1])
 
-        monkeypatch.setattr(oracle, "_brute_force_minima", recording)
+        monkeypatch.setattr(oracle, "_minima", recording)
         for g_range, n_coarse, orders in [((1.0, 1.1), 21, ["first"]),
                                           ((0.9, 1.2), 31, ["second", "first"])]:
             calls.clear()
             transitions = detect_transitions(0.1, -0.1, g_range, n_coarse=n_coarse)
             assert [t.order for t in transitions] == orders
+            assert [t.path for t in transitions] == ["root"] * len(orders)
             seen = [p for points in calls for p in points]
             assert len(seen) == len(set(seen))
             # the coarse scan is one stacked call
             assert len(calls[0]) == n_coarse
-            # each halving probes the midpoint of every open bracket
-            assert [len(points) for points in calls[1:-1]] == [len(orders)] * (len(calls) - 2)
+            # each step of the one g_L root probes one point; the onset root
+            # needs no minimisation
+            assert 1 <= len(calls) - 3 <= 8
+            assert [len(points) for points in calls[1:-2]] == [1] * (len(calls) - 3)
+            # one stacked label call of g_star -+ 5e-8 confirms every root
+            assert len(calls[-2]) <= 2 * len(orders)
+            assert [sum(abs(p.g - t.g_star) < 1e-7 for p in calls[-2])
+                    for t in transitions] == [2] * len(orders)
             # the order tests are one stacked call of 10 distinct g per
             # transition, all within 6h = 6e-4 of it: the h and 2h stencils
             # share g_star +- 2h
@@ -250,36 +258,121 @@ class TestDetectTransitions:
         params = ModelParams(g=1.0, J1=J1, J2=J2)
         assert [t.order for t in transitions] == ["second", "first"]
         assert transitions[0].g_star == pytest.approx(critical_couplings(params).g_c_plus,
-                                                      abs=2e-7)
-        assert transitions[1].g_star == pytest.approx(first_order_point(params), abs=1e-4)
+                                                      abs=1e-9)
+        assert transitions[1].g_star == pytest.approx(first_order_point(params), abs=1e-9)
 
-    @pytest.mark.parametrize("J, above, g_min, halvings", [
-        *(pytest.param(J, above, None, 17, id=f"{above}-{J}")
-          for above in (1e-9, 1e-7) for J in (0.1, -0.1)),
+    @pytest.mark.parametrize("J, above, g_min, probes", [
+        *(pytest.param(J, above, None, probes, id=f"{above}-{J}")
+          for above, probes in ((1e-9, 1), (1e-7, 2)) for J in (0.1, -0.1)),
         # windows that end at the node, just above g_c = 0.9
-        *(pytest.param(0.1, above, 0.85, 18, id=f"0.85-{above}-0.1") for above in (1e-9, 1e-7)),
+        *(pytest.param(0.1, above, 0.85, probes, id=f"0.85-{above}-0.1")
+          for above, probes in ((1e-9, 1), (1e-7, 2))),
     ])
-    def test_coarse_node_just_above_onset(self, monkeypatch, J, above, g_min, halvings):
+    def test_coarse_node_just_above_onset(self, monkeypatch, J, above, g_min, probes):
         # the node g_c + above, the middle one of a window of +-0.01 or the
         # top one of (g_min, g_c + above), is labelled superradiant (its
-        # max|x| is at least 3e-5), so the onset cell is the one below it; its
-        # bisection probes one midpoint per halving of the cell, 17 for a
-        # cell of 0.01 and 18 for one of about 0.025
+        # max|x| is at least 3e-5), so the onset cell is the one below it.
+        # Its root, of the curvature at x = 0, needs no minimisation; the
+        # probe 5e-8 above it is clipped to the node when that lies 1e-9
+        # above g_c, and takes the node's coarse label
         g_c = critical_couplings(ModelParams(g=1.0, J1=J, J2=J)).g_c
         node = g_c + above
-        calls, minima = [], oracle._brute_force_minima
+        calls, minima = [], oracle._minima
 
         def recording(points):
             calls.append(list(points))
             return minima(calls[-1])
 
-        monkeypatch.setattr(oracle, "_brute_force_minima", recording)
+        monkeypatch.setattr(oracle, "_minima", recording)
         g_range = (node - 0.01, node + 0.01) if g_min is None else (g_min, node)
         transitions = detect_transitions(J, J, g_range, n_coarse=3)
         assert [t.order for t in transitions] == ["second"]
+        assert transitions[0].path == "root"
         assert transitions[0].g_star == pytest.approx(g_c, abs=2e-7)
-        # the coarse scan, the halvings and the order test
-        assert [len(points) for points in calls] == [3] + [1] * halvings + [10]
+        # the coarse scan, the label confirmation and the order test
+        assert [len(points) for points in calls] == [3, probes, 10]
+        seen = [p for points in calls for p in points]
+        assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("J, g_range, g_star", [
+        (0.1, (0.7, 1.1), "0x1.ccccce147ae14p-1"),
+        (0.0, (0.8, 1.2), "0x1.000000a3d70a4p+0"),
+    ])
+    def test_onset_on_a_coarse_node_falls_back_to_label_bisection(self, J, g_range, g_star):
+        # g_c (0.9, and 1 where B = 0) is the lower end of the onset cell,
+        # labelled NP, where the curvature at x = 0 is -2.9e-16 and exactly
+        # 0: the ends do not bracket a root, so the cell is bisected on its
+        # label, to the g_star of the label bisection alone
+        transitions = detect_transitions(J, J, g_range, n_coarse=21)
+        assert [(t.order, t.path) for t in transitions] == [("second", "bisection")]
+        assert transitions[0].g_star == float.fromhex(g_star)
+
+    def test_seeded_lines_match_a_sequential_label_bisection(self):
+        # lines across all six regions, from below g_c to above g_L where it
+        # exists, so both kinds of indicator and the fallback are met
+        rng = np.random.default_rng(27)
+        orders, paths = set(), set()
+        for _ in range(20):
+            J1, J2 = (float(v) for v in rng.uniform(-0.45, 0.45, 2))
+            params = ModelParams(g=1.0, J1=J1, J2=J2)
+            g_c, g_L = critical_couplings(params).g_c, first_order_point(params)
+            top = g_L if g_L is not None and g_L > g_c else g_c
+            g_range = (g_c * rng.uniform(0.7, 0.98), top * rng.uniform(1.02, 1.3))
+            n_coarse = int(rng.choice([5, 9]))
+            transitions = detect_transitions(J1, J2, g_range, n_coarse=n_coarse)
+
+            def minima(gs):
+                return oracle._brute_force_minima([ModelParams(g=g, J1=J1, J2=J2) for g in gs])
+
+            want = []
+            gs = np.linspace(*g_range, n_coarse).tolist()
+            labels = [r.label for r in minima(gs)]
+            for lo, hi, a, b in zip(gs, gs[1:], labels, labels[1:]):
+                if a == b:
+                    continue
+                while hi - lo >= oracle._BISECT_WIDTH:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if minima([mid])[0].label == a else (lo, mid)
+                g_star = 0.5 * (lo + hi)
+                h = min(OracleConfig().derivative_step, g_star / 12.0)
+                stencil = [g for side in oracle._stencils(g_star, h) for g in side]
+                E = {g: r.energy for g, r in zip(stencil, minima(stencil))}
+                order = oracle._classify_order(E, g_star, h)[0]
+                want.append((g_star, order if order == TRANSITIONS[frozenset((a, b))][1]
+                             else "inconclusive"))
+            assert [t.order for t in transitions] == [order for _, order in want]
+            for t, (g_star, _) in zip(transitions, want):
+                assert t.g_star == pytest.approx(g_star, abs=1e-7)
+                if t.path == "bisection":
+                    assert t.g_star == g_star
+            orders.update(t.order for t in transitions)
+            paths.update(t.path for t in transitions)
+        assert {"first", "second"} <= orders
+        assert paths == {"root", "bisection"}
+
+    def test_oracle_line_takes_the_root_path_in_few_stacked_calls(self, monkeypatch):
+        from importlib.util import module_from_spec, spec_from_file_location
+        from pathlib import Path
+
+        spec = spec_from_file_location(
+            "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+        workloads = module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        calls, minima = [], oracle._minima
+
+        def recording(points):
+            calls.append(len(points))
+            return minima(points)
+
+        monkeypatch.setattr(oracle, "_minima", recording)
+        for seed in range(8):
+            cfg = workloads.oracle_config(seed)
+            calls.clear()
+            transitions = detect_transitions(cfg["J1"], cfg["J2"], cfg["g"],
+                                             n_coarse=cfg["n_coarse"])
+            assert [t.order for t in transitions] == ["second", "first"]
+            assert [t.path for t in transitions] == ["root", "root"]
+            assert len(calls) <= 11
 
     def test_order_stencil_stays_above_zero_near_a_tiny_onset(self):
         # g_c = 2e-4 lies below six default derivative steps; here max|x| is

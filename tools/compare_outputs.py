@@ -13,6 +13,15 @@ its ``float.hex``:
 * ``grid-triple`` seeds 0-3: every cell column, the boundary points, the
   ``analytic_deviation`` and the triple point;
 * the transitions of ``oracle-line`` seeds 0-7;
+* ``transition-lines``: the ``detect_transitions`` output (``g_star``,
+  ``order``, ``jump``, ``noise_floor`` and, where the checkout has it,
+  ``path``) of each transition, with the index of its line, and per line the
+  error text or ``None``, on the five lines of ``TestDetectTransitions``
+  that hold a transition, the tiny-onset line ``J1 = J2 = -0.4999`` on
+  (1e-5, 0.01), and 120 lines of seed 5151: per line ``J1, J2`` uniform on
+  (-0.495, 0.495), then around ``g_c`` a window of width ``10^U``, ``U``
+  uniform on (-3, -1), on even lines and ``(U(0.6, 0.98) g_c, U(1.02, 1.8)
+  g_c)`` on odd ones, then ``n_coarse`` drawn from {5, 15, 31, 61};
 * ``line-regions`` seeds 0-3: every column of the ``sweep_g_line`` records
   of each of its six lines, which builds its parameter columns apart from
   the grid;
@@ -71,6 +80,18 @@ from pathlib import Path
 GRID_SEEDS = range(4)
 LINE_SEEDS = range(4)
 ORACLE_SEEDS = range(8)
+TRANSITION_SEED = 5151
+TRANSITION_LINES = 120
+# (J1, J2, g_range, n_coarse): the TestDetectTransitions lines, then the
+# tiny-onset line
+FIXED_LINES = [
+    (0.1, -0.1, (0.9, 1.2), 31),
+    (0.1, 0.1, (0.7, 1.1), 21),
+    (0.0, 0.0, (0.8, 1.2), 21),
+    (0.1, -0.1, (1.0, 1.1), 21),
+    (-0.06123383242021124, 0.09671611718137241, (0.5999448857161498, 1.611693721693544), 5),
+    (-0.4999, -0.4999, (1e-5, 0.01), 11),
+]
 BULK_SEED = 20261018
 BULK_POINTS = 3000
 FSP_SEED = 2027
@@ -137,6 +158,37 @@ def _oracle_fields(fields):
         transitions = work.run(work.config(seed))
         _table(f"oracle-line/{seed}", [dataclasses.asdict(t) for t in transitions], fields)
         fields[f"oracle-line/{seed}/count"] = _column([len(transitions)])
+
+
+def _transition_line_fields(fields):
+    import numpy as np
+
+    from dicke_trimer.model import ModelParams, critical_couplings
+    from dicke_trimer.oracle import detect_transitions
+
+    rng = np.random.default_rng(TRANSITION_SEED)
+    lines = list(FIXED_LINES)
+    for k in range(TRANSITION_LINES):
+        J1, J2 = (float(v) for v in rng.uniform(-0.495, 0.495, 2))
+        g_c = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
+        if k % 2 == 0:
+            half = 0.5 * 10.0 ** rng.uniform(-3.0, -1.0)
+            g_range = (g_c - half, g_c + half)
+        else:
+            g_range = (g_c * rng.uniform(0.6, 0.98), g_c * rng.uniform(1.02, 1.8))
+        lines.append((J1, J2, tuple(float(g) for g in g_range),
+                      int(rng.choice([5, 15, 31, 61]))))
+    rows, errors = [], []
+    for line, (J1, J2, g_range, n_coarse) in enumerate(lines):
+        try:
+            transitions = detect_transitions(J1, J2, g_range, n_coarse=n_coarse)
+        except Exception as err:  # recorded, so that both sides can be compared
+            errors.append(f"{type(err).__name__}: {err}")
+            continue
+        errors.append("None")
+        rows += [{"line": line, **dataclasses.asdict(t)} for t in transitions]
+    _table("transition-lines", rows, fields)
+    fields["transition-lines/error"] = _column(errors)
 
 
 def _line_fields(fields):
@@ -298,9 +350,9 @@ def _verify_fields(fields):
 def dump(tree, path):
     _import_tree(tree)
     fields = {}
-    for part in (_grid_fields, _oracle_fields, _line_fields, _bulk_fields, _fsp_fields,
-                 _onset_fields, _gl_fields, _root_fields, _atom_only_fields, _tiny_g_fields,
-                 _verify_fields):
+    for part in (_grid_fields, _oracle_fields, _transition_line_fields, _line_fields,
+                 _bulk_fields, _fsp_fields, _onset_fields, _gl_fields, _root_fields,
+                 _atom_only_fields, _tiny_g_fields, _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
