@@ -163,6 +163,7 @@ def _oracle_fields(fields):
 def _transition_line_fields(fields):
     import numpy as np
 
+    from dicke_trimer.meanfield import ConvergenceError
     from dicke_trimer.model import ModelParams, critical_couplings
     from dicke_trimer.oracle import detect_transitions
 
@@ -182,7 +183,7 @@ def _transition_line_fields(fields):
     for line, (J1, J2, g_range, n_coarse) in enumerate(lines):
         try:
             transitions = detect_transitions(J1, J2, g_range, n_coarse=n_coarse)
-        except Exception as err:  # recorded, so that both sides can be compared
+        except (ValueError, ConvergenceError) as err:  # typed errors are outputs too
             errors.append(f"{type(err).__name__}: {err}")
             continue
         errors.append("None")
