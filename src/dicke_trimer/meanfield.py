@@ -468,17 +468,22 @@ def _bracketed_roots(f, x1, x2, f1, f2, *args, ftol=0.0):
     return root
 
 
-def _bisect(above, lo, hi, width, levels=1):
+def _bisect(label, lo, hi, lower, upper, width, levels=1):
     """Bisection of the brackets [lo, hi] (1-D arrays) in lockstep: every
-    bracket at least width wide is halved, at most 60 times.  above(mid,
-    rows) gets midpoints and the indices of their brackets, and returns True
-    where the change lies below mid.  Returns 0.5 (lo + hi).
+    bracket at least width wide is halved, at most 60 times.  label(mid,
+    rows) gets midpoints and the indices of their brackets, and returns
+    their labels; a midpoint whose label differs from its bracket's lower
+    becomes its hi, any other its lo.  Returns 0.5 (lo + hi) and the label
+    at each bracket's final hi (an object array), upper where hi never
+    moved: it keys the change found where a label narrower than the
+    bracket lies in it.
 
-    Each call of above settles up to `levels` halvings: it gets, per active
+    Each call of label settles up to `levels` halvings: it gets, per active
     bracket, every midpoint of the next `levels` levels of its bisection
     tree that is at least width wide (rows repeated), each computed as the
     halving computes it, so the result does not depend on `levels`."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    lo, hi, lower = np.array(lo, dtype=float), np.array(hi, dtype=float), np.asarray(lower)
+    beyond = np.array(upper, dtype=object)
     active = np.flatnonzero(hi - lo >= width)
     halvings = 0
     while active.size and halvings < 60:
@@ -492,18 +497,21 @@ def _bisect(above, lo, hi, width, levels=1):
             a, b = (np.stack(u, axis=2).reshape(len(active), -1) for u in ((a, m), (m, b)))
         mid = np.concatenate(mids, axis=1)
         probe = np.nonzero(np.concatenate(wide, axis=1))
-        up = np.zeros(mid.shape, dtype=bool)
-        up[probe] = np.asarray(above(mid[probe], active[probe[0]]), dtype=bool)
+        labels = np.empty(mid.shape, dtype=object)
+        labels[probe] = label(mid[probe], active[probe[0]])
         node, at = np.zeros(len(active), dtype=int), np.arange(len(active))
+        # the nodes on a bracket's path are as wide as it, so all were probed
         for level in range(depth):
             col = 2 ** level - 1 + node[at]
-            u, m = up[at, col], mid[at, col]
+            m, got = mid[at, col], labels[at, col]
+            u = got != lower[active[at]]
             hi[active[at[u]]], lo[active[at[~u]]] = m[u], m[~u]
+            beyond[active[at[u]]] = got[u]
             node[at] = 2 * node[at] + ~u
             at = at[hi[active[at]] - lo[active[at]] >= width]
         active = active[at]
         halvings += depth
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), beyond
 
 
 # scan points as fractions of a window: cosine spacing plus geometric

@@ -323,8 +323,8 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     takes the end's coarse label), and the root is g_star only where the
     two labels are the cell's lower and upper ones.  Every other cell,
     and every cell whose end indicators are not finite and of opposite
-    sign, is bisected on a change of label from its lower end, all in one
-    lockstep bisection of one stacked minimisation per halving;
+    sign, is bisected where its label leaves its lower end's, all in one
+    lockstep ``_bisect`` of one stacked minimisation per halving;
     ``Transition.path`` says which.  Order labels are confirmed from
     derivative jumps against a noise floor estimated from two step sizes;
     ambiguous jumps are flagged inconclusive, not guessed.  The coarse scan
@@ -381,9 +381,8 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     confirmed[rows] = (seen[:len(rows)] == lower[rows]) & (seen[len(rows):] == upper[rows])
 
     fall = np.flatnonzero(~confirmed)
-    first = lower[fall]
-    roots[fall] = _bisect(lambda mid, i: [r.label != a for r, a in zip(minima(mid), first[i])],
-                          lo[fall], hi[fall], _BISECT_WIDTH)
+    roots[fall] = _bisect(lambda mid, _: [r.label for r in minima(mid)], lo[fall], hi[fall],
+                          lower[fall], upper[fall], _BISECT_WIDTH)[0]
     g_stars = roots.tolist()
 
     # g_star - 6h stays above g_star / 2 > 0

@@ -143,11 +143,9 @@ def excitation_spectrum(x, params: ModelParams) -> SpectrumResult:
     """Excitation energies about the stationary background x (3,): the
     one-row case of :func:`spectra`, raising the row's error."""
     M, errors = _assemble(np.asarray(x, dtype=float)[None], Points.of(params))
-    if errors[0] is not None:
-        raise errors[0]
+    _raise_first(errors)
     energies, critical, errors = _williamson(M)
-    if errors[0] is not None:
-        raise errors[0]
+    _raise_first(errors)
     return SpectrumResult(energies=energies[0], soft_mode_gap=float(energies[0, 0]),
                           critical=bool(critical[0]))
 

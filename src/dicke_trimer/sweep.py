@@ -7,11 +7,12 @@ columns (a grid's with ``np.meshgrid``) and run them through one batched
 pass: ``solve_ground_states`` over all points, then one stacked ``spectra``
 call about the representatives; a point that fails records its error
 string.  The pass returns columns, and dicts are built only for the output
-records and cells.  Grid boundaries are bisected for all brackets in
-lockstep, three halvings per batched label call, with the probes' columns
-built from arrays as well.  Floats
-are serialized with 17 significant digits so that write-then-read
-round-trips are bit exact.
+records and cells.  Grid boundaries are bisected on the label for all
+brackets in lockstep, three halvings per batched label call, with the
+probes' columns built from arrays as well; each point is filed under the
+label at its bracket's lower end and the one that the bisection returns
+for its final upper end.  Floats are serialized with 17 significant digits
+so that write-then-read round-trips are bit exact.
 """
 
 from __future__ import annotations
@@ -152,33 +153,6 @@ def _grid_rows(args):
 _REFINE_TOL = 1e-6
 
 
-def _refine_boundaries(axis_x, axis_y, fixed, lo, hi, y, label, upper):
-    """Bisect label changes along x, every bracket [lo, hi] at y with the
-    label at lo and upper at hi (arrays, one entry per bracket) in lockstep:
-    one batched solve ("" where it fails) labels the midpoints of the next
-    three halvings of all unfinished brackets: a label call costs far more
-    than the rows it adds, and deeper trees were slower on the criterion-11
-    grid.  Returns the points and the label at each final upper end, which
-    keys the change found where a phase narrower than the bracket lies in
-    it: the lowest probe above the point that differs from label, or upper."""
-    probes = []
-
-    def changed(mid, rows):
-        labels = solve_ground_states(_points(axis_x, axis_y, fixed, mid, y[rows])).label
-        probes.append((rows, mid, labels))
-        return labels != label[rows]
-
-    x = _bisect(changed, lo, hi, _REFINE_TOL, levels=3)
-    beyond = np.array(upper, dtype=object)
-    if probes:
-        rows, mid, labels = (np.concatenate(u) for u in zip(*probes))
-        up = np.flatnonzero((labels != label[rows]) & (mid > x[rows]))
-        up = up[np.lexsort((mid[up], rows[up]))]
-        up = up[np.unique(rows[up], return_index=True)[1]]
-        beyond[rows[up]] = labels[up]
-    return x, beyond
-
-
 def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
                         workers: int = 1) -> PhaseDiagramGrid:
     """Fill a 2-D grid of ground states and extract refined phase boundaries.
@@ -219,8 +193,15 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
     a, b = phase[:, :-1], phase[:, 1:]
     iy, ix = np.nonzero((a != "") & (b != "") & (a != b))
     lower = a[iy, ix]
-    refined, beyond = _refine_boundaries(axis_x, axis_y, fixed, xs[ix], xs[ix + 1], ys[iy],
-                                         lower, b[iy, ix])
+
+    def label(mid, rows):
+        return solve_ground_states(_points(axis_x, axis_y, fixed, mid, ys[iy[rows]])).label
+
+    # three halvings per batched label call ("" where a solve fails): a call
+    # costs far more than the rows it adds, and deeper trees were slower on
+    # the criterion-11 grid
+    refined, beyond = _bisect(label, xs[ix], xs[ix + 1], lower, b[iy, ix], _REFINE_TOL,
+                              levels=3)
     boundaries = {}
     for p, q, xb, yb in zip(lower, beyond, refined.tolist(), ys[iy].tolist()):
         if q:  # a probe that failed ("") meets no phase

@@ -89,7 +89,8 @@ def criterion_1_critical_points():
         return ~(energies[:, 0] > 1e-9)
 
     # the gap is positive below g_c and zero at it: bracket on gap <= 1e-9
-    g_bisect = _bisect(gapless, np.full(len(g_c), 1e-3), g_c, 1e-9)
+    g_bisect = _bisect(gapless, np.full(len(g_c), 1e-3), g_c, np.full(len(g_c), False),
+                       np.full(len(g_c), True), 1e-9)[0]
     worst = float(np.max(np.abs(g_bisect - g_c)))
     passed = worst < 1e-6
     return CheckResult("critical-point formulas (gap bisection vs closed form)",

@@ -261,34 +261,22 @@ def test_exponent_fit_equals_per_point_spectra(J1, J2, side):
     assert fit_critical_exponent(params, side) == fit_power_law(dgs, np.array(gaps))
 
 
-def test_lockstep_boundaries_equal_sequential_bisection(monkeypatch):
-    axis_g, axis_j2 = Axis("g", 0.9, 1.1, 11), Axis("J2", -0.2, -0.02, 16)
-    fixed = {"J1": 0.1}
-    calls = []
-
-    def spy(points):
-        calls.append(len(points))
-        return solve_ground_states(points)
-
-    monkeypatch.setattr(sweep, "solve_ground_states", spy)
-    grid = sweep_phase_diagram(axis_g, axis_j2, fixed=fixed)
-    monkeypatch.undo()
-    # the cells, then 15 halvings of every bracket, three per label call
-    assert len(calls) == 1 + 5
-
+def _sequential_boundaries(grid, J1):
+    """The boundaries of grid from one-point labels, one bracket at a time,
+    and the number of points keyed by a label that neither cell has."""
     def label(g, J2):
         try:
-            return solve_ground_state(ModelParams(g=g, J1=0.1, J2=J2)).label
+            return solve_ground_state(ModelParams(g=g, J1=J1, J2=J2)).label
         except (ConvergenceError, ValueError):
             return ""
 
-    want = {}
-    gs = axis_g.values()
-    for row, J2 in zip(grid.cells, axis_j2.values()):
+    want, slivers = {}, 0
+    gs = grid.axis_x.values()
+    for row, J2 in zip(grid.cells, grid.axis_y.values()):
         for ix in range(len(gs) - 1):
             a, b = row[ix]["phase"], row[ix + 1]["phase"]
             if a and b and a != b:
-                lo, hi = float(gs[ix]), float(gs[ix + 1])
+                lo, hi, upper = float(gs[ix]), float(gs[ix + 1]), b
                 # the point is keyed by the label at the final upper end
                 while hi - lo >= 1e-6:
                     mid = 0.5 * (lo + hi)
@@ -297,8 +285,34 @@ def test_lockstep_boundaries_equal_sequential_bisection(monkeypatch):
                 if b:
                     key = TRANSITIONS[frozenset((a, b))][0]
                     want.setdefault(key, []).append((0.5 * (lo + hi), float(J2)))
-    assert grid.boundaries == want
-    assert set(want) == {"g_c_minus", "g_c_plus", "g_L"}
+                    slivers += b != upper
+    return want, slivers
+
+
+def test_lockstep_boundaries_equal_sequential_bisection(monkeypatch):
+    # a coarse grid, and the criterion-11 grid at J1 = 0.094; on each, one
+    # row crosses a phase narrower than a cell, whose label neither of the
+    # row's cells has
+    grids = [(Axis("g", 0.9, 1.1, 11), Axis("J2", -0.2, -0.02, 16), 0.1),
+             (Axis("g", 0.9, 1.1, 41), Axis("J2", -0.2, -0.02, 31), 0.094)]
+    for axis_g, axis_j2, J1 in grids:
+        calls = []
+
+        def spy(points):
+            calls.append(len(points))
+            return solve_ground_states(points)
+
+        monkeypatch.setattr(sweep, "solve_ground_states", spy)
+        grid = sweep_phase_diagram(axis_g, axis_j2, fixed={"J1": J1})
+        monkeypatch.undo()
+        # the cells, then 15 (13 on the finer grid) halvings of every
+        # bracket, three per label call
+        assert len(calls) == 1 + 5
+
+        want, slivers = _sequential_boundaries(grid, J1)
+        assert grid.boundaries == want
+        assert set(want) == {"g_c_minus", "g_c_plus", "g_L"}
+        assert slivers == 1
 
 
 def test_j1_j2_grid_keeps_region_column():

@@ -12,6 +12,10 @@ its ``float.hex``:
 
 * ``grid-triple`` seeds 0-3: every cell column, the boundary points, the
   ``analytic_deviation`` and the triple point;
+* ``triple-j1``: the same criterion-11 grid (seed 0's g columns) at the 21
+  values ``J1 = 0.090 + 0.001 k``, ``k = 0 ... 20``: the boundary points,
+  the ``analytic_deviation`` and the ``g_c_minus``/``g_L`` crossing, where
+  the rows ``J1 = 0.094`` and ``0.101`` hold a phase narrower than a cell;
 * the transitions of ``oracle-line`` seeds 0-7;
 * ``transition-lines``: the ``detect_transitions`` output (``g_star``,
   ``order``, ``jump``, ``noise_floor`` and, where the checkout has it,
@@ -78,6 +82,7 @@ import sys
 from pathlib import Path
 
 GRID_SEEDS = range(4)
+TRIPLE_J1 = [round(0.090 + 0.001 * k, 3) for k in range(21)]
 LINE_SEEDS = range(4)
 ORACLE_SEEDS = range(8)
 TRANSITION_SEED = 5151
@@ -133,6 +138,14 @@ def _table(prefix, rows, fields):
     fields.update({f"{prefix}/{k}": _column(row.get(k) for row in rows) for k in keys})
 
 
+def _boundary_fields(prefix, grid, crossing, fields):
+    for key, points in sorted(grid.boundaries.items()):
+        _table(f"{prefix}/boundaries/{key}", [{"x": x, "y": y} for x, y in points], fields)
+    for key, dev in sorted(grid.analytic_deviation.items()):
+        fields[f"{prefix}/analytic_deviation/{key}"] = _column([dev])
+    fields[f"{prefix}/triple_point"] = _column(["None"] if crossing is None else crossing)
+
+
 def _grid_fields(fields):
     from workloads import WORKLOADS
 
@@ -141,13 +154,16 @@ def _grid_fields(fields):
         grid, crossing = work.run(work.config(seed))
         prefix = f"grid-triple/{seed}"
         _table(f"{prefix}/cells", [cell for row in grid.cells for cell in row], fields)
-        for key, points in sorted(grid.boundaries.items()):
-            _table(f"{prefix}/boundaries/{key}",
-                   [{"x": x, "y": y} for x, y in points], fields)
-        for key, dev in sorted(grid.analytic_deviation.items()):
-            fields[f"{prefix}/analytic_deviation/{key}"] = _column([dev])
-        fields[f"{prefix}/triple_point"] = _column(
-            ["None"] if crossing is None else crossing)
+        _boundary_fields(prefix, grid, crossing, fields)
+
+
+def _triple_j1_fields(fields):
+    from workloads import WORKLOADS
+
+    work = WORKLOADS["grid-triple"]
+    for J1 in TRIPLE_J1:
+        grid, crossing = work.run(work.config(0) | {"J1": J1})
+        _boundary_fields(f"triple-j1/{J1}", grid, crossing, fields)
 
 
 def _oracle_fields(fields):
@@ -351,8 +367,8 @@ def _verify_fields(fields):
 def dump(tree, path):
     _import_tree(tree)
     fields = {}
-    for part in (_grid_fields, _oracle_fields, _transition_line_fields, _line_fields,
-                 _bulk_fields, _fsp_fields, _onset_fields, _gl_fields, _root_fields,
+    for part in (_grid_fields, _triple_j1_fields, _oracle_fields, _transition_line_fields,
+                 _line_fields, _bulk_fields, _fsp_fields, _onset_fields, _gl_fields, _root_fields,
                  _atom_only_fields, _tiny_g_fields, _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
