@@ -357,7 +357,11 @@ def nsp_alpha(params):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         denom = g * g - 2.0 * (J2 + 2.0 * J1 * J2)
         s = 1.0 + 2.0 * J1
-        radicand = 1.0 / (s * s) - 1.0 / (denom * denom)
+        # 1/s^2 - 1/d^2 = (d - s)(d + s)/(s d)^2 with d - s = g^2 - s (1 + 2 J2),
+        # which does not cancel where s is tiny; as ratios to d, which do not
+        # overflow (d - s over d is 1 where d is inf)
+        ratio = np.where(np.isinf(denom), 1.0, (g * g - s * (1.0 + 2.0 * J2)) / denom)
+        radicand = ratio * (1.0 + s / denom) / (s * s)
         a = np.where((denom > 0.0) & (radicand > 0.0), 0.5 * g * np.sqrt(radicand), 0.0)
     return float(a[0]) if isinstance(params, ModelParams) else a
 

@@ -167,6 +167,25 @@ class TestUniformPhase:
         else:
             assert a == pytest.approx(0.5 * g / (1.0 + 2.0 * J1), rel=1e-15)
 
+    def test_alpha_on_the_tiny_g_draw_matches_50_digits(self):
+        # the tiny-g draw of tools/compare_outputs.py: 1 + 2 J1 down to 2e-10,
+        # where 1/s^2 and 1/d^2 cancel to all digits in the naive radicand
+        import mpmath
+
+        rng = np.random.default_rng(2029)
+        J1, J2 = (-0.5 + 10.0 ** rng.uniform(-10.0, -3.0, 200) for _ in range(2))
+        g_c = critical_couplings(Points(g=1.0, J1=J1, J2=J2)).g_c
+        g = g_c * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0, 200))
+        a = nsp_alpha(Points(g=g, J1=J1, J2=J2))
+        with mpmath.workdps(50):
+            ref = []
+            for row in zip(g, J1, J2):
+                gm, J1m, J2m = (mpmath.mpf(float(v)) for v in row)
+                s, d = 1 + 2 * J1m, gm * gm - 2 * J2m * (1 + 2 * J1m)
+                ref.append(float(gm / 2 * mpmath.sqrt(1 / s**2 - 1 / d**2)))
+        assert np.all(a > 0.0)
+        assert np.max(np.abs(a - ref) / np.array(ref)) <= 1e-6
+
     def test_two_minima_are_sign_partners(self):
         res = solve_ground_state(P5)
         a, b = res.all_minima
