@@ -7,12 +7,13 @@ Deliberately ansatz-free: nothing here assumes the uniform or frustrated
 patterns, so it can arbitrate the closed-form and root-scan solvers.  The
 energy, its derivatives and the descent (:func:`descend`, the batched
 modified Newton of :mod:`dicke_trimer.meanfield`) are pattern-free and
-shared with the solver; the oracle's own parts are the separable grid, the
-splitting of saddles and the clustering of minima.  The minimisation runs
-over a batch of parameter points (one Points record) at once: their grids
-share one set of scratch buffers, and the grid-local minima and saddle
-splits of all points go through each descent together; each point clusters
-its own minima.  :func:`brute_force_minimize` is its one-point case.
+shared with the solver; the oracle's own parts are the grid-local minima
+of the separable grid (found by an exact 1-D prefilter and a 27-neighbour
+check, without building the grid), the splitting of saddles and the
+clustering of minima.  The minimisation runs over a batch of parameter
+points (one Points record) at once: the grid-local minima and saddle splits
+of all points go through each descent together; each point clusters its own
+minima.  :func:`brute_force_minimize` is its one-point case.
 Transition detection tells phases apart by one test, the label of the
 minimum.  It minimises as one such stack its coarse scan, each step of the
 root find on its frustrated indicator (the lowest uniform-pattern minus the
@@ -52,68 +53,6 @@ class OracleConfig:
 
 #: the configuration of brute_force_minimize and of transition detection
 _CONFIG = OracleConfig()
-
-
-class _Scratch:
-    """The buffers of the grid scan for one grid shape: made once per stacked
-    call and reused for every point, so no point allocates a grid."""
-
-    def __init__(self, shape):
-        padded = tuple(k + 2 for k in shape)
-        self.grid = np.empty(shape)
-        self.padded = np.zeros(padded)
-        self.swap = np.zeros(padded)
-        self.mask = np.empty(shape, dtype=bool)
-        # the second buffer of the energy grid, which _local_minima overwrites
-        self.pairs = self.swap.reshape(-1)[:self.grid.size].reshape(shape)
-
-
-# beyond g ~ 1e154 the grid overflows; NaN is never a grid-local minimum
-@np.errstate(over="ignore", invalid="ignore")
-def _energy_grid(params, n, scratch):
-    """Vectorised energy evaluation on an n^3 interior grid of (-g/2, g/2)^3,
-    into the buffers of scratch (of shape (n, n, n))."""
-    g, C, B = _coefficients(params)
-    ax = np.linspace(-0.5 * g, 0.5 * g, n + 2)[1:-1]
-    root = np.sqrt(1.0 - 4.0 * ax * ax / (g * g))
-    quad = C * ax * ax - 0.5 * root
-    # x_i x_j; x_k x_i equals x_i x_k, as float products commute
-    outer = np.multiply.outer(ax, ax)
-    # quad_1 + quad_2 + quad_3 + 2 B (x1 x2 + x2 x3 + x3 x1), summed in that
-    # order into two n^3 buffers
-    E, pairs = scratch.grid, scratch.pairs
-    np.add(np.add.outer(quad, quad)[:, :, None], quad, out=E)
-    np.add(outer[:, :, None], outer, out=pairs)
-    pairs += outer[:, None, :]
-    pairs *= 2.0 * B
-    E += pairs
-    return ax, E
-
-
-def _local_minima(E, scratch):
-    """Mask of the points of a grid no higher than any neighbour, edges
-    padded by repetition: E <= scipy.ndimage.minimum_filter(E, size=3,
-    mode="nearest").
-
-    E is copied into a buffer padded by one layer of its own edge values.
-    The minimum of three then runs along each axis in turn, as flat shifts
-    by that axis's stride over the whole buffer; a shift wraps only into
-    padding, and no interior point reads a value that a wrap produced.  The
-    mask lives in scratch (of E's shape).
-    """
-    src, dst = scratch.padded, scratch.swap
-    inner = (slice(1, -1),) * E.ndim
-    src[inner] = E
-    for axis in range(E.ndim):
-        face = np.moveaxis(src, axis, 0)
-        face[0], face[-1] = face[1], face[-2]
-    for stride in src.strides:
-        s = stride // src.itemsize
-        a, b = src.reshape(-1), dst.reshape(-1)
-        np.minimum(a[:-2 * s], a[s:-s], out=b[s:-s])
-        np.minimum(b[s:-s], a[2 * s:], out=b[s:-s])
-        src, dst = dst, src
-    return np.less_equal(E, src[inner], out=scratch.mask)
 
 
 #: a saddle is split into seeds this share of its distance to the edge away
@@ -177,14 +116,76 @@ def _split(saddles, params):
     return np.array(seeds).reshape(-1, 3)
 
 
-def _candidates(params, n, scratch):
+#: the prefilter's margin M per unit of 3 max|q| + 3 |2B| max x^2, twice the
+#: rounding it must cover, plus 6 |2B| times the least subnormal for products
+#: that underflow (docs/oracle_grid.md)
+_MARGIN = 16.0 * np.finfo(float).eps
+#: the offsets of a grid point's 27 neighbours, the point itself at row 13
+_CUBE = np.stack(np.unravel_index(np.arange(27), (3, 3, 3)), axis=-1) - 1
+#: survivors confirmed per block of (rows, 27) grid energies
+_BLOCK = 4096
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _candidates(params, n):
     """The grid-local minima of one point as a (k, 3) stack of seeds, in C
-    order, or the _MAX_CANDIDATES lowest of them in order of energy."""
-    ax, E = _energy_grid(params, n, scratch)
-    flat = np.flatnonzero(_local_minima(E, scratch))
-    if len(flat) > _MAX_CANDIDATES:
-        flat = flat[np.argsort(E.reshape(-1)[flat])[:_MAX_CANDIDATES]]
-    return ax[np.stack(np.unravel_index(flat, E.shape), axis=-1)]
+    order, or the _MAX_CANDIDATES lowest of them in order of energy.
+
+    The grid is n^3 interior points of (-g/2, g/2)^3, E[i, j, k] = ((q_i +
+    q_j) + q_k) + (((o_ij + o_jk) + o_ik) * 2B) with q = C x^2 - root/2 and
+    o_ij = x_i x_j; a minimum is no higher than its 26 neighbours, edges
+    clamped, none NaN.  No n^3 grid is built.  Along axis k, E differs from
+    phi(k) = q_k + 2B s x_k, s = x_i + x_j, only by rounding, so a minimum
+    passes phi(k) <= phi(k -+ 1) + M for some s among the float sums of
+    i + j = t: the table T[t, k], whose every undefined test passes
+    (docs/oracle_grid.md).  The (i, j, k) with T[i + j, k], T[j + k, i] and
+    T[i + k, j] are then confirmed by the grid's own float expression.
+    """
+    g, C, B = _coefficients(params)
+    x = np.linspace(-0.5 * g, 0.5 * g, n + 2)[1:-1]
+    root = np.sqrt(1.0 - 4.0 * x * x / (g * g))
+    q = C * x * x - 0.5 * root
+    c = 2.0 * B
+
+    def grid(ix):  # E at the (..., 3) indices ix, on the reversed axes of ix
+        (qi, qj, qk), (xi, xj, xk) = q[ix].T, x[ix].T
+        return ((qi + qj) + qk) + (((xi * xj + xj * xk) + xi * xk) * c)
+
+    # the float pair sums by t = i + j: row i holds x_i + x at columns i to i + n - 1
+    skew = np.full((n, 2 * n), np.nan)
+    skew[:, :n] = np.add.outer(x, x)
+    skew = skew.reshape(-1)[:n * (2 * n - 1)].reshape(n, 2 * n - 1)
+    s_lo, s_hi = np.fmin.reduce(skew, axis=0)[:, None], np.fmax.reduce(skew, axis=0)[:, None]
+    M = (_MARGIN * (3.0 * np.fmax.reduce(np.abs(q)) + 3.0 * abs(c) * np.max(x * x))
+         + 6.0 * abs(c) * np.finfo(float).smallest_subnormal)
+    # phi(k + 1) - phi(k) = f(s) = dq + b s is linear in s: k + 1 passes
+    # where f <= M at some s of t, k where -f <= M
+    dq, b = np.diff(q), c * np.diff(x)
+    f_lo, f_hi = s_lo * b + dq, s_hi * b + dq
+    T = np.ones((2 * n - 1, n), dtype=bool)
+    T[:, 1:] = ~(np.minimum(f_lo, f_hi) > M)
+    T[:, :-1] &= ~(np.maximum(f_lo, f_hi) < -M)
+    # a NaN q_k makes plane k NaN, and no minimum is or neighbours a NaN
+    T[:, np.convolve(np.isnan(q), np.ones(3), "same") > 0] = False
+    # T[:, k] lies in t = lo[k] ... hi[k]; enumerate j over both spans per (i, k)
+    has = T.any(axis=0)
+    lo = np.where(has, np.argmax(T, axis=0), 2 * n)
+    hi = np.where(has, 2 * n - 2 - np.argmax(T[::-1], axis=0), -1)
+    i, k = np.divmod(np.arange(n * n), n)
+    j = np.maximum(np.maximum(lo[k] - i, lo[i] - k), 0)
+    count = np.maximum(np.minimum(np.minimum(hi[k] - i, hi[i] - k), n - 1) - j + 1, 0)
+    i, j, k = (np.repeat(v, count) for v in (i, j, k))
+    j += np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count)
+    ix = np.stack([i, j, k], axis=-1)[T[i + k, j]]
+    ix = ix[np.argsort((ix[:, 0] * n + ix[:, 1]) * n + ix[:, 2])]
+    keep = np.zeros(len(ix), dtype=bool)
+    for a in range(0, len(ix), _BLOCK):
+        E = grid(np.clip(ix[a:a + _BLOCK, None] + _CUBE, 0, n - 1))
+        keep[a:a + _BLOCK] = (E[13] <= E).all(axis=0)
+    ix = ix[keep]
+    if len(ix) > _MAX_CANDIDATES:
+        ix = ix[np.argsort(grid(ix))[:_MAX_CANDIDATES]]
+    return x[ix]
 
 
 def _ranked(minima, params):
@@ -199,7 +200,6 @@ def _minima(points):
     """The clustered local minima of each row of Points (or of a sequence of
     ModelParams), as a list of (k, 3) stacks, in the order found.
 
-    The grids of all points are scanned through one set of scratch buffers.
     Every candidate of every point is descended in one :func:`descend`;
     each point then clusters and splits its own saddles, and the seeds of
     all points are descended together, up to three rounds.  Each point
@@ -211,8 +211,7 @@ def _minima(points):
     points = Points.of(points)
     each = list(points)
     n, radius = _CONFIG.grid_points_per_axis, _CONFIG.cluster_radius
-    scratch = _Scratch((n, n, n))
-    seeds = [_candidates(p, n, scratch) for p in each]
+    seeds = [_candidates(p, n) for p in each]
     found = [[] for _ in each]
     # a split can end at a saddle of lower index, so split up to once per axis
     for depth in range(4):

@@ -404,28 +404,104 @@ class TestDetectTransitions:
         assert detect_transitions(0.1, 0.1, (0.3, 0.6), n_coarse=np.int64(3)) == []
 
 
-class TestLocalMinima:
-    def test_matches_minimum_filter_on_oracle_grids(self):
-        from scipy.ndimage import minimum_filter
+def _full_grid_candidates(params, n):
+    """The seeds of oracle._candidates from the whole n^3 grid: the same
+    float expression, its grid-local minima by scipy's minimum filter (none
+    next to a NaN), in C order, or the _MAX_CANDIDATES lowest by energy."""
+    from scipy.ndimage import maximum_filter, minimum_filter
 
+    from dicke_trimer.meanfield import _coefficients
+
+    g, C, B = _coefficients(params)
+    x = np.linspace(-0.5 * g, 0.5 * g, n + 2)[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = C * x * x - 0.5 * np.sqrt(1.0 - 4.0 * x * x / (g * g))
+        o = np.multiply.outer(x, x)
+        E = (((q[:, None, None] + q[None, :, None]) + q)
+             + (((o[:, :, None] + o[None, :, :]) + o[:, None, :]) * (2.0 * B)))
+    nan_near = maximum_filter(np.isnan(E).astype(np.int8), size=3, mode="nearest") > 0
+    flat = np.flatnonzero((E <= minimum_filter(E, size=3, mode="nearest")) & ~nan_near)
+    if len(flat) > oracle._MAX_CANDIDATES:
+        flat = flat[np.argsort(E.reshape(-1)[flat])[:oracle._MAX_CANDIDATES]]
+    return x[np.stack(np.unravel_index(flat, E.shape), axis=-1)], E
+
+
+def _assert_same_seeds(params, n):
+    """oracle._candidates equals the full-grid reference bitwise; returns the
+    reference grid."""
+    expected, E = _full_grid_candidates(params, n)
+    found = oracle._candidates(params, n)
+    assert found.shape == expected.shape
+    assert np.array_equal(found.view(np.int64), expected.view(np.int64))
+    return E
+
+
+class TestGridMinima:
+    def test_matches_the_full_grid_on_random_draws(self):
         rng = np.random.default_rng(300)
-        for _ in range(60):
+        for n in [3, 4, 41] + rng.integers(3, 42, 37).tolist():
+            J1, J2 = rng.uniform(-0.4999999, 0.4999999, 2)
+            _assert_same_seeds(ModelParams(g=10.0 ** rng.uniform(-3.0, 4.0), J1=J1, J2=J2), n)
+
+    @pytest.mark.parametrize("name", ["g_c", "g_c_plus", "g_c_minus", "g_L"])
+    def test_matches_the_full_grid_near_transitions(self, name):
+        base = ModelParams(g=1.0, J1=0.3, J2=-0.3)
+        g_x = first_order_point(base) if name == "g_L" else getattr(critical_couplings(base), name)
+        for offset in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
+            for sign in (-1.0, 1.0):
+                _assert_same_seeds(base.replace(g=g_x * (1.0 + sign * offset)), 41)
+
+    def test_matches_the_full_grid_with_exact_ties(self):
+        # B = 0 makes E a sum of three q, equal at the permutations of a site;
+        # the frustrated orbits tie where x_i x_j and q_i + q_j commute.  On
+        # the last three grids half of the six tied minima fail a prefilter
+        # without margin
+        ties = 0
+        for params, n in [(ModelParams(g=g, J1=0.0, J2=0.0), n)
+                          for g in (0.5, 1.0, 2.0) for n in (3, 4, 6, 41)] + [
+                          (ModelParams(g=1.3, J1=0.2, J2=0.1), 41),
+                          (ModelParams(g=0.7328, J1=0.4849, J2=0.1003), 41),
+                          (ModelParams(g=0.5300373562675477, J1=-0.09585222890882705,
+                                       J2=0.30354644114054186), 4),
+                          (ModelParams(g=0.8579521137773374, J1=-0.07794451338281422,
+                                       J2=0.32150297218341006), 4),
+                          (ModelParams(g=0.18983277944467544, J1=-0.4506069684871351,
+                                       J2=0.1472927259435557), 22)]:
+            E = _assert_same_seeds(params, n)
+            seeds, _ = _full_grid_candidates(params, n)
+            x = np.linspace(-0.5 * params.g, 0.5 * params.g, n + 2)[1:-1]
+            values = [E[tuple(np.searchsorted(x, s))] for s in seeds]
+            ties += len(values) - len(set(values))
+        assert ties > 0
+
+    @pytest.mark.parametrize("g", [1e153, 1e154, 1.3e154, 1.5e154, 2e154, 1e155, 1e200, 1e308])
+    def test_matches_the_full_grid_where_the_energy_overflows(self, g):
+        for J1, J2 in ((0.1, -0.1), (0.1, 0.1), (0.0, 0.0)):
+            _assert_same_seeds(ModelParams(g=g, J1=J1, J2=J2), 41)
+
+    @pytest.mark.parametrize("cap", [14, 3])
+    def test_capped_seeds_match_the_full_grid(self, monkeypatch, cap):
+        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", cap)
+        # 28 grid-local minima at the first point
+        _assert_same_seeds(ModelParams(g=0.7328, J1=0.4849, J2=0.1003), 41)
+        rng = np.random.default_rng(302)
+        for _ in range(10):
             J1, J2 = rng.uniform(-0.45, 0.45, 2)
-            params = ModelParams(g=rng.uniform(0.3, 3.0), J1=J1, J2=J2)
-            n = int(rng.integers(3, 42))
-            _, E = oracle._energy_grid(params, n, oracle._Scratch((n, n, n)))
-            assert np.array_equal(oracle._local_minima(E, oracle._Scratch(E.shape)),
-                                  E <= minimum_filter(E, size=3, mode="nearest"))
+            _assert_same_seeds(ModelParams(g=rng.uniform(0.3, 3.0), J1=J1, J2=J2), 41)
 
-    def test_matches_minimum_filter_with_ties_and_edges(self):
-        from scipy.ndimage import minimum_filter
+    def test_builds_no_grid(self):
+        import tracemalloc
 
-        rng = np.random.default_rng(301)
-        for _ in range(60):
-            # coarse values make plateaus and ties, odd shapes test each axis
-            E = np.round(rng.normal(size=tuple(rng.integers(1, 7, 3))), 1)
-            assert np.array_equal(oracle._local_minima(E, oracle._Scratch(E.shape)),
-                                  E <= minimum_filter(E, size=3, mode="nearest"))
+        params = ModelParams(g=1.1, J1=0.1, J2=-0.1)
+        oracle._candidates(params, 41)
+        tracemalloc.start()
+        try:
+            oracle._candidates(params, 41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 grid of 41^3 points is 551 kB
+        assert peak < 41**3 * 8 // 2
 
 
 def test_import_leaves_scipy_ndimage_and_optimize_unloaded():

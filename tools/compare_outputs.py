@@ -56,6 +56,13 @@ its ``float.hex``:
   ``solve_atom_only`` at the 16 points of criterion 12 and on the ``J1 = 0``
   draw of 1,000 points of seed 12, per point ``J2`` uniform on (-0.5, 0.5),
   then g uniform on (0.05, 30);
+* ``minima``: ``oracle._minima`` in stacks of 25 on 800 points of seed
+  2030, per point ``J1, J2`` uniform on (-0.49, 0.49), then on even points
+  g uniform on (0.05, 5) and on odd ones ``g = g_X (1 +- 10^U)`` near a
+  transition, ``g_X`` drawn from the ``g_c``, ``g_c_plus``, ``g_c_minus``
+  and ``g_L`` that exist, the sign even odds and ``U`` uniform on (-15,
+  -1): per point the count of clustered local minima, every x of every
+  minimum in the order found, and per stack the error text or ``None``;
 * ``tiny-g``: 200 points of seed 2029 with ``g_c`` under about 1e-3, drawn
   as columns: 200 ``J1`` and then 200 ``J2``, each ``-0.5 + 10^U`` with
   ``U`` uniform on (-10, -3), then ``g = g_c (1 + 10^V)`` with ``V`` uniform
@@ -110,6 +117,8 @@ ROOT_G = (0.8, 1.2, 3.0)
 ROOT_K = (0.0, 1.0, -1.0, 1e3, -1e3, 1e5, -1e5, 1e6, -1e6, 1e7, -1e7)
 ATOM_SEED = 12
 ATOM_POINTS = 1000
+MINIMA_SEED = 2030
+MINIMA_POINTS = 800
 TINY_SEED = 2029
 TINY_POINTS = 200
 
@@ -333,6 +342,42 @@ def _atom_only_fields(fields):
         fields[f"atom-only/alpha{n}"] = _column(amps[:, n].tolist())
 
 
+def _minima_fields(fields):
+    import numpy as np
+
+    from dicke_trimer.meanfield import ConvergenceError
+    from dicke_trimer.model import ModelParams, critical_couplings, first_order_point
+    from dicke_trimer.oracle import _minima
+
+    rng = np.random.default_rng(MINIMA_SEED)
+    points = []
+    for k in range(MINIMA_POINTS):
+        J1, J2 = (float(v) for v in rng.uniform(-0.49, 0.49, 2))
+        if k % 2 == 0:
+            points.append(ModelParams(g=float(rng.uniform(0.05, 5.0)), J1=J1, J2=J2))
+            continue
+        p = ModelParams(g=1.0, J1=J1, J2=J2)
+        c = critical_couplings(p)
+        known = [c.g_c, c.g_c_plus, c.g_c_minus, first_order_point(p)]
+        g_x = rng.choice([v for v in known if v is not None and math.isfinite(v) and v > 0.0])
+        sign = float(rng.choice([-1.0, 1.0]))
+        points.append(p.replace(g=float(g_x * (1.0 + sign * 10.0 ** rng.uniform(-15.0, -1.0)))))
+    counts, rows, errors = [], [], []
+    for k in range(0, len(points), ONSET_STACK):
+        try:
+            found = _minima(points[k:k + ONSET_STACK])
+        except ConvergenceError as err:  # typed errors are outputs too
+            errors.append(f"{type(err).__name__}: {err}")
+            continue
+        errors.append("None")
+        counts += [len(X) for X in found]
+        rows += [x for X in found for x in X]
+    fields["minima/count"] = _column(counts)
+    for n in range(3):
+        fields[f"minima/x{n}"] = _column([float(x[n]) for x in rows])
+    fields["minima/error"] = _column(errors)
+
+
 def _tiny_g_fields(fields):
     import numpy as np
 
@@ -369,7 +414,7 @@ def dump(tree, path):
     fields = {}
     for part in (_grid_fields, _triple_j1_fields, _oracle_fields, _transition_line_fields,
                  _line_fields, _bulk_fields, _fsp_fields, _onset_fields, _gl_fields, _root_fields,
-                 _atom_only_fields, _tiny_g_fields, _verify_fields):
+                 _atom_only_fields, _minima_fields, _tiny_g_fields, _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
