@@ -421,8 +421,13 @@ _ROOT_STEPS = 100
 
 def _bracketed_roots(f, x1, x2, f1, f2, *args, ftol=0.0):
     """Roots of f inside the brackets [x1, x2], elementwise, f1 = f(x1) and
-    f2 = f(x2) of opposite sign.  f(x, *args) evaluates f elementwise, args
-    being arrays with one entry per bracket.
+    f2 = f(x2); f(x, *args) evaluates f elementwise, args being arrays with
+    one entry per bracket.  The package's one bracket rule: two ends
+    bracket a root where np.sign(f1) * np.sign(f2) <= 0.  An end whose
+    value is exactly zero is returned without evaluating f (x2 where both
+    are).  An end may be +-inf: the solve then bisects until both ends are
+    finite, because its interpolation test never passes on an infinite
+    value.
 
     Chandrupatla's method (AIChE J. 43, 2146 (1997)): inverse quadratic
     interpolation through the last three points where they admit it,
@@ -523,7 +528,6 @@ def _bisect(label, lo, hi, lower, upper, width, levels=1):
 # just above g_c_plus
 _SCAN_COS = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 66)[1:-1]))
 _SCAN_END = np.geomspace(1e-15, 1e-2, 27)
-_EDGE_OFFSETS = np.geomspace(1e-1, 1e-15, 15)
 #: windows per scan chunk, bounding the (windows, scan points) work arrays
 _SCAN_CHUNK = 64
 
@@ -544,36 +548,33 @@ def _turning(C, g):
 
 
 def _level(C, g, v, t):
-    """Where h = v on the pieces (-g/2, t] and [t, 0] of h, for 1-D arrays
+    """Where h = v on the pieces [-g/2, t] and [t, 0] of h, for 1-D arrays
     C, g, v and the turning points t of :func:`_turning` (the second piece
     is empty where t = 0): per piece, as (N, 2) arrays, the x where h = v
     or the piece end nearer to it, and whether h = v crosses the piece or
-    meets it at an end.  The first piece starts at the first of the points
-    -g/2 (1 - _EDGE_OFFSETS) where h <= min(v, 0), or at the last of them.
-    The crossings of all pieces are one bracketed root solve."""
-    n = len(g)
-    edges = -0.5 * g[:, None] * (1.0 - _EDGE_OFFSETS)
-    below = _h(edges, C[:, None], g[:, None]) <= np.minimum(v, 0.0)[:, None]
-    first = np.where(below.any(axis=1), below.argmax(axis=1), -1)
-    a = np.stack((edges[np.arange(n), first], t), axis=1)
-    b = np.stack((t, np.zeros(n)), axis=1)
+    meets it at an end.  h is -inf at -g/2 (NaN where g * g overflows), so
+    the first piece reaches the edge itself.  The crossings of all pieces
+    are one bracketed root solve."""
+    a = np.stack((-0.5 * g, t), axis=1)
+    b = np.stack((t, np.zeros(len(g))), axis=1)
     Cp, gp, vp = (np.repeat(u[:, None], 2, axis=1) for u in (C, g, v))
-    fa, fb = _h(a, Cp, gp) - vp, _h(b, Cp, gp) - vp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fa, fb = _h(a, Cp, gp) - vp, _h(b, Cp, gp) - vp
     x = np.where(np.abs(fa) < np.abs(fb), a, b)
-    sign = np.sign(fa) * np.sign(fb)
-    solve = sign < 0.0
-    if solve.any():
-        x[solve] = _bracketed_roots(lambda x, C, g, v: _h(x, C, g) - v,
-                                    a[solve], b[solve], fa[solve], fb[solve],
-                                    Cp[solve], gp[solve], vp[solve])
-    return x, sign <= 0.0
+    hit = np.sign(fa) * np.sign(fb) <= 0.0
+    if hit.any():
+        x[hit] = _bracketed_roots(lambda x, C, g, v: _h(x, C, g) - v,
+                                  a[hit], b[hit], fa[hit], fb[hit],
+                                  Cp[hit], gp[hit], vp[hit])
+    return x, hit
 
 
 def _scan(first, left, right, C, B, g):
     """G at the scan points of the windows (left, right), for 1-D arrays
-    with one entry per window, numbered from first.  Returns the window and
-    x1 of every exact zero, and the window, both ends and G at both ends of
-    every sign change between consecutive points."""
+    with one entry per window, numbered from first.  Returns the window,
+    both ends and G at both ends of every bracket between consecutive
+    points, in window and x1 order.  An exact zero of G at a scan point is
+    the zero end of the brackets on both sides of it."""
     w = (right - left)[:, None]
     left, right = left[:, None], right[:, None]
     x1 = np.sort(np.concatenate(
@@ -587,21 +588,21 @@ def _scan(first, left, right, C, B, g):
     win, x1 = win[inside], x1[inside]
     G = _G(x1, C[win], B[win], g[win])
     s = np.sign(G)
-    zero = s == 0.0
-    i = np.flatnonzero((win[:-1] == win[1:]) & (s[:-1] * s[1:] < 0.0))
-    return first + win[zero], x1[zero], first + win[i], x1[i], x1[i + 1], G[i], G[i + 1]
+    i = np.flatnonzero((win[:-1] == win[1:]) & (s[:-1] * s[1:] <= 0.0))
+    return first + win[i], x1[i], x1[i + 1], G[i], G[i + 1]
 
 
 def _fsp_roots(C, B, g, t, h0):
     """Every x1 on the frustrated windows where G(x1) is zero or changes
     sign, for 1-D arrays C, B, g and h's turning point t and zero h0 from
     :func:`_turning`: the row of each root and the root, ordered by row,
-    window, exact zeros before refined sign changes, and x1.  The scan runs
-    over _SCAN_CHUNK windows at a time, the refinement over all sign
-    changes at once.  A refinement stops at G's rounding floor, 8 eps times
-    the size of G's terms at the larger bracket end: just above g_c_plus G
-    is flat at its root, and a narrower bracket would take 15-20 more steps
-    inside that noise."""
+    window and x1; an exact zero of G at a scan point comes back twice, from
+    the brackets on its two sides, and :func:`_keep_lowest_minima` keeps
+    the first of equal ends.  The scan runs over _SCAN_CHUNK windows at a
+    time, the refinement over all brackets at once, each stopping at G's
+    rounding floor, 8 eps times the size of G's terms at the larger end:
+    just above g_c_plus G is flat at its root, and a narrower bracket
+    would take 15-20 more steps inside that noise."""
     # the windows, where x2 = -h(x1)/(2B) lies in (0, g/2): on each piece,
     # from the zero of h to h = -B g or to the piece end
     end, _ = _level(C, g, -B * g, t)
@@ -611,13 +612,10 @@ def _fsp_roots(C, B, g, t, h0):
     left, right, C, B, g = left[row, piece], right[row, piece], C[row], B[row], g[row]
     parts = [_scan(k, *(u[k:k + _SCAN_CHUNK] for u in (left, right, C, B, g)))
              for k in range(0, max(len(row), 1), _SCAN_CHUNK)]
-    zero_win, zero, win, a, b, fa, fb = (np.concatenate(u) for u in zip(*parts))
+    win, a, b, fa, fb = (np.concatenate(u) for u in zip(*parts))
     C, B, g = C[win], B[win], g[win]
     ftol = 8.0 * _EPS * np.maximum(_G(a, C, B, g, size=True), _G(b, C, B, g, size=True))
-    roots = _bracketed_roots(_G, a, b, fa, fb, C, B, g, ftol=ftol)
-    win, x1 = np.concatenate((zero_win, win)), np.concatenate((zero, roots))
-    order = np.lexsort((x1, np.repeat([0, 1], (len(zero), len(roots))), win))
-    return row[win[order]], x1[order]
+    return row[win], _bracketed_roots(_G, a, b, fa, fb, C, B, g, ftol=ftol)
 
 
 def _keep_lowest_minima(rows, X, coef, x, error):

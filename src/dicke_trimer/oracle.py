@@ -315,15 +315,16 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     x = 0 (:func:`_onset_curvature`, no grid needed), otherwise the energy
     of the lowest uniform-pattern minimum less that of the lowest
     frustrated one (:func:`_branch_gap`, whose every step is one stacked
-    minimisation over the open brackets).  The brackets of each kind run
-    in lockstep through ``meanfield._bracketed_roots`` (Chandrupatla).  The
+    minimisation over the open brackets).  The bracketed cells of each
+    kind run in lockstep through ``meanfield._bracketed_roots``
+    (Chandrupatla), by its rule: an end at exactly 0 is the root, one at
+    +-inf (a branch missing) counts, one at NaN brackets nothing.  The
     label then confirms every root: one stacked minimisation labels
     g* -+ _BISECT_WIDTH / 2, clipped to the cell (a probe on a cell end
     takes the end's coarse label), and the root is g_star only where the
-    two labels are the cell's lower and upper ones.  Every other cell,
-    and every cell whose end indicators are not finite and of opposite
-    sign, is bisected where its label leaves its lower end's, all in one
-    lockstep ``_bisect`` of one stacked minimisation per halving;
+    two labels are the cell's lower and upper ones.  Every other cell is
+    bisected where its label leaves its lower end's, all in one lockstep
+    ``_bisect`` of one stacked minimisation per halving;
     ``Transition.path`` says which.  Order labels are confirmed from
     derivative jumps against a noise floor estimated from two step sizes;
     ambiguous jumps are flagged inconclusive, not guessed.  The coarse scan
@@ -361,7 +362,7 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     f = np.where(np.tile(onset, 2), _onset_curvature(coarse[ends]),
                  _branch_gap(coarse[ends], [found[i] for i in ends]))
     f1, f2 = np.split(f, 2)
-    bracketed = np.isfinite(f1) & np.isfinite(f2) & (np.sign(f1) * np.sign(f2) < 0.0)
+    bracketed = np.sign(f1) * np.sign(f2) <= 0.0
     roots = np.full(len(cells), np.nan)
     for kind, indicator in ((onset, lambda gs: _onset_curvature(at(gs))), (~onset, gap)):
         rows = np.flatnonzero(kind & bracketed)

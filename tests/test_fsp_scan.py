@@ -229,3 +229,24 @@ def test_huge_g_records_a_typed_error_without_warnings(J2):
                for err in states.error), states.error
     with pytest.raises((meanfield.DomainError, ConvergenceError)):
         solve_ground_state(ModelParams(g=1e20, J1=0.1, J2=J2))
+
+
+def test_exact_zero_of_g_at_a_scan_point(monkeypatch):
+    # a row of the seed-2027 near-onset draw where G is exactly 0.0 at one
+    # scan point: that point is the zero end of the brackets on both of its
+    # sides, and the row keeps the x it had when the scan returned such
+    # zeros apart from its sign changes
+    p = ModelParams(g=0.8357249888776533, J1=-0.05699376496146247, J2=0.3392238628200269)
+    zero_ends = []
+    scan = meanfield._scan
+
+    def spy(*args):
+        out = scan(*args)
+        zero_ends.append(int(np.sum(out[3] == 0.0) + np.sum(out[4] == 0.0)))
+        return out
+
+    monkeypatch.setattr(meanfield, "_scan", spy)
+    (x,), (err,) = _fsp_minima([p])
+    assert sum(zero_ends) == 2 and err is None
+    assert [v.hex() for v in x] == ["-0x1.0b7c256bd4f4bp-25", "0x1.0b7c256bd4f57p-26",
+                                    "0x1.0b7c256bd4f57p-26"]

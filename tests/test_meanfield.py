@@ -403,6 +403,33 @@ class TestLockstepSolvers:
         assert np.all((roots >= self._CUBIC_LO) & (roots <= self._CUBIC_HI))
         assert np.all(steps < full_steps)
 
+    def test_bracketed_roots_return_a_zero_end_without_calling_f(self):
+        def f(x):
+            raise AssertionError(f"f called at {x}")
+
+        roots = _bracketed_roots(f, np.array([0.0, -1.0, 2.0]), np.array([1.0, 3.0, 5.0]),
+                                 np.array([0.0, -2.0, 0.0]), np.array([5.0, 0.0, 0.0]))
+        assert roots.tolist() == [0.0, 3.0, 5.0]
+
+    def test_bracketed_roots_from_an_infinite_end(self):
+        # log(0) = -inf: the solve bisects until both ends are finite
+        with np.errstate(divide="ignore"):
+            f1 = np.log(np.array([0.0]))
+        roots = _bracketed_roots(np.log, np.array([0.0]), np.array([3.0]), f1, np.log([3.0]))
+        assert abs(roots[0] - 1.0) <= 4.0 * np.finfo(float).eps
+
+    def test_bracketed_roots_of_a_step_between_infinite_ends(self):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return np.where(x < 0.3, -1.0, 1.0)
+
+        roots = _bracketed_roots(step, np.array([0.0]), np.array([1.0]),
+                                 np.array([-np.inf]), np.array([np.inf]))
+        assert abs(roots[0] - 0.3) <= 4.0 * np.finfo(float).eps * 0.3
+        assert len(calls) < meanfield._ROOT_STEPS
+
 
 class TestRootStructure:
     def test_monotonic_below_onset(self):
@@ -455,6 +482,47 @@ class TestRootStructure:
         # and falls to -inf
         low, high = (f(t) for t in rs.turning_points)
         assert len(rs.roots) == (3 if low < k < high else 1)
+
+    @pytest.mark.parametrize("k", [1e7, -1e7])
+    def test_root_next_to_the_edge(self, k):
+        # |f| at -+(g/2)(1 - 1e-15) is only 8.7e6 here: f - k changes sign
+        # closer to the pole at -+g/2, in 50-digit arithmetic
+        import mpmath
+
+        p = ModelParams(g=0.8, J1=0.1, J2=0.1)
+        rs = root_structure(p, k)
+        assert rs.monotonic and len(rs.roots) == 1
+        r = rs.roots[0]
+        assert 0.4 * (1.0 - 1e-15) < abs(r) < 0.4
+        a = (p.g * p.g + p.J2 - p.J1 * p.J2) / (1.0 - p.J1)
+        inside = np.nextafter(0.5 * p.g, 0.0)
+        ends = [max(r - 4.0 * math.ulp(r), -inside), min(r + 4.0 * math.ulp(r), inside)]
+        with mpmath.workdps(50):
+            g = mpmath.mpf(p.g)
+            fk = [a * x - x / mpmath.sqrt(1 - 4 * x * x / (g * g)) - k
+                  for x in map(mpmath.mpf, ends)]
+            assert mpmath.sign(fk[0]) * mpmath.sign(fk[1]) <= 0
+
+    def test_roots_next_to_the_poles_at_huge_g(self):
+        # the zeros -+x* of f lie within 5 ulps of the poles at -+g/2
+        g = 1e10
+        rs = root_structure(ModelParams(g=g, J1=0.1, J2=0.1), 1.0)
+        assert not rs.monotonic and len(rs.roots) == 3
+        eps = np.finfo(float).eps
+        assert abs(rs.roots[0] + 0.5 * g) <= 4.0 * eps * 0.5 * g
+        assert abs(rs.roots[2] - 0.5 * g) <= 4.0 * eps * 0.5 * g
+        assert abs(rs.roots[1]) < 1.0
+
+    @pytest.mark.parametrize("g", [1e-3, 0.8, 1e10, 1e154])
+    def test_no_warning_at_extreme_g(self, g):
+        import warnings
+
+        p = ModelParams(g=g, J1=0.1, J2=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0.0, 1.0, -1.0, 1e7, -1e7):
+                root_structure(p, k)
+            _fsp_minima([p])
 
 
 class TestAtomOnly:

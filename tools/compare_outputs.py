@@ -22,7 +22,11 @@ its ``float.hex``:
   ``path``) of each transition, with the index of its line, and per line the
   error text or ``None``, on the five lines of ``TestDetectTransitions``
   that hold a transition, the tiny-onset line ``J1 = J2 = -0.4999`` on
-  (1e-5, 0.01), and 120 lines of seed 5151: per line ``J1, J2`` uniform on
+  (1e-5, 0.01), the first line of the seed-27 draw of
+  ``test_seeded_lines_match_a_sequential_label_bisection`` (regenerated
+  from that seed), whose coarse cell holds both ``g_c_minus`` and ``g_L``
+  and which reports only the first, and 120 lines of seed 5151: per line
+  ``J1, J2`` uniform on
   (-0.495, 0.495), then around ``g_c`` a window of width ``10^U``, ``U``
   uniform on (-3, -1), on even lines and ``(U(0.6, 0.98) g_c, U(1.02, 1.8)
   g_c)`` on odd ones, then ``n_coarse`` drawn from {5, 15, 31, 61};
@@ -49,9 +53,11 @@ its ``float.hex``:
   uniform on (-15, -3), kept where ``g > g_c_plus``: the x and the error
   text of every row of ``meanfield._fsp_minima``, where a tiny ``B_tilde``
   leaves the scanned roots far from stationary;
-* ``root_structure`` at ``J1 = J2 = 0.1`` for g in {0.8, 1.2, 3.0} and k in
-  {0, +-1, +-1e3, +-1e5, +-1e6, +-1e7}: the monotonic flags, root counts,
-  roots and turning points;
+* ``root_structure`` at ``J1 = J2 = 0.1`` for g in {0.8, 1.2, 3.0, 1e10,
+  1e154} and k in {0, +-1, +-1e3, +-1e5, +-1e6, +-1e7}: the monotonic
+  flags, root counts, roots and turning points, where the roots at g = 0.8,
+  k = +-1e7 and the outer ones at g = 1e10 lie within a few ulps of the
+  poles of f at +-g/2;
 * ``atom-only``: the label, degeneracy, energy and sorted ``|alpha|`` of
   ``solve_atom_only`` at the 16 points of criterion 12 and on the ``J1 = 0``
   draw of 1,000 points of seed 12, per point ``J2`` uniform on (-0.5, 0.5),
@@ -92,6 +98,8 @@ GRID_SEEDS = range(4)
 TRIPLE_J1 = [round(0.090 + 0.001 * k, 3) for k in range(21)]
 LINE_SEEDS = range(4)
 ORACLE_SEEDS = range(8)
+#: the draw of test_seeded_lines_match_a_sequential_label_bisection
+SEEDED_LINE_SEED = 27
 TRANSITION_SEED = 5151
 TRANSITION_LINES = 120
 # (J1, J2, g_range, n_coarse): the TestDetectTransitions lines, then the
@@ -113,7 +121,7 @@ ONSET_POINTS = 1250
 ONSET_STACK = 25
 GL_SEED = 2028
 GL_POINTS = 8000
-ROOT_G = (0.8, 1.2, 3.0)
+ROOT_G = (0.8, 1.2, 3.0, 1e10, 1e154)
 ROOT_K = (0.0, 1.0, -1.0, 1e3, -1e3, 1e5, -1e5, 1e6, -1e6, 1e7, -1e7)
 ATOM_SEED = 12
 ATOM_POINTS = 1000
@@ -189,11 +197,19 @@ def _transition_line_fields(fields):
     import numpy as np
 
     from dicke_trimer.meanfield import ConvergenceError
-    from dicke_trimer.model import ModelParams, critical_couplings
+    from dicke_trimer.model import ModelParams, critical_couplings, first_order_point
     from dicke_trimer.oracle import detect_transitions
 
+    rng = np.random.default_rng(SEEDED_LINE_SEED)
+    J1, J2 = (float(v) for v in rng.uniform(-0.45, 0.45, 2))
+    params = ModelParams(g=1.0, J1=J1, J2=J2)
+    g_c, g_L = critical_couplings(params).g_c, first_order_point(params)
+    top = g_L if g_L is not None and g_L > g_c else g_c
+    g_range = (g_c * rng.uniform(0.7, 0.98), top * rng.uniform(1.02, 1.3))
+    lines = FIXED_LINES + [(J1, J2, tuple(float(g) for g in g_range),
+                            int(rng.choice([5, 9])))]
+
     rng = np.random.default_rng(TRANSITION_SEED)
-    lines = list(FIXED_LINES)
     for k in range(TRANSITION_LINES):
         J1, J2 = (float(v) for v in rng.uniform(-0.495, 0.495, 2))
         g_c = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
