@@ -311,26 +311,26 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     coarse cell whose two ends differ in label holds a transition, expected
     of the order that ``model.TRANSITIONS`` gives that pair of labels.  Each
     such cell is first solved for the root of a smooth indicator that
-    changes sign there: at an NP end the smallest Hessian eigenvalue at
-    x = 0 (:func:`_onset_curvature`, no grid needed), otherwise the energy
-    of the lowest uniform-pattern minimum less that of the lowest
-    frustrated one (:func:`_branch_gap`, whose every step is one stacked
-    minimisation over the open brackets).  The bracketed cells of each
-    kind run in lockstep through ``meanfield._bracketed_roots``
-    (Chandrupatla), by its rule: an end at exactly 0 is the root, one at
-    +-inf (a branch missing) counts, one at NaN brackets nothing.  The
-    label then confirms every root: one stacked minimisation labels
-    g* -+ _BISECT_WIDTH / 2, clipped to the cell (a probe on a cell end
-    takes the end's coarse label), and the root is g_star only where the
-    two labels are the cell's lower and upper ones.  Every other cell is
-    bisected where its label leaves its lower end's, all in one lockstep
-    ``_bisect`` of one stacked minimisation per halving;
-    ``Transition.path`` says which.  Order labels are confirmed from
-    derivative jumps against a noise floor estimated from two step sizes;
-    ambiguous jumps are flagged inconclusive, not guessed.  The coarse scan
-    and the stencils of all order tests are one stacked minimisation each,
-    so a line without a fallback makes at most three of them plus one per
-    step of its slowest frustrated root.
+    changes sign there: where one end is NP, the smallest Hessian eigenvalue
+    at x = 0 (:func:`_onset_curvature`, no grid needed), at least +0 at the
+    NP end, where the oracle took x = 0 for a minimum; otherwise the energy
+    of the lowest uniform-pattern minimum less that of the lowest frustrated
+    one (:func:`_branch_gap`, whose every step is one stacked minimisation
+    over the open brackets).  The bracketed cells of each kind run in
+    lockstep through ``meanfield._bracketed_roots`` (Chandrupatla), by its
+    rule: an end at exactly 0 is the root, one at +-inf (a branch missing)
+    counts, one at NaN brackets nothing.  The label then confirms every
+    root: one stacked minimisation labels g* -+ _BISECT_WIDTH / 2, clipped
+    to the cell (a probe on a cell end takes the end's coarse label), and
+    the root is g_star only where the two labels are the cell's lower and
+    upper ones.  Every other cell is bisected where its label leaves its
+    lower end's, all in one lockstep ``_bisect`` of one stacked minimisation
+    per halving; ``Transition.path`` says which.  Order labels are confirmed
+    from derivative jumps against a noise floor estimated from two step
+    sizes; ambiguous jumps are flagged inconclusive, not guessed.  The
+    coarse scan and the stencils of all order tests are one stacked
+    minimisation each, so a line without a fallback makes at most three of
+    them plus one per step of its slowest frustrated root.
     """
     g_min, g_max = (float(v) for v in g_range)
     if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
@@ -361,6 +361,7 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     ends = np.concatenate([cells, cells + 1])
     f = np.where(np.tile(onset, 2), _onset_curvature(coarse[ends]),
                  _branch_gap(coarse[ends], [found[i] for i in ends]))
+    f = np.where(labels[ends] == NP, np.maximum(f, 0.0), f)
     f1, f2 = np.split(f, 2)
     bracketed = np.sign(f1) * np.sign(f2) <= 0.0
     roots = np.full(len(cells), np.nan)

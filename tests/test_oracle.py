@@ -294,14 +294,32 @@ class TestDetectTransitions:
         seen = [p for points in calls for p in points]
         assert len(seen) == len(set(seen))
 
+    def test_onset_on_a_coarse_node_takes_the_root_path(self, monkeypatch):
+        # g_c = 0.9 is the lower end of the onset cell, labelled NP, where
+        # the curvature at x = 0 is -2.9e-16; it counts as +0 there, so the
+        # node is the zero end of its cell and the cell's root, which the
+        # labels confirm: the coarse scan, the two probes and the order test
+        g_c = critical_couplings(ModelParams(g=1.0, J1=0.1, J2=0.1)).g_c
+        calls, minima = [], oracle._minima
+
+        def recording(points):
+            calls.append(list(points))
+            return minima(calls[-1])
+
+        monkeypatch.setattr(oracle, "_minima", recording)
+        transitions = detect_transitions(0.1, 0.1, (0.7, 1.1), n_coarse=21)
+        assert [(t.order, t.path) for t in transitions] == [("second", "root")]
+        assert transitions[0].g_star == pytest.approx(g_c, rel=1e-15)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("J, g_range, g_star", [
-        (0.1, (0.7, 1.1), "0x1.ccccce147ae14p-1"),
         (0.0, (0.8, 1.2), "0x1.000000a3d70a4p+0"),
     ])
     def test_onset_on_a_coarse_node_falls_back_to_label_bisection(self, J, g_range, g_star):
-        # g_c (0.9, and 1 where B = 0) is the lower end of the onset cell,
-        # labelled NP, where the curvature at x = 0 is -2.9e-16 and exactly
-        # 0: the ends do not bracket a root, so the cell is bisected on its
+        # g_c = 1 is the lower end of the onset cell, labelled NP, where the
+        # curvature at x = 0 is exactly 0, so the node is the cell's root;
+        # but B = 0 at every g, and the probe just above it reads FSP where
+        # the cell's upper end reads NSP, so the cell is bisected on its
         # label, to the g_star of the label bisection alone
         transitions = detect_transitions(J, J, g_range, n_coarse=21)
         assert [(t.order, t.path) for t in transitions] == [("second", "bisection")]
