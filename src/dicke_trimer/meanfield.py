@@ -552,9 +552,8 @@ def _level(C, g, v, t):
     C, g, v and the turning points t of :func:`_turning` (the second piece
     is empty where t = 0): per piece, as (N, 2) arrays, the x where h = v
     or the piece end nearer to it, and whether h = v crosses the piece or
-    meets it at an end.  h is -inf at -g/2 (NaN where g * g overflows), so
-    the first piece reaches the edge itself.  The crossings of all pieces
-    are one bracketed root solve."""
+    meets it at an end.  h is -inf at the edge -g/2 (NaN where g * g
+    overflows).  The crossings of all pieces are one bracketed root solve."""
     a = np.stack((-0.5 * g, t), axis=1)
     b = np.stack((t, np.zeros(len(g))), axis=1)
     Cp, gp, vp = (np.repeat(u[:, None], 2, axis=1) for u in (C, g, v))

@@ -515,14 +515,12 @@ class TestRootStructure:
 
     @pytest.mark.parametrize("g", [1e-3, 0.8, 1e10, 1e154])
     def test_no_warning_at_extreme_g(self, g):
-        import warnings
-
+        # h is -inf at -g/2; the suite runs with warnings as errors, so a
+        # RuntimeWarning fails this test
         p = ModelParams(g=g, J1=0.1, J2=0.1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for k in (0.0, 1.0, -1.0, 1e7, -1e7):
-                root_structure(p, k)
-            _fsp_minima([p])
+        for k in (0.0, 1.0, -1.0, 1e7, -1e7):
+            root_structure(p, k)
+        _fsp_minima([p])
 
 
 class TestAtomOnly:
