@@ -422,53 +422,52 @@ _ROOT_STEPS = 100
 def _bracketed_roots(f, x1, x2, f1, f2, *args, ftol=0.0):
     """Roots of f inside the brackets [x1, x2], elementwise, f1 = f(x1) and
     f2 = f(x2); f(x, *args) evaluates f elementwise, args being arrays with
-    one entry per bracket.  The package's one bracket rule: two ends
-    bracket a root where np.sign(f1) * np.sign(f2) <= 0.  An end whose
-    value is exactly zero is returned without evaluating f (x2 where both
-    are).  An end may be +-inf: the solve then bisects until both ends are
-    finite, because its interpolation test never passes on an infinite
-    value.
+    one entry per bracket.  The package's one bracket rule: two ends bracket
+    a root where np.sign(f1) * np.sign(f2) <= 0.  An end whose value is
+    exactly zero is returned without evaluating f (x2 where both are).  An
+    end may be +-inf: the solve then bisects until both ends are finite,
+    because its interpolation test never passes on an infinite value.
 
     Chandrupatla's method (AIChE J. 43, 2146 (1997)): inverse quadratic
     interpolation through the last three points where they admit it,
     bisection otherwise, and never a step closer than half the tolerance to
-    a bracket end.  Each element stops on its own, at the end with the
-    smaller |f|, so no root depends on the other elements: once the bracket
-    is narrower than 4 eps |x|, or once that smaller |f| is at most ftol
-    (f's rounding floor, a float or one per bracket; the default 0 stops at
-    an exact zero).
+    a bracket end; one x1 + t (x2 - x1) that rounds onto x2 or past it is
+    taken from x2, by the same interpolation in terms that scale with f2.
+    Each element stops on its own, at the end with the smaller |f|, so no
+    root depends on the other elements: once the bracket is narrower than
+    4 eps |x| + 1e-300, or once that smaller |f| is at most ftol (f's
+    rounding floor, a float or one per bracket, by default 0: an exact zero).
     """
     root = np.empty(len(x1))
     at = np.arange(len(x1))
     ftol = np.broadcast_to(ftol, at.shape)
-    x3 = f3 = None
+    # x3 = x2 fails the interpolation test, so the first step bisects
+    x3, f3 = x2, f2
     for it in range(_ROOT_STEPS + 1):
-        lower = np.abs(f1) < np.abs(f2)
-        xm = np.where(lower, x1, x2)
+        xm = np.where(np.abs(f1) < np.abs(f2), x1, x2)
         dx = np.abs(x2 - x1)
         tol = _ROOT_RTOL * np.abs(xm) + _ROOT_XTOL
-        done = (dx < tol) | (np.minimum(np.abs(f1), np.abs(f2)) <= ftol)
-        if it == _ROOT_STEPS:
-            done[:] = True
+        done = (dx < tol) | (np.minimum(np.abs(f1), np.abs(f2)) <= ftol) | (it == _ROOT_STEPS)
         if done.any():
             root[at[done]] = xm[done]
-            live = ~done
-            at, x1, x2, f1, f2, dx, tol, ftol = (
-                v[live] for v in (at, x1, x2, f1, f2, dx, tol, ftol))
-            args = [v[live] for v in args]
-            if it:
-                x3, f3 = x3[live], f3[live]
+            at, x1, x2, x3, f1, f2, f3, dx, tol, ftol, *args = (
+                v[~done] for v in (at, x1, x2, x3, f1, f2, f3, dx, tol, ftol, *args))
         if not at.size:
             break
-        t = 0.5
-        if it:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-                iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-                t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
-                             + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
         tl = 0.5 * tol / dx
         x = x1 + np.minimum(np.maximum(t, tl), 1.0 - tl) * (x2 - x1)
+        s = np.sign(x1 - x2)
+        end = iqi & (np.sign(x - x2) != s)
+        if end.any():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                d = s * f2 * ((x1 - x2) / (f1 - f2) * f3 / (f1 - f3)
+                              + (x3 - x2) / (f3 - f2) * f1 / (f3 - f1))
+            x = np.where(end, x2 + s * np.fmax(d, 0.5 * tol), x)
         fx = f(x, *args)
         same = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
@@ -537,13 +536,15 @@ def _turning(C, g):
     arrays C and g.  With q = 1/(C g^2), sqrt(1 - 4x^2/g^2) is (-q)^(1/3)
     at t, where h' vanishes, and -q at -x*, the decoupled single-site
     minimum.  Both exist for q in (-1, 0], where h'(0) = C + 1/g^2 < 0;
-    elsewhere h is monotone on (-g/2, 0] and both are 0.  Returns the
+    elsewhere h is monotone on (-g/2, 0] and both are 0; t is kept a float
+    inside -g/2, onto which it rounds from about g = 1e12.  Returns the
     indices with a turning point, t and -x*."""
     q = 1.0 / (C * g * g)
     turn = np.flatnonzero((-1.0 < q) & (q <= 0.0))
     s = np.stack(((-q[turn]) ** (1.0 / 3.0), -q[turn]))
     t, zero = np.zeros((2, len(g)))
     t[turn], zero[turn] = -0.5 * g[turn] * np.sqrt((1.0 - s) * (1.0 + s))
+    t[turn] = np.maximum(t[turn], np.nextafter(-0.5 * g[turn], 0.0))
     return turn, t, zero
 
 
@@ -663,9 +664,8 @@ def _fsp_minima(points):
     g, C, B = coef = np.where(below, np.nan, (points.g, c_tilde(points.J1), b_tilde(points)))
     x = np.full((n, 3), np.nan)
     scan = valid[np.abs(B[valid]) >= _B_COEXIST_TOL]
-    # from about g = 1e12 the turning point rounds onto -g/2, where h divides
-    # by zero, and from about g = 1.3e154 g * g overflows; such a row fails
-    # through the domain mask and the stationarity gate, not the warning
+    # from about g = 1.3e154 g * g overflows; such a row fails through the
+    # domain mask and the stationarity gate, not the warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         turn, t, zero = _turning(C, g)
         rows, x1 = _fsp_roots(*(u[scan] for u in (C, B, g, t, zero)))
@@ -801,14 +801,14 @@ def root_structure(params: ModelParams, k: float) -> RootStructure:
     turning points and roots are those of the frustrated windows: f = k is
     h = -k/g^2, two rows of one level solve of h on its monotone pieces in
     (-g/2, 0], the second at +k/g^2 and mirrored, h being odd, for the
-    roots in (0, g/2).  A root at a piece end, where two pieces meet, is
-    counted once.
+    roots in (0, g/2).  A root found twice, where pieces meet or at 0, counts
+    once; one within 1e-300 of 0, as from g = 1e154, comes back as 0.0.
     """
     g, C, B = _coefficients(params)
     C, g = np.full(2, C - B), np.full(2, g)
     turn, t, _ = _turning(C, g)
     x, hit = _level(C, g, np.array([-k, k]) / (g * g), t)
-    roots = np.unique(np.concatenate((x[0, hit[0]], -x[1, hit[1] & (x[1] < 0.0)])))
+    roots = np.unique(np.concatenate((x[0, hit[0]], 0.0 - x[1, hit[1]])))
     return RootStructure(monotonic=params.g <= critical_couplings(params).g_c_plus,
                          roots=tuple(roots.tolist()),
                          turning_points=(float(t[0]), -float(t[0])) if turn.size else ())

@@ -430,6 +430,20 @@ class TestLockstepSolvers:
         assert abs(roots[0] - 0.3) <= 4.0 * np.finfo(float).eps * 0.3
         assert len(calls) < meanfield._ROOT_STEPS
 
+    def test_bracketed_roots_of_a_root_far_nearer_one_end(self):
+        # x1 + t (x2 - x1) rounds onto x2 = 0 here, so the step is taken from
+        # x2; bisection alone would need about 170 halvings
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -(x + 1e-26)
+
+        roots = _bracketed_roots(f, np.array([-1e12]), np.array([0.0]),
+                                 np.array([1e12]), np.array([-1e-26]))
+        assert abs(roots[0] + 1e-26) <= 4.0 * np.finfo(float).eps * 1e-26
+        assert len(calls) < 10
+
 
 class TestRootStructure:
     def test_monotonic_below_onset(self):
@@ -512,6 +526,31 @@ class TestRootStructure:
         assert abs(rs.roots[0] + 0.5 * g) <= 4.0 * eps * 0.5 * g
         assert abs(rs.roots[2] - 0.5 * g) <= 4.0 * eps * 0.5 * g
         assert abs(rs.roots[1]) < 1.0
+
+    @pytest.mark.parametrize("g", [1e11, 1e13, 1e20, 1e154])
+    @pytest.mark.parametrize("k", [0.0, 1.0, -1.0])
+    def test_three_roots_at_huge_g(self, g, k):
+        # from about g = 1e12 the turning point rounds onto -g/2 and is kept
+        # one ulp inside it; the middle root, about k/g^2, is far smaller than
+        # the width g/2 of its bracket
+        import mpmath
+
+        p = ModelParams(g=g, J1=0.1, J2=0.1)
+        rs = root_structure(p, k)
+        assert not rs.monotonic and len(rs.roots) == 3
+        eps = np.finfo(float).eps
+        assert abs(rs.roots[0] + 0.5 * g) <= 4.0 * eps * 0.5 * g
+        assert abs(rs.roots[2] - 0.5 * g) <= 4.0 * eps * 0.5 * g
+        # f - k changes sign within the solver's tolerance, 4 eps |x| + 1e-300
+        r = rs.roots[1]
+        d = 4.0 * eps * abs(r) + 1e-300
+        with mpmath.workdps(50):
+            G = mpmath.mpf(g)
+            J1, J2 = mpmath.mpf(p.J1), mpmath.mpf(p.J2)
+            a = (G * G + J2 - J1 * J2) / (1 - J1)
+            fk = [a * x - x / mpmath.sqrt(1 - 4 * x * x / (G * G)) - k
+                  for x in (mpmath.mpf(r) - d, mpmath.mpf(r) + d)]
+            assert mpmath.sign(fk[0]) * mpmath.sign(fk[1]) <= 0
 
     @pytest.mark.parametrize("g", [1e-3, 0.8, 1e10, 1e154])
     def test_no_warning_at_extreme_g(self, g):

@@ -23,10 +23,9 @@ its ``float.hex``:
   error text or ``None``, on the five lines of ``TestDetectTransitions``
   that hold a transition, the tiny-onset line ``J1 = J2 = -0.4999`` on
   (1e-5, 0.01), the first line of the seed-27 draw of
-  ``test_seeded_lines_match_a_sequential_label_bisection`` (regenerated
-  from that seed), whose coarse cell holds both ``g_c_minus`` and ``g_L``
-  and which reports only the first, and 120 lines of seed 5151: per line
-  ``J1, J2`` uniform on
+  ``test_seeded_lines_match_a_sequential_label_bisection`` (as a literal),
+  whose coarse cell holds both ``g_c_minus`` and ``g_L`` and which reports
+  only the first, and 120 lines of seed 5151: per line ``J1, J2`` uniform on
   (-0.495, 0.495), then around ``g_c`` a window of width ``10^U``, ``U``
   uniform on (-3, -1), on even lines and ``(U(0.6, 0.98) g_c, U(1.02, 1.8)
   g_c)`` on odd ones, then ``n_coarse`` drawn from {5, 15, 31, 61};
@@ -56,8 +55,8 @@ its ``float.hex``:
 * ``root_structure`` at ``J1 = J2 = 0.1`` for g in {0.8, 1.2, 3.0, 1e10,
   1e154} and k in {0, +-1, +-1e3, +-1e5, +-1e6, +-1e7}: the monotonic
   flags, root counts, roots and turning points, where the roots at g = 0.8,
-  k = +-1e7 and the outer ones at g = 1e10 lie within a few ulps of the
-  poles of f at +-g/2;
+  k = +-1e7 and the outer ones at g = 1e10 and 1e154 lie within a few ulps
+  of the poles of f at +-g/2;
 * ``atom-only``: the label, degeneracy, energy and sorted ``|alpha|`` of
   ``solve_atom_only`` at the 16 points of criterion 12 and on the ``J1 = 0``
   draw of 1,000 points of seed 12, per point ``J2`` uniform on (-0.5, 0.5),
@@ -98,12 +97,11 @@ GRID_SEEDS = range(4)
 TRIPLE_J1 = [round(0.090 + 0.001 * k, 3) for k in range(21)]
 LINE_SEEDS = range(4)
 ORACLE_SEEDS = range(8)
-#: the draw of test_seeded_lines_match_a_sequential_label_bisection
-SEEDED_LINE_SEED = 27
 TRANSITION_SEED = 5151
 TRANSITION_LINES = 120
-# (J1, J2, g_range, n_coarse): the TestDetectTransitions lines, then the
-# tiny-onset line
+# (J1, J2, g_range, n_coarse): the TestDetectTransitions lines, the
+# tiny-onset line, and the first line of the seed-27 draw of
+# test_seeded_lines_match_a_sequential_label_bisection
 FIXED_LINES = [
     (0.1, -0.1, (0.9, 1.2), 31),
     (0.1, 0.1, (0.7, 1.1), 21),
@@ -111,6 +109,7 @@ FIXED_LINES = [
     (0.1, -0.1, (1.0, 1.1), 21),
     (-0.06123383242021124, 0.09671611718137241, (0.5999448857161498, 1.611693721693544), 5),
     (-0.4999, -0.4999, (1e-5, 0.01), 11),
+    (0.17796259482910676, -0.1675671549998115, (0.6968551843935954, 1.1377677166568068), 5),
 ]
 BULK_SEED = 20261018
 BULK_POINTS = 3000
@@ -197,19 +196,11 @@ def _transition_line_fields(fields):
     import numpy as np
 
     from dicke_trimer.meanfield import ConvergenceError
-    from dicke_trimer.model import ModelParams, critical_couplings, first_order_point
+    from dicke_trimer.model import ModelParams, critical_couplings
     from dicke_trimer.oracle import detect_transitions
 
-    rng = np.random.default_rng(SEEDED_LINE_SEED)
-    J1, J2 = (float(v) for v in rng.uniform(-0.45, 0.45, 2))
-    params = ModelParams(g=1.0, J1=J1, J2=J2)
-    g_c, g_L = critical_couplings(params).g_c, first_order_point(params)
-    top = g_L if g_L is not None and g_L > g_c else g_c
-    g_range = (g_c * rng.uniform(0.7, 0.98), top * rng.uniform(1.02, 1.3))
-    lines = FIXED_LINES + [(J1, J2, tuple(float(g) for g in g_range),
-                            int(rng.choice([5, 9])))]
-
     rng = np.random.default_rng(TRANSITION_SEED)
+    lines = list(FIXED_LINES)
     for k in range(TRANSITION_LINES):
         J1, J2 = (float(v) for v in rng.uniform(-0.495, 0.495, 2))
         g_c = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2)).g_c
