@@ -517,21 +517,12 @@ class TestRootStructure:
                   for x in map(mpmath.mpf, ends)]
             assert mpmath.sign(fk[0]) * mpmath.sign(fk[1]) <= 0
 
-    def test_roots_next_to_the_poles_at_huge_g(self):
-        # the zeros -+x* of f lie within 5 ulps of the poles at -+g/2
-        g = 1e10
-        rs = root_structure(ModelParams(g=g, J1=0.1, J2=0.1), 1.0)
-        assert not rs.monotonic and len(rs.roots) == 3
-        eps = np.finfo(float).eps
-        assert abs(rs.roots[0] + 0.5 * g) <= 4.0 * eps * 0.5 * g
-        assert abs(rs.roots[2] - 0.5 * g) <= 4.0 * eps * 0.5 * g
-        assert abs(rs.roots[1]) < 1.0
-
-    @pytest.mark.parametrize("g", [1e11, 1e13, 1e20, 1e154])
+    @pytest.mark.parametrize("g", [1e10, 1e11, 1e13, 1e20, 1e154])
     @pytest.mark.parametrize("k", [0.0, 1.0, -1.0])
     def test_three_roots_at_huge_g(self, g, k):
-        # from about g = 1e12 the turning point rounds onto -g/2 and is kept
-        # one ulp inside it; the middle root, about k/g^2, is far smaller than
+        # the outer roots lie within a few ulps of the poles at -+g/2; from
+        # about g = 1e12 the turning point rounds onto -g/2 and is kept one
+        # ulp inside it; the middle root, about k/g^2, is far smaller than
         # the width g/2 of its bracket
         import mpmath
 
