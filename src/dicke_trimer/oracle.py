@@ -16,12 +16,9 @@ of all points go through each descent together; each point clusters its own
 minima.  :func:`brute_force_minimize` is its one-point case.
 Transition detection tells phases apart by one test, the label of the
 minimum.  It minimises as one such stack its coarse scan, each step of the
-root find on its frustrated indicator (the lowest uniform-pattern minus the
-lowest frustrated-pattern energy of :func:`_minima`, the clustered local
-minima of each point), the label confirmation of all its roots and the
-stencils of all its order tests; an onset's indicator, the curvature at
-x = 0, needs no grid.  A root the labels do not confirm falls back to a
-label bisection of its coarse cell.
+root find on its frustrated indicator (:func:`_branch_gap`), the label
+confirmation of all its roots and the stencils of all its order tests; an
+onset's indicator, the curvature at x = 0, needs no grid.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FSP, NP, TRANSITIONS, ModelParams, Points
-from .meanfield import (_PSD_TOL, ConvergenceError, PhaseResult, _bisect, _bracketed_roots,
+from .meanfield import (_PSD_TOL, ConvergenceError, PhaseResult, _bracketed_roots,
                         _coefficients, _descend, _energy, _hessian, _pattern, _result, energy)
 
 
@@ -273,13 +270,9 @@ class Transition:
     order: str  # "first", "second" or "inconclusive"
     jump: float
     noise_floor: float
-    #: "root" where g_star is the confirmed root of the cell's indicator,
-    #: "bisection" where it is the label bisection of the cell
-    path: str = "root"
 
 
-#: transition points are bisected to this width in g; a root is confirmed
-#: by the labels this far apart
+#: a root is confirmed by the labels this far apart
 _BISECT_WIDTH = 1e-7
 
 
@@ -309,28 +302,27 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
 
     The one test of a phase is the label of the brute-force minimum.  A
     coarse cell whose two ends differ in label holds a transition, expected
-    of the order that ``model.TRANSITIONS`` gives that pair of labels.  Each
-    such cell is first solved for the root of a smooth indicator that
-    changes sign there: where one end is NP, the smallest Hessian eigenvalue
-    at x = 0 (:func:`_onset_curvature`, no grid needed), at least +0 at the
-    NP end, where the oracle took x = 0 for a minimum; otherwise the energy
-    of the lowest uniform-pattern minimum less that of the lowest frustrated
-    one (:func:`_branch_gap`, whose every step is one stacked minimisation
-    over the open brackets).  The bracketed cells of each kind run in
-    lockstep through ``meanfield._bracketed_roots`` (Chandrupatla), by its
-    rule: an end at exactly 0 is the root, one at +-inf (a branch missing)
-    counts, one at NaN brackets nothing.  The label then confirms every
-    root: one stacked minimisation labels g* -+ _BISECT_WIDTH / 2, clipped
-    to the cell (a probe on a cell end takes the end's coarse label), and
-    the root is g_star only where the two labels are the cell's lower and
-    upper ones.  Every other cell is bisected where its label leaves its
-    lower end's, all in one lockstep ``_bisect`` of one stacked minimisation
-    per halving; ``Transition.path`` says which.  Order labels are confirmed
-    from derivative jumps against a noise floor estimated from two step
-    sizes; ambiguous jumps are flagged inconclusive, not guessed.  The
-    coarse scan and the stencils of all order tests are one stacked
-    minimisation each, so a line without a fallback makes at most three of
-    them plus one per step of its slowest frustrated root.
+    of the order that ``model.TRANSITIONS`` gives its pair of labels.  The
+    cells are solved in lockstep rounds, each for the root of a smooth
+    indicator by the rule of ``meanfield._bracketed_roots`` (Chandrupatla):
+    where one end is NP, the smallest Hessian eigenvalue at x = 0
+    (:func:`_onset_curvature`, no grid needed), at least +0 at the NP end;
+    otherwise the lowest uniform-pattern less the lowest frustrated-pattern
+    energy (:func:`_branch_gap`, each step one stacked minimisation).  A
+    cell without NP whose gap is within the refine tolerance at both ends
+    holds none: its labels are a pick among degenerate minima.  One stacked
+    minimisation labels g* -+ _BISECT_WIDTH / 2, clipped to the cell, and
+    the root is a transition where the two labels are the cell's, or, in a
+    cell whose lower end is NP, NP and a third label: the cell from the
+    probe above to its upper end then opens for the next round.  A cell
+    whose ends bracket no root (a NaN end brackets nothing), and a root the
+    labels do not confirm, raise a ConvergenceError naming the cell.  Order
+    labels come from derivative jumps against a noise floor from two step
+    sizes; ambiguous jumps are flagged inconclusive, not guessed.  All
+    minimisations but the root steps share one memo of each g's minima and
+    PhaseResult, so a line makes three stacked minimisations (the coarse
+    scan, the labels, the stencils), one per step of its slowest frustrated
+    root and one round more per split cell.
     """
     g_min, g_max = (float(v) for v in g_range)
     if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
@@ -340,65 +332,72 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     def at(gs):
         return Points(g=gs, J1=J1, J2=J2)
 
-    def minima(gs):
-        return _brute_force_minima(at(gs))
+    memo = {}  # g -> (its minima, their PhaseResult)
 
-    def gap(gs):
-        points = at(gs)
-        return _branch_gap(points, _minima(points))
+    def solve(gs):
+        """The memo entries of the floats gs, the new ones from one stacked minimisation."""
+        new = [g for g in dict.fromkeys(gs) if g not in memo]
+        if new:
+            points = at(new)
+            memo.update((g, (X, _ranked(X, p))) for g, X, p in zip(new, _minima(points), points))
+        return [memo[g] for g in gs]
+
+    def cell_error(what, k):
+        return ConvergenceError(f"{what} in the cell ({float(lo[k])!r}, {float(hi[k])!r}) "
+                                f"at J1={J1}, J2={J2}")
 
     gs = np.linspace(g_min, g_max, n_coarse)
-    coarse = at(gs)
-    found = _minima(coarse)
-    labels = np.array([_ranked(X, p).label for X, p in zip(found, coarse)])
-    cells = np.flatnonzero(labels[:-1] != labels[1:])
-    if not len(cells):
-        return []
-    lower, upper, lo, hi = labels[cells], labels[cells + 1], gs[cells], gs[cells + 1]
-
-    # each cell's indicator at its two ends, from the coarse minima
-    onset = (lower == NP) | (upper == NP)
-    ends = np.concatenate([cells, cells + 1])
-    f = np.where(np.tile(onset, 2), _onset_curvature(coarse[ends]),
-                 _branch_gap(coarse[ends], [found[i] for i in ends]))
-    f = np.where(labels[ends] == NP, np.maximum(f, 0.0), f)
-    f1, f2 = np.split(f, 2)
-    bracketed = np.sign(f1) * np.sign(f2) <= 0.0
-    roots = np.full(len(cells), np.nan)
-    for kind, indicator in ((onset, lambda gs: _onset_curvature(at(gs))), (~onset, gap)):
-        rows = np.flatnonzero(kind & bracketed)
-        roots[rows] = _bracketed_roots(indicator, lo[rows], hi[rows], f1[rows], f2[rows])
-
-    # the labels just below and above each root, in one stacked call
-    rows = np.flatnonzero(bracketed)
-    probes = np.concatenate([np.maximum(roots[rows] - 0.5 * _BISECT_WIDTH, lo[rows]),
-                             np.minimum(roots[rows] + 0.5 * _BISECT_WIDTH, hi[rows])]).tolist()
-    label = dict(zip(gs.tolist(), labels))
-    new = [g for g in dict.fromkeys(probes) if g not in label]
-    if new:
-        label.update(zip(new, (r.label for r in minima(new))))
-    seen = np.array([label[g] for g in probes])
-    confirmed = np.zeros(len(cells), dtype=bool)
-    confirmed[rows] = (seen[:len(rows)] == lower[rows]) & (seen[len(rows):] == upper[rows])
-
-    fall = np.flatnonzero(~confirmed)
-    roots[fall] = _bisect(lambda mid, _: [r.label for r in minima(mid)], lo[fall], hi[fall],
-                          lower[fall], upper[fall], _BISECT_WIDTH)[0]
-    g_stars = roots.tolist()
+    coarse = np.array([r.label for _, r in solve(gs.tolist())])
+    lo, hi = gs[:-1][coarse[:-1] != coarse[1:]], gs[1:][coarse[:-1] != coarse[1:]]
+    found = []  # (g_star, label below, label above)
+    while len(lo):
+        ends = np.concatenate([lo, hi])
+        minima, results = zip(*solve(ends.tolist()))
+        labels = np.array([r.label for r in results])
+        lower, upper = np.split(labels, 2)
+        onset = (lower == NP) | (upper == NP)
+        f = np.where(np.tile(onset, 2), _onset_curvature(at(ends)), _branch_gap(at(ends), minima))
+        f1, f2 = np.split(np.where(labels == NP, np.maximum(f, 0.0), f), 2)
+        # a cell without NP whose branches are degenerate at both ends holds
+        # no transition: its labels are a pick among degenerate minima
+        live = onset | ~(np.maximum(np.abs(f1), np.abs(f2)) <= _CONFIG.refine_tolerance)
+        lo, hi, lower, upper, f1, f2, onset = (
+            v[live] for v in (lo, hi, lower, upper, f1, f2, onset))
+        unbracketed = ~(np.sign(f1) * np.sign(f2) <= 0.0)
+        if unbracketed.any():
+            raise cell_error("the indicator brackets no root", np.argmax(unbracketed))
+        roots = np.empty(len(lo))
+        for kind, indicator in ((onset, _onset_curvature),
+                                (~onset, lambda p: _branch_gap(p, _minima(p)))):
+            rows = np.flatnonzero(kind)
+            roots[rows] = _bracketed_roots(lambda gs: indicator(at(gs)), lo[rows], hi[rows],
+                                           f1[rows], f2[rows])
+        # the labels just below and above each root, in one stacked call
+        below = np.maximum(roots - 0.5 * _BISECT_WIDTH, lo)
+        above = np.minimum(roots + 0.5 * _BISECT_WIDTH, hi)
+        seen_below, seen_above = np.split(
+            np.array([r.label for _, r in solve(np.concatenate([below, above]).tolist())]), 2)
+        split = (seen_below == NP) & (lower == NP) & (seen_above != NP) & (seen_above != upper)
+        unconfirmed = ~((seen_below == lower) & (seen_above == upper) | split)
+        if unconfirmed.any():
+            k = np.argmax(unconfirmed)
+            raise cell_error(f"the labels do not confirm the root {float(roots[k])!r}", k)
+        found += zip(roots.tolist(), lower, seen_above)
+        lo, hi = above[split], hi[split]
+    found.sort()
 
     # g_star - 6h stays above g_star / 2 > 0
-    steps = [min(_CONFIG.derivative_step, g / 12.0) for g in g_stars]
-    stencil_gs = list(dict.fromkeys(g for g_star, h in zip(g_stars, steps)
-                                    for stencil in _stencils(g_star, h) for g in stencil))
-    E = {g: r.energy for g, r in zip(stencil_gs, minima(stencil_gs))}
+    steps = [min(_CONFIG.derivative_step, g_star / 12.0) for g_star, _, _ in found]
+    solve([g for (g_star, _, _), h in zip(found, steps)
+           for stencil in _stencils(g_star, h) for g in stencil])
+    E = {g: r.energy for g, (_, r) in memo.items()}
 
     transitions = []
-    for g_star, h, lo_label, hi_label, root in zip(g_stars, steps, lower, upper, confirmed):
+    for (g_star, below, above), h in zip(found, steps):
         order, jump, noise = _classify_order(E, g_star, h)
-        if order != TRANSITIONS[frozenset((lo_label, hi_label))][1]:
-            order = "inconclusive"
-        transitions.append(Transition(g_star=g_star, order=order, jump=jump, noise_floor=noise,
-                                      path="root" if root else "bisection"))
+        expected = TRANSITIONS[frozenset((below, above))][1]
+        transitions.append(Transition(g_star, order if order == expected else "inconclusive",
+                                      jump, noise))
     return transitions
 
 

@@ -30,7 +30,7 @@ from .model import (
 )
 from .meanfield import (
     ConvergenceError,
-    _bisect,
+    _bracketed_roots,
     _fsp_minima,
     energy,
     gradient,
@@ -41,6 +41,7 @@ from .meanfield import (
 from .oracle import _brute_force_minima, detect_transitions
 from .spectrum import (
     _CRITICAL_OFFSETS,
+    _assemble,
     _raise_first,
     analytic_np_spectrum,
     fit_power_law,
@@ -72,29 +73,28 @@ def _sample_region(rng, region):
 
 
 def criterion_1_critical_points():
-    """Bisection on the numeric soft-mode gap reproduces g_c within 1e-6.
-
-    All bisections run in lockstep: each halving takes one stacked spectrum
-    of the x = 0 forms at the midpoints of the unfinished brackets.
-    """
+    """The root of the soft mode, the smallest eigenvalue of the x = 0 form's
+    position block Mx, reproduces g_c within 1e-6.  All roots on [g_c / 2,
+    2 g_c] are solved in lockstep from both ends' values; a row whose ends
+    do not bracket a root (a NaN end brackets nothing) fails the check."""
     rng = np.random.default_rng(0)
     J1, J2 = np.array([_sample_region(rng, region) for region in range(1, 7)
                        for _ in range(50)]).T
     g_c = critical_couplings(Points(g=1.0, J1=J1, J2=J2)).g_c
 
-    def gapless(mid, rows):
-        points = Points(g=mid, J1=J1[rows], J2=J2[rows])
-        energies, errors = spectra(np.zeros((len(points), 3)), points)
-        _raise_first(errors)
-        return ~(energies[:, 0] > 1e-9)
+    def soft_mode(g, J1, J2):  # x = 0 is inside and stationary at every g
+        M = _assemble(np.zeros((len(g), 3)), Points(g=g, J1=J1, J2=J2))[0]
+        return np.linalg.eigvalsh(M[:, 0])[:, 0]
 
-    # the gap is positive below g_c and zero at it: bracket on gap <= 1e-9
-    g_bisect = _bisect(gapless, np.full(len(g_c), 1e-3), g_c, np.full(len(g_c), False),
-                       np.full(len(g_c), True), 1e-9)[0]
-    worst = float(np.max(np.abs(g_bisect - g_c)))
-    passed = worst < 1e-6
-    return CheckResult("critical-point formulas (gap bisection vs closed form)",
-                       passed, f"max |g_bisect - g_c| = {worst:.2e} (tol 1e-6)")
+    lo, hi = 0.5 * g_c, 2.0 * g_c
+    f1, f2 = soft_mode(lo, J1, J2), soft_mode(hi, J1, J2)
+    rows = np.flatnonzero(np.sign(f1) * np.sign(f2) <= 0.0)
+    roots = _bracketed_roots(soft_mode, lo[rows], hi[rows], f1[rows], f2[rows], J1[rows], J2[rows])
+    worst = float(np.max(np.abs(roots - g_c[rows]), initial=0.0))
+    missed = len(g_c) - len(rows)
+    return CheckResult("critical-point formulas (soft-mode root vs closed form)",
+                       not missed and worst < 1e-6, f"max |g_root - g_c| = {worst:.2e} "
+                       f"(tol 1e-6), {missed} of {len(g_c)} rows not bracketed")
 
 
 def _order_parameter_exponent(J1, J2):

@@ -204,7 +204,7 @@ class TestDetectTransitions:
     def test_uncoupled_line(self):
         transitions = detect_transitions(0.0, 0.0, (0.8, 1.2), n_coarse=21)
         assert len(transitions) == 1
-        assert transitions[0].g_star == pytest.approx(1.0, abs=2e-7)
+        assert transitions[0].g_star == pytest.approx(1.0, rel=1e-15)
 
     def test_no_transition_window(self):
         transitions = detect_transitions(0.1, 0.1, (0.3, 0.6), n_coarse=11)
@@ -229,7 +229,6 @@ class TestDetectTransitions:
             calls.clear()
             transitions = detect_transitions(0.1, -0.1, g_range, n_coarse=n_coarse)
             assert [t.order for t in transitions] == orders
-            assert [t.path for t in transitions] == ["root"] * len(orders)
             seen = [p for points in calls for p in points]
             assert len(seen) == len(set(seen))
             # the coarse scan is one stacked call
@@ -287,7 +286,6 @@ class TestDetectTransitions:
         g_range = (node - 0.01, node + 0.01) if g_min is None else (g_min, node)
         transitions = detect_transitions(J, J, g_range, n_coarse=3)
         assert [t.order for t in transitions] == ["second"]
-        assert transitions[0].path == "root"
         assert transitions[0].g_star == pytest.approx(g_c, abs=2e-7)
         # the coarse scan, the label confirmation and the order test
         assert [len(points) for points in calls] == [3, probes, 10]
@@ -295,11 +293,14 @@ class TestDetectTransitions:
         assert len(seen) == len(set(seen))
 
     def test_onset_on_a_coarse_node_takes_the_root_path(self, monkeypatch):
-        # g_c = 0.9 is the lower end of the onset cell, labelled NP, where
-        # the curvature at x = 0 is -2.9e-16; it counts as +0 there, so the
-        # node is the zero end of its cell and the cell's root, which the
-        # labels confirm: the coarse scan, the two probes and the order test
-        g_c = critical_couplings(ModelParams(g=1.0, J1=0.1, J2=0.1)).g_c
+        # g_c is the lower end of the onset cell, labelled NP, where the
+        # curvature at x = 0 is -2.9e-16 (J = 0.1, g_c = 0.9) or exactly 0
+        # (J = 0, g_c = 1); it counts as +0 there, so the node is the zero
+        # end of its cell and the cell's root, which the labels confirm: the
+        # coarse scan, the probe above and the order test.  At J = 0, B = 0
+        # at every g, and the probe above reads FSP where the cell's upper
+        # end reads NSP: the onset still holds, and the sub-cell above it has
+        # degenerate branches at both ends, so it holds no transition
         calls, minima = [], oracle._minima
 
         def recording(points):
@@ -307,66 +308,49 @@ class TestDetectTransitions:
             return minima(calls[-1])
 
         monkeypatch.setattr(oracle, "_minima", recording)
-        transitions = detect_transitions(0.1, 0.1, (0.7, 1.1), n_coarse=21)
-        assert [(t.order, t.path) for t in transitions] == [("second", "root")]
-        assert transitions[0].g_star == pytest.approx(g_c, rel=1e-15)
-        assert len(calls) == 3
+        for J, g_range in ((0.1, (0.7, 1.1)), (0.0, (0.8, 1.2))):
+            g_c = critical_couplings(ModelParams(g=1.0, J1=J, J2=J)).g_c
+            calls.clear()
+            transitions = detect_transitions(J, J, g_range, n_coarse=21)
+            assert [t.order for t in transitions] == ["second"]
+            assert transitions[0].g_star == pytest.approx(g_c, rel=1e-15)
+            assert len(calls) == 3
 
-    @pytest.mark.parametrize("J, g_range, g_star", [
-        (0.0, (0.8, 1.2), "0x1.000000a3d70a4p+0"),
+    @pytest.mark.parametrize("g_range, n_coarse, expected", [
+        ((0.9999, 1.0005), 7, [(1.0, "second")]),
+        ((1.00001, 1.001), 23, []),
     ])
-    def test_onset_on_a_coarse_node_falls_back_to_label_bisection(self, J, g_range, g_star):
-        # g_c = 1 is the lower end of the onset cell, labelled NP, where the
-        # curvature at x = 0 is exactly 0, so the node is the cell's root;
-        # but B = 0 at every g, and the probe just above it reads FSP where
-        # the cell's upper end reads NSP, so the cell is bisected on its
-        # label, to the g_star of the label bisection alone
-        transitions = detect_transitions(J, J, g_range, n_coarse=21)
-        assert [(t.order, t.path) for t in transitions] == [("second", "bisection")]
-        assert transitions[0].g_star == float.fromhex(g_star)
+    def test_degenerate_branches_hold_no_transition(self, g_range, n_coarse, expected):
+        # on J1 = J2 = 0, B = 0 and all 8 patterns are degenerate above
+        # g_c = 1, so the labels of the coarse nodes there flip between FSP
+        # and NSP; their branch gap is 0 at both ends of such a cell
+        transitions = detect_transitions(0.0, 0.0, g_range, n_coarse=n_coarse)
+        assert [(t.g_star, t.order) for t in transitions] == expected
 
-    def test_seeded_lines_match_a_sequential_label_bisection(self):
+    def test_seeded_lines_report_their_closed_form_transitions(self):
         # lines across all six regions, from below g_c to above g_L where it
-        # exists, so both kinds of indicator and the fallback are met
+        # exists, so both kinds of indicator are met; on the first line one
+        # coarse cell holds both g_c_minus and g_L, and it is split
         rng = np.random.default_rng(27)
-        orders, paths = set(), set()
+        order_of = {name: order for name, order, _ in TRANSITIONS.values()}
+        orders = set()
         for _ in range(20):
             J1, J2 = (float(v) for v in rng.uniform(-0.45, 0.45, 2))
             params = ModelParams(g=1.0, J1=J1, J2=J2)
-            g_c, g_L = critical_couplings(params).g_c, first_order_point(params)
+            couplings, g_L = critical_couplings(params), first_order_point(params)
+            g_c = couplings.g_c
             top = g_L if g_L is not None and g_L > g_c else g_c
             g_range = (g_c * rng.uniform(0.7, 0.98), top * rng.uniform(1.02, 1.3))
             n_coarse = int(rng.choice([5, 9]))
             transitions = detect_transitions(J1, J2, g_range, n_coarse=n_coarse)
-
-            def minima(gs):
-                return oracle._brute_force_minima([ModelParams(g=g, J1=J1, J2=J2) for g in gs])
-
-            want = []
-            gs = np.linspace(*g_range, n_coarse).tolist()
-            labels = [r.label for r in minima(gs)]
-            for lo, hi, a, b in zip(gs, gs[1:], labels, labels[1:]):
-                if a == b:
-                    continue
-                while hi - lo >= oracle._BISECT_WIDTH:
-                    mid = 0.5 * (lo + hi)
-                    lo, hi = (mid, hi) if minima([mid])[0].label == a else (lo, mid)
-                g_star = 0.5 * (lo + hi)
-                h = min(OracleConfig().derivative_step, g_star / 12.0)
-                stencil = [g for side in oracle._stencils(g_star, h) for g in side]
-                E = {g: r.energy for g, r in zip(stencil, minima(stencil))}
-                order = oracle._classify_order(E, g_star, h)[0]
-                want.append((g_star, order if order == TRANSITIONS[frozenset((a, b))][1]
-                             else "inconclusive"))
+            want = [(g_c, order_of["g_c_plus" if g_c == couplings.g_c_plus else "g_c_minus"])]
+            if top == g_L:
+                want.append((g_L, order_of["g_L"]))
             assert [t.order for t in transitions] == [order for _, order in want]
             for t, (g_star, _) in zip(transitions, want):
-                assert t.g_star == pytest.approx(g_star, abs=1e-7)
-                if t.path == "bisection":
-                    assert t.g_star == g_star
+                assert t.g_star == pytest.approx(g_star, rel=0.0, abs=5e-15)
             orders.update(t.order for t in transitions)
-            paths.update(t.path for t in transitions)
-        assert {"first", "second"} <= orders
-        assert paths == {"root", "bisection"}
+        assert orders == {"first", "second"}
 
     def test_oracle_line_takes_the_root_path_in_few_stacked_calls(self, monkeypatch):
         from importlib.util import module_from_spec, spec_from_file_location
@@ -389,8 +373,28 @@ class TestDetectTransitions:
             transitions = detect_transitions(cfg["J1"], cfg["J2"], cfg["g"],
                                              n_coarse=cfg["n_coarse"])
             assert [t.order for t in transitions] == ["second", "first"]
-            assert [t.path for t in transitions] == ["root", "root"]
             assert len(calls) <= 11
+
+    @pytest.mark.parametrize("name, fault, g_range, g_x, message", [
+        # the onset root moves below the labels' onset, where both read NP
+        pytest.param("_onset_curvature", lambda f: lambda p: f(p) - 0.05, (0.9, 1.2), "g_c",
+                     "the labels do not confirm the root", id="unconfirmed"),
+        pytest.param("_onset_curvature", lambda f: lambda p: np.abs(f(p)) + 1.0, (0.9, 1.2),
+                     "g_c", "the indicator brackets no root", id="no-sign-change"),
+        # a NaN end brackets nothing
+        pytest.param("_branch_gap", lambda f: lambda p, m: np.full(len(p), np.nan), (1.0, 1.1),
+                     "g_L", "the indicator brackets no root", id="nan-end"),
+    ])
+    def test_unconfirmed_or_unbracketed_cell_raises(self, monkeypatch, name, fault, g_range,
+                                                    g_x, message):
+        monkeypatch.setattr(oracle, name, fault(getattr(oracle, name)))
+        params = ModelParams(g=1.0, J1=0.1, J2=-0.1)
+        g_x = critical_couplings(params).g_c if g_x == "g_c" else first_order_point(params)
+        gs = np.linspace(*g_range, 31).tolist()
+        k = np.searchsorted(gs, g_x)
+        cell = f"in the cell ({gs[k - 1]!r}, {gs[k]!r})"
+        with pytest.raises(ConvergenceError, match=re.escape(message) + ".* " + re.escape(cell)):
+            detect_transitions(0.1, -0.1, g_range, n_coarse=31)
 
     def test_order_stencil_stays_above_zero_near_a_tiny_onset(self):
         # g_c = 2e-4 lies below six default derivative steps; here max|x| is

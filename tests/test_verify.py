@@ -10,6 +10,7 @@ from dicke_trimer import verify
 from dicke_trimer.meanfield import _phase_result, solve_ground_state
 from dicke_trimer.model import NP
 from dicke_trimer.oracle import Transition
+from dicke_trimer.spectrum import _assemble
 
 
 def _normal_phase(params):
@@ -26,11 +27,27 @@ def _far_point(grid, key_a, key_b):
     return (1.0, 0.0)
 
 
+def _gap_never_closes(x, points):
+    """Mx squared plus 1/4 in place of Mx: no eigenvalue reaches zero."""
+    M, errors = _assemble(x, points)
+    M[:, 0] = M[:, 0] @ M[:, 0] + 0.25 * np.eye(6)
+    return M, errors
+
+
+def _gap_closes_late(x, points):
+    """The blocks at g / (1 + 1e-5): the gap closes 1e-5 relative above g_c."""
+    return _assemble(x, dataclasses.replace(points, g=points.g / (1.0 + 1e-5)))
+
+
 def _swapped_orders(J1, J2, g_range, n_coarse=121):
     return [Transition(0.98, "first", 1.0, 0.0), Transition(1.04, "second", 1.0, 0.0)]
 
 
 @pytest.mark.parametrize("check,name,wrong,detail", [
+    (verify.criterion_1_critical_points, "_assemble", _gap_never_closes,
+     "300 of 300 rows not bracketed"),
+    (verify.criterion_1_critical_points, "_assemble", _gap_closes_late,
+     "max |g_root - g_c| = 9.83e-06"),
     (verify.criterion_4_transition_line, "detect_transitions", _swapped_orders,
      "second at 0.980000 (first; ref 0.979796)"),
     (verify.criterion_5_degeneracy, "_brute_force_minima", _too_few_minima,

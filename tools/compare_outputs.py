@@ -18,14 +18,14 @@ its ``float.hex``:
   the rows ``J1 = 0.094`` and ``0.101`` hold a phase narrower than a cell;
 * the transitions of ``oracle-line`` seeds 0-7;
 * ``transition-lines``: the ``detect_transitions`` output (``g_star``,
-  ``order``, ``jump``, ``noise_floor`` and, where the checkout has it,
-  ``path``) of each transition, with the index of its line, and per line the
-  error text or ``None``, on the five lines of ``TestDetectTransitions``
-  that hold a transition, the tiny-onset line ``J1 = J2 = -0.4999`` on
-  (1e-5, 0.01), the first line of the seed-27 draw of
-  ``test_seeded_lines_match_a_sequential_label_bisection`` (as a literal),
-  whose coarse cell holds both ``g_c_minus`` and ``g_L`` and which reports
-  only the first, and 120 lines of seed 5151: per line ``J1, J2`` uniform on
+  ``order``, ``jump`` and ``noise_floor``, and ``path`` from checkouts
+  whose ``Transition`` still has it) of each transition, with the index of
+  its line, and per line the error text or ``None``, on the five lines of
+  ``TestDetectTransitions`` that hold a transition, the tiny-onset line
+  ``J1 = J2 = -0.4999`` on (1e-5, 0.01), the first line of the seed-27
+  draw of ``test_seeded_lines_report_their_closed_form_transitions`` (as a
+  literal), whose coarse cell holds both ``g_c_minus`` and ``g_L`` and
+  which reports both, and 120 lines of seed 5151: per line ``J1, J2`` uniform on
   (-0.495, 0.495), then around ``g_c`` a window of width ``10^U``, ``U``
   uniform on (-3, -1), on even lines and ``(U(0.6, 0.98) g_c, U(1.02, 1.8)
   g_c)`` on odd ones, then ``n_coarse`` drawn from {5, 15, 31, 61};
@@ -101,7 +101,7 @@ TRANSITION_SEED = 5151
 TRANSITION_LINES = 120
 # (J1, J2, g_range, n_coarse): the TestDetectTransitions lines, the
 # tiny-onset line, and the first line of the seed-27 draw of
-# test_seeded_lines_match_a_sequential_label_bisection
+# test_seeded_lines_report_their_closed_form_transitions
 FIXED_LINES = [
     (0.1, -0.1, (0.9, 1.2), 31),
     (0.1, 0.1, (0.7, 1.1), 21),
