@@ -273,7 +273,7 @@ class Transition:
 
 
 #: a root is confirmed by the labels this far apart
-_BISECT_WIDTH = 1e-7
+_PROBE_WIDTH = 1e-7
 
 
 def _onset_curvature(points):
@@ -311,7 +311,7 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     energy (:func:`_branch_gap`, each step one stacked minimisation).  A
     cell without NP whose gap is within the refine tolerance at both ends
     holds none: its labels are a pick among degenerate minima.  One stacked
-    minimisation labels g* -+ _BISECT_WIDTH / 2, clipped to the cell, and
+    minimisation labels g* -+ _PROBE_WIDTH / 2, clipped to the cell, and
     the root is a transition where the two labels are the cell's, or, in a
     cell whose lower end is NP, NP and a third label: the cell from the
     probe above to its upper end then opens for the next round.  A cell
@@ -373,8 +373,8 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
             roots[rows] = _bracketed_roots(lambda gs: indicator(at(gs)), lo[rows], hi[rows],
                                            f1[rows], f2[rows])
         # the labels just below and above each root, in one stacked call
-        below = np.maximum(roots - 0.5 * _BISECT_WIDTH, lo)
-        above = np.minimum(roots + 0.5 * _BISECT_WIDTH, hi)
+        below = np.maximum(roots - 0.5 * _PROBE_WIDTH, lo)
+        above = np.minimum(roots + 0.5 * _PROBE_WIDTH, hi)
         seen_below, seen_above = np.split(
             np.array([r.label for _, r in solve(np.concatenate([below, above]).tolist())]), 2)
         split = (seen_below == NP) & (lower == NP) & (seen_above != NP) & (seen_above != upper)
