@@ -292,15 +292,9 @@ class TestDetectTransitions:
         seen = [p for points in calls for p in points]
         assert len(seen) == len(set(seen))
 
-    def test_onset_on_a_coarse_node_takes_the_root_path(self, monkeypatch):
-        # g_c is the lower end of the onset cell, labelled NP, where the
-        # curvature at x = 0 is -2.9e-16 (J = 0.1, g_c = 0.9) or exactly 0
-        # (J = 0, g_c = 1); it counts as +0 there, so the node is the zero
-        # end of its cell and the cell's root, which the labels confirm: the
-        # coarse scan, the probe above and the order test.  At J = 0, B = 0
-        # at every g, and the probe above reads FSP where the cell's upper
-        # end reads NSP: the onset still holds, and the sub-cell above it has
-        # degenerate branches at both ends, so it holds no transition
+    @staticmethod
+    def _recorded_onset(monkeypatch, J, g_range):
+        # the line's transitions, with the points of each stacked call
         calls, minima = [], oracle._minima
 
         def recording(points):
@@ -308,13 +302,30 @@ class TestDetectTransitions:
             return minima(calls[-1])
 
         monkeypatch.setattr(oracle, "_minima", recording)
-        for J, g_range in ((0.1, (0.7, 1.1)), (0.0, (0.8, 1.2))):
-            g_c = critical_couplings(ModelParams(g=1.0, J1=J, J2=J)).g_c
-            calls.clear()
-            transitions = detect_transitions(J, J, g_range, n_coarse=21)
-            assert [t.order for t in transitions] == ["second"]
-            assert transitions[0].g_star == pytest.approx(g_c, rel=1e-15)
-            assert len(calls) == 3
+        return detect_transitions(J, J, g_range, n_coarse=21), calls
+
+    def test_onset_on_a_coarse_node_takes_the_root_path(self, monkeypatch):
+        # g_c = 0.9 is the lower end of the onset cell, labelled NP, where the
+        # curvature at x = 0 is -2.9e-16; it counts as +0 there, so the node
+        # is the zero end of its cell and the cell's root, which the labels
+        # confirm: the coarse scan, the probe above and the order test
+        g_c = critical_couplings(ModelParams(g=1.0, J1=0.1, J2=0.1)).g_c
+        transitions, calls = self._recorded_onset(monkeypatch, 0.1, (0.7, 1.1))
+        assert [t.order for t in transitions] == ["second"]
+        assert transitions[0].g_star == pytest.approx(g_c, rel=1e-15)
+        assert len(calls) == 3
+
+    def test_onset_on_a_coarse_node_with_degenerate_branches_above(self, monkeypatch):
+        # on J = 0, g_c = 1 is the lower end of the onset cell, where the
+        # curvature at x = 0 is exactly 0, so the node is the cell's root.
+        # B = 0 at every g, and the probe above reads FSP where the cell's
+        # upper end reads NSP: the onset still holds, and the sub-cell above
+        # it has degenerate branches at both ends, so it holds no transition
+        g_c = critical_couplings(ModelParams(g=1.0, J1=0.0, J2=0.0)).g_c
+        transitions, calls = self._recorded_onset(monkeypatch, 0.0, (0.8, 1.2))
+        assert [t.order for t in transitions] == ["second"]
+        assert transitions[0].g_star == pytest.approx(g_c, rel=1e-15)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("g_range, n_coarse, expected", [
         ((0.9999, 1.0005), 7, [(1.0, "second")]),
