@@ -476,50 +476,16 @@ def _bracketed_roots(f, x1, x2, f1, f2, *args, ftol=0.0):
     return root
 
 
-def _bisect(label, lo, hi, lower, upper, width, levels=1):
-    """Bisection of the brackets [lo, hi] (1-D arrays) in lockstep: every
-    bracket at least width wide is halved, at most 60 times.  label(mid,
-    rows) gets midpoints and the indices of their brackets, and returns
-    their labels; a midpoint whose label differs from its bracket's lower
-    becomes its hi, any other its lo.  Returns 0.5 (lo + hi) and the label
-    at each bracket's final hi (an object array), upper where hi never
-    moved: it keys the change found where a label narrower than the
-    bracket lies in it.
+#: a transition root is confirmed by the labels this far apart
+_PROBE_WIDTH = 1e-7
 
-    Each call of label settles up to `levels` halvings: it gets, per active
-    bracket, every midpoint of the next `levels` levels of its bisection
-    tree that is at least width wide (rows repeated), each computed as the
-    halving computes it, so the result does not depend on `levels`."""
-    lo, hi, lower = np.array(lo, dtype=float), np.array(hi, dtype=float), np.asarray(lower)
-    beyond = np.array(upper, dtype=object)
-    active = np.flatnonzero(hi - lo >= width)
-    halvings = 0
-    while active.size and halvings < 60:
-        depth = min(levels, 60 - halvings)
-        # the tree level by level, node k of a level parent of 2k and 2k + 1
-        a, b, mids, wide = lo[active, None], hi[active, None], [], []
-        for _ in range(depth):
-            m = 0.5 * (a + b)
-            mids.append(m)
-            wide.append(b - a >= width)
-            a, b = (np.stack(u, axis=2).reshape(len(active), -1) for u in ((a, m), (m, b)))
-        mid = np.concatenate(mids, axis=1)
-        probe = np.nonzero(np.concatenate(wide, axis=1))
-        labels = np.empty(mid.shape, dtype=object)
-        labels[probe] = label(mid[probe], active[probe[0]])
-        node, at = np.zeros(len(active), dtype=int), np.arange(len(active))
-        # the nodes on a bracket's path are as wide as it, so all were probed
-        for level in range(depth):
-            col = 2 ** level - 1 + node[at]
-            m, got = mid[at, col], labels[at, col]
-            u = got != lower[active[at]]
-            hi[active[at[u]]], lo[active[at[~u]]] = m[u], m[~u]
-            beyond[active[at[u]]] = got[u]
-            node[at] = 2 * node[at] + ~u
-            at = at[hi[active[at]] - lo[active[at]] >= width]
-        active = active[at]
-        halvings += depth
-    return 0.5 * (lo + hi), beyond
+
+def _onset_curvature(points):
+    """The smallest Hessian eigenvalue at x = 0 (stationary everywhere) of
+    each row of Points: positive where x = 0 is a minimum, and through g_c
+    it changes sign along any line of parameters."""
+    coef = _coefficients(points)
+    return np.linalg.eigvalsh(_hessian(np.zeros((len(points), 3)), *coef))[:, 0]
 
 
 # scan points as fractions of a window: cosine spacing plus geometric

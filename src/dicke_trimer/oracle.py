@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FSP, NP, TRANSITIONS, ModelParams, Points
-from .meanfield import (_PSD_TOL, ConvergenceError, PhaseResult, _bracketed_roots,
-                        _coefficients, _descend, _energy, _hessian, _pattern, _result, energy)
+from .meanfield import (_PROBE_WIDTH, _PSD_TOL, ConvergenceError, PhaseResult,
+                        _bracketed_roots, _coefficients, _descend, _energy, _hessian,
+                        _onset_curvature, _pattern, _result, energy)
 
 
 @dataclass(frozen=True)
@@ -272,18 +273,6 @@ class Transition:
     noise_floor: float
 
 
-#: a root is confirmed by the labels this far apart
-_PROBE_WIDTH = 1e-7
-
-
-def _onset_curvature(points):
-    """The smallest Hessian eigenvalue at x = 0 (stationary everywhere) of
-    each point: positive where x = 0 is a minimum, linear in g through
-    g_c."""
-    coef = _coefficients(points)
-    return np.linalg.eigvalsh(_hessian(np.zeros((len(points), 3)), *coef))[:, 0]
-
-
 def _branch_gap(points, minima):
     """The lowest energy of each point's uniform-pattern minima less that of
     its frustrated-pattern ones (of :func:`_minima`): negative where the
@@ -309,8 +298,9 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     (:func:`_onset_curvature`, no grid needed), at least +0 at the NP end;
     otherwise the lowest uniform-pattern less the lowest frustrated-pattern
     energy (:func:`_branch_gap`, each step one stacked minimisation).  A
-    cell without NP whose gap is within the refine tolerance at both ends
-    holds none: its labels are a pick among degenerate minima.  One stacked
+    cell without NP whose gap is within the refine tolerance at both ends,
+    and does not change sign strictly, holds none: its labels are a pick
+    among degenerate minima.  One stacked
     minimisation labels g* -+ _PROBE_WIDTH / 2, clipped to the cell, and
     the root is a transition where the two labels are the cell's, or, in a
     cell whose lower end is NP, NP and a third label: the cell from the
@@ -359,8 +349,10 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
         f = np.where(np.tile(onset, 2), _onset_curvature(at(ends)), _branch_gap(at(ends), minima))
         f1, f2 = np.split(np.where(labels == NP, np.maximum(f, 0.0), f), 2)
         # a cell without NP whose branches are degenerate at both ends holds
-        # no transition: its labels are a pick among degenerate minima
-        live = onset | ~(np.maximum(np.abs(f1), np.abs(f2)) <= _CONFIG.refine_tolerance)
+        # no transition, unless its gap changes sign strictly: its labels are
+        # a pick among degenerate minima
+        live = (onset | (np.sign(f1) * np.sign(f2) < 0.0)
+                | ~(np.maximum(np.abs(f1), np.abs(f2)) <= _CONFIG.refine_tolerance))
         lo, hi, lower, upper, f1, f2, onset = (
             v[live] for v in (lo, hi, lower, upper, f1, f2, onset))
         unbracketed = ~(np.sign(f1) * np.sign(f2) <= 0.0)

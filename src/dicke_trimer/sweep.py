@@ -7,11 +7,10 @@ columns (a grid's with ``np.meshgrid``) and run them through one batched
 pass: ``solve_ground_states`` over all points, then one stacked ``spectra``
 call about the representatives; a point that fails records its error
 string.  The pass returns columns, and dicts are built only for the output
-records and cells.  Grid boundaries are bisected on the label for all
-brackets in lockstep, three halvings per batched label call, with the
-probes' columns built from arrays as well; each point is filed under the
-label at its bracket's lower end and the one that the bisection returns
-for its final upper end.  Floats are serialized with 17 significant digits
+records and cells.  A grid boundary point is the root of an indicator
+that does not read the dispatch, solved for all intervals in lockstep and
+filed under the two labels read just below and above it, one batched
+label call per round.  Floats are serialized with 17 significant digits
 so that write-then-read round-trips are bit exact.
 """
 
@@ -28,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .model import _FIELDS, TRANSITIONS, Points, alpha_from_x, b_tilde, classify_region
-from .meanfield import _bisect, solve_ground_states
+from .model import _FIELDS, NP, TRANSITIONS, Points, alpha_from_x, b_tilde, classify_region
+from .meanfield import (_PROBE_WIDTH, _bracketed_roots, _fsp_minima, _onset_curvature,
+                        _uniform_branch, energy, solve_ground_states)
 from .spectrum import spectra
 
 CSV_COLUMNS = (
@@ -149,21 +149,33 @@ def _grid_rows(args):
     return cells
 
 
-#: boundary points are bisected to this width in the x coordinate
-_REFINE_TOL = 1e-6
+def _branch_gap(points):
+    """E of the uniform branch less E of the frustrated branch at every row
+    of Points: negative where the uniform branch lies lower, -inf where the
+    frustrated branch is missing."""
+    gap = energy(_uniform_branch(points)[1], points)
+    x, _ = _fsp_minima(points)
+    ok = ~np.isnan(x[:, 0])
+    gap[~ok] = -np.inf
+    gap[ok] -= energy(x[ok], points[ok])
+    return gap
 
 
 def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
                         workers: int = 1) -> PhaseDiagramGrid:
     """Fill a 2-D grid of ground states and extract refined phase boundaries.
 
-    Boundary points are found by bisection (to 1e-6 in the x coordinate)
-    between horizontally adjacent cells of differing phase, each filed under
-    the phases on its two sides; for g-J2 grids the deviation from the
-    closed-form g_c and g_L curves is reported per boundary.  fixed holds
-    any of g, J1, J2, omega and Omega.
-    The cells are one batched pass; with workers > 1 a process pool runs it
-    over blocks of rows.
+    Each interval in x between adjacent cells of differing phase is solved,
+    in lockstep rounds, for the root of ``meanfield._onset_curvature`` (at
+    least +0 at an NP end) where one end is NP, else of :func:`_branch_gap`.
+    One label call per round reads the phases at root -+ _PROBE_WIDTH / 2,
+    clipped to the interval: two different phases make a boundary point,
+    filed under their pair's name, and a probe that reads neither end's
+    phase opens the interval between it and the end on its side for the
+    next round.  For g-J2 grids the deviation from the closed-form g_c and
+    g_L curves is reported per boundary.  fixed holds any of g, J1, J2,
+    omega and Omega.  The cells are one batched pass; with workers > 1 a
+    process pool runs it over blocks of rows.
     """
     fixed = dict(fixed or {})
     unknown = [key for key in fixed if key not in _FIELDS]
@@ -188,24 +200,46 @@ def sweep_phase_diagram(axis_x: Axis, axis_y: Axis, fixed: dict | None = None,
         flat = _grid_rows((axis_x, axis_y, fixed, ys))
     cells = [flat[iy * len(xs):(iy + 1) * len(xs)] for iy in range(len(ys))]
 
-    # the brackets: horizontally adjacent cells of two different phases
+    def at(x, y):
+        return _points(axis_x, axis_y, fixed, x, y)
+
+    # the first intervals: between horizontally adjacent cells of two phases
     phase = np.array([cell["phase"] for cell in flat], dtype=object).reshape(len(ys), len(xs))
     a, b = phase[:, :-1], phase[:, 1:]
     iy, ix = np.nonzero((a != "") & (b != "") & (a != b))
-    lower = a[iy, ix]
-
-    def label(mid, rows):
-        return solve_ground_states(_points(axis_x, axis_y, fixed, mid, ys[iy[rows]])).label
-
-    # three halvings per batched label call ("" where a solve fails): a call
-    # costs far more than the rows it adds, and deeper trees were slower on
-    # the criterion-11 grid
-    refined, beyond = _bisect(label, xs[ix], xs[ix + 1], lower, b[iy, ix], _REFINE_TOL,
-                              levels=3)
+    lo, hi, y, lower, upper = xs[ix], xs[ix + 1], ys[iy], a[iy, ix], b[iy, ix]
+    found = []  # (y, x, boundary name)
+    while len(lo):
+        roots = np.full(len(lo), np.nan)
+        onset = (lower == NP) | (upper == NP)
+        for kind, indicator in ((onset, _onset_curvature), (~onset, _branch_gap)):
+            k = np.flatnonzero(kind)
+            f = indicator(at(np.concatenate([lo[k], hi[k]]), np.tile(y[k], 2)))
+            ends = np.concatenate([lower[k], upper[k]])
+            f1, f2 = np.split(np.where(ends == NP, np.maximum(f, 0.0), f), 2)
+            ok = np.sign(f1) * np.sign(f2) <= 0.0
+            k, f1, f2 = k[ok], f1[ok], f2[ok]
+            roots[k] = _bracketed_roots(lambda x, y: indicator(at(x, y)), lo[k], hi[k], f1, f2,
+                                        y[k])
+        live = ~np.isnan(roots)
+        lo, hi, y, lower, upper, roots = (v[live] for v in (lo, hi, y, lower, upper, roots))
+        below = np.maximum(roots - 0.5 * _PROBE_WIDTH, lo)
+        above = np.minimum(roots + 0.5 * _PROBE_WIDTH, hi)
+        # "" where a probe's solve fails
+        seen_below, seen_above = np.split(
+            solve_ground_states(at(np.concatenate([below, above]), np.tile(y, 2))).label, 2)
+        found += [(yb, xb, TRANSITIONS[frozenset((p, q))][0]) for p, q, xb, yb in zip(
+            seen_below, seen_above, roots.tolist(), y.tolist()) if p and q and p != q]
+        # a probe that reads the other end's phase opens nothing, so rounds
+        # end where labels flip among degenerate minima (as on J1 = J2 = 0)
+        probe = np.concatenate([seen_below, seen_above])
+        keep = (probe != "") & (probe != np.tile(lower, 2)) & (probe != np.tile(upper, 2))
+        lo, hi, y = np.concatenate([lo, above]), np.concatenate([below, hi]), np.tile(y, 2)
+        lower, upper = np.concatenate([lower, seen_above]), np.concatenate([seen_below, upper])
+        lo, hi, y, lower, upper = (v[keep] for v in (lo, hi, y, lower, upper))
     boundaries = {}
-    for p, q, xb, yb in zip(lower, beyond, refined.tolist(), ys[iy].tolist()):
-        if q:  # a probe that failed ("") meets no phase
-            boundaries.setdefault(TRANSITIONS[frozenset((p, q))][0], []).append((xb, yb))
+    for yb, xb, key in sorted(found):
+        boundaries.setdefault(key, []).append((xb, yb))
 
     deviation = {}
     if axis_x.name == "g" and axis_y.name == "J2":

@@ -18,7 +18,7 @@ def _run(check):
 
 
 def test_criterion_01_critical_point_formulas():
-    """Gap bisection reproduces the closed-form g_c within 1e-6, 50 points/region."""
+    """The soft-mode root reproduces the closed-form g_c within 1e-6, 50 points/region."""
     _run(verify.criterion_1_critical_points)
 
 

@@ -1,7 +1,7 @@
 """The batched sweep pass against its one-point route.
 
 Sweeps solve all their points at once (``solve_ground_states``, one stacked
-``spectra`` call) and bisect grid boundaries in lockstep.  Every row must
+``spectra`` call) and solve grid boundaries as indicator roots in lockstep.  Every row must
 equal what the one-point functions give for it, bitwise, error strings
 included.
 """
@@ -22,7 +22,6 @@ from dicke_trimer.meanfield import (
 )
 from dicke_trimer.model import (
     FSP,
-    TRANSITIONS,
     ModelParams,
     ParameterError,
     Points,
@@ -261,41 +260,25 @@ def test_exponent_fit_equals_per_point_spectra(J1, J2, side):
     assert fit_critical_exponent(params, side) == fit_power_law(dgs, np.array(gaps))
 
 
-def _sequential_boundaries(grid, J1):
-    """The boundaries of grid from one-point labels, one bracket at a time,
-    and the number of points keyed by a label that neither cell has."""
-    def label(g, J2):
-        try:
-            return solve_ground_state(ModelParams(g=g, J1=J1, J2=J2)).label
-        except (ConvergenceError, ValueError):
-            return ""
-
-    want, slivers = {}, 0
-    gs = grid.axis_x.values()
-    for row, J2 in zip(grid.cells, grid.axis_y.values()):
-        for ix in range(len(gs) - 1):
-            a, b = row[ix]["phase"], row[ix + 1]["phase"]
-            if a and b and a != b:
-                lo, hi, upper = float(gs[ix]), float(gs[ix + 1]), b
-                # the point is keyed by the label at the final upper end
-                while hi - lo >= 1e-6:
-                    mid = 0.5 * (lo + hi)
-                    at = label(mid, float(J2))
-                    lo, hi, b = (mid, hi, b) if at == a else (lo, mid, at)
-                if b:
-                    key = TRANSITIONS[frozenset((a, b))][0]
-                    want.setdefault(key, []).append((0.5 * (lo + hi), float(J2)))
-                    slivers += b != upper
-    return want, slivers
+def _closed_form_row(J1, J2, g_min, g_max):
+    """The closed-form transitions of the g line at (J1, J2) inside (g_min,
+    g_max), as {boundary name: g}: the onset, then g_L where it lies above."""
+    p = ModelParams(g=1.0, J1=J1, J2=J2)
+    couplings, g_L = critical_couplings(p), first_order_point(p)
+    g_c = couplings.g_c
+    want = {"g_c_plus" if g_c == couplings.g_c_plus else "g_c_minus": g_c}
+    if g_L is not None and g_L > g_c:
+        want["g_L"] = g_L
+    return {key: g for key, g in want.items() if g_min < g < g_max}
 
 
-def test_lockstep_boundaries_equal_sequential_bisection(monkeypatch):
+def test_lockstep_boundaries_equal_closed_forms(monkeypatch):
     # a coarse grid, and the criterion-11 grid at J1 = 0.094; on each, one
-    # row crosses a phase narrower than a cell, whose label neither of the
-    # row's cells has
-    grids = [(Axis("g", 0.9, 1.1, 11), Axis("J2", -0.2, -0.02, 16), 0.1),
-             (Axis("g", 0.9, 1.1, 41), Axis("J2", -0.2, -0.02, 31), 0.094)]
-    for axis_g, axis_j2, J1 in grids:
+    # row crosses an NSP phase narrower than a cell, between an NP and an
+    # FSP cell, and reports both its ends
+    grids = [(Axis("g", 0.9, 1.1, 11), Axis("J2", -0.2, -0.02, 16), 0.1, [176, 26, 2]),
+             (Axis("g", 0.9, 1.1, 41), Axis("J2", -0.2, -0.02, 31), 0.094, [1271, 54, 2])]
+    for axis_g, axis_j2, J1, want_calls in grids:
         calls = []
 
         def spy(points):
@@ -305,14 +288,21 @@ def test_lockstep_boundaries_equal_sequential_bisection(monkeypatch):
         monkeypatch.setattr(sweep, "solve_ground_states", spy)
         grid = sweep_phase_diagram(axis_g, axis_j2, fixed={"J1": J1})
         monkeypatch.undo()
-        # the cells, then 15 (13 on the finer grid) halvings of every
-        # bracket, three per label call
-        assert len(calls) == 1 + 5
+        # the cells, then one label call per round: the probes of every
+        # root, then those of the sliver's g_L
+        assert calls == want_calls
 
-        want, slivers = _sequential_boundaries(grid, J1)
-        assert grid.boundaries == want
-        assert set(want) == {"g_c_minus", "g_c_plus", "g_L"}
-        assert slivers == 1
+        rows = {}
+        for key, points in grid.boundaries.items():
+            for g, J2 in points:
+                rows.setdefault(J2, {}).setdefault(key, []).append(g)
+        assert set(rows) <= set(axis_j2.values().tolist())
+        for J2 in axis_j2.values().tolist():
+            want = _closed_form_row(J1, J2, axis_g.min, axis_g.max)
+            got = rows.get(J2, {})
+            assert set(got) == set(want)
+            for key, g in want.items():
+                assert got[key] == [pytest.approx(g, rel=0.0, abs=1e-12)]
 
 
 def test_j1_j2_grid_keeps_region_column():

@@ -27,7 +27,6 @@ from dicke_trimer.meanfield import (
     _PSD_TOL,
     STATIONARITY_TOL,
     ConvergenceError,
-    _bisect,
     _bracketed_roots,
     _fsp_minima,
     _orbit,
@@ -284,93 +283,7 @@ class TestDispatch:
         assert res.label == "NP"
 
 
-def _bisect_run(lo, hi, thresholds, width, levels):
-    """_bisect on a monotone label per bracket, the number of its
-    thresholds (columns of thresholds) at or below mid, from lower 0 to
-    upper the number of columns: the result, the labels at the final upper
-    ends, the (row, mid) probes and the number of calls of label."""
-    probes, calls = set(), [0]
-
-    def label(mid, rows):
-        calls[0] += 1
-        probes.update(zip(rows.tolist(), mid.tolist()))
-        return (mid[:, None] >= thresholds[rows]).sum(axis=1)
-
-    n, k = thresholds.shape
-    out, beyond = _bisect(label, lo, hi, np.zeros(n, dtype=int), np.full(n, k), width,
-                          levels=levels)
-    return out, beyond, probes, calls[0]
-
-
-def _bisect_reference(lo, hi, thresholds, width):
-    """One bracket at a time, one halving per label: the points and the
-    labels at the final upper ends."""
-    out, beyond = [], []
-    for a, b, t in zip(lo.tolist(), hi.tolist(), thresholds.tolist()):
-        key = len(t)
-        for _ in range(60):
-            if b - a < width:
-                break
-            mid = 0.5 * (a + b)
-            at = sum(mid >= s for s in t)
-            a, b, key = (mid, b, key) if at == 0 else (a, mid, at)
-        out.append(0.5 * (a + b))
-        beyond.append(key)
-    return np.array(out, dtype=float), beyond
-
-
-# spans and widths that are powers of two put some nodes exactly width wide;
-# the second threshold lies above the first by a fraction of the span, a
-# tiny one leaving a middle label narrower than the final bracket
-_brackets = st.lists(st.tuples(
-    st.one_of(st.floats(-10.0, 10.0), st.integers(-3, 3).map(float)),
-    st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e-6), st.sampled_from([0.25, 1.0, 2.0])),
-    st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-0.5, 1.5)),
-    st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 1.0))), max_size=6)
-_widths = st.one_of(st.floats(1e-7, 1.0), st.integers(0, 20).map(lambda k: 2.0 ** -k),
-                    st.just(0.0), st.floats(1e-30, 1e-20))
-
-
-def _bracket_arrays(brackets):
-    lo = np.array([b[0] for b in brackets])
-    hi = lo + np.array([b[1] for b in brackets])
-    first = lo + np.array([b[2] for b in brackets]) * (hi - lo)
-    second = first + np.array([b[3] for b in brackets]) * (hi - lo)
-    return lo, hi, np.stack([first, second], axis=1)
-
-
 class TestLockstepSolvers:
-    @given(_brackets, _widths, st.integers(1, 4))
-    @settings(max_examples=200, deadline=None)
-    def test_bisect_levels_equal_single_halvings(self, brackets, width, levels):
-        # thresholds at, inside and beyond the bracket ends; a width of 0 or
-        # 1e-30 makes the cap of 60 halvings bind.  A middle label narrower
-        # than the final bracket keys it only where a halving probed it.
-        lo, hi, thresholds = _bracket_arrays(brackets)
-        want, want_beyond = _bisect_reference(lo, hi, thresholds, width)
-        single, single_beyond, want_probes, halvings = _bisect_run(lo, hi, thresholds, width, 1)
-        got, beyond, probes, calls = _bisect_run(lo, hi, thresholds, width, levels)
-        assert got.tobytes() == single.tobytes() == want.tobytes()
-        assert beyond.tolist() == single_beyond.tolist() == want_beyond
-        assert want_probes <= probes
-        assert calls == -(-halvings // levels)
-
-    def test_bisect_cap_counts_halvings(self):
-        # a width of 0 never stops a bracket: 60 halvings, in 9 calls of 7;
-        # the first bracket shrinks onto 0, so a 61st halving would show
-        lo, hi, thresholds = np.array([0.0, 1.0]), np.array([1.0, 1.5]), np.array([[0.0], [1.2]])
-        want, want_beyond, want_probes, halvings = _bisect_run(lo, hi, thresholds, 0.0, 1)
-        got, beyond, probes, calls = _bisect_run(lo, hi, thresholds, 0.0, 7)
-        assert halvings == 60 and calls == 9
-        assert got.tobytes() == want.tobytes() and want_probes <= probes
-        assert beyond.tolist() == want_beyond.tolist() == [1, 1]
-
-    def test_bisect_empty(self):
-        for levels in (1, 3):
-            out, beyond, probes, calls = _bisect_run(np.array([]), np.array([]),
-                                                     np.zeros((0, 1)), 1e-6, levels)
-            assert out.shape == beyond.shape == (0,) and not probes and calls == 0
-
     # roots of (x - c)^3, flat to rounding around c, and each element's steps
     _CUBIC_C = np.array([0.3, -1.7, 1e-3, 2.5, 0.1])
     _CUBIC_LO = _CUBIC_C - np.array([0.2, 1e-3, 0.5, 1e-9, 1.0])

@@ -338,6 +338,18 @@ class TestDetectTransitions:
         transitions = detect_transitions(0.0, 0.0, g_range, n_coarse=n_coarse)
         assert [(t.g_star, t.order) for t in transitions] == expected
 
+    @pytest.mark.parametrize("J", [1e-8, 1e-9])
+    def test_weakly_coupled_lines_keep_g_L(self, J):
+        # the branch gap of the cell that holds g_L changes sign within the
+        # refine tolerance of zero at both ends (-6.9e-11 and +6.3e-11 at J =
+        # 1e-8), so the cell is kept; the oracle resolves g_L to about 3e-8
+        J1, J2 = J, -1.2 * J
+        params = ModelParams(g=1.0, J1=J1, J2=J2)
+        transitions = detect_transitions(J1, J2, (0.9, 1.2), n_coarse=31)
+        assert [t.g_star for t in transitions] == [
+            pytest.approx(critical_couplings(params).g_c, rel=0.0, abs=1e-7),
+            pytest.approx(first_order_point(params), rel=0.0, abs=1e-7)]
+
     def test_seeded_lines_report_their_closed_form_transitions(self):
         # lines across all six regions, from below g_c to above g_L where it
         # exists, so both kinds of indicator are met; on the first line one

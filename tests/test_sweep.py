@@ -64,7 +64,7 @@ class TestGridSweep:
     def test_boundaries_near_closed_forms(self, g_j2_grid):
         assert set(g_j2_grid.boundaries) == {"g_c_minus", "g_c_plus", "g_L"}
         for dev in g_j2_grid.analytic_deviation.values():
-            assert dev < 1e-5
+            assert dev < 1e-12
 
     def test_triple_point(self, g_j2_grid):
         crossing = boundary_intersection(g_j2_grid, "g_c_minus", "g_L")
@@ -90,7 +90,8 @@ class TestGridSweep:
             sweep_phase_diagram(Axis("g", 0.9, 1.1, 3), Axis("g", 0.9, 1.1, 3))
 
     def test_refine_tolerance_is_not_an_option(self):
-        # a zero tolerance used to bisect forever; the width is fixed now
+        # a zero tolerance used to bisect forever; boundary points are
+        # indicator roots now, with no width to set
         with pytest.raises(TypeError):
             sweep_phase_diagram(Axis("g", 0.9, 1.1, 5), Axis("J2", -0.2, -0.1, 2),
                                 fixed={"J1": 0.1}, refine_tol=0.0)
@@ -117,27 +118,59 @@ class TestGridSweep:
 
     def test_narrow_phase_inside_a_bracket_keys_the_change_found(self):
         # at J2 = -0.125 the NP and FSP cells at g = 0.8 and 1.2 bracket the
-        # NSP phase; the change found from NP is its onset g_c_minus
+        # NSP phase; the change found from NP is its onset g_c_minus, and the
+        # cell from the probe above it to g = 1.2 then holds g_L
         grid = sweep_phase_diagram(Axis("g", 0.0, 1.2, 4), Axis("J2", -0.2, -0.05, 3),
                                    fixed={"J1": 0.1})
         assert [J2 for _, J2 in grid.boundaries["g_c_minus"]] == [-0.2, -0.125]
-        assert grid.boundaries["g_c_minus"][1][0] == pytest.approx(math.sqrt(0.9), abs=1e-6)
-        assert grid.analytic_deviation["g_c_plus"] < 1e-6
+        assert grid.boundaries["g_c_minus"][1][0] == pytest.approx(math.sqrt(0.9), abs=1e-12)
+        assert grid.boundaries["g_L"] == [(pytest.approx(math.sqrt(1.35), abs=1e-12), -0.125)]
+        assert grid.analytic_deviation["g_c_plus"] < 1e-12
+        # on a J2 axis at g = 0.95, J1 = 0.24 the NSP and FSP cells at J2 =
+        # -0.21 and -0.18 bracket an NP phase; the branch gap finds its end
+        # at g_c_plus, and the cell from J2 = -0.21 to the probe below then
+        # holds g_c_minus.  Within about 1e-8 of g_c_plus the gap is an
+        # exact zero in floats, so that end is good to the probe width.
+        grid = sweep_phase_diagram(Axis("J2", -0.21, -0.18, 2), Axis("J1", 0.24, 0.27, 2),
+                                   fixed={"g": 0.95})
+        row = {key: [J2 for J2, J1 in points if J1 == 0.24]
+               for key, points in grid.boundaries.items()}
+        assert row == {"g_c_minus": [pytest.approx(0.5 * (0.9025 / 1.48 - 1.0), abs=1e-12)],
+                       "g_c_plus": [pytest.approx(1.0 - 0.9025 / 0.76, abs=1e-7)]}
 
     def test_failed_probe_files_no_point(self, monkeypatch):
         solve = sweep.solve_ground_states
 
         def failing_window(points):
             states = solve(points)
-            states.label[(0.85 < points.g) & (points.g < 0.96)] = ""
+            states.label[(0.85 < points.g) & (points.g < 0.98)] = ""
             return states
 
         monkeypatch.setattr(sweep, "solve_ground_states", failing_window)
         grid = sweep_phase_diagram(Axis("g", 0.0, 1.2, 4), Axis("J2", -0.2, -0.05, 3),
                                    fixed={"J1": 0.1})
-        # the brackets at J2 = -0.125 and -0.05 close onto the failed window
-        assert grid.boundaries == {"g_c_minus": [(pytest.approx(math.sqrt(0.72), abs=1e-6),
+        # the roots at J2 = -0.125 and -0.05 fall in the failed window, and
+        # a failed probe opens no cell, so the g_L above it is not sought
+        assert grid.boundaries == {"g_c_minus": [(pytest.approx(math.sqrt(0.72), abs=1e-12),
                                                   -0.2)]}
+
+    def test_labels_flipping_among_degenerate_minima_open_no_interval(self, monkeypatch):
+        # on J1 = J2 = 0 (the J2 = 0 row) all 8 patterns are degenerate
+        # above g_c = 1, the branch gap is exactly 0 at the NSP end and the
+        # probes read NSP or FSP; a probe that reads one end's phase opens
+        # nothing, so the rounds end (a probe that only differs from the end
+        # on its side opened 380 rounds here, each 5e-8 narrower)
+        solve, calls = sweep.solve_ground_states, []
+
+        def spy(points):
+            calls.append(len(points))
+            return solve(points)
+
+        monkeypatch.setattr(sweep, "solve_ground_states", spy)
+        grid = sweep_phase_diagram(Axis("g", 0.9, 3.0, 3), Axis("J2", -0.1, 0.1, 3),
+                                   fixed={"J1": 0.0})
+        assert calls == [9, 4, 2]
+        assert set(grid.boundaries) == {"g_c_plus"}
 
     def test_unknown_fixed_key_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown fixed parameter 'j1'; "

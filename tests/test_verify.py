@@ -11,6 +11,7 @@ from dicke_trimer.meanfield import _phase_result, solve_ground_state
 from dicke_trimer.model import NP
 from dicke_trimer.oracle import Transition
 from dicke_trimer.spectrum import _assemble
+from dicke_trimer.sweep import _branch_gap
 
 
 def _normal_phase(params):
@@ -25,6 +26,12 @@ def _too_few_minima(points):
 
 def _far_point(grid, key_a, key_b):
     return (1.0, 0.0)
+
+
+def _shifted_gap(points):
+    """The sweep's branch gap 1e-3 too high: its roots lie below g_L, where
+    the labels on both sides agree."""
+    return _branch_gap(points) + 1e-3
 
 
 def _gap_never_closes(x, points):
@@ -56,11 +63,15 @@ def _swapped_orders(J1, J2, g_range, n_coarse=121):
      "(1, ('NP',), ('NP', 'FSP'))"),
     (verify.criterion_11_triple_point, "boundary_intersection", _far_point,
      "numeric (1.000000, 0.000000)"),
+    (verify.criterion_11_triple_point, "dicke_trimer.sweep._branch_gap", _shifted_gap,
+     "boundary polylines do not intersect"),
     (verify.criterion_12_atom_only_consistency, "solve_atom_only", _normal_phase,
      "failures: [(-0.3, 0.9, 'NP', 'NSP', "),
 ])
 def test_wrong_answer_fails_the_check(monkeypatch, check, name, wrong, detail):
-    monkeypatch.setattr(verify, name, wrong)
+    # a dotted name is the import path of a function that the check reaches
+    # through another module
+    monkeypatch.setattr(*((name,) if "." in name else (verify, name)), wrong)
     result = check()
     assert not result.passed
     assert detail in result.detail

@@ -16,6 +16,13 @@ its ``float.hex``:
   values ``J1 = 0.090 + 0.001 k``, ``k = 0 ... 20``: the boundary points,
   the ``analytic_deviation`` and the ``g_c_minus``/``g_L`` crossing, where
   the rows ``J1 = 0.094`` and ``0.101`` hold a phase narrower than a cell;
+* ``j-grids``: the boundary points of two grids with a hopping on the y
+  axis: ``J2`` by ``J1`` at ``g = 0.95``, both axes 31 points on
+  (-0.45, 0.45), and ``g`` by ``J1`` at ``J2 = -0.2``, g 41 points on
+  (0.2, 3) and ``J1`` 31 points on (-0.45, 0.45); on the ``J2`` axis the
+  ``J1 = 0.24`` row holds an NP phase narrower than a cell between an NSP
+  and an FSP cell, and on the g axis an NSP phase between an NP and an FSP
+  cell;
 * the transitions of ``oracle-line`` seeds 0-7;
 * ``transition-lines``: the ``detect_transitions`` output (``g_star``,
   ``order``, ``jump`` and ``noise_floor``, and ``path`` from checkouts
@@ -95,6 +102,11 @@ from pathlib import Path
 
 GRID_SEEDS = range(4)
 TRIPLE_J1 = [round(0.090 + 0.001 * k, 3) for k in range(21)]
+# name -> (x axis, y axis, fixed) of sweep_phase_diagram
+J_GRIDS = {
+    "J2-J1": (("J2", -0.45, 0.45, 31), ("J1", -0.45, 0.45, 31), {"g": 0.95}),
+    "g-J1": (("g", 0.2, 3.0, 41), ("J1", -0.45, 0.45, 31), {"J2": -0.2}),
+}
 LINE_SEEDS = range(4)
 ORACLE_SEEDS = range(8)
 TRANSITION_SEED = 5151
@@ -154,12 +166,11 @@ def _table(prefix, rows, fields):
     fields.update({f"{prefix}/{k}": _column(row.get(k) for row in rows) for k in keys})
 
 
-def _boundary_fields(prefix, grid, crossing, fields):
+def _boundary_fields(prefix, grid, fields):
     for key, points in sorted(grid.boundaries.items()):
         _table(f"{prefix}/boundaries/{key}", [{"x": x, "y": y} for x, y in points], fields)
     for key, dev in sorted(grid.analytic_deviation.items()):
         fields[f"{prefix}/analytic_deviation/{key}"] = _column([dev])
-    fields[f"{prefix}/triple_point"] = _column(["None"] if crossing is None else crossing)
 
 
 def _grid_fields(fields):
@@ -170,7 +181,8 @@ def _grid_fields(fields):
         grid, crossing = work.run(work.config(seed))
         prefix = f"grid-triple/{seed}"
         _table(f"{prefix}/cells", [cell for row in grid.cells for cell in row], fields)
-        _boundary_fields(prefix, grid, crossing, fields)
+        _boundary_fields(prefix, grid, fields)
+        fields[f"{prefix}/triple_point"] = _column(["None"] if crossing is None else crossing)
 
 
 def _triple_j1_fields(fields):
@@ -179,7 +191,17 @@ def _triple_j1_fields(fields):
     work = WORKLOADS["grid-triple"]
     for J1 in TRIPLE_J1:
         grid, crossing = work.run(work.config(0) | {"J1": J1})
-        _boundary_fields(f"triple-j1/{J1}", grid, crossing, fields)
+        prefix = f"triple-j1/{J1}"
+        _boundary_fields(prefix, grid, fields)
+        fields[f"{prefix}/triple_point"] = _column(["None"] if crossing is None else crossing)
+
+
+def _j_grid_fields(fields):
+    from dicke_trimer.sweep import Axis, sweep_phase_diagram
+
+    for name, (axis_x, axis_y, fixed) in J_GRIDS.items():
+        grid = sweep_phase_diagram(Axis(*axis_x), Axis(*axis_y), fixed=fixed)
+        _boundary_fields(f"j-grids/{name}", grid, fields)
 
 
 def _oracle_fields(fields):
@@ -419,9 +441,10 @@ def _verify_fields(fields):
 def dump(tree, path):
     _import_tree(tree)
     fields = {}
-    for part in (_grid_fields, _triple_j1_fields, _oracle_fields, _transition_line_fields,
-                 _line_fields, _bulk_fields, _fsp_fields, _onset_fields, _gl_fields, _root_fields,
-                 _atom_only_fields, _minima_fields, _tiny_g_fields, _verify_fields):
+    for part in (_grid_fields, _triple_j1_fields, _j_grid_fields, _oracle_fields,
+                 _transition_line_fields, _line_fields, _bulk_fields, _fsp_fields, _onset_fields,
+                 _gl_fields, _root_fields, _atom_only_fields, _minima_fields, _tiny_g_fields,
+                 _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
