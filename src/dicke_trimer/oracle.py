@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 import numpy as np
 
@@ -84,50 +85,58 @@ def descend(seeds, params):
     return X, is_min
 
 
-def _cluster(X, radius):
-    """Indices of the rows of X kept, in order: a row within radius of an
-    earlier kept row is dropped."""
-    kept = []
-    for i, x in enumerate(X):
-        if not any(np.linalg.norm(x - X[j]) < radius for j in kept):
-            kept.append(i)
+def _cluster(X, counts, radius):
+    """Indices of the rows of X kept, in order, X holding counts[p] rows of
+    each point p in turn: a row within radius[p] of an earlier kept row of
+    its point is dropped.  One distance matrix per point; vecdot is the ddot
+    of np.linalg.norm(x - y), so each distance is bitwise the same."""
+    kept, ends = [], np.cumsum(counts)
+    for a, b, r in zip(ends - counts, ends, radius):
+        D = X[a:b, None] - X[None, a:b]
+        live, close = np.ones(b - a, dtype=bool), np.sqrt(np.vecdot(D, D)) < r
+        for i in range(b - a):
+            if live[i]:
+                kept.append(a + i)
+                live &= ~close[i]
     return np.array(kept, dtype=int)
 
 
-def _split(saddles, params):
+def _split(saddles, points):
     """Seeds just off each saddle, _SPLIT of its distance to the edge away,
     on both sides of every eigenvector of negative curvature and of the
-    bisector of every pair of them, in order of the saddles, all of the
-    point params.  Around a saddle of index two the eight
-    directions are 45 degrees apart, so every basin that spans more than
-    that around the saddle gets a seed; the six-fold orbits around x = 0
-    span 60 degrees each."""
-    g, C, B = _coefficients(params)
+    bisector of every pair of them, in order of the saddles, each of its
+    row of Points, and the row of each seed.  Around a saddle of index two
+    the eight directions are 45 degrees apart, so every basin that spans
+    more than that around the saddle gets a seed; the six-fold orbits
+    around x = 0 span 60 degrees each."""
+    g, C, B = _coefficients(points)
     w, V = np.linalg.eigh(_hessian(saddles, g, C, B))
-    t = _SPLIT * (0.5 * g - np.max(np.abs(saddles), axis=1))
-    seeds = []
-    for x, wx, Vx, tx in zip(saddles, w, V, t):
+    t = _SPLIT * (0.5 * g[:, 0] - np.max(np.abs(saddles), axis=1))
+    seeds, rows = [], []
+    for r, (x, wx, Vx, tx) in enumerate(zip(saddles, w, V, t)):
         U = Vx[:, wx < _PSD_TOL].T
         D = list(U) + [(a + sign * b) / math.sqrt(2.0) for i, a in enumerate(U)
                        for b in U[i + 1:] for sign in (1.0, -1.0)]
         seeds += [x + tx * d for d in D] + [x - tx * d for d in D]
-    return np.array(seeds).reshape(-1, 3)
+        rows += [r] * (2 * len(D))
+    return np.array(seeds).reshape(-1, 3), np.array(rows, dtype=int)
 
 
 #: the prefilter's margin M per unit of 3 max|q| + 3 |2B| max x^2, twice the
 #: rounding it must cover, plus 6 |2B| times the least subnormal for products
 #: that underflow (docs/oracle_grid.md)
 _MARGIN = 16.0 * np.finfo(float).eps
-#: the offsets of a grid point's 27 neighbours, the point itself at row 13
-_CUBE = np.stack(np.unravel_index(np.arange(27), (3, 3, 3)), axis=-1) - 1
 #: survivors confirmed per block of (rows, 27) grid energies
 _BLOCK = 4096
+#: points per pass of the finder, which holds a few (2n - 1, n) tables per point
+_CHUNK = 8
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _candidates(params, n):
-    """The grid-local minima of one point as a (k, 3) stack of seeds, in C
-    order, or the _MAX_CANDIDATES lowest of them in order of energy.
+def _candidates(points, n):
+    """The grid-local minima of each row of Points (or of a sequence of
+    ModelParams), in C order or the _MAX_CANDIDATES lowest by energy, as one
+    (K, 3) stack by point and the count of each; one ModelParams gives its own.
 
     The grid is n^3 interior points of (-g/2, g/2)^3, E[i, j, k] = ((q_i +
     q_j) + q_k) + (((o_ij + o_jk) + o_ik) * 2B) with q = C x^2 - root/2 and
@@ -138,103 +147,134 @@ def _candidates(params, n):
     i + j = t: the table T[t, k], whose every undefined test passes
     (docs/oracle_grid.md).  The (i, j, k) with T[i + j, k], T[j + k, i] and
     T[i + k, j] are then confirmed by the grid's own float expression.
+    Each point has its own x, q, M and T; _CHUNK points go in one pass,
+    their survivors by point, then in C order.  A pass is a few dozen small
+    operations, so it calls array methods and ufuncs, not numpy's wrappers.
     """
-    g, C, B = _coefficients(params)
-    x = np.linspace(-0.5 * g, 0.5 * g, n + 2)[1:-1]
-    root = np.sqrt(1.0 - 4.0 * x * x / (g * g))
-    q = C * x * x - 0.5 * root
+    if isinstance(points, ModelParams):
+        return _candidates([points], n)[0]
+    points = Points.of(points)
+    if len(points) > _CHUNK:
+        seeds, counts = zip(*(_candidates(points[a:a + _CHUNK], n)
+                              for a in range(0, len(points), _CHUNK)))
+        return np.concatenate(seeds), np.concatenate(counts)
+    P, (g, C, B) = len(points), _coefficients(points)
+    # np.linspace(-g/2, g/2, n + 2)[1:-1], by its own float steps
+    x = np.arange(1.0, n + 1) * (g / (n + 1)) - 0.5 * g
+    q = C * x * x - 0.5 * np.sqrt(1.0 - 4.0 * x * x / (g * g))
     c = 2.0 * B
-
-    def grid(ix):  # E at the (..., 3) indices ix, on the reversed axes of ix
-        (qi, qj, qk), (xi, xj, xk) = q[ix].T, x[ix].T
-        return ((qi + qj) + qk) + (((xi * xj + xj * xk) + xi * xk) * c)
-
     # the float pair sums by t = i + j: row i holds x_i + x at columns i to i + n - 1
-    skew = np.full((n, 2 * n), np.nan)
-    skew[:, :n] = np.add.outer(x, x)
-    skew = skew.reshape(-1)[:n * (2 * n - 1)].reshape(n, 2 * n - 1)
-    s_lo, s_hi = np.fmin.reduce(skew, axis=0)[:, None], np.fmax.reduce(skew, axis=0)[:, None]
-    M = (_MARGIN * (3.0 * np.fmax.reduce(np.abs(q)) + 3.0 * abs(c) * np.max(x * x))
-         + 6.0 * abs(c) * np.finfo(float).smallest_subnormal)
+    skew = np.empty((P, n, 2 * n))
+    skew[:, :, :n] = x[:, :, None] + x[:, None, :]
+    skew[:, :, n:] = np.nan
+    skew = skew.reshape(P, 2 * n * n)[:, :n * (2 * n - 1)].reshape(P, n, 2 * n - 1)
+    s_lo, s_hi = np.fmin.reduce(skew, axis=1)[..., None], np.fmax.reduce(skew, axis=1)[..., None]
+    del skew
+    M = (_MARGIN * (3.0 * np.fmax.reduce(np.abs(q), axis=1, keepdims=True)
+                    + 3.0 * np.abs(c) * np.maximum.reduce(x * x, axis=1, keepdims=True))
+         + 6.0 * np.abs(c) * np.finfo(float).smallest_subnormal)[..., None]
     # phi(k + 1) - phi(k) = f(s) = dq + b s is linear in s: k + 1 passes
     # where f <= M at some s of t, k where -f <= M
-    dq, b = np.diff(q), c * np.diff(x)
+    dq, b = (q[:, 1:] - q[:, :-1])[:, None], (c * (x[:, 1:] - x[:, :-1]))[:, None]
     f_lo, f_hi = s_lo * b + dq, s_hi * b + dq
-    T = np.ones((2 * n - 1, n), dtype=bool)
-    T[:, 1:] = ~(np.minimum(f_lo, f_hi) > M)
-    T[:, :-1] &= ~(np.maximum(f_lo, f_hi) < -M)
+    T = np.ones((P, 2 * n - 1, n), dtype=bool)
+    T[..., 1:] = ~(np.minimum(f_lo, f_hi) > M)
+    T[..., :-1] &= ~(np.maximum(f_lo, f_hi) < -M)
     # a NaN q_k makes plane k NaN, and no minimum is or neighbours a NaN
-    T[:, np.convolve(np.isnan(q), np.ones(3), "same") > 0] = False
-    # T[:, k] lies in t = lo[k] ... hi[k]; enumerate j over both spans per (i, k)
-    has = T.any(axis=0)
-    lo = np.where(has, np.argmax(T, axis=0), 2 * n)
-    hi = np.where(has, 2 * n - 2 - np.argmax(T[::-1], axis=0), -1)
-    i, k = np.divmod(np.arange(n * n), n)
-    j = np.maximum(np.maximum(lo[k] - i, lo[i] - k), 0)
-    count = np.maximum(np.minimum(np.minimum(hi[k] - i, hi[i] - k), n - 1) - j + 1, 0)
-    i, j, k = (np.repeat(v, count) for v in (i, j, k))
-    j += np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count)
-    ix = np.stack([i, j, k], axis=-1)[T[i + k, j]]
-    ix = ix[np.argsort((ix[:, 0] * n + ix[:, 1]) * n + ix[:, 2])]
-    keep = np.zeros(len(ix), dtype=bool)
-    for a in range(0, len(ix), _BLOCK):
-        E = grid(np.clip(ix[a:a + _BLOCK, None] + _CUBE, 0, n - 1))
-        keep[a:a + _BLOCK] = (E[13] <= E).all(axis=0)
-    ix = ix[keep]
-    if len(ix) > _MAX_CANDIDATES:
-        ix = ix[np.argsort(grid(ix))[:_MAX_CANDIDATES]]
-    return x[ix]
+    nan = np.isnan(q)
+    if nan.any():
+        T &= ~np.array([np.convolve(v, np.ones(3), "same") > 0 for v in nan])[:, None]
+    # T[p, :, k] lies in t = lo[p, k] ... hi[p, k]; per (p, i, j) whose
+    # columns i and j both pass somewhere, enumerate k over both spans,
+    # so the survivors come in C order
+    has = np.logical_or.reduce(T, axis=1)
+    lo, hi = T.argmax(axis=1), 2 * n - 2 - T[:, ::-1].argmax(axis=1)
+    p, i, j = (has[:, :, None] & has[:, None, :]).nonzero()
+    k = np.maximum(np.maximum(lo[p, j] - i, lo[p, i] - j), 0)
+    count = np.maximum(np.minimum(np.minimum(hi[p, j] - i, hi[p, i] - j), n - 1) - k + 1, 0)
+    p, i, j, k = (v.repeat(count) for v in (p, i, j, k))
+    k += np.arange(len(k)) - (count.cumsum() - count).repeat(count)
+    survive = T[p, i + j, k]
+    p, ix = p[survive], np.stack([i, j, k], axis=-1)[survive]
+    keep, E = np.zeros(len(ix), dtype=bool), np.empty(len(ix))
+    for r in range(0, len(ix), _BLOCK):
+        # q and x at the three clamped neighbours along each axis; the 27
+        # energies are their outer sums, the point itself at 13
+        at = p[r:r + _BLOCK, None, None], np.clip(ix[r:r + _BLOCK, :, None] + (-1, 0, 1), 0, n - 1)
+        (qi, qj, qk), (xi, xj, xk) = ((v[:, 0, :, None, None], v[:, 1, None, :, None],
+                                       v[:, 2, None, None, :]) for v in (q[at], x[at]))
+        grid = (((qi + qj) + qk) + (((xi * xj + xj * xk) + xi * xk) * c[at[0]])).reshape(-1, 27)
+        keep[r:r + _BLOCK] = np.logical_and.reduce(grid[:, 13:14] <= grid, axis=1)
+        E[r:r + _BLOCK] = grid[:, 13]
+    keep = keep.nonzero()[0]
+    count = np.bincount(p[keep], minlength=P)
+    if (count > _MAX_CANDIDATES).any():
+        keep = np.concatenate([r if len(r) <= _MAX_CANDIDATES
+                               else r[np.argsort(E[r])[:_MAX_CANDIDATES]]
+                               for r in np.split(keep, count.cumsum()[:-1])])
+        count = np.minimum(count, _MAX_CANDIDATES)
+    return x[p[keep, None], ix[keep]], count
 
 
-def _ranked(minima, params):
-    """The PhaseResult of the distinct minima found at one point."""
-    energies = energy(minima, params)
-    best = energies.min()
-    keep = sorted(minima[energies <= best + _CONFIG.refine_tolerance], key=tuple)
-    return _result(_pattern(keep[0], params.g), keep, params, float(best))
+#: one point's minima, in the order found, and their energies; the lowest
+#: energy, the minima within the refine tolerance of it, sorted, and their label
+_Ranked = namedtuple("_Ranked", "minima energies energy degenerate label")
+
+
+def _ranked(points, minima):
+    """The _Ranked of each row of Points and its stack of minima, from one
+    energy pass over all of them; the label is that of the first degenerate
+    minimum."""
+    points, counts, ranked = Points.of(points), [len(X) for X in minima], []
+    if not counts:
+        return []
+    energies = energy(np.concatenate(minima), points[np.repeat(np.arange(len(points)), counts)])
+    for X, E, g in zip(minima, np.split(energies, np.cumsum(counts)[:-1]), points.g):
+        best = E.min()
+        keep = sorted(X[E <= best + _CONFIG.refine_tolerance], key=tuple)
+        ranked.append(_Ranked(X, E, float(best), keep, _pattern(keep[0], g)))
+    return ranked
 
 
 def _minima(points):
     """The clustered local minima of each row of Points (or of a sequence of
     ModelParams), as a list of (k, 3) stacks, in the order found.
 
-    Every candidate of every point is descended in one :func:`descend`;
-    each point then clusters and splits its own saddles, and the seeds of
-    all points are descended together, up to three rounds.  Each point
-    clusters the minima of all rounds, in round order.  A row, and so a
-    point's minima, is the same as in a call on that point alone.  Raises
-    the ConvergenceError of the first point where no descent ends at a
-    minimum, or at once that of a point whose energy overflows.
+    Each step takes all points as one stack of rows by point: the
+    candidates, their descent, then up to three rounds that cluster and
+    split each point's saddles and descend all the seeds.  Each point
+    clusters its minima of all rounds, in round order: those of a call on it
+    alone.  Raises the ConvergenceError of the first point where no descent
+    ends at a minimum, or at once that of a point whose energy overflows.
     """
     points = Points.of(points)
-    each = list(points)
-    n, radius = _CONFIG.grid_points_per_axis, _CONFIG.cluster_radius
-    seeds = [_candidates(p, n) for p in each]
-    found = [[] for _ in each]
+    radius = _CONFIG.cluster_radius * points.g
+    seeds, counts = _candidates(points, _CONFIG.grid_points_per_axis)
+    owner = np.repeat(np.arange(len(points)), counts)
+    found = [(np.empty((0, 3)), np.empty(0, dtype=int))]
     # a split can end at a saddle of lower index, so split up to once per axis
     for depth in range(4):
         if depth:
-            seeds = [_split(s[_cluster(s, radius * p.g)], p) if len(s) else s
-                     for s, p in zip(saddles, each)]
-        counts = [len(s) for s in seeds]
+            if not len(saddles):
+                break
+            kept = _cluster(saddles, np.bincount(owner, minlength=len(points)), radius)
+            seeds, rows = _split(saddles[kept], points[owner[kept]])
+            owner = owner[kept][rows]
         # none left, or eigh saw no negative curvature where eigvalsh did
-        if not sum(counts):
+        if not len(seeds):
             break
-        rows, is_min = descend(np.concatenate(seeds),
-                               points[np.repeat(np.arange(len(points)), counts)])
-        ends = np.cumsum(counts)
-        saddles = []
-        for minima, a, b in zip(found, ends - counts, ends):
-            minima.extend(rows[a:b][is_min[a:b]])
-            saddles.append(rows[a:b][~is_min[a:b]])
-
-    clustered = []
-    for p, minima in zip(each, found):
-        if not minima:
-            raise ConvergenceError(f"no descent ended at a minimum at {p}")
-        X = np.array(minima)
-        clustered.append(X[_cluster(X, radius * p.g)])
-    return clustered
+        X, is_min = descend(seeds, points[owner])
+        found.append((X[is_min], owner[is_min]))
+        saddles, owner = X[~is_min], owner[~is_min]
+    # each point's minima, in round order
+    X, owner = (np.concatenate(v) for v in zip(*found))
+    order = np.argsort(owner, kind="stable")
+    X, owner, counts = X[order], owner[order], np.bincount(owner, minlength=len(points))
+    if not counts.all():
+        raise ConvergenceError(f"no descent ended at a minimum at {points[np.argmin(counts)]}")
+    kept = _cluster(X, counts, radius)
+    ends = np.cumsum(np.bincount(owner[kept], minlength=len(points)))
+    return [X[kept[a:b]] for a, b in zip(np.r_[0, ends[:-1]], ends)]
 
 
 def _brute_force_minima(points):
@@ -242,7 +282,8 @@ def _brute_force_minima(points):
     of ModelParams), as a list of PhaseResults: each point's
     :func:`_minima`, ranked."""
     points = Points.of(points)
-    return [_ranked(X, p) for X, p in zip(_minima(points), points)]
+    return [_result(r.label, r.degenerate, p, r.energy)
+            for p, r in zip(points, _ranked(points, _minima(points)))]
 
 
 def brute_force_minimize(params: ModelParams) -> PhaseResult:
@@ -275,14 +316,13 @@ class Transition:
 
 def _branch_gap(points, minima):
     """The lowest energy of each point's uniform-pattern minima less that of
-    its frustrated-pattern ones (of :func:`_minima`): negative where the
-    uniform branch lies lower, +-inf where one branch is missing."""
+    its frustrated-pattern ones, of each point's :func:`_ranked` minima:
+    negative where the uniform branch lies lower, +-inf where one is missing."""
     gaps = []
-    for X, p in zip(minima, points):
-        E = energy(X, p)
-        frustrated = np.array([_pattern(x, p.g) == FSP for x in X])
-        gaps.append(np.min(E[~frustrated], initial=np.inf)
-                    - np.min(E[frustrated], initial=np.inf))
+    for r, g in zip(minima, points.g):
+        frustrated = np.array([_pattern(x, g) == FSP for x in r.minima])
+        gaps.append(np.min(r.energies[~frustrated], initial=np.inf)
+                    - np.min(r.energies[frustrated], initial=np.inf))
     return np.array(gaps)
 
 
@@ -309,8 +349,8 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     labels do not confirm, raise a ConvergenceError naming the cell.  Order
     labels come from derivative jumps against a noise floor from two step
     sizes; ambiguous jumps are flagged inconclusive, not guessed.  All
-    minimisations but the root steps share one memo of each g's minima and
-    PhaseResult, so a line makes three stacked minimisations (the coarse
+    minimisations but the root steps share one memo of each g's
+    :func:`_ranked` minima, so a line makes three stacked minimisations (the coarse
     scan, the labels, the stencils), one per step of its slowest frustrated
     root and one round more per split cell.
     """
@@ -322,14 +362,14 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     def at(gs):
         return Points(g=gs, J1=J1, J2=J2)
 
-    memo = {}  # g -> (its minima, their PhaseResult)
+    memo = {}  # g -> its _Ranked minima
 
     def solve(gs):
         """The memo entries of the floats gs, the new ones from one stacked minimisation."""
         new = [g for g in dict.fromkeys(gs) if g not in memo]
         if new:
             points = at(new)
-            memo.update((g, (X, _ranked(X, p))) for g, X, p in zip(new, _minima(points), points))
+            memo.update(zip(new, _ranked(points, _minima(points))))
         return [memo[g] for g in gs]
 
     def cell_error(what, k):
@@ -337,13 +377,13 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
                                 f"at J1={J1}, J2={J2}")
 
     gs = np.linspace(g_min, g_max, n_coarse)
-    coarse = np.array([r.label for _, r in solve(gs.tolist())])
+    coarse = np.array([r.label for r in solve(gs.tolist())])
     lo, hi = gs[:-1][coarse[:-1] != coarse[1:]], gs[1:][coarse[:-1] != coarse[1:]]
     found = []  # (g_star, label below, label above)
     while len(lo):
         ends = np.concatenate([lo, hi])
-        minima, results = zip(*solve(ends.tolist()))
-        labels = np.array([r.label for r in results])
+        minima = solve(ends.tolist())
+        labels = np.array([r.label for r in minima])
         lower, upper = np.split(labels, 2)
         onset = (lower == NP) | (upper == NP)
         f = np.where(np.tile(onset, 2), _onset_curvature(at(ends)), _branch_gap(at(ends), minima))
@@ -360,7 +400,7 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
             raise cell_error("the indicator brackets no root", np.argmax(unbracketed))
         roots = np.empty(len(lo))
         for kind, indicator in ((onset, _onset_curvature),
-                                (~onset, lambda p: _branch_gap(p, _minima(p)))):
+                                (~onset, lambda p: _branch_gap(p, _ranked(p, _minima(p))))):
             rows = np.flatnonzero(kind)
             roots[rows] = _bracketed_roots(lambda gs: indicator(at(gs)), lo[rows], hi[rows],
                                            f1[rows], f2[rows])
@@ -368,7 +408,7 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
         below = np.maximum(roots - 0.5 * _PROBE_WIDTH, lo)
         above = np.minimum(roots + 0.5 * _PROBE_WIDTH, hi)
         seen_below, seen_above = np.split(
-            np.array([r.label for _, r in solve(np.concatenate([below, above]).tolist())]), 2)
+            np.array([r.label for r in solve(np.concatenate([below, above]).tolist())]), 2)
         split = (seen_below == NP) & (lower == NP) & (seen_above != NP) & (seen_above != upper)
         unconfirmed = ~((seen_below == lower) & (seen_above == upper) | split)
         if unconfirmed.any():
@@ -382,7 +422,7 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     steps = [min(_CONFIG.derivative_step, g_star / 12.0) for g_star, _, _ in found]
     solve([g for (g_star, _, _), h in zip(found, steps)
            for stencil in _stencils(g_star, h) for g in stencil])
-    E = {g: r.energy for g, (_, r) in memo.items()}
+    E = {g: r.energy for g, r in memo.items()}
 
     transitions = []
     for (g_star, below, above), h in zip(found, steps):
