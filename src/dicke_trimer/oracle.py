@@ -11,11 +11,11 @@ shared with the solver; the oracle's own parts are the grid-local minima
 of the separable grid (found by an exact 1-D prefilter and a 27-neighbour
 check, without building the grid), the splitting of saddles and the
 clustering of minima.  The minimisation runs over a batch of parameter
-points (one Points record) at once: the grid-local minima and saddle splits
-of all points go through each descent together; each point clusters its own
-minima.  :func:`brute_force_minimize` is its one-point case.
-Transition detection tells phases apart by one test, the label of the
-minimum.  It minimises as one such stack its coarse scan, each step of the
+points (one Points record) at once, each step one array pass over all: the
+grid-local minima, each descent, the clustering and the ranking energy
+pass.  :func:`brute_force_minimize` is its one-point case.
+Transition detection tells phases apart by one test, the ranked label of
+the minimum.  It minimises as one such stack its coarse scan, each step of the
 root find on its frustrated indicator (:func:`_branch_gap`), the label
 confirmation of all its roots and the stencils of all its order tests; an
 onset's indicator, the curvature at x = 0, needs no grid.

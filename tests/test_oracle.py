@@ -534,19 +534,113 @@ class TestGridMinima:
             J1, J2 = rng.uniform(-0.45, 0.45, 2)
             _assert_same_seeds(ModelParams(g=rng.uniform(0.3, 3.0), J1=J1, J2=J2), 41)
 
+    def test_stacked_call_equals_one_point_calls(self):
+        # bulk points, the four transitions offset by 1e-15 to 1e-1, hoppings
+        # at +-0.4999999 and g up to 1e308, in stacks around the chunk size
+        rng = np.random.default_rng(303)
+        points = []
+        for _ in range(120):
+            J1, J2 = rng.uniform(-0.4999999, 0.4999999, 2)
+            points.append(ModelParams(g=10.0 ** rng.uniform(-3.0, 4.0), J1=J1, J2=J2))
+        for _ in range(120):
+            J1, J2 = rng.uniform(-0.49, 0.49, 2)
+            base = ModelParams(g=1.0, J1=J1, J2=J2)
+            c = critical_couplings(base)
+            known = [c.g_c, c.g_c_plus, c.g_c_minus, first_order_point(base)]
+            g_x = rng.choice([v for v in known if v is not None and math.isfinite(v) and v > 0])
+            offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -1.0)
+            points.append(base.replace(g=float(g_x * (1.0 + offset))))
+        for _ in range(40):
+            J1, J2 = rng.choice([-_EDGE, _EDGE], 2)
+            points.append(ModelParams(g=10.0 ** rng.uniform(-3.0, 3.0), J1=J1, J2=J2))
+        for _ in range(30):
+            J1, J2 = rng.uniform(-0.49, 0.49, 2)
+            points.append(ModelParams(g=10.0 ** rng.uniform(100.0, 308.0), J1=J1, J2=J2))
+        points += [ModelParams(g=g, J1=0.1, J2=-0.1) for g in (1e154, 1.3e154, 2e154)]
+        points = [points[i] for i in rng.permutation(len(points))]
+        alone = [oracle._candidates(p, 41) for p in points]
+        for size in (1, oracle._CHUNK - 1, oracle._CHUNK, oracle._CHUNK + 1, 31):
+            for a in range(0, len(points), size):
+                seeds, counts = oracle._candidates(points[a:a + size], 41)
+                assert counts.tolist() == [len(s) for s in alone[a:a + size]]
+                want = np.concatenate(alone[a:a + size])
+                assert np.array_equal(seeds.view(np.int64), want.view(np.int64))
+
     def test_builds_no_grid(self):
         import tracemalloc
 
         params = ModelParams(g=1.1, J1=0.1, J2=-0.1)
+        stack = [params.replace(g=g) for g in np.linspace(0.9, 1.2, 31)]
         oracle._candidates(params, 41)
         tracemalloc.start()
         try:
             oracle._candidates(params, 41)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            oracle._candidates(stack, 41)
+            stacked_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one float64 grid of 41^3 points is 551 kB
+        # one float64 grid of 41^3 points is 551 kB; a stack of 31 points
+        # goes a few points at a time
         assert peak < 41**3 * 8 // 2
+        assert stacked_peak < 41**3 * 8 * 2
+
+
+def _cluster_one_by_one(X, radius):
+    """The clustering of one point's minima as a loop over pairs: the
+    reference of the stacked oracle._cluster."""
+    kept = []
+    for i, x in enumerate(X):
+        if not any(np.linalg.norm(x - X[j]) < radius for j in kept):
+            kept.append(i)
+    return np.array(kept, dtype=int)
+
+
+class TestClusterAndRanking:
+    def test_cluster_keeps_the_rows_of_the_pairwise_loop(self):
+        # the radius is the distance of a pair of rows, or one ulp either
+        # side of it, among rows well inside and well outside it
+        rng = np.random.default_rng(304)
+        stacks, radii = [np.empty((0, 3)), rng.normal(size=(1, 3))], [1e-6, 1e-6]
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-9.0, 0.0)
+            base = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
+            X = base + rng.normal(size=(int(rng.integers(2, 10)), 3)) * scale
+            a, b = rng.choice(len(X), 2, replace=False)
+            d = np.linalg.norm(X[a] - X[b])
+            stacks.append(X)
+            radii.append(float(rng.choice([np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)])))
+        for X, r in zip(stacks, radii):
+            assert oracle._cluster(X, [len(X)], [r]).tolist() == _cluster_one_by_one(X, r).tolist()
+        # all stacks in one call: indices into the whole stack
+        counts = [len(X) for X in stacks]
+        starts = np.cumsum(counts) - counts
+        want = np.concatenate([a + _cluster_one_by_one(X, r)
+                               for X, r, a in zip(stacks, radii, starts)])
+        got = oracle._cluster(np.concatenate(stacks), counts, radii)
+        assert got.tolist() == want.tolist()
+        assert oracle._cluster(np.empty((0, 3)), [], []).tolist() == []
+
+    def test_ranking_pass_equals_one_point_energies(self):
+        rng = np.random.default_rng(305)
+        points = [ModelParams(g=1.1, J1=0.1, J2=0.1), ModelParams(g=1.1, J1=-0.1, J2=-0.1),
+                  ModelParams(g=0.5, J1=0.1, J2=-0.1)]
+        for _ in range(20):
+            J1, J2 = rng.uniform(-0.45, 0.45, 2)
+            points.append(ModelParams(g=rng.uniform(0.3, 3.0), J1=J1, J2=J2))
+        minima = oracle._minima(points)
+        ranked = oracle._ranked(points, minima)
+        assert [len(r.minima) for r in ranked] == [len(X) for X in minima]
+        for X, r, p in zip(minima, ranked, points):
+            E = energy(X, p)
+            assert np.array_equal(r.energies.view(np.int64), E.view(np.int64))
+            assert float.hex(r.energy) == float.hex(float(E.min()))
+            keep = sorted(X[E <= E.min() + OracleConfig().refine_tolerance], key=tuple)
+            assert len(r.degenerate) == len(keep)
+            assert all(np.array_equal(a, b) for a, b in zip(r.degenerate, keep))
+            assert r.label == brute_force_minimize(p).label
+        assert oracle._ranked([], []) == []
 
 
 def test_import_leaves_scipy_ndimage_and_optimize_unloaded():

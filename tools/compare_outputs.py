@@ -82,6 +82,11 @@ its ``float.hex``:
   label and degeneracy of ``meanfield.solve_ground_states`` and of
   ``oracle._brute_force_minima`` (in stacks of 25), where ``x`` is so small
   that an absolute identity tolerance merges distinct minima;
+* ``huge-g``: ``oracle._minima`` at g in {1e150, 1e153, 1.3e154, 2e154,
+  1e200, 1e308} on ``(J1, J2)`` = (0.1, -0.1), (0.1, 0.1) and (0, 0),
+  each point alone and then all of them in one stack behind a ``g = 1.1``
+  point on (0.1, -0.1): per call the count and every x of the minima, or
+  the error text, where the energy overflows;
 * the text that ``verify --scope all`` prints.
 
 ``diff`` lists each field whose values differ, with the number of entries
@@ -140,6 +145,8 @@ MINIMA_SEED = 2030
 MINIMA_POINTS = 800
 TINY_SEED = 2029
 TINY_POINTS = 200
+HUGE_G = (1e150, 1e153, 1.3e154, 2e154, 1e200, 1e308)
+HUGE_J = ((0.1, -0.1), (0.1, 0.1), (0.0, 0.0))
 
 
 def _import_tree(tree):
@@ -428,6 +435,28 @@ def _tiny_g_fields(fields):
     fields["tiny-g/oracle/degeneracy"] = _column([r.degeneracy for r in results])
 
 
+def _huge_g_fields(fields):
+    from dicke_trimer.meanfield import ConvergenceError
+    from dicke_trimer.model import ModelParams
+    from dicke_trimer.oracle import _minima
+
+    points = [ModelParams(g=g, J1=J1, J2=J2) for J1, J2 in HUGE_J for g in HUGE_G]
+    counts, rows, errors = [], [], []
+    for stack in [[p] for p in points] + [[ModelParams(g=1.1, J1=0.1, J2=-0.1)] + points]:
+        try:
+            found = _minima(stack)
+        except ConvergenceError as err:  # typed errors are outputs too
+            errors.append(f"{type(err).__name__}: {err}")
+            continue
+        errors.append("None")
+        counts += [len(X) for X in found]
+        rows += [x for X in found for x in X]
+    fields["huge-g/count"] = _column(counts)
+    for n in range(3):
+        fields[f"huge-g/x{n}"] = _column([float(x[n]) for x in rows])
+    fields["huge-g/error"] = _column(errors)
+
+
 def _verify_fields(fields):
     from dicke_trimer.cli import main
 
@@ -444,7 +473,7 @@ def dump(tree, path):
     for part in (_grid_fields, _triple_j1_fields, _j_grid_fields, _oracle_fields,
                  _transition_line_fields, _line_fields, _bulk_fields, _fsp_fields, _onset_fields,
                  _gl_fields, _root_fields, _atom_only_fields, _minima_fields, _tiny_g_fields,
-                 _verify_fields):
+                 _huge_g_fields, _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
