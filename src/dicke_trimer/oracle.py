@@ -104,8 +104,8 @@ def _cluster(X, counts, radius):
 def _split(saddles, points):
     """Seeds just off each saddle, _SPLIT of its distance to the edge away,
     on both sides of every eigenvector of negative curvature and of the
-    bisector of every pair of them, in order of the saddles, each of its
-    row of Points, and the row of each seed.  Around a saddle of index two
+    bisector of every pair of them, in order of the saddles (one row of
+    Points each), and the saddle of each seed.  Around a saddle of index two
     the eight directions are 45 degrees apart, so every basin that spans
     more than that around the saddle gets a seed; the six-fold orbits
     around x = 0 span 60 degrees each."""
