@@ -349,10 +349,10 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     labels do not confirm, raise a ConvergenceError naming the cell.  Order
     labels come from derivative jumps against a noise floor from two step
     sizes; ambiguous jumps are flagged inconclusive, not guessed.  All
-    minimisations but the root steps share one memo of each g's
-    :func:`_ranked` minima, so a line makes three stacked minimisations (the coarse
-    scan, the labels, the stencils), one per step of its slowest frustrated
-    root and one round more per split cell.
+    minimisations share one memo of each g's :func:`_ranked` minima, so a
+    line makes three stacked minimisations (the coarse scan, the labels, the
+    stencils), one per step of its slowest frustrated root and one round
+    more per split cell.
     """
     g_min, g_max = (float(v) for v in g_range)
     if not (math.isfinite(g_min) and math.isfinite(g_max) and g_min < g_max):
@@ -400,7 +400,7 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
             raise cell_error("the indicator brackets no root", np.argmax(unbracketed))
         roots = np.empty(len(lo))
         for kind, indicator in ((onset, _onset_curvature),
-                                (~onset, lambda p: _branch_gap(p, _ranked(p, _minima(p))))):
+                                (~onset, lambda p: _branch_gap(p, solve(p.g.tolist())))):
             rows = np.flatnonzero(kind)
             roots[rows] = _bracketed_roots(lambda gs: indicator(at(gs)), lo[rows], hi[rows],
                                            f1[rows], f2[rows])
@@ -422,11 +422,10 @@ def detect_transitions(J1: float, J2: float, g_range, n_coarse: int = 121):
     steps = [min(_CONFIG.derivative_step, g_star / 12.0) for g_star, _, _ in found]
     solve([g for (g_star, _, _), h in zip(found, steps)
            for stencil in _stencils(g_star, h) for g in stencil])
-    E = {g: r.energy for g, r in memo.items()}
 
     transitions = []
     for (g_star, below, above), h in zip(found, steps):
-        order, jump, noise = _classify_order(E, g_star, h)
+        order, jump, noise = _classify_order(memo, g_star, h)
         expected = TRANSITIONS[frozenset((below, above))][1]
         transitions.append(Transition(g_star, order if order == expected else "inconclusive",
                                       jump, noise))
@@ -440,9 +439,9 @@ def _stencils(g_star, h):
             for step in (h, 2.0 * h)]
 
 
-def _classify_order(E, g_star, h):
+def _classify_order(memo, g_star, h):
     """Derivative-jump order classification with a two-step noise estimate,
-    from the map E of g to the brute-force energy at the g of
+    from the memo of each g's :func:`_ranked` minima at the g of
     :func:`_stencils`.
 
     The first-derivative jump of E(g) converges to a constant across step
@@ -453,8 +452,8 @@ def _classify_order(E, g_star, h):
     """
     jumps1, jumps2 = [], []
     for step, stencil in zip((h, 2.0 * h), _stencils(g_star, h)):
-        el = [E[g] for g in stencil[:3]]
-        er = [E[g] for g in stencil[3:]]
+        el = [memo[g].energy for g in stencil[:3]]
+        er = [memo[g].energy for g in stencil[3:]]
         dl = (3.0 * el[2] - 4.0 * el[1] + el[0]) / (2.0 * step)
         dr = (-3.0 * er[0] + 4.0 * er[1] - er[2]) / (2.0 * step)
         jumps1.append(abs(dr - dl))

@@ -38,6 +38,8 @@ CSV_COLUMNS = (
     "eps1", "eps2", "eps3", "eps4", "eps5", "eps6",
     "B_tilde", "degeneracy", "error",
 )
+#: the line CSV's columns that are not floats, with the type read_line_csv reads
+CSV_TYPES = {"phase": str, "error": str, "degeneracy": int}
 
 
 def _timestamp() -> str:
@@ -315,38 +317,30 @@ def _write_csv(path, header, rows, cols):
                              for c in cols])
 
 
+def _write_json(path, doc):
+    """The file layout of every JSON output: indent 1, a trailing newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
+
+
 def write_line_csv(records, path):
     """CSV with one row per g point."""
     _write_csv(path, CSV_COLUMNS, records, CSV_COLUMNS)
 
 
 def read_line_csv(path):
-    records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rec = {}
-            for col in CSV_COLUMNS:
-                if col in ("phase", "error"):
-                    rec[col] = row[col]
-                elif col == "degeneracy":
-                    rec[col] = int(row[col])
-                else:
-                    rec[col] = float(row[col])
-            records.append(rec)
-    return records
+        return [{col: CSV_TYPES.get(col, float)(row[col]) for col in CSV_COLUMNS}
+                for row in csv.DictReader(fh)]
 
 
 def write_line_json(records, path, J1=None, J2=None, omega=None, Omega=None):
-    doc = {
+    _write_json(path, {
         "metadata": {"version": __version__, "timestamp": _timestamp(),
                      "J1": J1, "J2": J2, "omega": omega, "Omega": Omega,
                      "points": len(records)},
         "records": records,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def grid_to_json(grid: PhaseDiagramGrid) -> dict:
@@ -362,9 +356,7 @@ def grid_to_json(grid: PhaseDiagramGrid) -> dict:
 
 
 def write_grid_json(grid: PhaseDiagramGrid, path):
-    with open(path, "w") as fh:
-        json.dump(grid_to_json(grid), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, grid_to_json(grid))
 
 
 def read_grid_json(path) -> PhaseDiagramGrid:

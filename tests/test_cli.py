@@ -232,6 +232,26 @@ class TestSweep:
         assert json.loads(line)["kind"] in ("ValueError", "KeyError")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("config, kind, message", [
+        ({k: v for k, v in LINE.items() if k != "J1"}, "KeyError",
+         "line sweep config is missing 'J1'"),
+        ({"mode": "grid", "axis_y": GRID_Y}, "KeyError", "grid sweep config is missing 'axis_x'"),
+        (dict(LINE, format="xml"), "ValueError", "format must be 'csv' or 'json'"),
+    ], ids=["line-without-J1", "grid-without-axis_x", "xml-format"])
+    def test_missing_key_or_unknown_format_exits_2(self, capsys, tmp_path, monkeypatch, config,
+                                                    kind, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["kind"] == kind
+        assert message in payload["error"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_missing_mode_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")

@@ -1,6 +1,7 @@
 """Mean-field energy functional, the two branches and the dispatch."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -519,6 +520,17 @@ class TestAtomOnly:
             solve_ground_state(p)
         with pytest.raises(ParameterError, match="B_tilde is undefined"):
             solve_atom_only(p)
+
+    @pytest.mark.parametrize("g", [1.3e154, 1e200])
+    def test_overflowing_energy_raises_in_process(self, g):
+        p = ModelParams(g=g, J2=0.3)
+        with pytest.raises(ConvergenceError, match=f"the energy overflows at {re.escape(str(p))}"):
+            solve_atom_only(p)
+
+    def test_largest_g_below_the_overflow_still_solves(self):
+        result = solve_atom_only(ModelParams(g=1e154, J2=0.3))
+        assert (result.label, result.degeneracy) == ("NSP", 2)
+        assert math.isfinite(result.energy)
 
     def test_huge_g_raises_a_typed_error_or_returns_a_finite_result(self):
         # from g ~ 1.2e154 the energy and the predicted decrease overflow, and

@@ -179,6 +179,10 @@ class TestCriticalCouplings:
         cc = critical_couplings(ModelParams(g=1.0, J1=J1, J2=J2))
         assert cc.g_c_plus == pytest.approx(cc.g_c_minus, abs=1e-12)
 
+    def test_dividing_curve_rejects_j2_at_or_below_minus_one(self):
+        with pytest.raises(ParameterError, match="J2 > -1, got -1.0"):
+            dividing_curve(-1.0)
+
 
 class TestFirstOrderPoint:
     def test_reference_value(self):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ class TestBruteForceMinimize:
             brute_force_minimize(params)
         with pytest.raises(ConvergenceError, match=re.escape(f"at {params}")):
             oracle._brute_force_minima([ModelParams(g=1.1, J1=0.1, J2=J2), params])
+
+    def test_huge_g_returns_a_phase_or_raises_a_convergence_error(self):
+        # the range of the oracle ends near g = 1e12 and the energy overflows
+        # from about 1.3e154; between and beyond, every outcome is typed
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for J1, J2 in ((0.1, -0.1), (-0.2, -0.2)):
+                for g in (3e11, 1e12, 1e100, 1.3e154, 1e308):
+                    try:
+                        outcomes.append(brute_force_minimize(ModelParams(g=g, J1=J1, J2=J2)).label)
+                    except ConvergenceError:
+                        outcomes.append("ConvergenceError")
+        assert set(outcomes) <= {"NP", "NSP", "FSP", "ConvergenceError"}
 
 
 def _check_stacked_equals_one_point(points):

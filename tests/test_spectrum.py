@@ -185,6 +185,15 @@ class TestPowerLawFits:
         assert fit.prefactor == pytest.approx(3.0)
         assert fit.r_squared == pytest.approx(1.0)
 
+    def test_fit_power_law_rejects_a_non_positive_value(self):
+        dg = np.geomspace(1e-6, 1e-3, 4)
+        with pytest.raises(ValueError, match="strictly positive"):
+            fit_power_law(dg, np.array([1e-3, 2e-3, 0.0, 4e-3]))
+
+    def test_fit_critical_exponent_rejects_an_unknown_side(self):
+        with pytest.raises(ValueError, match="side must be 'below' or 'above', got 'sideways'"):
+            fit_critical_exponent(ModelParams(g=1.0, J1=0.1, J2=0.1), "sideways")
+
     def test_np_side_exponent_half(self):
         fit = fit_critical_exponent(ModelParams(g=1.0, J1=0.1, J2=0.1), "below")
         assert fit.exponent == pytest.approx(0.5, abs=0.02)

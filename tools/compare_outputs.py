@@ -82,11 +82,18 @@ its ``float.hex``:
   label and degeneracy of ``meanfield.solve_ground_states`` and of
   ``oracle._brute_force_minima`` (in stacks of 25), where ``x`` is so small
   that an absolute identity tolerance merges distinct minima;
-* ``huge-g``: ``oracle._minima`` at g in {1e150, 1e153, 1.3e154, 2e154,
-  1e200, 1e308} on ``(J1, J2)`` = (0.1, -0.1), (0.1, 0.1) and (0, 0),
-  each point alone and then all of them in one stack behind a ``g = 1.1``
-  point on (0.1, -0.1): per call the count and every x of the minima, or
-  the error text, where the energy overflows;
+* ``huge-g``: ``oracle._minima`` at g in {1e11, 3e11, 1e12, 1e150, 1e153,
+  1.3e154, 2e154, 1e200, 1e308} on ``(J1, J2)`` = (0.1, -0.1), (0.1, 0.1)
+  and (0, 0), each point alone and then all of them in one stack behind a
+  ``g = 1.1`` point on (0.1, -0.1): per call the count and every x of the
+  minima, or the error text, where the oracle's range ends (near g = 1e12)
+  and where the energy overflows;
+* ``output-files``: every line of the files that ``dicke-trimer sweep``
+  writes, run in-process in a temporary directory with
+  ``DICKE_TRIMER_TIMESTAMP=fixed``, for a g line, the criterion-11 ``g``-``J2``
+  grid and a ``J1``-``J2`` grid, each as CSV and as JSON, with each run's
+  exit code, and every column of the records that ``sweep.read_line_csv``
+  reads back from the line's CSV: the bytes of the determinism contract;
 * the text that ``verify --scope all`` prints.
 
 ``diff`` lists each field whose values differ, with the number of entries
@@ -145,8 +152,20 @@ MINIMA_SEED = 2030
 MINIMA_POINTS = 800
 TINY_SEED = 2029
 TINY_POINTS = 200
-HUGE_G = (1e150, 1e153, 1.3e154, 2e154, 1e200, 1e308)
+HUGE_G = (1e11, 3e11, 1e12, 1e150, 1e153, 1.3e154, 2e154, 1e200, 1e308)
 HUGE_J = ((0.1, -0.1), (0.1, 0.1), (0.0, 0.0))
+# name -> the arguments of `dicke-trimer sweep` (before --format and
+# --output), or the grid config that --config reads
+OUTPUT_SWEEPS = {
+    "line": ["--mode", "line", "--j1", "0.1", "--j2", "-0.1",
+             "--g-min", "0.5", "--g-max", "1.5", "--g-steps", "101"],
+    "g-J2": {"mode": "grid", "axis_x": {"name": "g", "min": 0.9, "max": 1.1, "steps": 41},
+             "axis_y": {"name": "J2", "min": -0.2, "max": -0.02, "steps": 31},
+             "fixed": {"J1": 0.1}},
+    "J1-J2": {"mode": "grid", "axis_x": {"name": "J1", "min": -0.45, "max": 0.45, "steps": 21},
+              "axis_y": {"name": "J2", "min": -0.45, "max": 0.45, "steps": 21},
+              "fixed": {"g": 0.95}},
+}
 
 
 def _import_tree(tree):
@@ -457,6 +476,32 @@ def _huge_g_fields(fields):
     fields["huge-g/error"] = _column(errors)
 
 
+def _output_file_fields(fields):
+    import os
+    import tempfile
+    from unittest import mock
+
+    from dicke_trimer.cli import main
+    from dicke_trimer.sweep import read_line_csv
+
+    with (mock.patch.dict(os.environ, DICKE_TRIMER_TIMESTAMP="fixed"),
+          tempfile.TemporaryDirectory() as tmp):
+        for name, sweep in OUTPUT_SWEEPS.items():
+            if isinstance(sweep, dict):
+                config = Path(tmp, f"{name}.config.json")
+                config.write_text(json.dumps(sweep))
+                sweep = ["--config", str(config)]
+            for fmt in ("csv", "json"):
+                out = Path(tmp, f"{name}.{fmt}")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["sweep", *sweep, "--format", fmt, "--output", str(out)])
+                prefix = f"output-files/{name}.{fmt}"
+                fields[f"{prefix}/exit"] = _column([code])
+                fields[f"{prefix}/lines"] = _column(
+                    out.read_bytes().decode().splitlines(keepends=True))
+        _table("output-files/line.csv/read", read_line_csv(Path(tmp, "line.csv")), fields)
+
+
 def _verify_fields(fields):
     from dicke_trimer.cli import main
 
@@ -473,7 +518,7 @@ def dump(tree, path):
     for part in (_grid_fields, _triple_j1_fields, _j_grid_fields, _oracle_fields,
                  _transition_line_fields, _line_fields, _bulk_fields, _fsp_fields, _onset_fields,
                  _gl_fields, _root_fields, _atom_only_fields, _minima_fields, _tiny_g_fields,
-                 _huge_g_fields, _verify_fields):
+                 _huge_g_fields, _output_file_fields, _verify_fields):
         part(fields)
     Path(path).write_text(json.dumps({"tree": str(Path(tree).resolve()), "fields": fields},
                                      indent=0))
